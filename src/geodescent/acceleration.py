@@ -24,14 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from geodescent.descent import IterateTrace, default_tolerance, proximal_step, rgd_step
+from geodescent.descent import (GradientDescent, IterateTrace, _Recorder, default_tolerance,
+                                 proximal_step, rgd_step)
 from geodescent.geometry import (
     DomainSpec,
     GeometryError,
     Manifold,
     ManifoldPoint,
     TangentVector,
-    in_domain,
 )
 from geodescent.objectives import Objective
 
@@ -144,14 +144,11 @@ class DescentOracle:
 def gradient_oracle(obj: Objective, eta: float | None = None) -> DescentOracle:
     """Gradient step as the descent oracle; eta defaults to 1/L giving
     c = 1/(2L)."""
-    L = obj.metadata.L
     if eta is None:
-        if L is None:
+        if obj.metadata.L is None:
             raise ValueError("need eta or a declared L")
-        eta = 1.0 / L
-    c = eta * (1.0 - (L if L is not None else 0.0) * eta / 2.0)
-    if c <= 0:
-        raise ValueError("eta too large: certified constant is nonpositive")
+        eta = 1.0 / obj.metadata.L
+    c = GradientDescent(eta).certificate(obj).c
     return DescentOracle(lambda o, x, e=eta: rgd_step(o, x, e), c, f"rgd(eta={eta:g})")
 
 
@@ -288,7 +285,8 @@ def comparison_T(kappa: float, d: float) -> float:
     t = math.sqrt(kappa) * d
     if t < 1e-8:
         return 1.0 + t * t / 3.0
-    return t / math.tanh(t)
+    # t/tanh(t) >= 1 exactly, but can round below 1 for t just above 1e-8
+    return max(1.0, t / math.tanh(t))
 
 
 def distortion_rate(manifold: Manifold, x_prev: ManifoldPoint, z_prev: ManifoldPoint,
@@ -320,8 +318,11 @@ def distortion_rate(manifold: Manifold, x_prev: ManifoldPoint, z_prev: ManifoldP
 def energy(A: float, B: float, obj: Objective, state: AccelState,
            x_star: ManifoldPoint, f_star: float, envelope: float | None = None) -> EnergyRecord:
     """Evaluate the energy and its components at the current state."""
-    m = obj.manifold
-    f_gap = obj.value(state.y) - f_star
+    return _energy(A, B, obj.manifold, state, x_star, obj.value(state.y) - f_star, envelope)
+
+
+def _energy(A, B, m, state, x_star, f_gap, envelope):
+    """``energy`` with the gap f(y) - f* already evaluated."""
     dist_term = m.projected_distance(state.x, state.z, x_star) ** 2
     return EnergyRecord(
         E=A * f_gap + B * dist_term,
@@ -361,9 +362,6 @@ class AccelRun:
     def deltas(self) -> list[float]:
         return [s.delta for s in self.schedules]
 
-    def __iter__(self):
-        return iter((self.trace, self.energies, self.schedules))
-
 
 def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
                     oracle: DescentOracle, dom: DomainSpec | None = None,
@@ -374,14 +372,17 @@ def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
     ``mode`` selects the g-convex or strongly g-convex schedule.  In
     ``oracle`` delta mode the distortion rate of each step is made
     self-consistent by a small fixed-point iteration: the step is recomputed
-    until the rate used by the schedule equals the realized ratio.
+    until the rate used by the schedule equals the realized ratio, and the
+    last step computed is kept.  The trace records the y iterates; the domain
+    monitor watches x, y and z.  ``callback(k, y, f, grad_norm, slack,
+    extra)`` fires after every iteration, with the schedule and energy
+    fields in ``extra``.
     """
     if mode not in (GCONVEX, STRONGLY):
         raise ValueError(f"unknown mode {mode!r}")
     m = obj.manifold
     dom = dom if dom is not None else obj.domain
-    if not in_domain(dom, y0):
-        raise ValueError("y0 must start inside the domain")
+    rec = _Recorder(dom, y0, callback)
     sol = obj.known_solution
     if sol is None:
         raise ValueError("accelerated runs need a known or precomputed minimizer")
@@ -404,53 +405,48 @@ def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
         A, B = 0.0, 4.0 / c
 
     state = AccelState(x=y0, y=y0, z=y0, k=0)
-    f0 = obj.value(y0)
-    tol = default_tolerance(f0)
-
-    e0 = energy(A, B, obj, state, x_star, f_star, envelope=None)
-    D0 = None
+    f_y = obj.value(y0)
+    tol = default_tolerance(f_y)
+    D0 = env = None
     prod = 1.0
     if mode == STRONGLY:
-        D0 = e0.f_gap + xi0**2 / (4.0 * c) * m.distance(state.z, x_star) ** 2
-        e0 = EnergyRecord(e0.E, e0.f_gap, e0.dist_term, e0.d_xy, e0.d_xz,
-                          envelope=math.sqrt(max(prod * D0, 0.0)))
-    energies = [e0]
-    schedules: list[ScheduleState] = []
-    xs, zs = [state.x], [state.z]
-    values = [f0]
-    grad_norms = [m.norm(y0, obj.gradient(y0))]
-    iterates = [y0]
-    violations: list[float] = []
-    exit_k = None
+        D0 = f_y - f_star + xi0**2 / (4.0 * c) * m.distance(state.z, x_star) ** 2
+        env = math.sqrt(max(prod * D0, 0.0))
+    energies, schedules, xs, zs = [], [], [], []
+
+    def record(f, slack, sched_delta, sched_xi):
+        # energy and record at the current state, A, B and envelope
+        e = _energy(A, B, m, state, x_star, f - f_star, env)
+        energies.append(e)
+        xs.append(state.x)
+        zs.append(state.z)
+        rec.record(state.y, f, m.norm(state.y, obj.gradient(state.y)), slack,
+                   {"delta": sched_delta, "xi": sched_xi, "A": A, "B": B, "E": e.E,
+                    "d_xy": e.d_xy, "d_xz": e.d_xz, "envelope": e.envelope},
+                   (state.x, state.y, state.z))
+
+    record(f_y, None, 1.0, xi0)
     delta_prev = 1.0
     xi = xi0
-    if callback is not None:
-        callback(0, y0, f0, grad_norms[0], None,
-                 {"delta": 1.0, "xi": xi0, "A": A, "B": B, "E": e0.E,
-                  "d_xy": e0.d_xy, "d_xz": e0.d_xz, "envelope": e0.envelope})
 
     for k in range(k_max):
         if delta_mode == ANALYTIC:
             delta = distortion_rate(m, state.x, state.z, mode=ANALYTIC)
-            params, sched, new_state, slack = _scheduled_step(
+            sched, new_state, slack = _scheduled_step(
                 obj, state, oracle, mode, k, A, B, delta_prev, delta, xi, mu, c, tol
             )
         else:
             # self-consistent realized distortion rate
             delta = max(1.0, delta_prev)
             for _ in range(60):
-                params, sched, new_state, slack = _scheduled_step(
+                sched, new_state, slack = _scheduled_step(
                     obj, state, oracle, mode, k, A, B, delta_prev, delta, xi, mu, c, tol
                 )
                 realized = distortion_rate(m, state.x, state.z, new_state.x,
                                            mode=ORACLE, x_star=x_star)
                 if abs(realized - delta) <= 1e-12 * max(1.0, delta):
-                    delta = realized
                     break
                 delta = realized
-            params, sched, new_state, slack = _scheduled_step(
-                obj, state, oracle, mode, k, A, B, delta_prev, delta, xi, mu, c, tol
-            )
 
         state = new_state
         A, B = sched.A, sched.B
@@ -459,30 +455,11 @@ def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
             xi = sched.xi
             prod *= 1.0 - xi
             env = math.sqrt(max(prod * D0, 0.0))
-        else:
-            env = None
         schedules.append(sched)
-        rec = energy(A, B, obj, state, x_star, f_star, envelope=env)
-        energies.append(rec)
-        xs.append(state.x)
-        zs.append(state.z)
-        iterates.append(state.y)
-        values.append(obj.value(state.y))
-        grad_norms.append(m.norm(state.y, obj.gradient(state.y)))
-        violations.append(slack)
-        if exit_k is None and not all(
-            in_domain(dom, p) for p in (state.x, state.y, state.z)
-        ):
-            exit_k = k + 1
-        if callback is not None:
-            callback(k + 1, state.y, values[-1], grad_norms[-1], slack,
-                     {"delta": sched.delta, "xi": sched.xi, "A": A, "B": B,
-                      "E": rec.E, "d_xy": rec.d_xy, "d_xz": rec.d_xz,
-                      "envelope": rec.envelope})
+        record(obj.value(state.y), slack, sched.delta, sched.xi)
 
-    trace = IterateTrace(iterates, values, grad_norms, violations, exit_k)
-    return AccelRun(trace, energies, schedules, xs, zs, mode, delta_mode, c, mu,
-                    xi0, D0, e0.E, dom.diameter, x_star)
+    return AccelRun(rec.trace(), energies, schedules, xs, zs, mode, delta_mode, c, mu,
+                    xi0, D0, energies[0].E, dom.diameter, x_star)
 
 
 def _scheduled_step(obj, state, oracle, mode, k, A, B, delta_prev, delta, xi, mu, c, tol):
@@ -495,7 +472,7 @@ def _scheduled_step(obj, state, oracle, mode, k, A, B, delta_prev, delta, xi, mu
         params, sched = schedule_strongly(xi_next, A, mu, c)
         sched = ScheduleState(sched.A, sched.B, sched.A_bar, delta, xi_next)
     new_state, slack = accel_step(obj, state, params, oracle, tol)
-    return params, sched, new_state, slack
+    return sched, new_state, slack
 
 
 def accel_gconvex_bound(E0: float, c: float, diam: float, delta_max: float, k: int) -> float:

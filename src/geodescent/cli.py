@@ -19,7 +19,7 @@ from geodescent.traces import load_trace, trace_to_csv, write_plot_data
 
 
 def _out_root(args) -> str:
-    return args.out_root or os.environ.get(harness.OUTPUT_ROOT_ENV) or "."
+    return getattr(args, "out_root", None) or os.environ.get(harness.OUTPUT_ROOT_ENV) or "."
 
 
 def _cmd_run(args) -> int:
@@ -56,7 +56,7 @@ def _cmd_batch(args) -> int:
         return 2
     worst = 0
     for p in paths:
-        ns = argparse.Namespace(config=p, out_root=args.out_root)
+        ns = argparse.Namespace(config=p, out_root=_out_root(args))
         code = _cmd_run(ns)
         print(f"[{p}] exit {code}")
         worst = max(worst, code)
@@ -122,35 +122,38 @@ def _cmd_export(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="geodescent",
-                                     description="Certified Riemannian descent experiments")
-    parser.add_argument("--out-root", default=None,
+    # --out-root is accepted before and after the subcommand; SUPPRESS keeps
+    # a subcommand's parser from overwriting a value given before it
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out-root", default=argparse.SUPPRESS,
                         help=f"output root (default: ${harness.OUTPUT_ROOT_ENV} or .)")
+    parser = argparse.ArgumentParser(prog="geodescent", parents=[common],
+                                     description="Certified Riemannian descent experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("run", help="run one experiment config")
+    p = sub.add_parser("run", parents=[common], help="run one experiment config")
     p.add_argument("config")
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("batch", help="run every config in a directory")
+    p = sub.add_parser("batch", parents=[common], help="run every config in a directory")
     p.add_argument("directory")
     p.set_defaults(func=_cmd_batch)
 
-    p = sub.add_parser("validate", help="validate a config without running it")
+    p = sub.add_parser("validate", parents=[common], help="validate a config without running it")
     p.add_argument("config")
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("fit", help="fit a power law to a trace's gap")
+    p = sub.add_parser("fit", parents=[common], help="fit a power law to a trace's gap")
     p.add_argument("trace")
     p.add_argument("--from", dest="k_from", type=int, required=True)
     p.add_argument("--to", dest="k_to", type=int, required=True)
     p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("compare", help="tabulate several traces against the first")
+    p = sub.add_parser("compare", parents=[common], help="tabulate several traces against the first")
     p.add_argument("traces", nargs="+")
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("export", help="export a trace to CSV")
+    p = sub.add_parser("export", parents=[common], help="export a trace to CSV")
     p.add_argument("trace")
     p.add_argument("csv")
     p.set_defaults(func=_cmd_export)

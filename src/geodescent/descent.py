@@ -119,8 +119,10 @@ def default_tolerance(f0: float) -> float:
 # steps
 
 
-def rgd_step(obj: Objective, x: ManifoldPoint, eta: float) -> ManifoldPoint:
-    """One gradient step ``exp(x, -eta * grad f(x))``.
+def rgd_step(obj: Objective, x: ManifoldPoint, eta: float,
+             grad: TangentVector | None = None) -> ManifoldPoint:
+    """One gradient step ``exp(x, -eta * grad f(x))``; pass ``grad`` when the
+    caller already holds grad f(x).
 
     Requires 0 < eta < 2/L for the declared L; the corresponding
     certificate is (2, eta*(1 - L*eta/2), backward).
@@ -130,29 +132,32 @@ def rgd_step(obj: Objective, x: ManifoldPoint, eta: float) -> ManifoldPoint:
         raise ValueError(f"eta={eta:g} outside (0, 2/L) for L={L:g}")
     if eta <= 0:
         raise ValueError("eta must be positive")
-    g = obj.gradient(x)
+    g = obj.gradient(x) if grad is None else grad
     return obj.manifold.exp(x, TangentVector(x, -eta * g.coords))
 
 
 def proximal_step(obj: Objective, x: ManifoldPoint, eta: float,
-                  tol_prox: float = 1e-9, max_inner: int = 50_000) -> ManifoldPoint:
+                  tol_prox: float = 1e-9, max_inner: int = 50_000,
+                  grad: TangentVector | None = None) -> ManifoldPoint:
     """Approximate proximal point: minimize ``f(y) + d(y, x)^2 / (2 eta)``.
 
     The inner problem is solved by gradient descent (it gains 1/eta in
-    strong convexity) until the first-order residual
-    ``||log(x', x) - eta * grad f(x')||`` drops below ``tol_prox``.
-    Certificate: (2, eta/2, forward).
+    strong convexity), started at x with ``grad`` = grad f(x) if given,
+    until the first-order residual ``||log(x', x) - eta * grad f(x')||``
+    drops below ``tol_prox``.  Certificate: (2, eta/2, forward).
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
+    if max_inner < 1:
+        raise ValueError("max_inner must be at least 1")
     m = obj.manifold
     L_f = obj.metadata.L if obj.metadata.L is not None else 1.0
     # curvature bound for the proximal quadratic on the relevant region
     L_prox = _comparison_upper(m, 2.0 * obj.domain.radius + m.distance(obj.domain.center, x))
     step = 1.0 / (L_f + L_prox / eta)
     y = x
-    for _ in range(max_inner):
-        g_f = obj.gradient(y)
+    for i in range(max_inner):
+        g_f = grad if i == 0 and grad is not None else obj.gradient(y)
         back = m.log(y, x)
         residual = np.sqrt(max(m._inner(y.coords, back.coords - eta * g_f.coords,
                                         back.coords - eta * g_f.coords), 0.0))
@@ -203,8 +208,9 @@ def _solve_cubic_model(g: np.ndarray, H: np.ndarray, M: float) -> np.ndarray:
 
 
 def cubic_newton_step(obj: Objective, x: ManifoldPoint, M: float, theta: float,
-                      rho: float | None = None) -> tuple[ManifoldPoint, TangentVector]:
-    """One cubic-regularized Newton step.
+                      rho: float | None = None,
+                      grad: TangentVector | None = None) -> tuple[ManifoldPoint, TangentVector]:
+    """One cubic-regularized Newton step; ``grad`` is grad f(x) if known.
 
     Returns ``(exp(x, s), s)`` where s minimizes the cubic model
     ``m(s) = f(x) + <g,s> + s'Hs/2 + M||s||^3/3`` and satisfies the
@@ -221,7 +227,7 @@ def cubic_newton_step(obj: Objective, x: ManifoldPoint, M: float, theta: float,
         raise ValueError("theta must be positive")
     m = obj.manifold
     basis = m.orthonormal_basis(x)
-    g_vec = obj.gradient(x)
+    g_vec = obj.gradient(x) if grad is None else grad
     g = np.array([m.inner(x, g_vec, b) for b in basis])
     H = obj.hessian_matrix(x)
     gn = float(np.linalg.norm(g))
@@ -268,8 +274,8 @@ class GradientDescent:
     def __init__(self, eta: float):
         self.eta = float(eta)
 
-    def step(self, obj, x):
-        return rgd_step(obj, x, self.eta)
+    def step(self, obj, x, grad=None):
+        return rgd_step(obj, x, self.eta, grad)
 
     def certificate(self, obj) -> DescentCertificate:
         L = obj.metadata.L
@@ -289,8 +295,8 @@ class ProximalPoint:
         self.tol_prox = tol_prox
         self.max_inner = max_inner
 
-    def step(self, obj, x):
-        return proximal_step(obj, x, self.eta, self.tol_prox, self.max_inner)
+    def step(self, obj, x, grad=None):
+        return proximal_step(obj, x, self.eta, self.tol_prox, self.max_inner, grad)
 
     def certificate(self, obj) -> DescentCertificate:
         return DescentCertificate(2.0, self.eta / 2.0, FORWARD)
@@ -318,9 +324,9 @@ class CubicNewton:
         theta = self.theta if self.theta is not None else rho / 2.0
         return M, theta, rho if rho is not None else 2.0 * M
 
-    def step(self, obj, x):
+    def step(self, obj, x, grad=None):
         M, theta, rho = self._params(obj)
-        return cubic_newton_step(obj, x, M, theta, rho)[0]
+        return cubic_newton_step(obj, x, M, theta, rho, grad)[0]
 
     def certificate(self, obj) -> DescentCertificate:
         M, theta, rho = self._params(obj)
@@ -335,40 +341,59 @@ class CubicNewton:
 # driver and checks
 
 
+class _Recorder:
+    """Trace columns, domain monitor and callback shared by both drivers: the
+    start point must lie in ``dom``; the first iteration at which a watched
+    point (default: the iterate) leaves it is noted."""
+
+    def __init__(self, dom: DomainSpec, x0: ManifoldPoint, callback=None):
+        if not in_domain(dom, x0):
+            raise ValueError("the start point must lie inside the domain")
+        self.dom = dom
+        self.callback = callback
+        self.xs, self.values, self.grad_norms, self.slacks = [], [], [], []
+        self.domain_exit = None
+
+    def record(self, x, f, grad_norm, slack=None, extra=None, watch=None):
+        k = len(self.xs)
+        self.xs.append(x)
+        self.values.append(f)
+        self.grad_norms.append(grad_norm)
+        if k:
+            self.slacks.append(slack)
+            if self.domain_exit is None and not all(
+                in_domain(self.dom, p) for p in (watch or (x,))
+            ):
+                self.domain_exit = k
+        if self.callback is not None:
+            self.callback(k, x, f, grad_norm, slack, extra or {})
+
+    def trace(self) -> IterateTrace:
+        return IterateTrace(self.xs, self.values, self.grad_norms, self.slacks,
+                            self.domain_exit)
+
+
 def run_descent(alg, obj: Objective, x0: ManifoldPoint, k_max: int,
                 dom: DomainSpec | None = None, callback=None) -> IterateTrace:
     """Run ``alg`` for up to ``k_max`` steps, recording values, gradient norms
     and the per-step certificate slack.  The first iterate outside ``dom`` is
     recorded (assumption monitor), not fatal.  ``callback(k, x, f, grad_norm,
-    slack)`` fires after every recorded iterate (slack None at k=0)."""
+    slack, extra)`` fires after every recorded iterate (slack None at k=0,
+    extra empty).  Each step reuses the gradient recorded at its input."""
     m = obj.manifold
-    dom = dom if dom is not None else obj.domain
     cert = alg.certificate(obj)
-    if not in_domain(dom, x0):
-        raise ValueError("x0 must start inside the domain")
-    xs = [x0]
-    vals = [obj.value(x0)]
-    gns = [m.norm(x0, obj.gradient(x0))]
-    viol = []
-    exit_k = None
-    x = x0
-    if callback is not None:
-        callback(0, x0, vals[0], gns[0], None)
-    for k in range(k_max):
-        x_new = alg.step(obj, x)
-        f_new = obj.value(x_new)
-        gn_new = m.norm(x_new, obj.gradient(x_new))
-        gn_ref = gn_new if cert.direction == FORWARD else gns[-1]
-        viol.append(f_new - vals[-1] + cert.c * gn_ref**cert.exponent)
-        xs.append(x_new)
-        vals.append(f_new)
-        gns.append(gn_new)
-        if exit_k is None and not in_domain(dom, x_new):
-            exit_k = k + 1
-        if callback is not None:
-            callback(k + 1, x_new, f_new, gn_new, viol[-1])
-        x = x_new
-    return IterateTrace(xs, vals, gns, viol, exit_k)
+    rec = _Recorder(dom if dom is not None else obj.domain, x0, callback)
+    x, g = x0, obj.gradient(x0)
+    gn = m.norm(x0, g)
+    rec.record(x0, obj.value(x0), gn)
+    for _ in range(k_max):
+        x = alg.step(obj, x, g)
+        g = obj.gradient(x)
+        f = obj.value(x)
+        gn_prev, gn = gn, m.norm(x, g)
+        gn_ref = gn if cert.direction == FORWARD else gn_prev
+        rec.record(x, f, gn, f - rec.values[-1] + cert.c * gn_ref**cert.exponent)
+    return rec.trace()
 
 
 def certify(trace: IterateTrace, cert: DescentCertificate, tol: float) -> tuple[bool, float]:

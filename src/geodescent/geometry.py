@@ -27,7 +27,6 @@ __all__ = [
     "Sphere",
     "Hyperboloid",
     "in_domain",
-    "projected_distance",
 ]
 
 POINT_TOL = 1e-10
@@ -523,7 +522,3 @@ def in_domain(dom: DomainSpec, x: ManifoldPoint, tol: float = 1e-9) -> bool:
     m = dom.center.manifold
     return m.distance(dom.center, x) <= dom.radius + tol
 
-
-def projected_distance(x: ManifoldPoint, w: ManifoldPoint, v: ManifoldPoint) -> float:
-    """Module-level convenience for ``x.manifold.projected_distance``."""
-    return x.manifold.projected_distance(x, w, v)

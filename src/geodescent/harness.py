@@ -390,15 +390,14 @@ def _xi_table(run, eps_levels=(1e-1, 1e-2, 1e-3, 1e-6)):
     """Convergence table of the contraction factor toward sqrt(2*mu*c)."""
     target = math.sqrt(2.0 * run.mu * run.c)
     xi = run.xi_seq
+    dev = [abs(x - target) for x in xi]
     table = {}
     for eps in eps_levels:
         # first index after which the sequence stays inside the band
-        stays = None
-        for k in range(len(xi)):
-            if all(abs(x - target) <= eps for x in xi[k:]):
-                stays = k
-                break
-        table[f"first_k_within_{eps:g}"] = stays
+        k = len(dev)
+        while k and dev[k - 1] <= eps:
+            k -= 1
+        table[f"first_k_within_{eps:g}"] = k if k < len(dev) else None
     _, slope = accel.xi_convergence_report(xi, run.mu, run.c, eps_levels[-1])
     table.update({"target": target, "final": xi[-1],
                   "log_deviation_slope": None if math.isnan(slope) else slope})
@@ -429,25 +428,29 @@ def run_experiment(cfg: ExperimentConfig, out_root: str | None = None) -> Experi
     1 = some guarantee failed."""
     out_root = out_root or os.environ.get(OUTPUT_ROOT_ENV) or "."
     os.makedirs(out_root, exist_ok=True)
-    manifold = build_manifold(cfg.manifold)
-    obj = build_objective(cfg.objective, manifold, cache_dir=os.path.join(out_root, "cache"))
-    alg = build_algorithm(cfg.algorithm, obj)
+    try:
+        manifold = build_manifold(cfg.manifold)
+        obj = build_objective(cfg.objective, manifold, cache_dir=os.path.join(out_root, "cache"))
+        alg = build_algorithm(cfg.algorithm, obj)
 
-    dom = obj.domain
-    if "domain_radius" in cfg.run:
-        radius = float(cfg.run["domain_radius"])
-        if radius > obj.domain.radius + 1e-12:
-            raise ConfigError(
-                ["run.domain_radius exceeds the objective's ball: declared constants would not apply"]
-            )
-        dom = DomainSpec(obj.domain.center, radius)
+        dom = obj.domain
+        if "domain_radius" in cfg.run:
+            radius = float(cfg.run["domain_radius"])
+            if radius > obj.domain.radius + 1e-12:
+                raise ConfigError(["run.domain_radius exceeds the objective's ball: "
+                                   "declared constants would not apply"])
+            dom = DomainSpec(obj.domain.center, radius)
 
-    rng_x0 = np.random.default_rng(cfg.run.get("x0_seed", 1))
-    if "x0" in cfg.run:
-        x0 = manifold.point(cfg.run["x0"])
-    else:
-        dist = float(cfg.run.get("x0_distance", 0.5 * dom.radius))
-        x0 = _point_at(manifold, rng_x0, dom.center, dist)
+        rng_x0 = np.random.default_rng(cfg.run.get("x0_seed", 1))
+        if "x0" in cfg.run:
+            x0 = manifold.point(cfg.run["x0"])
+        else:
+            dist = float(cfg.run.get("x0_distance", 0.5 * dom.radius))
+            x0 = _point_at(manifold, rng_x0, dom.center, dist)
+    except ConfigError:
+        raise
+    except ValueError as e:
+        raise ConfigError([f"cannot build the experiment: {type(e).__name__}: {e}"]) from e
 
     k_max = int(cfg.run["k_max"])
     sol = obj.known_solution
@@ -473,21 +476,19 @@ def run_experiment(cfg: ExperimentConfig, out_root: str | None = None) -> Experi
     guarantees = {}
     errors = []
     extra_report = {}
-    f0 = obj.value(x0)
-    tol = desc.default_tolerance(f0)
 
     with TraceWriter(trace_path, meta) as writer:
+        def cb(k, x, f, gn, slack, extra):
+            writer.record(k, x.coords, f, gn, slack, **extra)
+
         try:
             if isinstance(alg, AcceleratedSpec):
                 oracle = _build_oracle(alg, obj)
-
-                def cb(k, x, f, gn, slack, extra):
-                    writer.record(k, x.coords, f, gn, slack, **extra)
-
                 run = accel.run_accelerated(obj, x0, k_max, alg.mode, oracle, dom,
                                             delta_mode=alg.delta_mode, xi0=alg.xi0,
                                             callback=cb)
                 trace = run.trace
+                tol = desc.default_tolerance(trace.values[0])
                 guarantees["oracle_contract"] = _check_oracle_contract(run, tol)
                 if alg.mode == accel.GCONVEX:
                     guarantees["accel_gconvex_bound"] = _check_accel_gconvex(run, tol)
@@ -496,10 +497,8 @@ def run_experiment(cfg: ExperimentConfig, out_root: str | None = None) -> Experi
                     guarantees["product_rate_bound"] = _check_product_rate(run, tol)
                     extra_report["xi_convergence"] = _xi_table(run)
             else:
-                def cb(k, x, f, gn, slack):
-                    writer.record(k, x.coords, f, gn, slack)
-
                 trace = desc.run_descent(alg, obj, x0, k_max, dom, callback=cb)
+                tol = desc.default_tolerance(trace.values[0])
                 cert = alg.certificate(obj)
                 guarantees["certificate"] = _check_certificate(trace, cert, tol)
                 if f_star is not None:
