@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from geodescent.descent import (GradientDescent, IterateTrace, _Recorder, default_tolerance,
-                                 proximal_step, rgd_step)
+from geodescent.descent import (GradientDescent, IterateTrace, ProximalPoint, _Recorder,
+                                 default_tolerance, rgd_step)  # noqa: F401  (rgd_step re-exported)
 from geodescent.geometry import (
     DomainSpec,
     GeometryError,
@@ -91,12 +91,13 @@ class AccelParams:
 
 @dataclass
 class AccelState:
-    """The (x, y, z) triple after iteration k."""
+    """The (x, y, z) triple after iteration k, with f(y) once evaluated."""
 
     x: ManifoldPoint
     y: ManifoldPoint
     z: ManifoldPoint
     k: int = 0
+    f_y: float | None = None
 
 
 @dataclass(frozen=True)
@@ -133,12 +134,12 @@ class DescentOracle:
     """A mapping x -> G(x) guaranteed to satisfy
     ``f(G(x)) - f(x) <= -c * ||grad f(x)||^2``; checked at every invocation."""
 
-    step: object  # callable(obj, x) -> ManifoldPoint
+    step: object  # as GradientDescent.step: callable(obj, x, grad=None) -> ManifoldPoint
     c: float
     label: str = "oracle"
 
-    def __call__(self, obj, x):
-        return self.step(obj, x)
+    def __call__(self, obj, x, grad=None):
+        return self.step(obj, x, grad)
 
 
 def gradient_oracle(obj: Objective, eta: float | None = None) -> DescentOracle:
@@ -148,8 +149,8 @@ def gradient_oracle(obj: Objective, eta: float | None = None) -> DescentOracle:
         if obj.metadata.L is None:
             raise ValueError("need eta or a declared L")
         eta = 1.0 / obj.metadata.L
-    c = GradientDescent(eta).certificate(obj).c
-    return DescentOracle(lambda o, x, e=eta: rgd_step(o, x, e), c, f"rgd(eta={eta:g})")
+    alg = GradientDescent(eta)
+    return DescentOracle(alg.step, alg.certificate(obj).c, f"rgd(eta={eta:g})")
 
 
 def proximal_oracle(obj: Objective, eta: float, tol_prox: float = 1e-9) -> DescentOracle:
@@ -163,25 +164,23 @@ def proximal_oracle(obj: Objective, eta: float, tol_prox: float = 1e-9) -> Desce
     if L is None:
         raise ValueError("proximal oracle certificate needs a declared L")
     c = eta / (2.0 * (1.0 + L * eta))
-    return DescentOracle(
-        lambda o, x, e=eta, t=tol_prox: proximal_step(o, x, e, t),
-        c,
-        f"proximal(eta={eta:g})",
-    )
+    return DescentOracle(ProximalPoint(eta, tol_prox).step, c, f"proximal(eta={eta:g})")
 
 
 def accel_step(obj: Objective, state: AccelState, params: AccelParams,
                oracle: DescentOracle, tol: float = 0.0) -> tuple[AccelState, float]:
-    """One accelerated update; returns the new state and the oracle slack
-    (decrease contract residual, <= tol when honoured)."""
+    """One accelerated update; returns the new state, which carries f(y+),
+    and the oracle slack (decrease contract residual, <= tol when honoured).
+    The oracle is handed the gradient at x+ that the z-update uses."""
     m = obj.manifold
     x_new = m.exp(state.y, TangentVector(state.y, params.tau * m.log(state.y, state.z).coords))
     f_x = obj.value(x_new)
     g_x = obj.gradient(x_new)
     gn2 = m.norm(x_new, g_x) ** 2
 
-    y_new = oracle(obj, x_new)
-    slack = obj.value(y_new) - f_x + oracle.c * gn2
+    y_new = oracle(obj, x_new, g_x)
+    f_y = obj.value(y_new)
+    slack = f_y - f_x + oracle.c * gn2
     if slack > tol:
         raise OracleViolationError(
             f"oracle decrease violated by {slack:.3e} (tol {tol:.3e}) at k={state.k}"
@@ -190,7 +189,7 @@ def accel_step(obj: Objective, state: AccelState, params: AccelParams,
     drift = m.log(x_new, state.z)
     step_vec = (params.beta * drift.coords - g_x.coords) / (params.alpha + params.beta)
     z_new = m.exp(x_new, TangentVector(x_new, step_vec))
-    return AccelState(x_new, y_new, z_new, state.k + 1), float(slack)
+    return AccelState(x_new, y_new, z_new, state.k + 1, f_y), float(slack)
 
 
 def schedule_gconvex(k: int, A_k: float, B_k: float, delta_k: float,
@@ -317,12 +316,10 @@ def distortion_rate(manifold: Manifold, x_prev: ManifoldPoint, z_prev: ManifoldP
 
 def energy(A: float, B: float, obj: Objective, state: AccelState,
            x_star: ManifoldPoint, f_star: float, envelope: float | None = None) -> EnergyRecord:
-    """Evaluate the energy and its components at the current state."""
-    return _energy(A, B, obj.manifold, state, x_star, obj.value(state.y) - f_star, envelope)
-
-
-def _energy(A, B, m, state, x_star, f_gap, envelope):
-    """``energy`` with the gap f(y) - f* already evaluated."""
+    """Evaluate the energy and its components at the current state; f(y) is
+    taken from the state when it carries it."""
+    m = obj.manifold
+    f_gap = (obj.value(state.y) if state.f_y is None else state.f_y) - f_star
     dist_term = m.projected_distance(state.x, state.z, x_star) ** 2
     return EnergyRecord(
         E=A * f_gap + B * dist_term,
@@ -352,6 +349,9 @@ class AccelRun:
     E0: float
     diam: float
     x_star: ManifoldPoint | None = None
+    # oracle delta: fixed points stopped at the cap, worst final relative mismatch
+    delta_capped: int = 0
+    delta_mismatch: float = 0.0
 
     @property
     def xi_seq(self) -> list[float]:
@@ -372,7 +372,8 @@ def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
     ``mode`` selects the g-convex or strongly g-convex schedule.  In
     ``oracle`` delta mode the distortion rate of each step is made
     self-consistent by a small fixed-point iteration: the step is recomputed
-    until the rate used by the schedule equals the realized ratio, and the
+    until the rate used by the schedule equals the realized ratio, at most 60
+    times (``delta_capped`` counts the iterations that stop there), and the
     last step computed is kept.  The trace records the y iterates; the domain
     monitor watches x, y and z.  ``callback(k, y, f, grad_norm, slack,
     extra)`` fires after every iteration, with the schedule and energy
@@ -404,28 +405,28 @@ def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
     else:
         A, B = 0.0, 4.0 / c
 
-    state = AccelState(x=y0, y=y0, z=y0, k=0)
-    f_y = obj.value(y0)
-    tol = default_tolerance(f_y)
+    state = AccelState(x=y0, y=y0, z=y0, k=0, f_y=obj.value(y0))
+    tol = default_tolerance(state.f_y)
     D0 = env = None
     prod = 1.0
     if mode == STRONGLY:
-        D0 = f_y - f_star + xi0**2 / (4.0 * c) * m.distance(state.z, x_star) ** 2
+        D0 = state.f_y - f_star + xi0**2 / (4.0 * c) * m.distance(state.z, x_star) ** 2
         env = math.sqrt(max(prod * D0, 0.0))
     energies, schedules, xs, zs = [], [], [], []
+    capped, worst = 0, 0.0
 
-    def record(f, slack, sched_delta, sched_xi):
+    def record(slack, sched_delta, sched_xi):
         # energy and record at the current state, A, B and envelope
-        e = _energy(A, B, m, state, x_star, f - f_star, env)
+        e = energy(A, B, obj, state, x_star, f_star, env)
         energies.append(e)
         xs.append(state.x)
         zs.append(state.z)
-        rec.record(state.y, f, m.norm(state.y, obj.gradient(state.y)), slack,
+        rec.record(state.y, state.f_y, m.norm(state.y, obj.gradient(state.y)), slack,
                    {"delta": sched_delta, "xi": sched_xi, "A": A, "B": B, "E": e.E,
                     "d_xy": e.d_xy, "d_xz": e.d_xz, "envelope": e.envelope},
                    (state.x, state.y, state.z))
 
-    record(f_y, None, 1.0, xi0)
+    record(None, 1.0, xi0)
     delta_prev = 1.0
     xi = xi0
 
@@ -444,9 +445,13 @@ def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
                 )
                 realized = distortion_rate(m, state.x, state.z, new_state.x,
                                            mode=ORACLE, x_star=x_star)
-                if abs(realized - delta) <= 1e-12 * max(1.0, delta):
+                gap, scale = abs(realized - delta), max(1.0, delta)
+                if gap <= 1e-12 * scale:
                     break
                 delta = realized
+            else:
+                capped += 1
+            worst = max(worst, gap / scale)
 
         state = new_state
         A, B = sched.A, sched.B
@@ -456,10 +461,10 @@ def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
             prod *= 1.0 - xi
             env = math.sqrt(max(prod * D0, 0.0))
         schedules.append(sched)
-        record(obj.value(state.y), slack, sched.delta, sched.xi)
+        record(slack, sched.delta, sched.xi)
 
     return AccelRun(rec.trace(), energies, schedules, xs, zs, mode, delta_mode, c, mu,
-                    xi0, D0, energies[0].E, dom.diameter, x_star)
+                    xi0, D0, energies[0].E, dom.diameter, x_star, capped, worst)
 
 
 def _scheduled_step(obj, state, oracle, mode, k, A, B, delta_prev, delta, xi, mu, c, tol):

@@ -67,9 +67,10 @@ def _cmd_validate(args) -> int:
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", harness.ConfigWarning)
-            harness.load_config(args.config)
+            cfg = harness.load_config(args.config)
         for w in caught:
             print(f"warning: {w.message}")
+        harness._build_experiment(cfg)
     except harness.ConfigError as e:
         for v in e.violations:
             print(f"invalid: {v}")
@@ -139,7 +140,7 @@ def main(argv=None) -> int:
     p.add_argument("directory")
     p.set_defaults(func=_cmd_batch)
 
-    p = sub.add_parser("validate", parents=[common], help="validate a config without running it")
+    p = sub.add_parser("validate", parents=[common], help="build a config without running it")
     p.add_argument("config")
     p.set_defaults(func=_cmd_validate)
 

@@ -176,17 +176,11 @@ def load_config(path) -> ExperimentConfig:
 # builders
 
 
-def _unit_tangent(m: Manifold, rng, x):
-    v = m.random_tangent(rng, x, 1.0)
-    n = m.norm(x, v)
-    if n < 1e-12:
-        return m.orthonormal_basis(x)[0]
-    return TangentVector(x, v.coords / n)
-
-
 def _point_at(m: Manifold, rng, center, dist: float):
-    u = _unit_tangent(m, rng, center)
-    return m.exp(center, TangentVector(center, dist * u.coords))
+    v = m.random_tangent(rng, center, 1.0)
+    n = m.norm(center, v)
+    u = m.orthonormal_basis(center)[0].coords if n < 1e-12 else v.coords / n
+    return m.exp(center, TangentVector(center, dist * u))
 
 
 def build_objective(spec: dict, manifold: Manifold, cache_dir=None) -> Objective:
@@ -250,17 +244,9 @@ def _attach_reference_solution(obj: Objective, spec: dict, cache_dir):
                        "f_star": obj.known_solution.f_star}, fh, sort_keys=True)
 
 
-@dataclass
-class AcceleratedSpec:
-    mode: str
-    oracle_kind: str
-    eta: float | None
-    delta_mode: str
-    xi0: float | None
-
-
 def build_algorithm(spec: dict, obj: Objective):
-    """Instantiate the configured algorithm (or accelerated descriptor)."""
+    """Instantiate the configured descent algorithm; None for the accelerated
+    scheme, whose oracle ``run_experiment`` builds as part of the run."""
     kind = spec["kind"]
     if kind == "rgd":
         L = obj.metadata.L
@@ -278,22 +264,17 @@ def build_algorithm(spec: dict, obj: Objective):
             obj.with_rho(float(rho))
         return desc.CubicNewton(spec.get("M"), spec.get("theta"))
     if kind == "accelerated":
-        return AcceleratedSpec(
-            mode=spec.get("mode", accel.GCONVEX),
-            oracle_kind=spec.get("oracle", "rgd"),
-            eta=spec.get("eta"),
-            delta_mode=spec.get("delta_mode", accel.ANALYTIC),
-            xi0=spec.get("xi0"),
-        )
+        return None
     raise ConfigError([f"unknown algorithm kind {kind!r}"])
 
 
-def _build_oracle(aspec: AcceleratedSpec, obj: Objective) -> accel.DescentOracle:
-    if aspec.oracle_kind == "rgd":
-        return accel.gradient_oracle(obj, aspec.eta)
-    if aspec.oracle_kind == "proximal":
-        return accel.proximal_oracle(obj, aspec.eta if aspec.eta else 1.0)
-    raise ConfigError([f"unknown oracle kind {aspec.oracle_kind!r}"])
+def _build_oracle(spec: dict, obj: Objective) -> accel.DescentOracle:
+    kind = spec.get("oracle", "rgd")
+    if kind == "rgd":
+        return accel.gradient_oracle(obj, spec.get("eta"))
+    if kind == "proximal":
+        return accel.proximal_oracle(obj, spec.get("eta") or 1.0)
+    raise ConfigError([f"unknown oracle kind {kind!r}"])
 
 
 # ---------------------------------------------------------------------------
@@ -422,15 +403,12 @@ def _resolve(path, out_root):
     return os.path.join(out_root, path)
 
 
-def run_experiment(cfg: ExperimentConfig, out_root: str | None = None) -> ExperimentResult:
-    """Execute one experiment: run, stream the trace, check every activated
-    guarantee and write the report.  Exit code 0 = all guarantees pass,
-    1 = some guarantee failed."""
-    out_root = out_root or os.environ.get(OUTPUT_ROOT_ENV) or "."
-    os.makedirs(out_root, exist_ok=True)
+def _build_experiment(cfg: ExperimentConfig, cache_dir=None):
+    """Build a config's manifold, objective, algorithm, domain and x0 for
+    ``validate`` and ``run_experiment``; a ValueError becomes a ConfigError."""
     try:
         manifold = build_manifold(cfg.manifold)
-        obj = build_objective(cfg.objective, manifold, cache_dir=os.path.join(out_root, "cache"))
+        obj = build_objective(cfg.objective, manifold, cache_dir)
         alg = build_algorithm(cfg.algorithm, obj)
 
         dom = obj.domain
@@ -451,7 +429,16 @@ def run_experiment(cfg: ExperimentConfig, out_root: str | None = None) -> Experi
         raise
     except ValueError as e:
         raise ConfigError([f"cannot build the experiment: {type(e).__name__}: {e}"]) from e
+    return manifold, obj, alg, dom, x0
 
+
+def run_experiment(cfg: ExperimentConfig, out_root: str | None = None) -> ExperimentResult:
+    """Execute one experiment: run, stream the trace, check every activated
+    guarantee and write the report.  Exit code 0 = all guarantees pass,
+    1 = some guarantee failed."""
+    out_root = out_root or os.environ.get(OUTPUT_ROOT_ENV) or "."
+    os.makedirs(out_root, exist_ok=True)
+    manifold, obj, alg, dom, x0 = _build_experiment(cfg, os.path.join(out_root, "cache"))
     k_max = int(cfg.run["k_max"])
     sol = obj.known_solution
     f_star = sol.f_star if sol else None
@@ -464,7 +451,7 @@ def run_experiment(cfg: ExperimentConfig, out_root: str | None = None) -> Experi
             os.makedirs(d, exist_ok=True)
 
     meta = {
-        "kind": "accelerated" if isinstance(alg, AcceleratedSpec) else "descent",
+        "kind": "accelerated" if alg is None else "descent",
         "manifold": manifold_spec(manifold),
         "objective": cfg.objective,
         "algorithm": cfg.algorithm,
@@ -482,20 +469,25 @@ def run_experiment(cfg: ExperimentConfig, out_root: str | None = None) -> Experi
             writer.record(k, x.coords, f, gn, slack, **extra)
 
         try:
-            if isinstance(alg, AcceleratedSpec):
-                oracle = _build_oracle(alg, obj)
-                run = accel.run_accelerated(obj, x0, k_max, alg.mode, oracle, dom,
-                                            delta_mode=alg.delta_mode, xi0=alg.xi0,
-                                            callback=cb)
+            if alg is None:
+                spec = cfg.algorithm
+                run = accel.run_accelerated(obj, x0, k_max, spec.get("mode", accel.GCONVEX),
+                                            _build_oracle(spec, obj), dom,
+                                            delta_mode=spec.get("delta_mode", accel.ANALYTIC),
+                                            xi0=spec.get("xi0"), callback=cb)
                 trace = run.trace
                 tol = desc.default_tolerance(trace.values[0])
                 guarantees["oracle_contract"] = _check_oracle_contract(run, tol)
-                if alg.mode == accel.GCONVEX:
+                if run.mode == accel.GCONVEX:
                     guarantees["accel_gconvex_bound"] = _check_accel_gconvex(run, tol)
                     guarantees["energy_step_bound"] = _check_energy_step(run, tol)
                 else:
                     guarantees["product_rate_bound"] = _check_product_rate(run, tol)
                     extra_report["xi_convergence"] = _xi_table(run)
+                if run.delta_mode == accel.ORACLE:
+                    extra_report["delta_fixed_point"] = {
+                        "capped_iterations": run.delta_capped,
+                        "worst_mismatch": run.delta_mismatch}
             else:
                 trace = desc.run_descent(alg, obj, x0, k_max, dom, callback=cb)
                 tol = desc.default_tolerance(trace.values[0])

@@ -97,7 +97,7 @@ def test_update_exactness_invariant():
 
 def test_oracle_violation_is_fatal():
     obj = make_sqdist_h2()
-    lying = acc.DescentOracle(lambda o, x: x, c=0.5, label="identity")
+    lying = acc.DescentOracle(lambda o, x, grad=None: x, c=0.5, label="identity")
     y = point_at(obj.manifold, np.random.default_rng(4), obj.target, 0.9)
     state = acc.AccelState(x=y, y=y, z=y)
     with pytest.raises(acc.OracleViolationError):

@@ -26,7 +26,7 @@ def _write(path, **over):
 
 
 def _unbuildable(path):
-    # validates, but a sphere ball of radius 2 has diameter above pi
+    # loads, but a sphere ball of radius 2 has diameter above pi
     return _write(path, manifold={"kind": "sphere", "n": 2},
                   objective={"kind": "frechet_mean", "seed": 1, "domain_radius": 2.0})
 
@@ -56,9 +56,20 @@ def test_unbuildable_config_is_a_config_error(tmp_path):
 
 def test_run_reports_an_unbuildable_config(tmp_path, capsys):
     cfg = _unbuildable(tmp_path / "bad.yaml")
-    assert cli.main(["validate", cfg]) == 0
+    assert cli.main(["validate", cfg]) == 2
+    assert "invalid: " in capsys.readouterr().out
     assert cli.main(["--out-root", str(tmp_path / "out"), "run", cfg]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_validate_builds_without_writing(tmp_path, monkeypatch, capsys):
+    # a Frechet mean builds its reference minimizer, which run caches on disk
+    cfg = _write(tmp_path / "fm.yaml", objective={"kind": "frechet_mean", "seed": 1})
+    monkeypatch.chdir(tmp_path)
+    before = sorted(os.listdir(tmp_path))
+    assert cli.main(["--out-root", str(tmp_path / "out"), "validate", cfg]) == 0
+    assert capsys.readouterr().out == "ok\n"
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_batch_continues_past_an_unbuildable_config(tmp_path, capsys):

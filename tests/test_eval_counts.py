@@ -1,8 +1,10 @@
 """Objective evaluations per iteration of the two drivers.
 
 Each recorded point is evaluated once: the descent steps reuse the gradient
-recorded at their input, the accelerated driver records the f(y) it computed
-for the energy, and the oracle-delta fixed point keeps the last step it took.
+recorded at their input, the accelerated step hands its oracle the gradient
+at x+ and returns the f(y+) it computed for the oracle contract, which the
+driver records and uses for the energy, and the oracle-delta fixed point
+keeps the last step it took.
 """
 
 import numpy as np
@@ -71,11 +73,24 @@ def _accel_run(delta_mode, k_max, eta):
 
 def test_accelerated_analytic_delta_counts():
     counts = _accel_run(acc.ANALYTIC, K, 0.005)
-    # per iteration: f and grad at x+ and f(y+) inside accel_step, the
-    # oracle's own gradient at x+, and f and grad at y+ for the energy and
-    # the record
-    assert counts["value"] == 3 * K + 1
-    assert counts["gradient"] == 3 * K + 1
+    # per iteration: f and grad at x+ and f(y+) inside accel_step (the
+    # oracle reuses grad f(x+)), and grad at y+ for the record
+    assert counts["value"] == 2 * K + 1
+    assert counts["gradient"] == 2 * K + 1
+
+
+def test_accel_step_hands_the_oracle_its_gradient():
+    obj, x0 = _problem()
+    oracle = acc.proximal_oracle(obj, 1.0)
+    state = acc.AccelState(x0, x0, point_at(obj.manifold, np.random.default_rng(6), x0, 0.5))
+    counts = _counting(obj)
+    new_state, _ = acc.accel_step(obj, state, acc.AccelParams(0.5, 0.1, 1.0), oracle)
+    in_step = counts["gradient"]
+    counts.update(gradient=0)
+    oracle(obj, new_state.x)
+    # grad f(x+) once for the z-update and the oracle; the rest is the
+    # oracle's inner loop
+    assert in_step == counts["gradient"]
 
 
 def test_oracle_delta_takes_one_step_per_fixed_point_iteration(monkeypatch):
@@ -97,5 +112,6 @@ def test_oracle_delta_takes_one_step_per_fixed_point_iteration(monkeypatch):
     counts = _accel_run(acc.ORACLE, k_max, 0.05)
     n = steps["accel_step"]
     assert n == steps["fixed_point"] > 2 * k_max
-    # two values and two gradients per step, one of each per recorded iterate
-    assert counts == {"value": 2 * n + k_max + 1, "gradient": 2 * n + k_max + 1}
+    # two values and one gradient per step, one gradient per recorded iterate
+    # and f(y0)
+    assert counts == {"value": 2 * n + 1, "gradient": n + k_max + 1}

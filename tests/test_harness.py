@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 
@@ -128,6 +129,38 @@ def test_run_experiment_accelerated_strongly(tmp_path):
     data = load_trace(res.trace_path)
     assert "xi" in data.records[1]
     assert "E" in data.records[0]
+
+
+def test_report_counts_delta_fixed_points_stopped_at_the_cap(tmp_path, monkeypatch):
+    from geodescent import acceleration as acc
+
+    calls = []  # (x_prev, realized rate) of every oracle-mode call
+    rate = acc.distortion_rate
+
+    def observed(m, x_prev, *args, **kwargs):
+        r = rate(m, x_prev, *args, **kwargs)
+        if kwargs.get("mode") == acc.ORACLE:
+            calls.append((x_prev, r))
+        return r
+
+    monkeypatch.setattr(acc, "distortion_rate", observed)
+    p = _write_cfg(
+        tmp_path / "a.yaml",
+        algorithm={"kind": "accelerated", "mode": "strongly", "oracle": "rgd",
+                   "eta": 0.05, "delta_mode": "oracle"},
+        run={"k_max": 40, "x0_seed": 5, "x0_distance": 1.0},
+    )
+    res = run_experiment(load_config(p), str(tmp_path))
+    # one iteration's fixed point shares x_prev; it stopped at the cap if it
+    # took 60 steps and its last two rates still differ
+    capped = 0
+    for _, group in itertools.groupby(calls, key=lambda call: id(call[0])):
+        rs = [r for _, r in group]
+        capped += len(rs) == 60 and abs(rs[-1] - rs[-2]) > 1e-12 * max(1.0, rs[-2])
+    block = res.report["delta_fixed_point"]
+    assert block["capped_iterations"] == capped > 0
+    assert block["worst_mismatch"] > 1e-12
+    assert res.exit_code == 0
 
 
 def test_run_experiment_bad_eta_nonzero_exit(tmp_path):
