@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from geodescent.descent import (GradientDescent, IterateTrace, ProximalPoint, _Recorder,
+from geodescent.descent import (BACKWARD, GradientDescent, IterateTrace, _Recorder,
                                  default_tolerance, rgd_step)  # noqa: F401  (rgd_step re-exported)
 from geodescent.geometry import (
     DomainSpec,
@@ -40,14 +40,11 @@ __all__ = [
     "AccelState",
     "ScheduleState",
     "EnergyRecord",
-    "DescentOracle",
     "OracleViolationError",
     "gradient_oracle",
-    "proximal_oracle",
     "accel_step",
     "schedule_gconvex",
     "xi_solve",
-    "xi_solve_bisect",
     "schedule_strongly",
     "comparison_T",
     "distortion_rate",
@@ -129,58 +126,31 @@ class EnergyRecord:
     envelope: float | None = None
 
 
-@dataclass(frozen=True)
-class DescentOracle:
-    """A mapping x -> G(x) guaranteed to satisfy
-    ``f(G(x)) - f(x) <= -c * ||grad f(x)||^2``; checked at every invocation."""
-
-    step: object  # as GradientDescent.step: callable(obj, x, grad=None) -> ManifoldPoint
-    c: float
-    label: str = "oracle"
-
-    def __call__(self, obj, x, grad=None):
-        return self.step(obj, x, grad)
-
-
-def gradient_oracle(obj: Objective, eta: float | None = None) -> DescentOracle:
-    """Gradient step as the descent oracle; eta defaults to 1/L giving
+def gradient_oracle(obj: Objective, eta: float | None = None) -> GradientDescent:
+    """Gradient descent as the descent oracle; eta defaults to 1/L giving
     c = 1/(2L)."""
     if eta is None:
         if obj.metadata.L is None:
             raise ValueError("need eta or a declared L")
         eta = 1.0 / obj.metadata.L
-    alg = GradientDescent(eta)
-    return DescentOracle(alg.step, alg.certificate(obj).c, f"rgd(eta={eta:g})")
-
-
-def proximal_oracle(obj: Objective, eta: float, tol_prox: float = 1e-9) -> DescentOracle:
-    """Proximal step as the descent oracle.
-
-    The decrease measured at the *input* gradient is certified with
-    c = eta / (2 * (1 + L * eta)), obtained by testing the prox objective
-    along the steepest-descent ray and using L-smoothness.
-    """
-    L = obj.metadata.L
-    if L is None:
-        raise ValueError("proximal oracle certificate needs a declared L")
-    c = eta / (2.0 * (1.0 + L * eta))
-    return DescentOracle(ProximalPoint(eta, tol_prox).step, c, f"proximal(eta={eta:g})")
+    return GradientDescent(eta)
 
 
 def accel_step(obj: Objective, state: AccelState, params: AccelParams,
-               oracle: DescentOracle, tol: float = 0.0) -> tuple[AccelState, float]:
-    """One accelerated update; returns the new state, which carries f(y+),
-    and the oracle slack (decrease contract residual, <= tol when honoured).
-    The oracle is handed the gradient at x+ that the z-update uses."""
+               step, c: float, tol: float = 0.0) -> tuple[AccelState, float]:
+    """One accelerated update with y+ = step(obj, x+, grad f(x+)), a step
+    G_c that claims ``f(G(x)) - f(x) <= -c * ||grad f(x)||^2``.  Returns the
+    new state, which carries f(y+), and the oracle slack (decrease contract
+    residual, <= tol when honoured)."""
     m = obj.manifold
     x_new = m.exp(state.y, TangentVector(state.y, params.tau * m.log(state.y, state.z).coords))
     f_x = obj.value(x_new)
     g_x = obj.gradient(x_new)
     gn2 = m.norm(x_new, g_x) ** 2
 
-    y_new = oracle(obj, x_new, g_x)
+    y_new = step(obj, x_new, g_x)
     f_y = obj.value(y_new)
-    slack = f_y - f_x + oracle.c * gn2
+    slack = f_y - f_x + c * gn2
     if slack > tol:
         raise OracleViolationError(
             f"oracle decrease violated by {slack:.3e} (tol {tol:.3e}) at k={state.k}"
@@ -234,25 +204,6 @@ def xi_solve(xi_k: float, delta_k1: float, mu: float, c: float) -> float:
     if not a - 1e-12 <= xi < 1.0:
         raise ValueError(f"root xi={xi!r} escaped [2*mu*c, 1)")
     return max(xi, a)
-
-
-def xi_solve_bisect(xi_k: float, delta_k1: float, mu: float, c: float,
-                    tol: float = 1e-14) -> float:
-    """Bisection on the original recurrence; independent check of xi_solve."""
-    a = 2.0 * mu * c
-    r = xi_k**2 / delta_k1
-
-    def g(xi):
-        return xi * (xi - a) / (1.0 - xi) - r
-
-    lo, hi = a, 1.0 - 1e-15
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def schedule_strongly(xi_k1: float, A_k: float, mu: float, c: float) -> tuple[AccelParams, ScheduleState]:
@@ -364,11 +315,14 @@ class AccelRun:
 
 
 def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
-                    oracle: DescentOracle, dom: DomainSpec | None = None,
+                    oracle, dom: DomainSpec | None = None,
                     delta_mode: str = ANALYTIC, xi0: float | None = None,
                     callback=None) -> AccelRun:
     """Drive the accelerated scheme from y0 = z0 for ``k_max`` iterations.
 
+    ``oracle`` is a descent algorithm with a 2-backward certificate
+    (``GradientDescent`` or ``ProximalPoint``): its ``step`` is G_c and its
+    ``certificate(obj, BACKWARD)`` gives c.
     ``mode`` selects the g-convex or strongly g-convex schedule.  In
     ``oracle`` delta mode the distortion rate of each step is made
     self-consistent by a small fixed-point iteration: the step is recomputed
@@ -388,7 +342,10 @@ def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
     if sol is None:
         raise ValueError("accelerated runs need a known or precomputed minimizer")
     x_star, f_star = sol.x_star, sol.f_star
-    c = oracle.c
+    cert = oracle.certificate(obj, BACKWARD)
+    if (cert.p, cert.direction) != (2.0, BACKWARD):
+        raise ValueError(f"the oracle needs a 2-backward certificate, got {cert}")
+    step, c = oracle.step, cert.c
     mu = obj.metadata.mu
 
     if mode == STRONGLY:
@@ -434,14 +391,14 @@ def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
         if delta_mode == ANALYTIC:
             delta = distortion_rate(m, state.x, state.z, mode=ANALYTIC)
             sched, new_state, slack = _scheduled_step(
-                obj, state, oracle, mode, k, A, B, delta_prev, delta, xi, mu, c, tol
+                obj, state, step, mode, k, A, B, delta_prev, delta, xi, mu, c, tol
             )
         else:
             # self-consistent realized distortion rate
             delta = max(1.0, delta_prev)
             for _ in range(60):
                 sched, new_state, slack = _scheduled_step(
-                    obj, state, oracle, mode, k, A, B, delta_prev, delta, xi, mu, c, tol
+                    obj, state, step, mode, k, A, B, delta_prev, delta, xi, mu, c, tol
                 )
                 realized = distortion_rate(m, state.x, state.z, new_state.x,
                                            mode=ORACLE, x_star=x_star)
@@ -467,7 +424,7 @@ def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
                     xi0, D0, energies[0].E, dom.diameter, x_star, capped, worst)
 
 
-def _scheduled_step(obj, state, oracle, mode, k, A, B, delta_prev, delta, xi, mu, c, tol):
+def _scheduled_step(obj, state, step, mode, k, A, B, delta_prev, delta, xi, mu, c, tol):
     """Compute schedule coefficients for distortion rate ``delta`` and take
     one accelerated step."""
     if mode == GCONVEX:
@@ -476,7 +433,7 @@ def _scheduled_step(obj, state, oracle, mode, k, A, B, delta_prev, delta, xi, mu
         xi_next = xi_solve(xi, delta, mu, c)
         params, sched = schedule_strongly(xi_next, A, mu, c)
         sched = ScheduleState(sched.A, sched.B, sched.A_bar, delta, xi_next)
-    new_state, slack = accel_step(obj, state, params, oracle, tol)
+    new_state, slack = accel_step(obj, state, params, step, c, tol)
     return sched, new_state, slack
 
 

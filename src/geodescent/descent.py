@@ -277,10 +277,12 @@ class GradientDescent:
     def step(self, obj, x, grad=None):
         return rgd_step(obj, x, self.eta, grad)
 
-    def certificate(self, obj) -> DescentCertificate:
+    def certificate(self, obj, direction: str = BACKWARD) -> DescentCertificate:
         L = obj.metadata.L
         if L is None:
             raise ValueError("gradient descent certificate needs a declared L")
+        if direction != BACKWARD:
+            raise ValueError("gradient descent is certified backward only")
         return DescentCertificate(2.0, self.eta * (1.0 - L * self.eta / 2.0), BACKWARD)
 
     def __repr__(self):
@@ -288,7 +290,8 @@ class GradientDescent:
 
 
 class ProximalPoint:
-    """Proximal point method; 2-forward descent for any eta > 0."""
+    """Proximal point method; 2-forward descent for any eta > 0, and
+    2-backward descent for L-g-smooth f."""
 
     def __init__(self, eta: float, tol_prox: float = 1e-9, max_inner: int = 50_000):
         self.eta = float(eta)
@@ -298,8 +301,16 @@ class ProximalPoint:
     def step(self, obj, x, grad=None):
         return proximal_step(obj, x, self.eta, self.tol_prox, self.max_inner, grad)
 
-    def certificate(self, obj) -> DescentCertificate:
-        return DescentCertificate(2.0, self.eta / 2.0, FORWARD)
+    def certificate(self, obj, direction: str = FORWARD) -> DescentCertificate:
+        """Forward: c = eta/2.  Backward (the decrease measured at the input
+        gradient): c = eta / (2 * (1 + L * eta)), obtained by testing the
+        prox objective along the steepest-descent ray and using L-smoothness."""
+        if direction == FORWARD:
+            return DescentCertificate(2.0, self.eta / 2.0, FORWARD)
+        L = obj.metadata.L
+        if L is None:
+            raise ValueError("backward proximal certificate needs a declared L")
+        return DescentCertificate(2.0, self.eta / (2.0 * (1.0 + L * self.eta)), direction)
 
     def __repr__(self):
         return f"ProximalPoint(eta={self.eta:g})"
@@ -328,7 +339,9 @@ class CubicNewton:
         M, theta, rho = self._params(obj)
         return cubic_newton_step(obj, x, M, theta, rho, grad)[0]
 
-    def certificate(self, obj) -> DescentCertificate:
+    def certificate(self, obj, direction: str = FORWARD) -> DescentCertificate:
+        if direction != FORWARD:
+            raise ValueError("cubic Newton is certified forward only")
         M, theta, rho = self._params(obj)
         c = (M / 3.0 - rho / 6.0) * (theta + rho / 2.0 + M) ** (-1.5)
         return DescentCertificate(3.0, c, FORWARD)

@@ -58,6 +58,7 @@ OUTPUT_ROOT_ENV = "GEODESCENT_OUTPUT_ROOT"
 MANIFOLD_KINDS = ("euclidean", "sphere", "hyperboloid")
 OBJECTIVE_KINDS = ("quadratic", "squared_distance", "frechet_mean", "sphere_rayleigh")
 ALGORITHM_KINDS = ("rgd", "proximal", "cubic_newton", "accelerated")
+ORACLE_KINDS = ("rgd", "proximal")
 DEFAULT_K_MAX = 1000
 
 # floor below which geometric envelopes are no longer numerically meaningful
@@ -147,21 +148,24 @@ def load_config(path) -> ExperimentConfig:
             violations.append(f"algorithm.delta_mode must be analytic or oracle, got {dm!r}")
         if dm == accel.ANALYTIC and mkind == "sphere":
             violations.append("analytic distortion rates need a Hadamard manifold")
+        oracle = sections["algorithm"].get("oracle", "rgd")
+        if oracle not in ORACLE_KINDS:
+            violations.append(f"algorithm.oracle must be one of {ORACLE_KINDS}, got {oracle!r}")
 
     for key in ("eta", "M", "theta", "rho", "xi0"):
         v = sections["algorithm"].get(key)
-        if v is not None and (not isinstance(v, (int, float)) or v <= 0):
+        if v is not None and (not _is_number(v) or v <= 0):
             violations.append(f"algorithm.{key} must be a positive number")
 
     if "k_max" not in sections["run"]:
         warnings.warn(f"run.k_max missing, defaulting to {DEFAULT_K_MAX}", ConfigWarning)
         sections["run"]["k_max"] = DEFAULT_K_MAX
     k_max = sections["run"]["k_max"]
-    if not isinstance(k_max, int) or k_max < 0:
+    if not isinstance(k_max, int) or isinstance(k_max, bool) or k_max < 0:
         violations.append("run.k_max must be a nonnegative integer")
 
     dom_r = sections["run"].get("domain_radius")
-    if dom_r is not None and (not isinstance(dom_r, (int, float)) or dom_r <= 0):
+    if dom_r is not None and (not _is_number(dom_r) or dom_r <= 0):
         violations.append("run.domain_radius must be a positive number")
 
     sections["output"].setdefault("trace", "trace.jsonl")
@@ -170,6 +174,11 @@ def load_config(path) -> ExperimentConfig:
     if violations:
         raise ConfigError(violations)
     return ExperimentConfig(path=str(path), **sections)
+
+
+def _is_number(v) -> bool:
+    # YAML's true/false load as bool, a subclass of int
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +254,8 @@ def _attach_reference_solution(obj: Objective, spec: dict, cache_dir):
 
 
 def build_algorithm(spec: dict, obj: Objective):
-    """Instantiate the configured descent algorithm; None for the accelerated
-    scheme, whose oracle ``run_experiment`` builds as part of the run."""
+    """Instantiate the configured descent algorithm; for the accelerated
+    scheme, its oracle (``algorithm.oracle``, default rgd)."""
     kind = spec["kind"]
     if kind == "rgd":
         L = obj.metadata.L
@@ -264,17 +273,11 @@ def build_algorithm(spec: dict, obj: Objective):
             obj.with_rho(float(rho))
         return desc.CubicNewton(spec.get("M"), spec.get("theta"))
     if kind == "accelerated":
-        return None
+        oracle = spec.get("oracle", "rgd")
+        if oracle not in ORACLE_KINDS:
+            raise ConfigError([f"unknown oracle kind {oracle!r}"])
+        return build_algorithm({**spec, "kind": oracle}, obj)
     raise ConfigError([f"unknown algorithm kind {kind!r}"])
-
-
-def _build_oracle(spec: dict, obj: Objective) -> accel.DescentOracle:
-    kind = spec.get("oracle", "rgd")
-    if kind == "rgd":
-        return accel.gradient_oracle(obj, spec.get("eta"))
-    if kind == "proximal":
-        return accel.proximal_oracle(obj, spec.get("eta") or 1.0)
-    raise ConfigError([f"unknown oracle kind {kind!r}"])
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +408,8 @@ def _resolve(path, out_root):
 
 def _build_experiment(cfg: ExperimentConfig, cache_dir=None):
     """Build a config's manifold, objective, algorithm, domain and x0 for
-    ``validate`` and ``run_experiment``; a ValueError becomes a ConfigError."""
+    ``validate`` and ``run_experiment``; a ValueError or TypeError (such as a
+    null where a number belongs) becomes a ConfigError."""
     try:
         manifold = build_manifold(cfg.manifold)
         obj = build_objective(cfg.objective, manifold, cache_dir)
@@ -427,7 +431,7 @@ def _build_experiment(cfg: ExperimentConfig, cache_dir=None):
             x0 = _point_at(manifold, rng_x0, dom.center, dist)
     except ConfigError:
         raise
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         raise ConfigError([f"cannot build the experiment: {type(e).__name__}: {e}"]) from e
     return manifold, obj, alg, dom, x0
 
@@ -442,6 +446,7 @@ def run_experiment(cfg: ExperimentConfig, out_root: str | None = None) -> Experi
     k_max = int(cfg.run["k_max"])
     sol = obj.known_solution
     f_star = sol.f_star if sol else None
+    accelerated = cfg.algorithm["kind"] == "accelerated"
 
     trace_path = _resolve(cfg.output["trace"], out_root)
     report_path = _resolve(cfg.output["report"], out_root)
@@ -451,7 +456,7 @@ def run_experiment(cfg: ExperimentConfig, out_root: str | None = None) -> Experi
             os.makedirs(d, exist_ok=True)
 
     meta = {
-        "kind": "accelerated" if alg is None else "descent",
+        "kind": "accelerated" if accelerated else "descent",
         "manifold": manifold_spec(manifold),
         "objective": cfg.objective,
         "algorithm": cfg.algorithm,
@@ -469,10 +474,10 @@ def run_experiment(cfg: ExperimentConfig, out_root: str | None = None) -> Experi
             writer.record(k, x.coords, f, gn, slack, **extra)
 
         try:
-            if alg is None:
+            if accelerated:
                 spec = cfg.algorithm
                 run = accel.run_accelerated(obj, x0, k_max, spec.get("mode", accel.GCONVEX),
-                                            _build_oracle(spec, obj), dom,
+                                            alg, dom,
                                             delta_mode=spec.get("delta_mode", accel.ANALYTIC),
                                             xi0=spec.get("xi0"), callback=cb)
                 trace = run.trace

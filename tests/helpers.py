@@ -1,5 +1,5 @@
-"""Shared sampling utilities and the benchmark objective set used across the
-test modules."""
+"""Shared sampling utilities, the benchmark objective set and test-only
+reference solvers used across the test modules."""
 
 import numpy as np
 
@@ -59,3 +59,23 @@ def make_rayleigh(diag=(2.0, 1.0, 0.5)):
 
 def euclidean2():
     return Euclidean(2)
+
+
+def xi_solve_bisect(xi_k, delta_k1, mu, c, tol=1e-14):
+    """Bisection on the original xi recurrence
+    ``xi*(xi - 2*mu*c)/(1 - xi) = xi_k^2 / delta``; independent check of
+    ``acceleration.xi_solve``."""
+    a = 2.0 * mu * c
+    r = xi_k**2 / delta_k1
+
+    def g(xi):
+        return xi * (xi - a) / (1.0 - xi) - r
+
+    lo, hi = a, 1.0 - 1e-15
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if g(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

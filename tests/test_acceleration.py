@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geodescent import acceleration as acc
-from geodescent.descent import default_tolerance
+from geodescent.descent import BACKWARD, FORWARD, CubicNewton, ProximalPoint, default_tolerance
 from geodescent.geometry import DomainSpec, Euclidean, Sphere, TangentVector
 from geodescent.objectives import Quadratic
-from helpers import make_frechet_h2, make_sqdist_h2, point_at
+from helpers import make_frechet_h2, make_sqdist_h2, point_at, xi_solve_bisect
 
 
 def _strongly_run(c_target=0.005, k_max=150, x0_dist=0.9, seed=0, **kw):
@@ -21,6 +21,12 @@ def _strongly_run(c_target=0.005, k_max=150, x0_dist=0.9, seed=0, **kw):
     x0 = point_at(m, np.random.default_rng(seed), obj.target, x0_dist)
     run = acc.run_accelerated(obj, x0, k_max, acc.STRONGLY, oracle, **kw)
     return obj, run
+
+
+def _rgd(obj, eta=None):
+    """The gradient oracle's step and constant, as accel_step takes them."""
+    alg = acc.gradient_oracle(obj, eta)
+    return alg.step, alg.certificate(obj, BACKWARD).c
 
 
 # ---------------------------------------------------------------------------
@@ -46,8 +52,7 @@ def test_accel_step_tau_one_moves_to_z():
     y = point_at(m, rng, obj.target, 0.8)
     z = point_at(m, rng, obj.target, 0.6)
     state = acc.AccelState(x=y, y=y, z=z)
-    oracle = acc.gradient_oracle(obj)
-    new, _ = acc.accel_step(obj, state, acc.AccelParams(1.0, 0.0, 1.0), oracle, 1e-9)
+    new, _ = acc.accel_step(obj, state, acc.AccelParams(1.0, 0.0, 1.0), *_rgd(obj), 1e-9)
     assert m.distance(new.x, z) < 1e-9
 
 
@@ -58,8 +63,7 @@ def test_accel_step_small_tau_stays_at_y():
     y = point_at(m, rng, obj.target, 0.8)
     z = point_at(m, rng, obj.target, 0.6)
     state = acc.AccelState(x=y, y=y, z=z)
-    oracle = acc.gradient_oracle(obj)
-    new, _ = acc.accel_step(obj, state, acc.AccelParams(1e-12, 0.0, 1.0), oracle, 1e-9)
+    new, _ = acc.accel_step(obj, state, acc.AccelParams(1e-12, 0.0, 1.0), *_rgd(obj), 1e-9)
     assert m.distance(new.x, y) < 1e-10
 
 
@@ -69,9 +73,8 @@ def test_accel_step_euclidean_alpha_zero_is_nesterov_dual():
     y = E.point([1.0, -2.0])
     z = E.point([0.4, 0.3])
     state = acc.AccelState(x=y, y=y, z=z)
-    oracle = acc.gradient_oracle(obj)
     tau, beta = 0.3, 2.0
-    new, _ = acc.accel_step(obj, state, acc.AccelParams(tau, 0.0, beta), oracle, 1e-9)
+    new, _ = acc.accel_step(obj, state, acc.AccelParams(tau, 0.0, beta), *_rgd(obj), 1e-9)
     x_new = (1 - tau) * y.coords + tau * z.coords
     np.testing.assert_allclose(new.x.coords, x_new, atol=1e-14)
     g = obj.gradient(E.point(x_new)).coords
@@ -82,14 +85,14 @@ def test_update_exactness_invariant():
     obj = make_sqdist_h2()
     m = obj.manifold
     rng = np.random.default_rng(3)
-    oracle = acc.gradient_oracle(obj)
+    step, c = _rgd(obj)
     for _ in range(30):
         y = point_at(m, rng, obj.target, rng.uniform(0.2, 1.0))
         z = point_at(m, rng, obj.target, rng.uniform(0.2, 1.0))
         params = acc.AccelParams(rng.uniform(0.05, 0.95), rng.uniform(0.0, 2.0),
                                  rng.uniform(0.5, 3.0))
         state = acc.AccelState(x=y, y=y, z=z)
-        new, _ = acc.accel_step(obj, state, params, oracle, 1e-9)
+        new, _ = acc.accel_step(obj, state, params, step, c, 1e-9)
         resid = (params.alpha + params.beta) * m.log(new.x, new.z).coords \
             + obj.gradient(new.x).coords - params.beta * m.log(new.x, state.z).coords
         assert np.sqrt(max(m._inner(new.x.coords, resid, resid), 0.0)) < 1e-9
@@ -97,23 +100,47 @@ def test_update_exactness_invariant():
 
 def test_oracle_violation_is_fatal():
     obj = make_sqdist_h2()
-    lying = acc.DescentOracle(lambda o, x, grad=None: x, c=0.5, label="identity")
+    def identity(o, x, grad=None):
+        return x
+
     y = point_at(obj.manifold, np.random.default_rng(4), obj.target, 0.9)
     state = acc.AccelState(x=y, y=y, z=y)
     with pytest.raises(acc.OracleViolationError):
-        acc.accel_step(obj, state, acc.AccelParams(0.5, 0.0, 1.0), lying, 1e-9)
+        acc.accel_step(obj, state, acc.AccelParams(0.5, 0.0, 1.0), identity, 0.5, 1e-9)
 
 
 def test_proximal_oracle_contract():
     obj = make_sqdist_h2()
     m = obj.manifold
-    oracle = acc.proximal_oracle(obj, 1.0)
+    oracle = ProximalPoint(1.0)
+    c = oracle.certificate(obj, BACKWARD).c
     rng = np.random.default_rng(5)
     for _ in range(10):
         x = point_at(m, rng, obj.target, rng.uniform(0.2, 1.2))
-        y = oracle(obj, x)
+        y = oracle.step(obj, x)
         drop = obj.value(y) - obj.value(x)
-        assert drop <= -oracle.c * m.norm(x, obj.gradient(x)) ** 2 + 1e-10
+        assert drop <= -c * m.norm(x, obj.gradient(x)) ** 2 + 1e-10
+
+
+def test_backward_certificates_of_the_oracles():
+    obj = make_sqdist_h2()
+    L = obj.metadata.L
+    for eta in (0.002, 0.3, 1.0):
+        cert = ProximalPoint(eta).certificate(obj, BACKWARD)
+        assert (cert.p, cert.direction) == (2.0, BACKWARD)
+        assert cert.c == eta / (2 * (1 + L * eta))
+    assert ProximalPoint(0.3).certificate(obj).direction == FORWARD
+    assert acc.gradient_oracle(obj).certificate(obj, BACKWARD).c == 1.0 / (2.0 * L)
+    with pytest.raises(ValueError):
+        acc.gradient_oracle(obj).certificate(obj, FORWARD)
+
+
+def test_cubic_newton_is_not_an_oracle():
+    obj = make_sqdist_h2()
+    obj.with_rho(2.0)
+    x0 = point_at(obj.manifold, np.random.default_rng(8), obj.target, 0.5)
+    with pytest.raises(ValueError, match="forward only"):
+        acc.run_accelerated(obj, x0, 5, acc.GCONVEX, CubicNewton())
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +192,7 @@ def test_xi_solve_matches_bisection():
         xi_k = rng.uniform(a, 0.999)
         delta = 1.0 + rng.exponential(1.0)
         closed = acc.xi_solve(xi_k, delta, mu, c)
-        bis = acc.xi_solve_bisect(xi_k, delta, mu, c)
+        bis = xi_solve_bisect(xi_k, delta, mu, c)
         assert closed == pytest.approx(bis, abs=1e-10)
 
 
@@ -338,8 +365,8 @@ def test_run_with_proximal_oracle():
     # the generalization beyond gradient steps: drive the scheme with the
     # proximal map and its smoothness-certified constant
     obj = make_sqdist_h2()
-    oracle = acc.proximal_oracle(obj, 0.002)
-    assert oracle.c < 1.0 / (2.0 * obj.metadata.mu)
+    oracle = ProximalPoint(0.002)
+    assert oracle.certificate(obj, BACKWARD).c < 1.0 / (2.0 * obj.metadata.mu)
     x0 = point_at(obj.manifold, np.random.default_rng(11), obj.target, 0.9)
     run = acc.run_accelerated(obj, x0, 80, acc.STRONGLY, oracle)
     gaps = np.array(run.trace.values)
@@ -435,7 +462,7 @@ def test_euclidean_strongly_schedule_reduces_to_classical_rate():
     obj = Quadratic([0.0, 0.0], scales=[1.0, 0.04])
     eta = 0.5 / obj.metadata.L
     oracle = acc.gradient_oracle(obj, eta)
-    a = 2.0 * obj.metadata.mu * oracle.c
+    a = 2.0 * obj.metadata.mu * oracle.certificate(obj).c
     run = acc.run_accelerated(obj, obj.manifold.point([1.5, 1.5]), 200,
                               acc.STRONGLY, oracle)
     assert all(abs(d - 1.0) < 1e-12 for d in run.deltas)

@@ -1,5 +1,6 @@
-"""Command-line behaviour: where --out-root may appear, and configs that pass
-validation but cannot be built."""
+"""Command-line behaviour: where --out-root may appear, and configs that are
+invalid or cannot be built, which validate, run and batch each end with exit
+2 and a message."""
 
 import os
 
@@ -82,3 +83,38 @@ def test_batch_continues_past_an_unbuildable_config(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "a_bad.yaml] exit 2" in out and "b_good.yaml] exit 0" in out
     assert (root / "b_good.json").exists()
+
+
+@pytest.mark.parametrize("oracle", ["bogus", "cubic_newton", "accelerated"])
+def test_validate_rejects_an_unknown_oracle(tmp_path, capsys, oracle):
+    cfg = _write(tmp_path / "acc.yaml",
+                 algorithm={"kind": "accelerated", "mode": "strongly", "oracle": oracle,
+                            "eta": 0.005})
+    assert cli.main(["validate", cfg]) == 2
+    assert "invalid: algorithm.oracle must be one of" in capsys.readouterr().out
+
+
+_RUN = {"k_max": 20, "x0_seed": 5, "x0_distance": 1.0}
+
+
+@pytest.mark.parametrize("over, message", [
+    ({"algorithm": {"kind": "rgd", "eta": None}}, "cannot build the experiment: TypeError"),
+    ({"run": {**_RUN, "x0_distance": None}}, "cannot build the experiment: TypeError"),
+    ({"algorithm": {"kind": "rgd", "eta": True}}, "algorithm.eta must be a positive number"),
+    ({"algorithm": {"kind": "cubic_newton", "M": True}}, "algorithm.M must be a positive number"),
+    ({"run": {**_RUN, "k_max": True}}, "run.k_max must be a nonnegative integer"),
+], ids=["eta-null", "x0_distance-null", "eta-true", "M-true", "k_max-true"])
+def test_null_and_boolean_numbers_are_config_errors(tmp_path, capsys, over, message):
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    bad = _write(configs / "a_bad.yaml", **over)
+    _write(configs / "b_good.yaml")
+    assert cli.main(["validate", bad]) == 2
+    assert f"invalid: {message}" in capsys.readouterr().out
+    root = tmp_path / "out"
+    assert cli.main(["--out-root", str(root), "run", bad]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert cli.main(["--out-root", str(root), "batch", str(configs)]) == 2
+    out = capsys.readouterr().out
+    assert "a_bad.yaml] exit 2" in out and "b_good.yaml] exit 0" in out
+    assert (root / "b_good.json").exists() and not (root / "a_bad.json").exists()

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from geodescent import acceleration as acc
-from geodescent.descent import CubicNewton, GradientDescent, ProximalPoint, run_descent
+from geodescent.descent import BACKWARD, CubicNewton, GradientDescent, ProximalPoint, run_descent
 from helpers import make_sqdist_h2, point_at
 
 K = 12
@@ -81,13 +81,14 @@ def test_accelerated_analytic_delta_counts():
 
 def test_accel_step_hands_the_oracle_its_gradient():
     obj, x0 = _problem()
-    oracle = acc.proximal_oracle(obj, 1.0)
+    oracle = ProximalPoint(1.0)
+    c = oracle.certificate(obj, BACKWARD).c
     state = acc.AccelState(x0, x0, point_at(obj.manifold, np.random.default_rng(6), x0, 0.5))
     counts = _counting(obj)
-    new_state, _ = acc.accel_step(obj, state, acc.AccelParams(0.5, 0.1, 1.0), oracle)
+    new_state, _ = acc.accel_step(obj, state, acc.AccelParams(0.5, 0.1, 1.0), oracle.step, c)
     in_step = counts["gradient"]
     counts.update(gradient=0)
-    oracle(obj, new_state.x)
+    oracle.step(obj, new_state.x)
     # grad f(x+) once for the z-update and the oracle; the rest is the
     # oracle's inner loop
     assert in_step == counts["gradient"]

@@ -131,6 +131,19 @@ def test_run_experiment_accelerated_strongly(tmp_path):
     assert "E" in data.records[0]
 
 
+def test_run_experiment_accelerated_proximal_oracle(tmp_path):
+    p = _write_cfg(
+        tmp_path / "a.yaml",
+        algorithm={"kind": "accelerated", "mode": "strongly", "oracle": "proximal",
+                   "eta": 0.002},
+        run={"k_max": 40, "x0_seed": 11, "x0_distance": 0.9},
+    )
+    res = run_experiment(load_config(p), str(tmp_path))
+    assert res.exit_code == 0 and res.report["errors"] == []
+    assert res.report["guarantees"]["oracle_contract"]["pass"] is True
+    assert res.report["guarantees"]["product_rate_bound"]["pass"] is True
+
+
 def test_report_counts_delta_fixed_points_stopped_at_the_cap(tmp_path, monkeypatch):
     from geodescent import acceleration as acc
 
