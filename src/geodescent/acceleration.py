@@ -496,12 +496,16 @@ def shrink_diagnostics(run: AccelRun) -> ShrinkReport:
 
 
 def xi_convergence_report(xi_seq, mu: float, c: float, eps: float) -> tuple[int | None, float]:
-    """First index with |xi_k - sqrt(2*mu*c)| <= eps, plus the fitted
-    log-linear convergence slope of the deviation (nan if degenerate)."""
+    """First index after which |xi_k - sqrt(2*mu*c)| <= eps holds to the end
+    of the sequence (None if the last xi_k is outside the band), plus the
+    fitted log-linear convergence slope of the deviation (nan if
+    degenerate).  A sequence that starts in the band, leaves it and comes
+    back reports the index where it re-entered for good."""
     target = math.sqrt(2.0 * mu * c)
     dev = np.abs(np.asarray(xi_seq, dtype=float) - target)
-    hit = np.nonzero(dev <= eps)[0]
-    first = int(hit[0]) if hit.size else None
+    outside = np.nonzero(~(dev <= eps))[0]
+    last_out = int(outside[-1]) if outside.size else -1
+    first = last_out + 1 if last_out + 1 < dev.size else None
     mask = dev > 1e-15
     if mask.sum() >= 2:
         ks = np.nonzero(mask)[0]

@@ -130,6 +130,11 @@ class Manifold:
     ``_project_point``, ``_project_tangent`` and validity checks on raw
     coordinate arrays; the public methods handle wrapping, validation and
     the common error conditions.
+
+    The row kernels ``_inner_rows``, ``_distance_rows``, ``_log_rows`` and
+    ``_exp_rows`` apply the same formulas to every row of an
+    ``(N, ambient_dim)`` array at once, for objectives that sum over many
+    samples.  They take unvalidated raw arrays, like the scalar kernels.
     """
 
     dim: int
@@ -291,6 +296,24 @@ class Manifold:
     def _transport(self, x, y, v):
         raise NotImplementedError
 
+    def _inner_rows(self, x, V, w):
+        """Metric inner product at ``x`` of each row of ``V`` with ``w``
+        (one vector, or one row per row of ``V``)."""
+        return V @ w if w.ndim == 1 else np.einsum("ij,ij->i", V, w)
+
+    def _distance_rows(self, x, Y):
+        """``_distance(x, y)`` for each row ``y`` of ``Y``."""
+        raise NotImplementedError
+
+    def _log_rows(self, x, Y):
+        """``_log(x, y)`` for each row ``y`` of ``Y``."""
+        raise NotImplementedError
+
+    def _exp_rows(self, x, V):
+        """The public ``exp``'s coordinates, ``_project_point(_exp(x, v))``,
+        for each row ``v`` of ``V``."""
+        raise NotImplementedError
+
     def _project_point(self, x):
         raise NotImplementedError
 
@@ -305,6 +328,12 @@ class Manifold:
 
     def __repr__(self):
         return self.key
+
+
+def _ratio(num, den):
+    """``num / den`` per row, and 0 where ``den`` is below 1e-300: the
+    zero-norm branch of the scalar kernels."""
+    return np.divide(num, den, out=np.zeros_like(den), where=den >= 1e-300)
 
 
 class Euclidean(Manifold):
@@ -335,6 +364,16 @@ class Euclidean(Manifold):
 
     def _transport(self, x, y, v):
         return v.copy()
+
+    def _distance_rows(self, x, Y):
+        D = Y - x
+        return np.sqrt(self._inner_rows(x, D, D))
+
+    def _log_rows(self, x, Y):
+        return Y - x
+
+    def _exp_rows(self, x, V):
+        return x + V
 
     def _project_point(self, x):
         return x
@@ -400,6 +439,34 @@ class Sphere(Manifold):
         w = y - c * x
         return float(self.radius * np.arctan2(np.linalg.norm(w) / self.radius, c))
 
+    def _cos_rows(self, x, Y):
+        """Cosine of the angle to each row of ``Y`` and the part of the row
+        orthogonal to ``x``, with its norm."""
+        c = self._inner_rows(x, Y, x) / self.radius**2
+        W = Y - c[:, None] * x
+        return c, W, np.sqrt(self._inner_rows(x, W, W))
+
+    def _distance_rows(self, x, Y):
+        c, _, nw = self._cos_rows(x, Y)
+        return self.radius * np.arctan2(nw / self.radius, c)
+
+    def _log_rows(self, x, Y):
+        R = self.radius
+        c, W, nw = self._cos_rows(x, Y)
+        if np.any(c < -1.0 + ANTIPODAL_TOL):
+            raise AntipodalPointsError(
+                "logarithm undefined within tolerance of the antipode"
+            )
+        theta = np.arctan2(nw / R, c)
+        return _ratio(R * theta, nw)[:, None] * W
+
+    def _exp_rows(self, x, V):
+        R = self.radius
+        nv = np.sqrt(self._inner_rows(x, V, V))
+        t = nv / R
+        out = np.cos(t)[:, None] * x + (np.sin(t) * _ratio(R, nv))[:, None] * V
+        return R * out / np.sqrt(self._inner_rows(x, out, out))[:, None]
+
     def _transport(self, x, y, v):
         lg = self._log(x, y)
         d = np.linalg.norm(lg)
@@ -441,6 +508,10 @@ class Hyperboloid(Manifold):
         self.ambient_dim = n + 1
         self.kappa = float(kappa)
         self.key = f"hyperboloid(n={n},kappa={kappa:g})"
+        # the Minkowski form as a diagonal metric, for the row kernels
+        self._signature = np.ones(self.ambient_dim)
+        self._signature[0] = -1.0
+        self._signature.setflags(write=False)
 
     def origin(self):
         c = np.zeros(self.ambient_dim)
@@ -456,6 +527,9 @@ class Hyperboloid(Manifold):
 
     def _inner(self, x, v, w):
         return self.minkowski(v, w)
+
+    def _inner_rows(self, x, V, w):
+        return super()._inner_rows(x, V, w * self._signature)
 
     def _norm_tangent(self, v):
         return float(np.sqrt(max(self.minkowski(v, v), 0.0)))
@@ -485,6 +559,30 @@ class Hyperboloid(Manifold):
         nw = self._norm_tangent(w)
         sk = np.sqrt(self.kappa)
         return float(np.arcsinh(sk * nw) / sk)
+
+    def _tangential_rows(self, x, Y):
+        """Tangential component at ``x`` of each row of ``Y``, and its norm."""
+        W = Y + (self.kappa * self._inner_rows(x, Y, x))[:, None] * x
+        return W, np.sqrt(np.maximum(self._inner_rows(x, W, W), 0.0))
+
+    def _distance_rows(self, x, Y):
+        _, nw = self._tangential_rows(x, Y)
+        sk = np.sqrt(self.kappa)
+        return np.arcsinh(sk * nw) / sk
+
+    def _log_rows(self, x, Y):
+        W, nw = self._tangential_rows(x, Y)
+        sk = np.sqrt(self.kappa)
+        return _ratio(np.arcsinh(sk * nw) / sk, nw)[:, None] * W
+
+    def _exp_rows(self, x, V):
+        sk = np.sqrt(self.kappa)
+        nv = np.sqrt(np.maximum(self._inner_rows(x, V, V), 0.0))
+        t = sk * nv
+        out = np.cosh(t)[:, None] * x + _ratio(np.sinh(t), sk * nv)[:, None] * V
+        # re-solve the time coordinates, as _project_point does
+        out[:, 0] = np.sqrt(1.0 / self.kappa + (out[:, 1:] * out[:, 1:]).sum(axis=1))
+        return out
 
     def _transport(self, x, y, v):
         lg = self._log(x, y)

@@ -23,7 +23,7 @@ import yaml
 
 from geodescent import acceleration as accel
 from geodescent import descent as desc
-from geodescent.geometry import DomainSpec, Euclidean, Manifold, Sphere, TangentVector
+from geodescent.geometry import DomainSpec, Euclidean, Manifold, ManifoldPoint, Sphere, TangentVector
 from geodescent.objectives import (
     FrechetMean,
     Objective,
@@ -161,8 +161,13 @@ def load_config(path) -> ExperimentConfig:
         warnings.warn(f"run.k_max missing, defaulting to {DEFAULT_K_MAX}", ConfigWarning)
         sections["run"]["k_max"] = DEFAULT_K_MAX
     k_max = sections["run"]["k_max"]
-    if not isinstance(k_max, int) or isinstance(k_max, bool) or k_max < 0:
+    if not _is_nonnegative_int(k_max):
         violations.append("run.k_max must be a nonnegative integer")
+
+    # a null seed would draw from the OS and make the run non-reproducible
+    for section, key in (("objective", "seed"), ("run", "x0_seed"), ("algorithm", "rho_seed")):
+        if key in sections[section] and not _is_nonnegative_int(sections[section][key]):
+            violations.append(f"{section}.{key} must be a nonnegative integer")
 
     dom_r = sections["run"].get("domain_radius")
     if dom_r is not None and (not _is_number(dom_r) or dom_r <= 0):
@@ -179,6 +184,10 @@ def load_config(path) -> ExperimentConfig:
 def _is_number(v) -> bool:
     # YAML's true/false load as bool, a subclass of int
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_nonnegative_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +222,13 @@ def build_objective(spec: dict, manifold: Manifold, cache_dir=None) -> Objective
         num = int(spec.get("num_points", 5))
         spread = float(spec.get("spread", 0.7))
         origin = manifold.origin()
-        pts = [manifold.exp(origin, manifold.random_tangent(rng, origin, spread))
-               for _ in range(num)]
+        # num random_tangent draws at the origin in one: the same normal
+        # stream and basis sums, whose results are tangent there already
+        coeff = rng.normal(0.0, spread, size=(num, manifold.dim))
+        tangents = np.zeros((num, manifold.ambient_dim))
+        for c, b in zip(coeff.T, manifold.orthonormal_basis(origin)):
+            tangents += c[:, None] * b.coords
+        pts = [ManifoldPoint(manifold, y) for y in manifold._exp_rows(origin.coords, tangents)]
         obj = FrechetMean(manifold, pts, domain=DomainSpec(origin, radius),
                           solve_reference=False)
         _attach_reference_solution(obj, spec, cache_dir)
@@ -372,18 +386,12 @@ def _check_product_rate(run, tol):
 
 def _xi_table(run, eps_levels=(1e-1, 1e-2, 1e-3, 1e-6)):
     """Convergence table of the contraction factor toward sqrt(2*mu*c)."""
-    target = math.sqrt(2.0 * run.mu * run.c)
     xi = run.xi_seq
-    dev = [abs(x - target) for x in xi]
     table = {}
     for eps in eps_levels:
-        # first index after which the sequence stays inside the band
-        k = len(dev)
-        while k and dev[k - 1] <= eps:
-            k -= 1
-        table[f"first_k_within_{eps:g}"] = k if k < len(dev) else None
-    _, slope = accel.xi_convergence_report(xi, run.mu, run.c, eps_levels[-1])
-    table.update({"target": target, "final": xi[-1],
+        k, slope = accel.xi_convergence_report(xi, run.mu, run.c, eps)
+        table[f"first_k_within_{eps:g}"] = k
+    table.update({"target": math.sqrt(2.0 * run.mu * run.c), "final": xi[-1],
                   "log_deviation_slope": None if math.isnan(slope) else slope})
     return table
 

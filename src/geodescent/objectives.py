@@ -121,6 +121,19 @@ def _comparison_lower(manifold: Manifold, d: float) -> float:
     return 1.0  # Euclidean and hyperboloid: radial eigenvalue is 1
 
 
+def _transverse_eigenvalue(manifold: Manifold, d):
+    """Hessian eigenvalue of 0.5*d(., y)^2 orthogonal to the geodesic to y,
+    at distance d > 0 (a number or an array): t*coth(t) on the hyperboloid,
+    t*cot(t) on the sphere and 1 on flat space."""
+    if isinstance(manifold, Hyperboloid):
+        t = np.sqrt(manifold.kappa) * d
+        return t / np.tanh(t)
+    if isinstance(manifold, Sphere):
+        t = d / manifold.radius
+        return t / np.tan(t)
+    return np.ones_like(d)
+
+
 def _dist_sq_hessian(manifold: Manifold, x: ManifoldPoint, target: ManifoldPoint,
                      basis: list[TangentVector]) -> np.ndarray:
     """Hessian matrix of 0.5*d(., target)^2 in the supplied basis.
@@ -132,14 +145,7 @@ def _dist_sq_hessian(manifold: Manifold, x: ManifoldPoint, target: ManifoldPoint
     d = manifold.distance(x, target)
     if d < 1e-14:
         return np.eye(n)
-    if isinstance(manifold, Hyperboloid):
-        t = np.sqrt(manifold.kappa) * d
-        trans = t / np.tanh(t)
-    elif isinstance(manifold, Sphere):
-        t = d / manifold.radius
-        trans = t / np.tan(t)
-    else:
-        trans = 1.0
+    trans = _transverse_eigenvalue(manifold, d)
     lg = manifold.log(x, target)
     u = np.array([manifold.inner(x, lg, b) for b in basis]) / d
     return trans * np.eye(n) + (1.0 - trans) * np.outer(u, u)
@@ -218,7 +224,12 @@ class SquaredDistance(Objective):
 
 
 class FrechetMean(Objective):
-    """(1/2N) * sum_i d(x, y_i)^2 over fixed sample points."""
+    """(1/2N) * sum_i d(x, y_i)^2 over fixed sample points.
+
+    The samples are validated once and held as one ``(N, ambient_dim)``
+    array, ``samples``, so value, gradient and Hessian each take one pass of
+    the manifold's row kernels.  Sums over samples run in sample order.
+    """
 
     name = "frechet_mean"
 
@@ -231,10 +242,12 @@ class FrechetMean(Objective):
             manifold._own(p)
         self.manifold = manifold
         self.points = list(points)
+        self.samples = np.array([p.coords for p in points])
+        self.samples.setflags(write=False)
         center = points[0]
         self.domain = domain if domain is not None else DomainSpec(center, domain_radius)
-        d_max = self.domain.radius + max(
-            manifold.distance(self.domain.center, p) for p in points
+        d_max = self.domain.radius + float(
+            manifold._distance_rows(self.domain.center.coords, self.samples).max()
         )
         L = _comparison_upper(manifold, d_max)
         mu = _comparison_lower(manifold, d_max)
@@ -247,23 +260,35 @@ class FrechetMean(Objective):
             self._set_solution(x_star)
 
     def value(self, x):
-        n = len(self.points)
-        return sum(0.5 * self.manifold.distance(x, p) ** 2 for p in self.points) / n
+        self.manifold._own(x)
+        d = self.manifold._distance_rows(x.coords, self.samples)
+        return float(_sum_rows(0.5 * d**2)) / len(self.samples)
 
     def gradient(self, x):
-        n = len(self.points)
-        g = np.zeros(self.manifold.ambient_dim)
-        for p in self.points:
-            g -= self.manifold.log(x, p).coords
-        return TangentVector(x, g / n)
+        self.manifold._own(x)
+        g = -_sum_rows(self.manifold._log_rows(x.coords, self.samples))
+        return TangentVector(x, g / len(self.samples))
 
     def hessian_matrix(self, x):
-        basis = self.manifold.orthonormal_basis(x)
-        n = len(self.points)
-        H = np.zeros((len(basis), len(basis)))
-        for p in self.points:
-            H += _dist_sq_hessian(self.manifold, x, p, basis)
-        return H / n
+        """mean(trans) * I + U^T diag((1 - trans) / N) U, where row i of U
+        holds the basis coordinates of the unit direction to sample i and
+        trans its transverse eigenvalue; a sample at x contributes I."""
+        m = self.manifold
+        basis = m.orthonormal_basis(x)
+        n = len(self.samples)
+        d = m._distance_rows(x.coords, self.samples)
+        near = d < 1e-14
+        d = np.where(near, 1.0, d)
+        trans = np.where(near, 1.0, _transverse_eigenvalue(m, d))
+        lg = m._log_rows(x.coords, self.samples)
+        U = np.stack([m._inner_rows(x.coords, lg, b.coords) for b in basis], axis=1) / d[:, None]
+        w = (1.0 - trans) / n
+        return _sum_rows(trans) / n * np.eye(len(basis)) + (U.T * w) @ U
+
+
+def _sum_rows(a):
+    """Sum over the first axis in row order, as a loop over samples adds."""
+    return np.cumsum(a, axis=0)[-1]
 
 
 class SphereRayleigh(Objective):

@@ -434,6 +434,18 @@ def test_xi_convergence_report():
     assert slope < 0
 
 
+def test_xi_convergence_report_counts_the_last_entry_into_the_band():
+    mu, c = 1.0, 0.08
+    target = math.sqrt(2 * mu * c)
+    # in the band at k = 0, out at k = 1 and 2, back in from k = 3 on
+    seq = [target, target + 0.5, target + 0.1, target + 1e-9, target]
+    first, _ = acc.xi_convergence_report(seq, mu, c, 1e-6)
+    assert first == 3
+    # a sequence that ends outside the band never settles
+    first, _ = acc.xi_convergence_report(seq + [target + 0.5], mu, c, 1e-6)
+    assert first is None
+
+
 def test_h2_run_deltas_and_xi_settle():
     # on a contracting hyperbolic run the iterate spread dies out, so the
     # distortion rates fall back to 1 and xi settles at sqrt(2*mu*c)

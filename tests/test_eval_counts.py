@@ -1,4 +1,5 @@
-"""Objective evaluations per iteration of the two drivers.
+"""Objective evaluations per iteration of the two drivers, and the public
+geometry calls one Frechet-mean evaluation makes.
 
 Each recorded point is evaluated once: the descent steps reuse the gradient
 recorded at their input, the accelerated step hands its oracle the gradient
@@ -12,7 +13,8 @@ import pytest
 
 from geodescent import acceleration as acc
 from geodescent.descent import BACKWARD, CubicNewton, GradientDescent, ProximalPoint, run_descent
-from helpers import make_sqdist_h2, point_at
+from geodescent.geometry import Manifold
+from helpers import make_frechet_h2, make_sqdist_h2, point_at
 
 K = 12
 
@@ -116,3 +118,23 @@ def test_oracle_delta_takes_one_step_per_fixed_point_iteration(monkeypatch):
     # two values and one gradient per step, one gradient per recorded iterate
     # and f(y0)
     assert counts == {"value": 2 * n + 1, "gradient": n + k_max + 1}
+
+
+def test_frechet_mean_makes_no_public_geometry_calls(monkeypatch):
+    # value, gradient and Hessian each take one pass of the row kernels
+    # over the sample array, never a per-sample public call
+    obj = make_frechet_h2(num=50, solve_reference=False)
+    x = point_at(obj.manifold, np.random.default_rng(5), obj.domain.center, 0.5)
+    calls = {"log": 0, "distance": 0, "exp": 0}
+    for name in calls:
+        method = getattr(Manifold, name)
+
+        def counted(*args, _name=name, _method=method, **kwargs):
+            calls[_name] += 1
+            return _method(*args, **kwargs)
+
+        monkeypatch.setattr(Manifold, name, counted)
+    obj.value(x)
+    obj.gradient(x)
+    obj.hessian_matrix(x)
+    assert calls == {"log": 0, "distance": 0, "exp": 0}
