@@ -1,0 +1,197 @@
+"""Digest every trace and report of a fixed golden set of experiments, and
+compare two digest files.
+
+The golden set is ``demos/configs``, the seed-0 configs of the three
+benchmark workloads (``bench/workloads.py``) and the extra configs below:
+proximal and cubic-Newton runs, accelerated runs with ``oracle: proximal``,
+Fréchet means on a sphere cap and problems on a sphere of radius 1.5.
+
+Usage::
+
+    PYTHONPATH=src python3 scripts/trace_digests.py digests.json
+    python3 scripts/trace_digests.py --compare before.json after.json
+
+The first form runs each config with the ``geodescent`` found on the path
+(so ``PYTHONPATH=<checkout>/src`` digests another checkout) and writes, per
+config, the sha256 of its trace and report, its exit code, its guarantee
+verdicts and its ``f``, ``grad_norm`` and ``delta`` columns.  ``--compare``
+lists the configs whose digests differ, with the largest absolute
+difference in each column and whether any verdict or exit code changed; it
+exits 1 if a verdict or exit code changed or a config is missing.
+"""
+
+from __future__ import annotations
+
+import argparse
+import glob
+import hashlib
+import json
+import os
+import sys
+import tempfile
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+COLUMNS = ("f", "grad_norm", "delta")
+
+_H2 = {"kind": "hyperboloid", "n": 2, "kappa": 1.0}
+_S2R15 = {"kind": "sphere", "n": 2, "radius": 1.5}
+_SQDIST = {"kind": "squared_distance", "seed": 3, "target_distance": 0.8, "domain_radius": 2.0}
+_FRECHET = {"kind": "frechet_mean", "seed": 7, "num_points": 5, "spread": 0.5,
+            "domain_radius": 1.0}
+_RUN = {"k_max": 40, "x0_seed": 5, "x0_distance": 1.0}
+_RUN_S = {"k_max": 40, "x0_seed": 5, "x0_distance": 0.5}
+
+# name -> (manifold, objective, algorithm, run)
+EXTRA = {
+    "h2-sqdist.proximal-eta0.5": (_H2, _SQDIST, {"kind": "proximal", "eta": 0.5}, _RUN),
+    "h2-sqdist.proximal-eta4": (_H2, _SQDIST, {"kind": "proximal", "eta": 4.0}, _RUN),
+    "h2-sqdist.cubic-rho1": (_H2, _SQDIST, {"kind": "cubic_newton", "rho": 1.0}, _RUN),
+    "h2-frechet.proximal": (_H2, _FRECHET, {"kind": "proximal", "eta": 1.0}, _RUN),
+    "h2-frechet.cubic": (_H2, _FRECHET, {"kind": "cubic_newton"}, _RUN),
+    "h2-sqdist.accel-proximal-strongly": (
+        _H2, _SQDIST, {"kind": "accelerated", "mode": "strongly", "oracle": "proximal",
+                       "eta": 0.5}, {**_RUN, "k_max": 60}),
+    "h2-sqdist.accel-proximal-gconvex": (
+        _H2, _SQDIST, {"kind": "accelerated", "mode": "gconvex", "oracle": "proximal",
+                       "eta": 0.5}, {**_RUN, "k_max": 60}),
+    # 2r + d exceeds pi*R here, so the proximal step's curvature bound
+    # must not use the sphere's own curvature
+    "s2-sqdist-wide.proximal": (
+        {"kind": "sphere", "n": 2}, {**_SQDIST, "target_distance": 0.5, "domain_radius": 1.5},
+        {"kind": "proximal", "eta": 1.0}, _RUN),
+    "s2r1.5-rayleigh.rgd": (_S2R15, {"kind": "sphere_rayleigh"}, {"kind": "rgd"}, _RUN_S),
+    "s2r1.5-rayleigh.proximal": (_S2R15, {"kind": "sphere_rayleigh"},
+                                 {"kind": "proximal", "eta": 1.0}, _RUN_S),
+    "s2r1.5-rayleigh.cubic": (_S2R15, {"kind": "sphere_rayleigh"}, {"kind": "cubic_newton"},
+                              _RUN_S),
+    "s2r1.5-sqdist.rgd": (_S2R15, {**_SQDIST, "target_distance": 0.5, "domain_radius": 1.0},
+                          {"kind": "rgd"}, _RUN_S),
+    "s2r1.5-sqdist.proximal": (_S2R15, {**_SQDIST, "target_distance": 0.5,
+                                        "domain_radius": 1.0},
+                               {"kind": "proximal", "eta": 1.0}, _RUN_S),
+    "s2r1.5-sqdist.cubic": (_S2R15, {**_SQDIST, "target_distance": 0.5, "domain_radius": 1.0},
+                            {"kind": "cubic_newton"}, _RUN_S),
+    "s2r1.5-frechet.rgd": (_S2R15, _FRECHET, {"kind": "rgd"}, _RUN_S),
+    "s2r1.5-frechet.cubic": (_S2R15, _FRECHET, {"kind": "cubic_newton"}, _RUN_S),
+}
+
+
+def _write_configs(directory: str) -> list[str]:
+    """Write the golden set's configs under ``directory``; returns their paths."""
+    import yaml
+
+    sys.path.insert(0, os.path.join(REPO, "bench"))
+    import workloads
+
+    paths = sorted(glob.glob(os.path.join(REPO, "demos", "configs", "*.yaml")))
+    for w in workloads.WORKLOADS:
+        paths += sorted(workloads.write_configs(workloads.generate(w, 0),
+                                                os.path.join(directory, w)).values())
+    extra_dir = os.path.join(directory, "extra")
+    os.makedirs(extra_dir)
+    for name, (manifold, objective, algorithm, run) in EXTRA.items():
+        path = os.path.join(extra_dir, f"{name}.yaml")
+        with open(path, "w") as fh:
+            yaml.safe_dump({"manifold": manifold, "objective": objective,
+                            "algorithm": algorithm, "run": run,
+                            "output": {"trace": f"{name}.jsonl", "report": f"{name}.json"}},
+                           fh, sort_keys=True)
+        paths.append(path)
+    return paths
+
+
+def _sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def digest(out_path: str) -> None:
+    from geodescent import harness
+
+    print(f"geodescent from {os.path.dirname(harness.__file__)}", file=sys.stderr)
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for path in _write_configs(os.path.join(tmp, "configs")):
+            name = f"{os.path.basename(os.path.dirname(path))}/{os.path.basename(path)}"
+            # each config gets its own output root, so no f* cache is shared
+            result = harness.run_experiment(harness.load_config(path),
+                                            os.path.join(tmp, "out", name))
+            columns = {c: [] for c in COLUMNS}
+            with open(result.trace_path) as fh:
+                for line in fh.readlines()[1:]:
+                    rec = json.loads(line)
+                    for c in COLUMNS:
+                        columns[c].append(rec.get(c))
+            digests[name] = {
+                "trace_sha256": _sha256(result.trace_path),
+                "report_sha256": _sha256(result.report_path),
+                "exit_code": result.exit_code,
+                "verdicts": {g: v["pass"] for g, v in result.report["guarantees"].items()},
+                "errors": result.report["errors"],
+                **columns,
+            }
+            print(f"{name}: exit {result.exit_code}", file=sys.stderr)
+    with open(out_path, "w") as fh:
+        json.dump(digests, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def _max_abs_diff(a, b) -> float | None:
+    pairs = [(x, y) for x, y in zip(a, b) if x is not None and y is not None]
+    if len(a) != len(b) or len(pairs) != sum(x is not None for x in a):
+        return float("inf")
+    return max((abs(x - y) for x, y in pairs), default=None)
+
+
+def _files(d: dict) -> tuple[str, str]:
+    return d["trace_sha256"], d["report_sha256"]
+
+
+def compare(a_path: str, b_path: str) -> int:
+    with open(a_path) as fh:
+        a = json.load(fh)
+    with open(b_path) as fh:
+        b = json.load(fh)
+    status = identical = 0
+    for name in sorted(set(a) | set(b)):
+        if name not in a or name not in b:
+            print(f"{name}: only in {a_path if name in a else b_path}")
+            status = 1
+            continue
+        da, db = a[name], b[name]
+        if _files(da) == _files(db):
+            identical += 1
+            continue
+        diffs = {c: _max_abs_diff(da[c], db[c]) for c in COLUMNS}
+        same = (da["verdicts"], da["exit_code"], da["errors"]) == \
+               (db["verdicts"], db["exit_code"], db["errors"])
+        if not same:
+            status = 1
+        changed = ("trace and report differ" if da["trace_sha256"] != db["trace_sha256"]
+                   else "report differs")
+        print(f"{name}: {changed}; max |diff| "
+              + ", ".join(f"{c} {v:.3g}" for c, v in diffs.items() if v is not None)
+              + f"; verdicts and exit code {'unchanged' if same else 'CHANGED'}")
+    print(f"{identical} of {len(set(a) | set(b))} configs byte-identical")
+    return status
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("paths", nargs="+", metavar="PATH",
+                    help="the digest file to write, or with --compare the two to compare")
+    ap.add_argument("--compare", action="store_true",
+                    help="compare two digest files instead of running the golden set")
+    args = ap.parse_args(argv)
+    if args.compare:
+        if len(args.paths) != 2:
+            ap.error("--compare takes two digest files")
+        return compare(*args.paths)
+    if len(args.paths) != 1:
+        ap.error("give one output path")
+    digest(args.paths[0])
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

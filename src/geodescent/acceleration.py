@@ -32,6 +32,7 @@ from geodescent.geometry import (
     Manifold,
     ManifoldPoint,
     TangentVector,
+    comparison,
 )
 from geodescent.objectives import Objective
 
@@ -46,7 +47,6 @@ __all__ = [
     "schedule_gconvex",
     "xi_solve",
     "schedule_strongly",
-    "comparison_T",
     "distortion_rate",
     "energy",
     "run_accelerated",
@@ -227,18 +227,6 @@ def schedule_strongly(xi_k1: float, A_k: float, mu: float, c: float) -> tuple[Ac
     return AccelParams(tau, alpha, beta), ScheduleState(A_k1, B_k1, A_k1 - A_k, 1.0, xi_k1)
 
 
-def comparison_T(kappa: float, d: float) -> float:
-    """Distortion comparison function sqrt(k)*d*coth(sqrt(k)*d), with the
-    flat limit T(0) = 1."""
-    if kappa < 0:
-        raise ValueError("kappa is the magnitude of the curvature lower bound")
-    t = math.sqrt(kappa) * d
-    if t < 1e-8:
-        return 1.0 + t * t / 3.0
-    # t/tanh(t) >= 1 exactly, but can round below 1 for t just above 1e-8
-    return max(1.0, t / math.tanh(t))
-
-
 def distortion_rate(manifold: Manifold, x_prev: ManifoldPoint, z_prev: ManifoldPoint,
                     x_new: ManifoldPoint | None = None, mode: str = ANALYTIC,
                     x_star: ManifoldPoint | None = None) -> float:
@@ -253,7 +241,7 @@ def distortion_rate(manifold: Manifold, x_prev: ManifoldPoint, z_prev: ManifoldP
         bounds = manifold.curvature_bounds()
         if not bounds.is_hadamard:
             raise GeometryError("analytic distortion rates need a Hadamard manifold")
-        return comparison_T(-bounds.lower, manifold.distance(x_prev, z_prev))
+        return comparison(bounds.lower, manifold.distance(x_prev, z_prev))
     if mode == ORACLE:
         if x_new is None or x_star is None:
             raise ValueError("oracle mode needs x_new and x_star")

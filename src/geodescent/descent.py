@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from geodescent.geometry import DomainSpec, ManifoldPoint, TangentVector, in_domain
-from geodescent.objectives import Objective, _comparison_upper
+from geodescent.objectives import Objective, _dist_sq_L
 
 __all__ = [
     "DescentCertificate",
@@ -153,7 +153,7 @@ def proximal_step(obj: Objective, x: ManifoldPoint, eta: float,
     m = obj.manifold
     L_f = obj.metadata.L if obj.metadata.L is not None else 1.0
     # curvature bound for the proximal quadratic on the relevant region
-    L_prox = _comparison_upper(m, 2.0 * obj.domain.radius + m.distance(obj.domain.center, x))
+    L_prox = _dist_sq_L(m, 2.0 * obj.domain.radius + m.distance(obj.domain.center, x))
     step = 1.0 / (L_f + L_prox / eta)
     y = x
     for i in range(max_inner):

@@ -21,6 +21,7 @@ __all__ = [
     "ManifoldPoint",
     "TangentVector",
     "CurvatureBounds",
+    "comparison",
     "DomainSpec",
     "Manifold",
     "Euclidean",
@@ -100,6 +101,25 @@ class CurvatureBounds:
             raise GeometryError("curvature lower bound exceeds upper bound")
         if self.is_hadamard and self.upper > 0:
             raise GeometryError("Hadamard manifolds have nonpositive curvature")
+
+
+def comparison(K: float, d):
+    """Hessian comparison value of 0.5*d(., y)^2 at distance ``d`` from y (a
+    number or an array) under constant curvature ``K``: with t = sqrt(|K|)*d,
+    t*coth(t) for K < 0 (never below 1, which it can round under), t*cot(t)
+    for K > 0, and 1 for K = 0 or t < 1e-8.  It is the Hessian's eigenvalue
+    across the geodesic to y (along it, 1); at a lower curvature bound it
+    bounds that eigenvalue above, at an upper one below.  It is also the
+    analytic distortion rate of the accelerated scheme."""
+    t = np.sqrt(abs(K)) * np.asarray(d, dtype=float)
+    flat = t < 1e-8
+    t = np.where(flat, 1.0, t)  # keeps the divisions below finite
+    if K < 0:
+        c = np.maximum(t / np.tanh(t), 1.0)
+    else:
+        c = t / np.tan(t) if K > 0 else 1.0
+    c = np.where(flat, 1.0, c)
+    return c if c.ndim else float(c)
 
 
 @dataclass(frozen=True)

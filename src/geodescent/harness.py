@@ -161,8 +161,8 @@ def load_config(path) -> ExperimentConfig:
         warnings.warn(f"run.k_max missing, defaulting to {DEFAULT_K_MAX}", ConfigWarning)
         sections["run"]["k_max"] = DEFAULT_K_MAX
     k_max = sections["run"]["k_max"]
-    if not _is_nonnegative_int(k_max):
-        violations.append("run.k_max must be a nonnegative integer")
+    if not (_is_nonnegative_int(k_max) and k_max > 0):
+        violations.append("run.k_max must be a positive integer")
 
     # a null seed would draw from the OS and make the run non-reproducible
     for section, key in (("objective", "seed"), ("run", "x0_seed"), ("algorithm", "rho_seed")):
@@ -298,21 +298,31 @@ def build_algorithm(spec: dict, obj: Objective):
 # guarantee checks
 
 
+def _verdict(worst, tol, detail=None):
+    """One check's report entry from its largest slack over the steps it
+    examined.  The check is void, with ``detail`` saying why, when ``worst``
+    is None (the check does not apply) or -inf (it examined no step)."""
+    if worst == -math.inf:
+        worst = None
+        detail = "voided: no step examined" + (f" ({detail})" if detail else "")
+    if worst is None:
+        return {"pass": None, "worst_slack": None, "detail": detail}
+    return {"pass": bool(worst <= tol), "worst_slack": worst, "detail": detail}
+
+
 def _check_certificate(trace, cert, tol):
-    ok, worst = desc.certify(trace, cert, tol)
-    return {"pass": bool(ok), "worst_slack": worst,
-            "detail": f"p={cert.p:g}, c={cert.c:g}, {cert.direction}"}
+    _, worst = desc.certify(trace, cert, tol)
+    return _verdict(worst, tol, f"p={cert.p:g}, c={cert.c:g}, {cert.direction}")
 
 
 def _check_gconvex_envelope(trace, cert, f_star, diam, tol):
     if trace.domain_exit is not None:
-        return {"pass": None, "worst_slack": None,
-                "detail": f"voided: domain exit at k={trace.domain_exit}"}
+        return _verdict(None, tol, f"voided: domain exit at k={trace.domain_exit}")
     worst = -math.inf
     for k in range(1, len(trace)):
         bound = desc.rate_bound_gconvex(cert.p, cert.c, diam, k, cert.direction)
         worst = max(worst, trace.values[k] - f_star - bound)
-    return {"pass": bool(worst <= tol), "worst_slack": worst, "detail": f"diam={diam:g}"}
+    return _verdict(worst, tol, f"diam={diam:g}")
 
 
 def _check_min_grad_envelope(trace, cert, f_star, tol):
@@ -323,13 +333,12 @@ def _check_min_grad_envelope(trace, cert, f_star, tol):
         best = min(best, trace.grad_norms[k])
         bound = desc.rate_bound_nonconvex(cert.c, cert.p, gap0, k)
         worst = max(worst, best - bound)
-    return {"pass": bool(worst <= tol), "worst_slack": worst, "detail": None}
+    return _verdict(worst, tol)
 
 
 def _check_graddom_envelope(trace, cert, tau, f_star, tol):
     if cert.direction == desc.BACKWARD and cert.c > tau:
-        return {"pass": None, "worst_slack": None,
-                "detail": "skipped: backward envelope needs c <= tau"}
+        return _verdict(None, tol, "skipped: backward envelope needs c <= tau")
     gap0 = trace.values[0] - f_star
     worst = -math.inf
     horizon = 0
@@ -339,13 +348,11 @@ def _check_graddom_envelope(trace, cert, tau, f_star, tol):
             break
         horizon = k
         worst = max(worst, trace.values[k] - f_star - bound)
-    return {"pass": bool(worst <= tol), "worst_slack": worst,
-            "detail": f"tau={tau:g}, horizon k<={horizon}"}
+    return _verdict(worst, tol, f"tau={tau:g}, horizon k<={horizon}")
 
 
 def _check_oracle_contract(run, tol):
-    worst = max(run.trace.per_step_violation) if run.trace.per_step_violation else 0.0
-    return {"pass": bool(worst <= tol), "worst_slack": worst, "detail": f"c={run.c:g}"}
+    return _verdict(max(run.trace.per_step_violation, default=-math.inf), tol, f"c={run.c:g}")
 
 
 def _check_accel_gconvex(run, tol):
@@ -356,8 +363,7 @@ def _check_accel_gconvex(run, tol):
         bound = accel.accel_gconvex_bound(run.E0, run.c, run.diam, delta_max, k)
         gap = run.energies[k].f_gap
         worst = max(worst, gap - bound)
-    return {"pass": bool(worst <= tol), "worst_slack": worst,
-            "detail": f"delta_max={delta_max:g}"}
+    return _verdict(worst, tol, f"delta_max={delta_max:g}")
 
 
 def _check_energy_step(run, tol):
@@ -366,7 +372,7 @@ def _check_energy_step(run, tol):
         dE = run.energies[k + 1].E - run.energies[k].E
         bound = (4.0 / run.c) * (1.0 - 1.0 / run.schedules[k].delta) * run.diam**2
         worst = max(worst, dE - bound)
-    return {"pass": bool(worst <= tol), "worst_slack": worst, "detail": None}
+    return _verdict(worst, tol)
 
 
 def _check_product_rate(run, tol):
@@ -380,8 +386,7 @@ def _check_product_rate(run, tol):
             break
         horizon = k
         worst = max(worst, run.energies[k].f_gap - bound)
-    return {"pass": bool(worst <= tol), "worst_slack": worst,
-            "detail": f"horizon k<={horizon}"}
+    return _verdict(worst, tol, f"horizon k<={horizon}")
 
 
 def _xi_table(run, eps_levels=(1e-1, 1e-2, 1e-3, 1e-6)):

@@ -17,11 +17,11 @@ import numpy as np
 from geodescent.geometry import (
     DomainSpec,
     Euclidean,
-    Hyperboloid,
     Manifold,
     ManifoldPoint,
     Sphere,
     TangentVector,
+    comparison,
 )
 
 __all__ = [
@@ -105,33 +105,25 @@ class Objective:
         return f"{self.name}[{self.manifold.key}]"
 
 
-def _comparison_upper(manifold: Manifold, d: float) -> float:
-    """Largest Hessian eigenvalue of 0.5*d(., y)^2 at distance d from y."""
-    if isinstance(manifold, Hyperboloid):
-        t = np.sqrt(manifold.kappa) * d
-        return 1.0 if t < 1e-12 else float(t / np.tanh(t))
-    return 1.0  # Euclidean and sphere: transverse eigenvalue <= 1
+def _dist_sq_L(manifold: Manifold, d: float) -> float:
+    """Largest Hessian eigenvalue of 0.5*d(., y)^2 within distance d of y.
+    The radial eigenvalue is 1, so positive curvature is clipped to 0: on the
+    sphere the bound is 1 even past pi*R, where t*cot(t) is large."""
+    return comparison(min(manifold.curvature_bounds().lower, 0.0), d)
 
 
-def _comparison_lower(manifold: Manifold, d: float) -> float:
-    """Smallest Hessian eigenvalue of 0.5*d(., y)^2 at distance d from y."""
-    if isinstance(manifold, Sphere):
-        t = d / manifold.radius
-        return 1.0 if t < 1e-12 else float(t / np.tan(t)) if t < np.pi / 2 else 0.0
-    return 1.0  # Euclidean and hyperboloid: radial eigenvalue is 1
-
-
-def _transverse_eigenvalue(manifold: Manifold, d):
-    """Hessian eigenvalue of 0.5*d(., y)^2 orthogonal to the geodesic to y,
-    at distance d > 0 (a number or an array): t*coth(t) on the hyperboloid,
-    t*cot(t) on the sphere and 1 on flat space."""
-    if isinstance(manifold, Hyperboloid):
-        t = np.sqrt(manifold.kappa) * d
-        return t / np.tanh(t)
-    if isinstance(manifold, Sphere):
-        t = d / manifold.radius
-        return t / np.tan(t)
-    return np.ones_like(d)
+def _dist_sq_metadata(manifold: Manifold, d_max: float) -> ObjectiveMetadata:
+    """Declared constants of a sum of 0.5*d(., y)^2 terms whose y lie within
+    d_max of every point of the analysis ball.  mu is the smallest Hessian
+    eigenvalue, taken at the upper curvature bound clipped at 0, and is
+    declared only while sqrt(K)*d_max < pi/2."""
+    K = max(manifold.curvature_bounds().upper, 0.0)
+    mu = comparison(K, d_max) if np.sqrt(K) * d_max < np.pi / 2 else 0.0
+    L = _dist_sq_L(manifold, d_max)
+    if mu > 0:
+        return ObjectiveMetadata(STRONGLY_G_CONVEX, L=L, mu=mu, grad_dom=(1.0 / (2.0 * mu), 2.0),
+                                 L_ball_radius=d_max)
+    return ObjectiveMetadata(G_CONVEX, L=L, L_ball_radius=d_max)
 
 
 def _dist_sq_hessian(manifold: Manifold, x: ManifoldPoint, target: ManifoldPoint,
@@ -145,7 +137,8 @@ def _dist_sq_hessian(manifold: Manifold, x: ManifoldPoint, target: ManifoldPoint
     d = manifold.distance(x, target)
     if d < 1e-14:
         return np.eye(n)
-    trans = _transverse_eigenvalue(manifold, d)
+    # the manifolds here have constant curvature: lower == upper
+    trans = comparison(manifold.curvature_bounds().lower, d)
     lg = manifold.log(x, target)
     u = np.array([manifold.inner(x, lg, b) for b in basis]) / d
     return trans * np.eye(n) + (1.0 - trans) * np.outer(u, u)
@@ -203,12 +196,7 @@ class SquaredDistance(Objective):
         self.target = target
         self.domain = domain if domain is not None else DomainSpec(target, domain_radius)
         d_max = self.domain.radius + manifold.distance(self.domain.center, target)
-        L = _comparison_upper(manifold, d_max)
-        mu = _comparison_lower(manifold, d_max)
-        cls = STRONGLY_G_CONVEX if mu > 0 else G_CONVEX
-        gd = (1.0 / (2.0 * mu), 2.0) if mu > 0 else None
-        self.metadata = ObjectiveMetadata(cls, L=L, mu=mu if mu > 0 else None,
-                                          grad_dom=gd, L_ball_radius=d_max)
+        self.metadata = _dist_sq_metadata(manifold, d_max)
         self._set_solution(target, 0.0)
 
     def value(self, x):
@@ -249,12 +237,7 @@ class FrechetMean(Objective):
         d_max = self.domain.radius + float(
             manifold._distance_rows(self.domain.center.coords, self.samples).max()
         )
-        L = _comparison_upper(manifold, d_max)
-        mu = _comparison_lower(manifold, d_max)
-        cls = STRONGLY_G_CONVEX if mu > 0 else G_CONVEX
-        gd = (1.0 / (2.0 * mu), 2.0) if mu > 0 else None
-        self.metadata = ObjectiveMetadata(cls, L=L, mu=mu if mu > 0 else None,
-                                          grad_dom=gd, L_ball_radius=d_max)
+        self.metadata = _dist_sq_metadata(manifold, d_max)
         if solve_reference:
             x_star = reference_minimize(self, self.domain.center)
             self._set_solution(x_star)
@@ -277,9 +260,8 @@ class FrechetMean(Objective):
         basis = m.orthonormal_basis(x)
         n = len(self.samples)
         d = m._distance_rows(x.coords, self.samples)
-        near = d < 1e-14
-        d = np.where(near, 1.0, d)
-        trans = np.where(near, 1.0, _transverse_eigenvalue(m, d))
+        trans = comparison(m.curvature_bounds().lower, d)  # 1 for a sample at x
+        d = np.where(d < 1e-14, 1.0, d)
         lg = m._log_rows(x.coords, self.samples)
         U = np.stack([m._inner_rows(x.coords, lg, b.coords) for b in basis], axis=1) / d[:, None]
         w = (1.0 - trans) / n

@@ -249,7 +249,6 @@ def test_distortion_analytic_values():
     assert acc.distortion_rate(H, o, o) == 1.0
     assert acc.distortion_rate(H, o, p) == pytest.approx(1.0 / np.tanh(1.0), abs=1e-6)
     assert acc.distortion_rate(H, o, p) == pytest.approx(1.313035, abs=1e-6)
-    assert acc.comparison_T(0.0, 5.0) == 1.0  # flat limit
     E = Euclidean(2)
     assert acc.distortion_rate(E, E.point([0., 0.]), E.point([3., 4.])) == 1.0
 

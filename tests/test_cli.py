@@ -102,7 +102,8 @@ _RUN = {"k_max": 20, "x0_seed": 5, "x0_distance": 1.0}
     ({"run": {**_RUN, "x0_distance": None}}, "cannot build the experiment: TypeError"),
     ({"algorithm": {"kind": "rgd", "eta": True}}, "algorithm.eta must be a positive number"),
     ({"algorithm": {"kind": "cubic_newton", "M": True}}, "algorithm.M must be a positive number"),
-    ({"run": {**_RUN, "k_max": True}}, "run.k_max must be a nonnegative integer"),
+    ({"run": {**_RUN, "k_max": True}}, "run.k_max must be a positive integer"),
+    ({"run": {**_RUN, "k_max": 0}}, "run.k_max must be a positive integer"),
     ({"objective": {"kind": "squared_distance", "seed": None}},
      "objective.seed must be a nonnegative integer"),
     ({"run": {**_RUN, "x0_seed": None}}, "run.x0_seed must be a nonnegative integer"),
@@ -110,8 +111,8 @@ _RUN = {"k_max": 20, "x0_seed": 5, "x0_distance": 1.0}
     ({"run": {**_RUN, "x0_seed": 1.5}}, "run.x0_seed must be a nonnegative integer"),
     ({"algorithm": {"kind": "cubic_newton", "rho_seed": "7"}},
      "algorithm.rho_seed must be a nonnegative integer"),
-], ids=["eta-null", "x0_distance-null", "eta-true", "M-true", "k_max-true", "seed-null",
-        "x0_seed-null", "x0_seed-true", "x0_seed-float", "rho_seed-string"])
+], ids=["eta-null", "x0_distance-null", "eta-true", "M-true", "k_max-true", "k_max-zero",
+        "seed-null", "x0_seed-null", "x0_seed-true", "x0_seed-float", "rho_seed-string"])
 def test_null_and_boolean_numbers_are_config_errors(tmp_path, capsys, over, message):
     configs = tmp_path / "configs"
     configs.mkdir()

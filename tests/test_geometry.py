@@ -13,6 +13,7 @@ from geodescent.geometry import (
     Hyperboloid,
     ManifoldMismatchError,
     Sphere,
+    comparison,
     in_domain,
 )
 from helpers import point_at, tangent_of_norm, unit_tangent
@@ -176,6 +177,38 @@ def test_curvature_bounds():
         CurvatureBounds(1.0, 0.0, False)
     with pytest.raises(GeometryError):
         CurvatureBounds(0.5, 1.0, True)
+
+
+# ---------------------------------------------------------------------------
+# the curvature comparison function
+
+
+@pytest.mark.parametrize("K", [-4.0, -1.0, 0.0, 1.0, 0.25])
+def test_comparison_closed_forms(K):
+    for d in (0.3, 1.0, 1.4, 5.0):
+        t = np.sqrt(abs(K)) * d
+        expected = (t * np.cosh(t) / np.sinh(t) if K < 0
+                    else t * np.cos(t) / np.sin(t) if K > 0 else 1.0)
+        assert comparison(K, d) == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("K", [-4.0, -1.0, 0.0, 1.0, 0.25])
+def test_comparison_scalar_and_array_calls_agree(K):
+    # both the distortion rate (one number) and the Frechet Hessian (one
+    # array) read the function, so the two paths must give the same floats
+    ds = np.concatenate([[0.0], np.linspace(5e-9, 3e-8, 101), np.linspace(1e-3, 3.0, 2000)])
+    out = comparison(K, ds)
+    assert out.shape == ds.shape
+    scalars = [comparison(K, float(d)) for d in ds]
+    assert all(type(s) is float for s in scalars)
+    assert np.array_equal(out, scalars)
+
+
+@pytest.mark.parametrize("K", [-4.0, -1.0, 0.0, 1.0, 0.25])
+def test_comparison_small_t_limit_is_one(K):
+    assert comparison(K, 0.0) == 1.0
+    ds = np.array([0.0, 1e-12, 4.9e-9])  # t = sqrt(|K|)*d below 1e-8
+    np.testing.assert_array_equal(comparison(K, ds), np.ones(3))
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,33 @@ def test_report_counts_delta_fixed_points_stopped_at_the_cap(tmp_path, monkeypat
     assert res.exit_code == 0
 
 
+@pytest.mark.parametrize("algorithm, void", [
+    ({"kind": "rgd"}, "graddom_envelope"),
+    ({"kind": "accelerated", "mode": "strongly", "oracle": "rgd", "eta": 0.005},
+     "product_rate_bound"),
+], ids=["rgd", "accelerated-strongly"])
+def test_check_that_examines_no_step_is_void(tmp_path, algorithm, void):
+    # started at the minimizer, the envelope is below its floor from k = 1
+    target = [float(np.cosh(0.8)), float(np.sinh(0.8)), 0.0]
+    p = _write_cfg(
+        tmp_path / "a.yaml",
+        objective={"kind": "squared_distance", "target": target, "domain_radius": 2.0},
+        algorithm=algorithm,
+        run={"k_max": 5, "x0": target},
+    )
+    assert cli.main(["--out-root", str(tmp_path), "run", str(p)]) == 0
+
+    def reject(name):
+        raise ValueError(f"report holds {name}, which is not JSON")
+
+    with open(tmp_path / "r.json") as fh:
+        report = json.load(fh, parse_constant=reject)
+    g = report["guarantees"][void]
+    assert g["pass"] is None and g["worst_slack"] is None
+    assert g["detail"].startswith("voided: no step examined")
+    assert report["exit_code"] == 0
+
+
 def test_run_experiment_bad_eta_nonzero_exit(tmp_path):
     # eta > 2/L: the certified descent constant is nonpositive
     p = _write_cfg(tmp_path / "a.yaml", algorithm={"kind": "rgd", "eta": 50.0})

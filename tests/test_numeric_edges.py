@@ -4,16 +4,16 @@ and degenerate iteration budgets."""
 import numpy as np
 import pytest
 
-from geodescent import acceleration as acc
 from geodescent.descent import ProximalSolverError, proximal_step
+from geodescent.geometry import comparison
 from helpers import make_sqdist_h2, point_at
 
 
-def test_comparison_T_never_rounds_below_one():
+def test_comparison_never_rounds_below_one():
     # t/tanh(t) rounds below 1 for a fraction of t just above the switch to
-    # the series at 1e-8; a distortion rate below 1 stops a run
+    # the limit 1 at 1e-8; a distortion rate below 1 stops a run
     ds = np.linspace(1e-8, 2e-8, 200_001)
-    assert min(acc.comparison_T(1.0, float(d)) for d in ds) >= 1.0
+    assert comparison(-1.0, ds).min() >= 1.0
 
 
 @pytest.mark.parametrize("max_inner", [0, -3])

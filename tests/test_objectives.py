@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from geodescent.geometry import DomainSpec, Euclidean, Hyperboloid, Sphere, TangentVector
+from geodescent.geometry import (DomainSpec, Euclidean, Hyperboloid, Sphere, TangentVector,
+                                 comparison)
 from geodescent.objectives import (
     FrechetMean,
     ObjectiveMetadata,
     Quadratic,
     SphereRayleigh,
     SquaredDistance,
+    _dist_sq_L,
+    _dist_sq_metadata,
     estimate_hessian_lipschitz,
     grad_check,
     reference_minimize,
@@ -176,6 +179,33 @@ def test_sqdist_h2_hessian_eigenvalues():
         evals = np.sort(np.linalg.eigvalsh(obj.hessian_matrix(x)))
         expected = np.sort([1.0, d / np.tanh(d)])
         np.testing.assert_allclose(evals, expected, rtol=1e-10)
+
+
+@pytest.mark.parametrize("R", [1.0, 1.5, 2.0])
+def test_sphere_dist_sq_L_is_one_past_pi_R(R):
+    # the proximal step bounds 0.5*d(., x)^2 on a region of radius 2r + d,
+    # which can pass pi*R; t*cot(t) at the sphere's own curvature is large
+    # and positive there, but no Hessian eigenvalue exceeds 1
+    S = Sphere(2, R)
+    d = 1.05 * np.pi * R
+    assert comparison(1.0 / R**2, d) > 10.0
+    assert _dist_sq_L(S, d) == 1.0
+    o = S.origin()
+    obj = SquaredDistance(S, S.exp(o, S.tangent(o, [0.5 * R, 0.0, 0.0])),
+                          domain=DomainSpec(o, 1.5 * R))
+    assert obj.metadata.L == 1.0
+
+
+@pytest.mark.parametrize("R", [1.0, 1.5, 2.0])
+def test_sphere_dist_sq_mu_vanishes_past_half_pi(R):
+    S = Sphere(2, R)
+    below = _dist_sq_metadata(S, 0.49 * np.pi * R)
+    t = 0.49 * np.pi
+    assert below.convexity_class == "strongly_g_convex"
+    assert below.mu == pytest.approx(t / np.tan(t), rel=1e-14) and below.mu > 0
+    above = _dist_sq_metadata(S, 0.51 * np.pi * R)
+    assert above.convexity_class == "g_convex"
+    assert above.mu is None and above.grad_dom is None and above.L == 1.0
 
 
 @pytest.mark.parametrize("make", [make_quadratic, make_sqdist_h2, make_rayleigh,
