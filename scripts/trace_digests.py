@@ -14,7 +14,10 @@ Usage::
 The first form runs each config with the ``geodescent`` found on the path
 (so ``PYTHONPATH=<checkout>/src`` digests another checkout) and writes, per
 config, the sha256 of its trace and report, its exit code, its guarantee
-verdicts and its ``f``, ``grad_norm`` and ``delta`` columns.  ``--compare``
+verdicts and its ``f``, ``grad_norm`` and ``delta`` columns.  It then runs
+each config a second time in the same output root, where the f* and rho
+cache entries of the first run are warm, and exits 1 if any trace or report
+differs from the cold run's.  ``--compare``
 lists the configs whose digests differ, with the largest absolute
 difference in each column and whether any verdict or exit code changed; it
 exits 1 if a verdict or exit code changed or a config is missing.
@@ -105,17 +108,19 @@ def _sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def digest(out_path: str) -> None:
+def digest(out_path: str) -> int:
     from geodescent import harness
 
     print(f"geodescent from {os.path.dirname(harness.__file__)}", file=sys.stderr)
     digests = {}
+    status = 0
     with tempfile.TemporaryDirectory() as tmp:
         for path in _write_configs(os.path.join(tmp, "configs")):
             name = f"{os.path.basename(os.path.dirname(path))}/{os.path.basename(path)}"
-            # each config gets its own output root, so no f* cache is shared
-            result = harness.run_experiment(harness.load_config(path),
-                                            os.path.join(tmp, "out", name))
+            # each config gets its own output root, so no cache entry is shared
+            # between configs; the second run reads the first run's entries
+            root = os.path.join(tmp, "out", name)
+            result = harness.run_experiment(harness.load_config(path), root)
             columns = {c: [] for c in COLUMNS}
             with open(result.trace_path) as fh:
                 for line in fh.readlines()[1:]:
@@ -130,10 +135,16 @@ def digest(out_path: str) -> None:
                 "errors": result.report["errors"],
                 **columns,
             }
-            print(f"{name}: exit {result.exit_code}", file=sys.stderr)
+            warm = harness.run_experiment(harness.load_config(path), root)
+            same = _files(digests[name]) == (_sha256(warm.trace_path), _sha256(warm.report_path))
+            if not same:
+                status = 1
+            print(f"{name}: exit {result.exit_code}"
+                  + ("" if same else "; warm-cache rerun DIFFERS"), file=sys.stderr)
     with open(out_path, "w") as fh:
         json.dump(digests, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    return status
 
 
 def _max_abs_diff(a, b) -> float | None:
@@ -189,8 +200,7 @@ def main(argv=None) -> int:
         return compare(*args.paths)
     if len(args.paths) != 1:
         ap.error("give one output path")
-    digest(args.paths[0])
-    return 0
+    return digest(args.paths[0])
 
 
 if __name__ == "__main__":

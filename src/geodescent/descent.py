@@ -320,15 +320,18 @@ class CubicNewton:
     """Cubic-regularized Newton; 3-forward descent for rho-Hessian-Lipschitz f.
 
     With the defaults theta = rho/2 and M = rho the certificate constant
-    simplifies to 1/(12*sqrt(2)*sqrt(rho)).
+    simplifies to 1/(12*sqrt(2)*sqrt(rho)).  A given ``rho`` takes the place
+    of the objective's declared one.
     """
 
-    def __init__(self, M: float | None = None, theta: float | None = None):
+    def __init__(self, M: float | None = None, theta: float | None = None,
+                 rho: float | None = None):
         self.M = M
         self.theta = theta
+        self.rho = rho
 
     def _params(self, obj):
-        rho = obj.metadata.rho
+        rho = self.rho if self.rho is not None else obj.metadata.rho
         if rho is None and (self.M is None or self.theta is None):
             raise ValueError("cubic Newton defaults need a declared rho")
         M = self.M if self.M is not None else rho
@@ -347,7 +350,7 @@ class CubicNewton:
         return DescentCertificate(3.0, c, FORWARD)
 
     def __repr__(self):
-        return f"CubicNewton(M={self.M}, theta={self.theta})"
+        return f"CubicNewton(M={self.M}, theta={self.theta}, rho={self.rho})"
 
 
 # ---------------------------------------------------------------------------

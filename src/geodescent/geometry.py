@@ -9,6 +9,7 @@ the hyperboloid uses the Minkowski form ``<x, y> = -x0*y0 + sum_i xi*yi``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,7 +111,14 @@ def comparison(K: float, d):
     for K > 0, and 1 for K = 0 or t < 1e-8.  It is the Hessian's eigenvalue
     across the geodesic to y (along it, 1); at a lower curvature bound it
     bounds that eigenvalue above, at an upper one below.  It is also the
-    analytic distortion rate of the accelerated scheme."""
+    analytic distortion rate of the accelerated scheme.  On a number it keeps
+    numpy's tanh and tan, whose last bits math's can differ in, but skips the
+    0-d array path around them."""
+    if isinstance(d, (int, float)):
+        t = math.sqrt(abs(K)) * d
+        if t < 1e-8 or K == 0:
+            return 1.0
+        return float(max(t / np.tanh(t), 1.0) if K < 0 else t / np.tan(t))
     t = np.sqrt(abs(K)) * np.asarray(d, dtype=float)
     flat = t < 1e-8
     t = np.where(flat, 1.0, t)  # keeps the divisions below finite

@@ -15,6 +15,7 @@ import io
 import json
 import math
 import os
+import tempfile
 import warnings
 from dataclasses import dataclass
 
@@ -239,37 +240,84 @@ def build_objective(spec: dict, manifold: Manifold, cache_dir=None) -> Objective
     raise ConfigError([f"unknown objective kind {kind!r}"])
 
 
+def _cached(cache_dir, name: str, key_spec: dict, compute, load):
+    """``load(entry)`` of the JSON entry ``<cache_dir>/<name>-<key>.json``,
+    keyed by the sha256 of ``key_spec``.  An entry that is missing, cannot be
+    parsed or that ``load`` rejects (KeyError, TypeError, ValueError) is a
+    miss: ``compute()`` makes a new one, which replaces the file atomically.
+    Without a ``cache_dir`` nothing is read or written."""
+    if cache_dir is None:
+        return load(compute())
+    key = hashlib.sha256(json.dumps(key_spec, sort_keys=True).encode()).hexdigest()[:16]
+    path = os.path.join(cache_dir, f"{name}-{key}.json")
+    try:
+        with open(path) as fh:
+            return load(json.load(fh))
+    except (OSError, KeyError, TypeError, ValueError):
+        pass  # missing, truncated or invalid: recompute and replace it
+    entry = compute()
+    os.makedirs(cache_dir, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=f".{name}-", suffix=".tmp", dir=cache_dir)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(entry, fh, sort_keys=True)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    return load(entry)
+
+
+def _finite(v) -> bool:
+    return _is_number(v) and math.isfinite(v)
+
+
 def _attach_reference_solution(obj: Objective, spec: dict, cache_dir):
     """Reference minimizer for objectives without a closed form, cached on
-    disk next to the objective-spec hash."""
+    disk under the hash of the objective spec and manifold."""
     from geodescent.objectives import reference_minimize
 
-    key = hashlib.sha256(
-        json.dumps({"objective": spec, "manifold": obj.manifold.key}, sort_keys=True).encode()
-    ).hexdigest()[:16]
-    cache_path = None
-    if cache_dir is not None:
-        os.makedirs(cache_dir, exist_ok=True)
-        cache_path = os.path.join(cache_dir, f"fstar-{key}.json")
-        if os.path.exists(cache_path):
-            with open(cache_path) as fh:
-                stored = json.load(fh)
-            try:
-                obj._set_solution(obj.manifold.point(stored["x_star"]), stored["f_star"])
-                return
-            except ValueError:
-                pass  # stale cache: fall through and recompute
-    x_star = reference_minimize(obj, obj.domain.center)
-    obj._set_solution(x_star)
-    if cache_path is not None:
-        with open(cache_path, "w") as fh:
-            json.dump({"x_star": x_star.coords.tolist(),
-                       "f_star": obj.known_solution.f_star}, fh, sort_keys=True)
+    def solve():
+        x_star = reference_minimize(obj, obj.domain.center)
+        return {"x_star": x_star.coords.tolist(), "f_star": obj.value(x_star)}
+
+    def attach(entry):
+        if not _finite(entry["f_star"]):
+            raise ValueError("f_star must be a finite number")
+        obj._set_solution(obj.manifold.point(entry["x_star"]), entry["f_star"])
+
+    _cached(cache_dir, "fstar", {"objective": spec, "manifold": obj.manifold.key},
+            solve, attach)
 
 
-def build_algorithm(spec: dict, obj: Objective):
+# arguments of the Hessian-Lipschitz estimate, part of its cache key
+_RHO_ESTIMATOR = {"n_samples": 200, "step_scale": 0.5, "floor": 1e-6}
+
+
+def _hessian_lipschitz(obj: Objective, objective_spec: dict, seed: int, cache_dir) -> float:
+    """Estimated rho of the objective, cached on disk under the hash of the
+    objective spec, manifold, ``rho_seed`` and the estimator's arguments."""
+    def estimate():
+        rng = np.random.default_rng(seed)
+        return {"rho": estimate_hessian_lipschitz(obj, rng, **_RHO_ESTIMATOR)}
+
+    def read(entry):
+        if not (_finite(entry["rho"]) and entry["rho"] > 0):
+            raise ValueError("rho must be a positive finite number")
+        return float(entry["rho"])
+
+    key = {"objective": objective_spec, "manifold": obj.manifold.key, "rho_seed": seed,
+           **_RHO_ESTIMATOR}
+    return _cached(cache_dir, "rho", key, estimate, read)
+
+
+def build_algorithm(spec: dict, obj: Objective, objective_spec: dict | None = None,
+                    cache_dir=None):
     """Instantiate the configured descent algorithm; for the accelerated
-    scheme, its oracle (``algorithm.oracle``, default rgd)."""
+    scheme, its oracle (``algorithm.oracle``, default rgd).  Cubic Newton
+    without ``rho`` on an objective that declares none estimates it, read
+    from or stored in ``cache_dir`` under ``objective_spec`` (the config's
+    objective section) when both are given.  The objective is not changed."""
     kind = spec["kind"]
     if kind == "rgd":
         L = obj.metadata.L
@@ -281,11 +329,10 @@ def build_algorithm(spec: dict, obj: Objective):
     if kind == "cubic_newton":
         rho = spec.get("rho")
         if rho is None and obj.metadata.rho in (None, 0.0):
-            rng = np.random.default_rng(spec.get("rho_seed", 0))
-            rho = estimate_hessian_lipschitz(obj, rng)
-        if rho is not None:
-            obj.with_rho(float(rho))
-        return desc.CubicNewton(spec.get("M"), spec.get("theta"))
+            rho = _hessian_lipschitz(obj, objective_spec, spec.get("rho_seed", 0),
+                                     cache_dir if objective_spec is not None else None)
+        return desc.CubicNewton(spec.get("M"), spec.get("theta"),
+                                None if rho is None else float(rho))
     if kind == "accelerated":
         oracle = spec.get("oracle", "rgd")
         if oracle not in ORACLE_KINDS:
@@ -426,7 +473,7 @@ def _build_experiment(cfg: ExperimentConfig, cache_dir=None):
     try:
         manifold = build_manifold(cfg.manifold)
         obj = build_objective(cfg.objective, manifold, cache_dir)
-        alg = build_algorithm(cfg.algorithm, obj)
+        alg = build_algorithm(cfg.algorithm, obj, cfg.objective, cache_dir)
 
         dom = obj.domain
         if "domain_radius" in cfg.run:

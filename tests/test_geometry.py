@@ -204,6 +204,18 @@ def test_comparison_scalar_and_array_calls_agree(K):
     assert np.array_equal(out, scalars)
 
 
+@pytest.mark.parametrize("K", [-4.0, -1.0, -0.37, 0.25, 1.0])
+def test_comparison_number_branch_matches_the_array_path_bit_for_bit(K):
+    # a number skips the 0-d array path but must keep numpy's tanh/tan bits
+    rng = np.random.default_rng(11)
+    ds = np.concatenate([rng.uniform(0.0, 3.0, 20000), rng.uniform(0.0, 3e-8, 2000),
+                         10.0 ** rng.uniform(-12.0, 0.4, 8000), [0.0, 1e-8, 5e-9]])
+    if K > 0:
+        ds = ds[np.sqrt(K) * ds < 0.999 * np.pi]
+    scalars = np.array([comparison(K, d) for d in ds.tolist()])
+    assert np.array_equal(scalars.view(np.int64), comparison(K, ds).view(np.int64))
+
+
 @pytest.mark.parametrize("K", [-4.0, -1.0, 0.0, 1.0, 0.25])
 def test_comparison_small_t_limit_is_one(K):
     assert comparison(K, 0.0) == 1.0

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import yaml
 
-from geodescent import cli
+from geodescent import cli, harness
+from geodescent.descent import CubicNewton
 from geodescent.harness import (
     Comparison,
     ConfigError,
@@ -18,6 +19,7 @@ from geodescent.harness import (
     load_config,
     run_experiment,
 )
+from geodescent.objectives import estimate_hessian_lipschitz
 from geodescent.traces import load_trace, trace_to_csv, write_plot_data
 
 
@@ -223,6 +225,113 @@ def test_run_experiment_frechet_reference_cache(tmp_path):
     assert len(cache) == 1
     res2 = run_experiment(load_config(p), str(tmp_path))
     assert res1.report["f_star"] == res2.report["f_star"]
+
+
+# a Frechet mean under cubic Newton without rho caches both f* and rho
+_CUBIC_FRECHET = {
+    "objective": {"kind": "frechet_mean", "seed": 7, "num_points": 4,
+                  "spread": 0.5, "domain_radius": 2.0},
+    "algorithm": {"kind": "cubic_newton"},
+    "run": {"k_max": 10, "x0_seed": 5, "x0_distance": 0.8},
+}
+
+
+def _count_estimates(monkeypatch):
+    calls = []
+    real = harness.estimate_hessian_lipschitz
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "estimate_hessian_lipschitz", counted)
+    return calls
+
+
+def _outputs(res):
+    return open(res.trace_path, "rb").read(), open(res.report_path, "rb").read()
+
+
+def _entries(root, prefix):
+    return sorted(f for f in os.listdir(root / "cache") if f.startswith(prefix))
+
+
+def test_cubic_rho_estimate_is_cached(tmp_path, monkeypatch):
+    calls = _count_estimates(monkeypatch)
+    p = _write_cfg(tmp_path / "a.yaml", **_CUBIC_FRECHET)
+    first = run_experiment(load_config(p), str(tmp_path))
+    assert len(calls) == 1
+    cold = _outputs(first)
+    assert len(_entries(tmp_path, "rho-")) == 1 and len(_entries(tmp_path, "fstar-")) == 1
+    second = run_experiment(load_config(p), str(tmp_path))
+    assert len(calls) == 1
+    assert second.exit_code == 0
+    assert _outputs(second) == cold
+
+
+def test_rho_entries_are_keyed_by_objective_and_rho_seed(tmp_path, monkeypatch):
+    calls = _count_estimates(monkeypatch)
+    variants = [{}, {"algorithm": {"kind": "cubic_newton", "rho_seed": 4}},
+                {"objective": {**_CUBIC_FRECHET["objective"], "seed": 8}}]
+    for i, over in enumerate(variants):
+        p = _write_cfg(tmp_path / f"{i}.yaml", **{**_CUBIC_FRECHET, **over})
+        run_experiment(load_config(p), str(tmp_path))
+    assert len(calls) == 3
+    assert len(_entries(tmp_path, "rho-")) == 3
+
+
+def test_explicit_rho_writes_no_rho_entry(tmp_path, monkeypatch):
+    calls = _count_estimates(monkeypatch)
+    p = _write_cfg(tmp_path / "a.yaml",
+                   **{**_CUBIC_FRECHET, "algorithm": {"kind": "cubic_newton", "rho": 2.0}})
+    assert run_experiment(load_config(p), str(tmp_path)).exit_code == 0
+    assert calls == []
+    assert _entries(tmp_path, "rho-") == []
+
+
+def test_validate_of_a_cubic_config_writes_no_cache(tmp_path, monkeypatch, capsys):
+    p = _write_cfg(tmp_path / "a.yaml", **_CUBIC_FRECHET)
+    monkeypatch.chdir(tmp_path)
+    before = sorted(os.listdir(tmp_path))
+    assert cli.main(["--out-root", str(tmp_path / "out"), "validate", str(p)]) == 0
+    assert capsys.readouterr().out == "ok\n"
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("prefix, damage", [
+    ("fstar-", lambda text: text[: len(text) // 2]),
+    ("fstar-", lambda text: json.dumps({"f_star": json.loads(text)["f_star"]})),
+    ("fstar-", lambda text: json.dumps({**json.loads(text), "f_star": float("nan")})),
+    ("rho-", lambda text: text[: len(text) // 2]),
+    ("rho-", lambda text: json.dumps({"x_star": json.loads(text)["rho"]})),
+    ("rho-", lambda text: json.dumps({"rho": float("nan")})),
+    ("rho-", lambda text: json.dumps({"rho": -1.0})),
+    ("rho-", lambda text: "[]"),
+], ids=["fstar-truncated", "fstar-wrong-key", "fstar-nan",
+        "rho-truncated", "rho-wrong-key", "rho-nan", "rho-negative", "rho-not-a-mapping"])
+def test_bad_cache_entry_is_recomputed(tmp_path, prefix, damage):
+    p = _write_cfg(tmp_path / "a.yaml", **_CUBIC_FRECHET)
+    cold = _outputs(run_experiment(load_config(p), str(tmp_path / "cold")))
+    root = tmp_path / "warm"
+    run_experiment(load_config(p), str(root))
+    (entry,) = _entries(root, prefix)
+    path = root / "cache" / entry
+    good = path.read_text()
+    path.write_text(damage(good))
+    assert cli.main(["--out-root", str(root), "run", str(p)]) == 0
+    assert ((root / "t.jsonl").read_bytes(), (root / "r.json").read_bytes()) == cold
+    assert path.read_text() == good
+    assert len(os.listdir(root / "cache")) == 2
+
+
+def test_building_a_cubic_config_leaves_the_objective_unchanged(tmp_path):
+    p = _write_cfg(tmp_path / "a.yaml", **_CUBIC_FRECHET)
+    _, obj, alg, _, _ = harness._build_experiment(load_config(p))
+    assert obj.metadata.rho is None
+    c = alg.certificate(obj).c
+    # the same estimate declared on the objective instead
+    rho = estimate_hessian_lipschitz(obj, np.random.default_rng(0))
+    assert c == CubicNewton().certificate(obj.with_rho(rho)).c
 
 
 def test_determinism_bit_identical(tmp_path):
