@@ -4,7 +4,8 @@ compare two digest files.
 The golden set is ``demos/configs``, the seed-0 configs of the three
 benchmark workloads (``bench/workloads.py``) and the extra configs below:
 proximal and cubic-Newton runs, accelerated runs with ``oracle: proximal``,
-Fréchet means on a sphere cap and problems on a sphere of radius 1.5.
+Fréchet means on a sphere cap, problems on a sphere of radius 1.5 and two
+runs whose reports hold a void check.
 
 Usage::
 
@@ -76,6 +77,14 @@ EXTRA = {
                             {"kind": "cubic_newton"}, _RUN_S),
     "s2r1.5-frechet.rgd": (_S2R15, _FRECHET, {"kind": "rgd"}, _RUN_S),
     "s2r1.5-frechet.cubic": (_S2R15, _FRECHET, {"kind": "cubic_newton"}, _RUN_S),
+    # void checks: the iterate leaves a run ball smaller than the objective's
+    # (gconvex_envelope), and a start at the minimizer leaves no envelope
+    # above the floor (product_rate_bound)
+    "h2-sqdist.rgd-domain-exit": (
+        _H2, _SQDIST, {"kind": "rgd"}, {**_RUN, "x0_distance": 0.25, "domain_radius": 0.5}),
+    "h2-sqdist.accel-strongly-at-target": (
+        _H2, {**_SQDIST, "domain_center": "target"}, {"kind": "accelerated", "mode": "strongly"},
+        {**_RUN, "x0_distance": 0.0}),
 }
 
 

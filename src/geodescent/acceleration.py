@@ -20,12 +20,12 @@ checked after the fact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from geodescent.descent import (BACKWARD, GradientDescent, IterateTrace, _Recorder,
-                                 default_tolerance, rgd_step)  # noqa: F401  (rgd_step re-exported)
+from geodescent.descent import (BACKWARD, ENVELOPE_FLOOR, GradientDescent, IterateTrace,
+                                 _Recorder, default_tolerance, rgd_step)  # noqa: F401  (rgd_step re-exported)
 from geodescent.geometry import (
     DomainSpec,
     GeometryError,
@@ -323,6 +323,8 @@ def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
     """
     if mode not in (GCONVEX, STRONGLY):
         raise ValueError(f"unknown mode {mode!r}")
+    if delta_mode not in (ANALYTIC, ORACLE):
+        raise ValueError(f"unknown delta mode {delta_mode!r}")
     m = obj.manifold
     dom = dom if dom is not None else obj.domain
     rec = _Recorder(dom, y0, callback)
@@ -335,7 +337,10 @@ def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
         raise ValueError(f"the oracle needs a 2-backward certificate, got {cert}")
     step, c = oracle.step, cert.c
     mu = obj.metadata.mu
+    state = AccelState(x=y0, y=y0, z=y0, k=0, f_y=obj.value(y0))
+    tol = default_tolerance(state.f_y)
 
+    D0 = env = None
     if mode == STRONGLY:
         if mu is None or mu <= 0:
             raise ValueError("strongly mode needs a strongly g-convex objective")
@@ -346,48 +351,41 @@ def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
             xi0 = math.sqrt(a)
         if not a < xi0 <= math.sqrt(a) + 1e-12:
             raise ValueError("xi0 must lie in (2*mu*c, sqrt(2*mu*c)]")
-        A, B = 1.0, xi0**2 / (4.0 * c)
+        sched = ScheduleState(1.0, xi0**2 / (4.0 * c), 0.0, 1.0, xi0)
+        D0 = state.f_y - f_star + sched.B * m.distance(state.z, x_star) ** 2
+        env = math.sqrt(max(D0, 0.0))
     else:
-        A, B = 0.0, 4.0 / c
-
-    state = AccelState(x=y0, y=y0, z=y0, k=0, f_y=obj.value(y0))
-    tol = default_tolerance(state.f_y)
-    D0 = env = None
+        sched = ScheduleState(0.0, 4.0 / c, 0.0, 1.0, xi0)
     prod = 1.0
-    if mode == STRONGLY:
-        D0 = state.f_y - f_star + xi0**2 / (4.0 * c) * m.distance(state.z, x_star) ** 2
-        env = math.sqrt(max(prod * D0, 0.0))
-    energies, schedules, xs, zs = [], [], [], []
-    capped, worst = 0, 0.0
+    # the trace and E0 are filled in once recorded
+    run = AccelRun(None, [], [], [], [], mode, delta_mode, c, mu, xi0, D0, None,
+                   dom.diameter, x_star)
 
-    def record(slack, sched_delta, sched_xi):
-        # energy and record at the current state, A, B and envelope
-        e = energy(A, B, obj, state, x_star, f_star, env)
-        energies.append(e)
-        xs.append(state.x)
-        zs.append(state.z)
+    def record(slack):
+        # energy and record at the current state, schedule and envelope
+        e = energy(sched.A, sched.B, obj, state, x_star, f_star, env)
+        run.energies.append(e)
+        run.xs.append(state.x)
+        run.zs.append(state.z)
         rec.record(state.y, state.f_y, m.norm(state.y, obj.gradient(state.y)), slack,
-                   {"delta": sched_delta, "xi": sched_xi, "A": A, "B": B, "E": e.E,
-                    "d_xy": e.d_xy, "d_xz": e.d_xz, "envelope": e.envelope},
+                   {"delta": sched.delta, "xi": sched.xi, "A": sched.A, "B": sched.B,
+                    "E": e.E, "d_xy": e.d_xy, "d_xz": e.d_xz, "envelope": e.envelope},
                    (state.x, state.y, state.z))
 
-    record(None, 1.0, xi0)
-    delta_prev = 1.0
-    xi = xi0
+    record(None)
+    run.E0 = run.energies[0].E
 
-    for k in range(k_max):
+    for _ in range(k_max):
         if delta_mode == ANALYTIC:
             delta = distortion_rate(m, state.x, state.z, mode=ANALYTIC)
-            sched, new_state, slack = _scheduled_step(
-                obj, state, step, mode, k, A, B, delta_prev, delta, xi, mu, c, tol
-            )
+            new_sched, new_state, slack = _scheduled_step(
+                obj, state, sched, delta, mode, step, mu, c, tol)
         else:
             # self-consistent realized distortion rate
-            delta = max(1.0, delta_prev)
+            delta = max(1.0, sched.delta)
             for _ in range(60):
-                sched, new_state, slack = _scheduled_step(
-                    obj, state, step, mode, k, A, B, delta_prev, delta, xi, mu, c, tol
-                )
+                new_sched, new_state, slack = _scheduled_step(
+                    obj, state, sched, delta, mode, step, mu, c, tol)
                 realized = distortion_rate(m, state.x, state.z, new_state.x,
                                            mode=ORACLE, x_star=x_star)
                 gap, scale = abs(realized - delta), max(1.0, delta)
@@ -395,34 +393,30 @@ def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
                     break
                 delta = realized
             else:
-                capped += 1
-            worst = max(worst, gap / scale)
+                run.delta_capped += 1
+            run.delta_mismatch = max(run.delta_mismatch, gap / scale)
 
-        state = new_state
-        A, B = sched.A, sched.B
-        delta_prev = sched.delta
+        state, sched = new_state, new_sched
         if mode == STRONGLY:
-            xi = sched.xi
-            prod *= 1.0 - xi
+            prod *= 1.0 - sched.xi
             env = math.sqrt(max(prod * D0, 0.0))
-        schedules.append(sched)
-        record(slack, sched.delta, sched.xi)
+        run.schedules.append(sched)
+        record(slack)
 
-    return AccelRun(rec.trace(), energies, schedules, xs, zs, mode, delta_mode, c, mu,
-                    xi0, D0, energies[0].E, dom.diameter, x_star, capped, worst)
+    run.trace = rec.trace()
+    return run
 
 
-def _scheduled_step(obj, state, step, mode, k, A, B, delta_prev, delta, xi, mu, c, tol):
-    """Compute schedule coefficients for distortion rate ``delta`` and take
-    one accelerated step."""
+def _scheduled_step(obj, state, sched, delta, mode, step, mu, c, tol):
+    """Compute the schedule after ``sched`` for distortion rate ``delta`` and
+    take one accelerated step from ``state``."""
     if mode == GCONVEX:
-        params, sched = schedule_gconvex(k, A, B, delta_prev, delta, c)
+        params, new = schedule_gconvex(state.k, sched.A, sched.B, sched.delta, delta, c)
     else:
-        xi_next = xi_solve(xi, delta, mu, c)
-        params, sched = schedule_strongly(xi_next, A, mu, c)
-        sched = ScheduleState(sched.A, sched.B, sched.A_bar, delta, xi_next)
+        params, new = schedule_strongly(xi_solve(sched.xi, delta, mu, c), sched.A, mu, c)
+        new = replace(new, delta=delta)
     new_state, slack = accel_step(obj, state, params, step, c, tol)
-    return sched, new_state, slack
+    return new, new_state, slack
 
 
 def accel_gconvex_bound(E0: float, c: float, diam: float, delta_max: float, k: int) -> float:
@@ -447,7 +441,7 @@ class ShrinkReport:
     envelope_z_proj: np.ndarray    # * sqrt(1/(mu^2 c))
     ratio: np.ndarray              # d(x_k, z_k) / envelope
 
-    def ratio_slope(self, floor: float = 1e-13) -> float:
+    def ratio_slope(self, floor: float = ENVELOPE_FLOOR) -> float:
         """Least-squares slope of the ratio against k, over iterations where
         the envelope is still numerically meaningful."""
         mask = self.envelope > floor
@@ -467,8 +461,7 @@ def shrink_diagnostics(run: AccelRun) -> ShrinkReport:
     mu = run.mu
     m = run.x_star.manifold
     n = len(run.trace)
-    prod = np.cumprod([1.0] + [1.0 - x for x in run.xi_seq[1:]])[:n]
-    env = np.sqrt(np.maximum(prod * run.D0, 0.0))
+    env = np.array([e.envelope for e in run.energies])
     d_xz = np.array([e.d_xz for e in run.energies])
     return ShrinkReport(
         k=np.arange(n),

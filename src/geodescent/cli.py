@@ -34,6 +34,10 @@ def _cmd_run(args) -> int:
         for v in e.violations:
             print(f"config error: {v}", file=sys.stderr)
         return 2
+    except OSError as e:
+        # an output file that cannot be written
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     print(f"trace:  {result.trace_path}")
     print(f"report: {result.report_path}")
     for name, g in result.report["guarantees"].items():

@@ -40,6 +40,9 @@ __all__ = [
 FORWARD = "forward"
 BACKWARD = "backward"
 
+# floor below which rate envelopes are no longer numerically meaningful
+ENVELOPE_FLOOR = 1e-13
+
 
 class ProximalSolverError(RuntimeError):
     """Inner proximal solve did not reach the optimality residual."""
@@ -150,6 +153,8 @@ def proximal_step(obj: Objective, x: ManifoldPoint, eta: float,
         raise ValueError("eta must be positive")
     if max_inner < 1:
         raise ValueError("max_inner must be at least 1")
+    if not tol_prox > 0:
+        raise ValueError("tol_prox must be positive")
     m = obj.manifold
     L_f = obj.metadata.L if obj.metadata.L is not None else 1.0
     # curvature bound for the proximal quadratic on the relevant region
@@ -170,10 +175,10 @@ def proximal_step(obj: Objective, x: ManifoldPoint, eta: float,
     )
 
 
-def _solve_cubic_model(g: np.ndarray, H: np.ndarray, M: float) -> np.ndarray:
+def _solve_cubic_model(g: np.ndarray, evals: np.ndarray, evecs: np.ndarray,
+                       M: float) -> np.ndarray:
     """Global minimizer of ``<g,s> + s'Hs/2 + M*||s||^3/3`` via the secular
-    equation in the eigenbasis of H (hard case included)."""
-    evals, evecs = np.linalg.eigh(H)
+    equation in the eigenbasis ``eigh(H)`` of H (hard case included)."""
     ghat = evecs.T @ g
     lam_min = float(evals[0])
     sigma_min = max(0.0, -lam_min)
@@ -231,14 +236,15 @@ def cubic_newton_step(obj: Objective, x: ManifoldPoint, M: float, theta: float,
     g = np.array([m.inner(x, g_vec, b) for b in basis])
     H = obj.hessian_matrix(x)
     gn = float(np.linalg.norm(g))
-    lam_min = float(np.linalg.eigvalsh(H)[0])
+    evals, evecs = np.linalg.eigh(H)
+    lam_min = float(evals[0])
     atol = 1e-12 * (1.0 + gn + float(np.abs(H).max()))
 
     if gn <= atol and lam_min >= -atol:
         # stationary with PSD Hessian: s = 0 satisfies both conditions
         return x, m.zero_tangent(x)
 
-    s = _solve_cubic_model(g, H, M)
+    s = _solve_cubic_model(g, evals, evecs, M)
 
     def model_drop(sv):
         return float(g @ sv + 0.5 * sv @ H @ sv + (M / 3.0) * np.linalg.norm(sv) ** 3)

@@ -62,10 +62,6 @@ class ManifoldPoint:
         object.__setattr__(self, "coords", np.asarray(self.coords, dtype=float))
         self.coords.setflags(write=False)
 
-    @property
-    def manifold_id(self) -> str:
-        return self.manifold.key
-
     def __repr__(self):
         return f"ManifoldPoint({self.manifold.key}, {np.array2string(self.coords, precision=6)})"
 
@@ -364,11 +360,17 @@ def _ratio(num, den):
     return np.divide(num, den, out=np.zeros_like(den), where=den >= 1e-300)
 
 
+def _dimension(n: int) -> int:
+    if n < 1:
+        raise GeometryError(f"dimension must be at least 1, got {n!r}")
+    return n
+
+
 class Euclidean(Manifold):
     """Flat space; exp/log/transport are +, - and the identity."""
 
     def __init__(self, n: int):
-        self.dim = n
+        self.dim = _dimension(n)
         self.ambient_dim = n
         self.key = f"euclidean(n={n})"
 
@@ -422,7 +424,7 @@ class Sphere(Manifold):
     def __init__(self, n: int, radius: float = 1.0):
         if radius <= 0:
             raise GeometryError("sphere radius must be positive")
-        self.dim = n
+        self.dim = _dimension(n)
         self.ambient_dim = n + 1
         self.radius = float(radius)
         self.key = f"sphere(n={n},R={radius:g})"
@@ -532,7 +534,7 @@ class Hyperboloid(Manifold):
     def __init__(self, n: int, kappa: float = 1.0):
         if kappa <= 0:
             raise GeometryError("kappa must be positive (curvature is -kappa)")
-        self.dim = n
+        self.dim = _dimension(n)
         self.ambient_dim = n + 1
         self.kappa = float(kappa)
         self.key = f"hyperboloid(n={n},kappa={kappa:g})"

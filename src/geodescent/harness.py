@@ -14,10 +14,12 @@ import hashlib
 import io
 import json
 import math
+import operator
 import os
 import tempfile
 import warnings
 from dataclasses import dataclass
+from itertools import accumulate, takewhile
 
 import numpy as np
 import yaml
@@ -62,9 +64,6 @@ ALGORITHM_KINDS = ("rgd", "proximal", "cubic_newton", "accelerated")
 ORACLE_KINDS = ("rgd", "proximal")
 DEFAULT_K_MAX = 1000
 
-# floor below which geometric envelopes are no longer numerically meaningful
-ENVELOPE_FLOOR = 1e-13
-
 
 class ConfigError(ValueError):
     """Invalid experiment config; ``violations`` lists every problem found."""
@@ -85,7 +84,6 @@ class ExperimentConfig:
     algorithm: dict
     run: dict
     output: dict
-    path: str | None = None
 
     def as_dict(self) -> dict:
         return {
@@ -107,6 +105,8 @@ def load_config(path) -> ExperimentConfig:
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh)
+    except OSError as e:
+        raise ConfigError([f"cannot read the config: {e}"]) from e
     except yaml.YAMLError as e:
         raise ConfigError([f"parse error: {e}"]) from e
     if not isinstance(raw, dict):
@@ -114,18 +114,21 @@ def load_config(path) -> ExperimentConfig:
 
     violations = []
     sections = {}
-    for name in ("manifold", "objective", "algorithm"):
+    for name in ("manifold", "objective", "algorithm", "run", "output"):
         sec = raw.get(name)
+        if sec is None and name in ("run", "output"):
+            sec = {}  # optional sections
         if not isinstance(sec, dict):
             violations.append(f"missing or malformed section '{name}'")
             sec = {}
         sections[name] = dict(sec)
-    sections["run"] = dict(raw.get("run") or {})
-    sections["output"] = dict(raw.get("output") or {})
 
     mkind = sections["manifold"].get("kind")
     if mkind not in MANIFOLD_KINDS:
         violations.append(f"manifold.kind must be one of {MANIFOLD_KINDS}, got {mkind!r}")
+    n = sections["manifold"].get("n", 2)
+    if not (_is_nonnegative_int(n) and n > 0):
+        violations.append("manifold.n must be a positive integer")
     okind = sections["objective"].get("kind")
     if okind not in OBJECTIVE_KINDS:
         violations.append(f"objective.kind must be one of {OBJECTIVE_KINDS}, got {okind!r}")
@@ -153,9 +156,9 @@ def load_config(path) -> ExperimentConfig:
         if oracle not in ORACLE_KINDS:
             violations.append(f"algorithm.oracle must be one of {ORACLE_KINDS}, got {oracle!r}")
 
-    for key in ("eta", "M", "theta", "rho", "xi0"):
+    for key in ("eta", "M", "theta", "rho", "xi0", "tol_prox"):
         v = sections["algorithm"].get(key)
-        if v is not None and (not _is_number(v) or v <= 0):
+        if v is not None and not (_finite(v) and v > 0):
             violations.append(f"algorithm.{key} must be a positive number")
 
     if "k_max" not in sections["run"]:
@@ -176,10 +179,14 @@ def load_config(path) -> ExperimentConfig:
 
     sections["output"].setdefault("trace", "trace.jsonl")
     sections["output"].setdefault("report", "report.json")
+    for key in ("trace", "report"):
+        out = sections["output"][key]
+        if not isinstance(out, str) or os.path.basename(out) in ("", ".", ".."):
+            violations.append(f"output.{key} must be a file path")
 
     if violations:
         raise ConfigError(violations)
-    return ExperimentConfig(path=str(path), **sections)
+    return ExperimentConfig(**sections)
 
 
 def _is_number(v) -> bool:
@@ -345,95 +352,82 @@ def build_algorithm(spec: dict, obj: Objective, objective_spec: dict | None = No
 # guarantee checks
 
 
-def _verdict(worst, tol, detail=None):
-    """One check's report entry from its largest slack over the steps it
-    examined.  The check is void, with ``detail`` saying why, when ``worst``
-    is None (the check does not apply) or -inf (it examined no step)."""
-    if worst == -math.inf:
-        worst = None
+def _verdict(slacks, tol, detail=None):
+    """One check's report entry from its per-step slacks (observed - bound),
+    of which the largest decides.  The check is void, with ``detail`` saying
+    why, when ``slacks`` is None (the check does not apply) or empty (it
+    examined no step)."""
+    if slacks is not None and not slacks:
         detail = "voided: no step examined" + (f" ({detail})" if detail else "")
-    if worst is None:
+    if not slacks:
         return {"pass": None, "worst_slack": None, "detail": detail}
+    worst = max(slacks)
     return {"pass": bool(worst <= tol), "worst_slack": worst, "detail": detail}
+
+
+def _above_floor(bounds, scale):
+    """The leading bounds not below ``ENVELOPE_FLOOR * max(1, scale)``: an
+    envelope checked past them is no longer numerically meaningful."""
+    floor = desc.ENVELOPE_FLOOR * max(1.0, scale)
+    return list(takewhile(lambda bound: not bound < floor, bounds))
 
 
 def _check_certificate(trace, cert, tol):
     _, worst = desc.certify(trace, cert, tol)
-    return _verdict(worst, tol, f"p={cert.p:g}, c={cert.c:g}, {cert.direction}")
+    return _verdict([worst], tol, f"p={cert.p:g}, c={cert.c:g}, {cert.direction}")
 
 
 def _check_gconvex_envelope(trace, cert, f_star, diam, tol):
     if trace.domain_exit is not None:
         return _verdict(None, tol, f"voided: domain exit at k={trace.domain_exit}")
-    worst = -math.inf
-    for k in range(1, len(trace)):
-        bound = desc.rate_bound_gconvex(cert.p, cert.c, diam, k, cert.direction)
-        worst = max(worst, trace.values[k] - f_star - bound)
-    return _verdict(worst, tol, f"diam={diam:g}")
+    slacks = [trace.values[k] - f_star
+              - desc.rate_bound_gconvex(cert.p, cert.c, diam, k, cert.direction)
+              for k in range(1, len(trace))]
+    return _verdict(slacks, tol, f"diam={diam:g}")
 
 
 def _check_min_grad_envelope(trace, cert, f_star, tol):
     gap0 = trace.values[0] - f_star
-    worst = -math.inf
-    best = trace.grad_norms[0]
-    for k in range(1, len(trace)):
-        best = min(best, trace.grad_norms[k])
-        bound = desc.rate_bound_nonconvex(cert.c, cert.p, gap0, k)
-        worst = max(worst, best - bound)
-    return _verdict(worst, tol)
+    best = list(accumulate(trace.grad_norms, min))
+    slacks = [best[k] - desc.rate_bound_nonconvex(cert.c, cert.p, gap0, k)
+              for k in range(1, len(trace))]
+    return _verdict(slacks, tol)
 
 
 def _check_graddom_envelope(trace, cert, tau, f_star, tol):
     if cert.direction == desc.BACKWARD and cert.c > tau:
         return _verdict(None, tol, "skipped: backward envelope needs c <= tau")
     gap0 = trace.values[0] - f_star
-    worst = -math.inf
-    horizon = 0
-    for k in range(1, len(trace)):
-        bound = desc.rate_bound_graddom(cert.c, tau, k, cert.direction, gap0)
-        if bound < ENVELOPE_FLOOR * max(1.0, gap0):
-            break
-        horizon = k
-        worst = max(worst, trace.values[k] - f_star - bound)
-    return _verdict(worst, tol, f"tau={tau:g}, horizon k<={horizon}")
+    bounds = _above_floor((desc.rate_bound_graddom(cert.c, tau, k, cert.direction, gap0)
+                           for k in range(1, len(trace))), gap0)
+    slacks = [trace.values[k] - f_star - bound for k, bound in enumerate(bounds, 1)]
+    return _verdict(slacks, tol, f"tau={tau:g}, horizon k<={len(bounds)}")
 
 
 def _check_oracle_contract(run, tol):
-    return _verdict(max(run.trace.per_step_violation, default=-math.inf), tol, f"c={run.c:g}")
+    return _verdict(run.trace.per_step_violation, tol, f"c={run.c:g}")
 
 
 def _check_accel_gconvex(run, tol):
-    worst = -math.inf
-    delta_max = 1.0
-    for k in range(1, len(run.trace)):
-        delta_max = max(delta_max, run.schedules[k - 1].delta)
-        bound = accel.accel_gconvex_bound(run.E0, run.c, run.diam, delta_max, k)
-        gap = run.energies[k].f_gap
-        worst = max(worst, gap - bound)
-    return _verdict(worst, tol, f"delta_max={delta_max:g}")
+    delta_max = list(accumulate((s.delta for s in run.schedules), max, initial=1.0))
+    slacks = [run.energies[k].f_gap
+              - accel.accel_gconvex_bound(run.E0, run.c, run.diam, delta_max[k], k)
+              for k in range(1, len(run.trace))]
+    return _verdict(slacks, tol, f"delta_max={delta_max[-1]:g}")
 
 
 def _check_energy_step(run, tol):
-    worst = -math.inf
-    for k in range(len(run.schedules)):
-        dE = run.energies[k + 1].E - run.energies[k].E
-        bound = (4.0 / run.c) * (1.0 - 1.0 / run.schedules[k].delta) * run.diam**2
-        worst = max(worst, dE - bound)
-    return _verdict(worst, tol)
+    slacks = [run.energies[k + 1].E - run.energies[k].E
+              - (4.0 / run.c) * (1.0 - 1.0 / s.delta) * run.diam**2
+              for k, s in enumerate(run.schedules)]
+    return _verdict(slacks, tol)
 
 
 def _check_product_rate(run, tol):
-    worst = -math.inf
-    prod = 1.0
-    horizon = 0
-    for k in range(1, len(run.trace)):
-        prod *= 1.0 - run.schedules[k - 1].xi
-        bound = prod * run.E0
-        if bound < ENVELOPE_FLOOR * max(1.0, run.E0):
-            break
-        horizon = k
-        worst = max(worst, run.energies[k].f_gap - bound)
-    return _verdict(worst, tol, f"horizon k<={horizon}")
+    prods = accumulate((1.0 - s.xi for s in run.schedules), operator.mul)
+    bounds = _above_floor((prod * run.E0 for prod in prods), run.E0)
+    slacks = [run.energies[k].f_gap - bound for k, bound in enumerate(bounds, 1)]
+    return _verdict(slacks, tol, f"horizon k<={len(bounds)}")
 
 
 def _xi_table(run, eps_levels=(1e-1, 1e-2, 1e-3, 1e-6)):

@@ -51,7 +51,6 @@ class ObjectiveMetadata:
     mu: float | None = None
     rho: float | None = None
     grad_dom: tuple[float, float] | None = None  # (tau, p)
-    L_ball_radius: float | None = None  # radius the comparison bound used
 
     def __post_init__(self):
         if self.convexity_class not in (NONCONVEX, G_CONVEX, STRONGLY_G_CONVEX):
@@ -121,9 +120,8 @@ def _dist_sq_metadata(manifold: Manifold, d_max: float) -> ObjectiveMetadata:
     mu = comparison(K, d_max) if np.sqrt(K) * d_max < np.pi / 2 else 0.0
     L = _dist_sq_L(manifold, d_max)
     if mu > 0:
-        return ObjectiveMetadata(STRONGLY_G_CONVEX, L=L, mu=mu, grad_dom=(1.0 / (2.0 * mu), 2.0),
-                                 L_ball_radius=d_max)
-    return ObjectiveMetadata(G_CONVEX, L=L, L_ball_radius=d_max)
+        return ObjectiveMetadata(STRONGLY_G_CONVEX, L=L, mu=mu, grad_dom=(1.0 / (2.0 * mu), 2.0))
+    return ObjectiveMetadata(G_CONVEX, L=L)
 
 
 def _dist_sq_hessian(manifold: Manifold, x: ManifoldPoint, target: ManifoldPoint,

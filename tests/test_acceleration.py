@@ -358,6 +358,8 @@ def test_run_strongly_rejects_bad_inputs():
         acc.run_accelerated(obj, x0, 5, acc.STRONGLY, big_oracle, xi0=1.5)
     with pytest.raises(ValueError):
         acc.run_accelerated(obj, x0, 5, "middling", big_oracle)
+    with pytest.raises(ValueError, match="unknown delta mode 'bogus'"):
+        acc.run_accelerated(obj, x0, 5, acc.STRONGLY, big_oracle, delta_mode="bogus")
 
 
 def test_run_with_proximal_oracle():
@@ -400,6 +402,9 @@ def test_shrink_diagnostics_envelopes():
     obj, run = _strongly_run(k_max=150)
     rep = acc.shrink_diagnostics(run)
     assert rep.d_xy[0] == 0.0 and rep.d_xz[0] == 0.0
+    # the recorded envelope is sqrt(prod(1 - xi_j) * D0), bit for bit
+    prod = np.cumprod([1.0] + [1.0 - x for x in run.xi_seq[1:]])
+    assert np.array_equal(rep.envelope, np.sqrt(np.maximum(prod * run.D0, 0.0)))
     mask = rep.envelope > 1e-10
     assert np.all(rep.d_y_star[mask] <= rep.envelope_y[mask] + 1e-12)
     assert np.all(rep.proj_z_star[mask] <= rep.envelope_z_proj[mask] + 1e-12)

@@ -111,9 +111,32 @@ _RUN = {"k_max": 20, "x0_seed": 5, "x0_distance": 1.0}
     ({"run": {**_RUN, "x0_seed": 1.5}}, "run.x0_seed must be a nonnegative integer"),
     ({"algorithm": {"kind": "cubic_newton", "rho_seed": "7"}},
      "algorithm.rho_seed must be a nonnegative integer"),
+    ({"algorithm": {"kind": "proximal", "tol_prox": 0}},
+     "algorithm.tol_prox must be a positive number"),
+    ({"algorithm": {"kind": "proximal", "tol_prox": -1e-9}},
+     "algorithm.tol_prox must be a positive number"),
+    ({"algorithm": {"kind": "proximal", "tol_prox": True}},
+     "algorithm.tol_prox must be a positive number"),
 ], ids=["eta-null", "x0_distance-null", "eta-true", "M-true", "k_max-true", "k_max-zero",
-        "seed-null", "x0_seed-null", "x0_seed-true", "x0_seed-float", "rho_seed-string"])
+        "seed-null", "x0_seed-null", "x0_seed-true", "x0_seed-float", "rho_seed-string",
+        "tol_prox-zero", "tol_prox-negative", "tol_prox-true"])
 def test_null_and_boolean_numbers_are_config_errors(tmp_path, capsys, over, message):
+    _assert_config_error(tmp_path, capsys, over, message)
+
+
+@pytest.mark.parametrize("over, message", [
+    ({"manifold": {"kind": "hyperboloid", "n": -1}}, "manifold.n must be a positive integer"),
+    ({"manifold": {"kind": "hyperboloid", "n": 2.5}}, "manifold.n must be a positive integer"),
+    ({"run": [1, 2]}, "missing or malformed section 'run'"),
+    ({"output": {"trace": "."}}, "output.trace must be a file path"),
+], ids=["n-negative", "n-float", "run-list", "trace-directory"])
+def test_bad_dimension_section_or_output_path_is_a_config_error(tmp_path, capsys, over, message):
+    _assert_config_error(tmp_path, capsys, over, message)
+
+
+def _assert_config_error(tmp_path, capsys, over, message):
+    """validate, run and batch each reject the config with exit 2 and
+    ``message``, and batch goes on to a good config after it."""
     configs = tmp_path / "configs"
     configs.mkdir()
     bad = _write(configs / "a_bad.yaml", **over)
@@ -127,3 +150,23 @@ def test_null_and_boolean_numbers_are_config_errors(tmp_path, capsys, over, mess
     out = capsys.readouterr().out
     assert "a_bad.yaml] exit 2" in out and "b_good.yaml] exit 0" in out
     assert (root / "b_good.json").exists() and not (root / "a_bad.json").exists()
+
+
+def test_unwritable_output_and_missing_config_exit_2(tmp_path, capsys):
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    bad = _write(configs / "a_bad.yaml")
+    _write(configs / "b_good.yaml")
+    root = tmp_path / "out"
+    (root / "a_bad.json").mkdir(parents=True)  # the report path is a directory
+    assert cli.main(["--out-root", str(root), "run", bad]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "a_bad.json" in err
+    assert cli.main(["--out-root", str(root), "batch", str(configs)]) == 2
+    out = capsys.readouterr().out
+    assert "a_bad.yaml] exit 2" in out and "b_good.yaml] exit 0" in out
+    missing = str(tmp_path / "missing.yaml")
+    assert cli.main(["validate", missing]) == 2
+    assert "invalid: cannot read the config" in capsys.readouterr().out
+    assert cli.main(["--out-root", str(root), "run", missing]) == 2
+    assert "config error: cannot read the config" in capsys.readouterr().err

@@ -144,6 +144,14 @@ def test_proximal_inner_budget_error():
         proximal_step(obj, x, 1.0, max_inner=2)
 
 
+@pytest.mark.parametrize("tol_prox", [0.0, -1e-9])
+def test_proximal_rejects_a_nonpositive_tolerance(tol_prox):
+    obj = make_sqdist_h2()
+    x = point_at(obj.manifold, np.random.default_rng(2), obj.target, 1.0)
+    with pytest.raises(ValueError, match="tol_prox must be positive"):
+        proximal_step(obj, x, 1.0, tol_prox=tol_prox)
+
+
 # ---------------------------------------------------------------------------
 # cubic-regularized Newton
 

@@ -167,6 +167,13 @@ def test_domain_spec_validation():
         DomainSpec(S.origin(), -0.1)
 
 
+@pytest.mark.parametrize("make", [Euclidean, Sphere, Hyperboloid])
+@pytest.mark.parametrize("n", [0, -1])
+def test_dimension_below_one_rejected(make, n):
+    with pytest.raises(GeometryError, match="dimension must be at least 1"):
+        make(n)
+
+
 def test_curvature_bounds():
     assert Euclidean(2).curvature_bounds() == CurvatureBounds(0.0, 0.0, True)
     assert Sphere(2, 2.0).curvature_bounds().lower == pytest.approx(0.25)

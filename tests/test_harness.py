@@ -205,6 +205,28 @@ def test_check_that_examines_no_step_is_void(tmp_path, algorithm, void):
     assert report["exit_code"] == 0
 
 
+def test_domain_exit_voids_the_gconvex_envelope(tmp_path):
+    # run.domain_radius shrinks the monitored ball below the objective's
+    p = _write_cfg(tmp_path / "a.yaml",
+                   run={"k_max": 40, "x0_seed": 5, "x0_distance": 0.25, "domain_radius": 0.5})
+    res = run_experiment(load_config(p), str(tmp_path))
+    assert res.exit_code == 0
+    assert res.report["domain_exit"] == 2
+    assert res.report["guarantees"]["gconvex_envelope"] == {
+        "pass": None, "worst_slack": None, "detail": "voided: domain exit at k=2"}
+
+
+def test_run_experiment_sphere_rayleigh(tmp_path):
+    p = _write_cfg(tmp_path / "a.yaml", manifold={"kind": "sphere", "n": 2},
+                   objective={"kind": "sphere_rayleigh"},
+                   run={"k_max": 30, "x0_seed": 5, "x0_distance": 0.5})
+    res = run_experiment(load_config(p), str(tmp_path))
+    assert res.exit_code == 0
+    assert res.report["guarantees"]["certificate"]["pass"] is True
+    assert load_trace(res.trace_path).meta["manifold"] == {"kind": "sphere", "n": 2,
+                                                           "radius": 1.0}
+
+
 def test_run_experiment_bad_eta_nonzero_exit(tmp_path):
     # eta > 2/L: the certified descent constant is nonpositive
     p = _write_cfg(tmp_path / "a.yaml", algorithm={"kind": "rgd", "eta": 50.0})
