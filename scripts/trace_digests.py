@@ -4,6 +4,7 @@ compare two digest files.
 The golden set is ``demos/configs``, the seed-0 configs of the three
 benchmark workloads (``bench/workloads.py``) and the extra configs below:
 proximal and cubic-Newton runs, accelerated runs with ``oracle: proximal``,
+oracle-delta runs on the g-convex schedule and with the proximal oracle,
 Fréchet means on a sphere cap, problems on a sphere of radius 1.5 and two
 runs whose reports hold a void check.
 
@@ -58,6 +59,13 @@ EXTRA = {
     "h2-sqdist.accel-proximal-gconvex": (
         _H2, _SQDIST, {"kind": "accelerated", "mode": "gconvex", "oracle": "proximal",
                        "eta": 0.5}, {**_RUN, "k_max": 60}),
+    # oracle delta on the schedules the seed-0 workloads leave out
+    "h2-sqdist.accel-gconvex-oracle-delta": (
+        _H2, _SQDIST, {"kind": "accelerated", "mode": "gconvex", "delta_mode": "oracle"},
+        {**_RUN, "k_max": 60}),
+    "h2-sqdist.accel-proximal-strongly-oracle-delta": (
+        _H2, _SQDIST, {"kind": "accelerated", "mode": "strongly", "oracle": "proximal",
+                       "eta": 0.5, "delta_mode": "oracle"}, {**_RUN, "k_max": 60}),
     # 2r + d exceeds pi*R here, so the proximal step's curvature bound
     # must not use the sphere's own curvature
     "s2-sqdist-wide.proximal": (

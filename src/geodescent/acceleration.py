@@ -288,8 +288,10 @@ class AccelRun:
     E0: float
     diam: float
     x_star: ManifoldPoint | None = None
-    # oracle delta: fixed points stopped at the cap, worst final relative mismatch
+    # oracle delta: fixed points stopped at the cap or by a stalled gap, and
+    # the worst relative mismatch of a kept step
     delta_capped: int = 0
+    delta_stalled: int = 0
     delta_mismatch: float = 0.0
 
     @property
@@ -314,9 +316,10 @@ def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
     ``mode`` selects the g-convex or strongly g-convex schedule.  In
     ``oracle`` delta mode the distortion rate of each step is made
     self-consistent by a small fixed-point iteration: the step is recomputed
-    until the rate used by the schedule equals the realized ratio, at most 60
-    times (``delta_capped`` counts the iterations that stop there), and the
-    last step computed is kept.  The trace records the y iterates; the domain
+    until the rate used by the schedule matches the realized ratio to 1e-12
+    relative, until that relative gap fails to shrink (``delta_stalled``
+    counts these iterations) or for at most 60 steps (``delta_capped``), and
+    the step with the smallest gap is kept.  The trace records the y iterates; the domain
     monitor watches x, y and z.  ``callback(k, y, f, grad_norm, slack,
     extra)`` fires after every iteration, with the schedule and energy
     fields in ``extra``.
@@ -381,20 +384,26 @@ def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
             new_sched, new_state, slack = _scheduled_step(
                 obj, state, sched, delta, mode, step, mu, c, tol)
         else:
-            # self-consistent realized distortion rate
-            delta = max(1.0, sched.delta)
+            # self-consistent realized distortion rate; near x* round-off
+            # keeps the gap from reaching the target, so stop once it fails
+            # to shrink and keep the step with the smallest gap
+            delta, kept = max(1.0, sched.delta), None
             for _ in range(60):
-                new_sched, new_state, slack = _scheduled_step(
-                    obj, state, sched, delta, mode, step, mu, c, tol)
-                realized = distortion_rate(m, state.x, state.z, new_state.x,
+                candidate = _scheduled_step(obj, state, sched, delta, mode, step, mu, c, tol)
+                realized = distortion_rate(m, state.x, state.z, candidate[1].x,
                                            mode=ORACLE, x_star=x_star)
-                gap, scale = abs(realized - delta), max(1.0, delta)
-                if gap <= 1e-12 * scale:
+                gap = abs(realized - delta) / max(1.0, delta)
+                if kept is not None and gap >= kept_gap:
+                    run.delta_stalled += 1
+                    break
+                kept, kept_gap = candidate, gap
+                if gap <= 1e-12:
                     break
                 delta = realized
             else:
                 run.delta_capped += 1
-            run.delta_mismatch = max(run.delta_mismatch, gap / scale)
+            new_sched, new_state, slack = kept
+            run.delta_mismatch = max(run.delta_mismatch, kept_gap)
 
         state, sched = new_state, new_sched
         if mode == STRONGLY:

@@ -422,8 +422,8 @@ class Sphere(Manifold):
     """Sphere of radius R embedded in R^{n+1}; sectional curvature 1/R^2."""
 
     def __init__(self, n: int, radius: float = 1.0):
-        if radius <= 0:
-            raise GeometryError("sphere radius must be positive")
+        if not (math.isfinite(radius) and radius > 0):
+            raise GeometryError("sphere radius must be positive and finite")
         self.dim = _dimension(n)
         self.ambient_dim = n + 1
         self.radius = float(radius)
@@ -532,8 +532,8 @@ class Hyperboloid(Manifold):
     """
 
     def __init__(self, n: int, kappa: float = 1.0):
-        if kappa <= 0:
-            raise GeometryError("kappa must be positive (curvature is -kappa)")
+        if not (math.isfinite(kappa) and kappa > 0):
+            raise GeometryError("kappa must be positive and finite (curvature is -kappa)")
         self.dim = _dimension(n)
         self.ambient_dim = n + 1
         self.kappa = float(kappa)

@@ -173,9 +173,17 @@ def load_config(path) -> ExperimentConfig:
         if key in sections[section] and not _is_nonnegative_int(sections[section][key]):
             violations.append(f"{section}.{key} must be a nonnegative integer")
 
-    dom_r = sections["run"].get("domain_radius")
-    if dom_r is not None and (not _is_number(dom_r) or dom_r <= 0):
-        violations.append("run.domain_radius must be a positive number")
+    # the builders read these through float(), which would take YAML's true as 1.0
+    for section, key, least in (("manifold", "radius", "positive"),
+                                ("manifold", "kappa", "positive"),
+                                ("objective", "domain_radius", "positive"),
+                                ("run", "domain_radius", "positive"),
+                                ("objective", "target_distance", "nonnegative"),
+                                ("objective", "spread", "nonnegative"),
+                                ("run", "x0_distance", "nonnegative")):
+        v = sections[section].get(key)
+        if v is not None and not (_finite(v) and (v > 0 if least == "positive" else v >= 0)):
+            violations.append(f"{section}.{key} must be a {least} number")
 
     sections["output"].setdefault("trace", "trace.jsonl")
     sections["output"].setdefault("report", "report.json")
@@ -189,9 +197,9 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig(**sections)
 
 
-def _is_number(v) -> bool:
+def _finite(v) -> bool:
     # YAML's true/false load as bool, a subclass of int
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
 def _is_nonnegative_int(v) -> bool:
@@ -273,10 +281,6 @@ def _cached(cache_dir, name: str, key_spec: dict, compute, load):
         os.unlink(tmp)
         raise
     return load(entry)
-
-
-def _finite(v) -> bool:
-    return _is_number(v) and math.isfinite(v)
 
 
 def _attach_reference_solution(obj: Objective, spec: dict, cache_dir):
@@ -546,6 +550,7 @@ def run_experiment(cfg: ExperimentConfig, out_root: str | None = None) -> Experi
                 if run.delta_mode == accel.ORACLE:
                     extra_report["delta_fixed_point"] = {
                         "capped_iterations": run.delta_capped,
+                        "stalled_iterations": run.delta_stalled,
                         "worst_mismatch": run.delta_mismatch}
             else:
                 trace = desc.run_descent(alg, obj, x0, k_max, dom, callback=cb)

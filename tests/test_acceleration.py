@@ -386,6 +386,64 @@ def test_oracle_delta_mode_self_consistency():
         assert run.schedules[k].delta == pytest.approx(realized, rel=1e-9)
 
 
+def _scripted_rates(monkeypatch, rates):
+    """Make the oracle-mode distortion rate return ``rates`` in turn; returns
+    the list of candidate x+ it was asked about."""
+    candidates = []
+
+    def scripted(m, x_prev, z_prev, x_new=None, mode=acc.ANALYTIC, x_star=None):
+        assert mode == acc.ORACLE
+        candidates.append(x_new)
+        return rates[len(candidates) - 1]
+
+    monkeypatch.setattr(acc, "distortion_rate", scripted)
+    return candidates
+
+
+def test_oracle_delta_fixed_point_keeps_the_smallest_gap_when_the_gap_stalls(monkeypatch):
+    # the first step uses delta = 1 and each later one the previous rate:
+    # relative gaps 0.5, 0.1/1.5, 0.01/1.6, then 0.09/1.61 fails to shrink
+    candidates = _scripted_rates(monkeypatch, [1.5, 1.6, 1.61, 1.7, 1.7])
+    obj, run = _strongly_run(k_max=1, delta_mode=acc.ORACLE)
+    assert len(candidates) == 4
+    assert (run.delta_stalled, run.delta_capped) == (1, 0)
+    assert run.delta_mismatch == abs(1.61 - 1.6) / 1.6
+    assert run.schedules[0].delta == 1.6
+    assert run.xs[1] is candidates[2]
+    # the same step as a fixed point that converges at delta = 1.6
+    _scripted_rates(monkeypatch, [1.6, 1.6])
+    _, ref = _strongly_run(k_max=1, delta_mode=acc.ORACLE)
+    assert (ref.delta_stalled, ref.delta_capped, ref.delta_mismatch) == (0, 0, 0.0)
+    assert run.schedules == ref.schedules
+    assert run.energies == ref.energies
+    for a, b in [(run.xs[1], ref.xs[1]), (run.zs[1], ref.zs[1]),
+                 (run.trace.iterates[1], ref.trace.iterates[1])]:
+        assert np.array_equal(a.coords, b.coords)
+
+
+def test_oracle_delta_fixed_point_counts_the_cap(monkeypatch):
+    # gaps 0.1 * 0.9^i / r_{i-1} keep shrinking and stay far above 1e-12
+    rates = [2.0 - 0.9 ** (i + 1) for i in range(70)]
+    candidates = _scripted_rates(monkeypatch, rates)
+    _, run = _strongly_run(k_max=1, delta_mode=acc.ORACLE)
+    assert len(candidates) == 60
+    assert (run.delta_stalled, run.delta_capped) == (0, 1)
+    assert run.schedules[0].delta == rates[58]
+    assert run.xs[1] is candidates[59]
+
+
+def test_oracle_delta_fixed_point_that_converges_is_neither_stalled_nor_capped(monkeypatch):
+    # gap 0.3, then 1e-13 relative: below the 1e-12 target
+    r = 1.3 + 1e-13
+    candidates = _scripted_rates(monkeypatch, [1.3, r, r])
+    _, run = _strongly_run(k_max=1, delta_mode=acc.ORACLE)
+    assert len(candidates) == 2
+    assert (run.delta_stalled, run.delta_capped) == (0, 0)
+    assert run.delta_mismatch == (r - 1.3) / 1.3 <= 1e-12
+    assert run.schedules[0].delta == 1.3
+    assert run.xs[1] is candidates[1]
+
+
 def test_accel_gconvex_bound_values():
     assert acc.accel_gconvex_bound(1.0, 0.5, 2.0, 1.0, 1) == 1.0
     assert acc.accel_gconvex_bound(5.0, 0.1, 2.0, 2.0, 10) == pytest.approx(8.05)

@@ -134,6 +134,40 @@ def test_bad_dimension_section_or_output_path_is_a_config_error(tmp_path, capsys
     _assert_config_error(tmp_path, capsys, over, message)
 
 
+_H2 = {"kind": "hyperboloid", "n": 2}
+_SQDIST = {"kind": "squared_distance", "seed": 3}
+
+
+@pytest.mark.parametrize("over, message", [
+    ({"objective": {**_SQDIST, "target_distance": True}},
+     "objective.target_distance must be a nonnegative number"),
+    ({"objective": {**_SQDIST, "target_distance": -0.5}},
+     "objective.target_distance must be a nonnegative number"),
+    ({"objective": {**_SQDIST, "domain_radius": "2"}},
+     "objective.domain_radius must be a positive number"),
+    ({"objective": {**_SQDIST, "domain_radius": 0.0}},
+     "objective.domain_radius must be a positive number"),
+    ({"objective": {"kind": "frechet_mean", "seed": 1, "spread": float("inf")}},
+     "objective.spread must be a nonnegative number"),
+    ({"run": {**_RUN, "x0_distance": True}}, "run.x0_distance must be a nonnegative number"),
+    ({"run": {**_RUN, "x0_distance": float("nan")}},
+     "run.x0_distance must be a nonnegative number"),
+    ({"run": {**_RUN, "domain_radius": float("nan")}},
+     "run.domain_radius must be a positive number"),
+    ({"run": {**_RUN, "domain_radius": float("inf")}},
+     "run.domain_radius must be a positive number"),
+    ({"manifold": {**_H2, "kappa": float("nan")}}, "manifold.kappa must be a positive number"),
+    ({"manifold": {**_H2, "kappa": True}}, "manifold.kappa must be a positive number"),
+    ({"manifold": {"kind": "sphere", "n": 2, "radius": -1.0},
+      "objective": {"kind": "sphere_rayleigh"}}, "manifold.radius must be a positive number"),
+], ids=["target_distance-true", "target_distance-negative", "domain_radius-string",
+        "domain_radius-zero", "spread-inf", "x0_distance-true", "x0_distance-nan",
+        "run-domain_radius-nan", "run-domain_radius-inf", "kappa-nan", "kappa-true",
+        "radius-negative"])
+def test_geometric_numbers_out_of_range_are_config_errors(tmp_path, capsys, over, message):
+    _assert_config_error(tmp_path, capsys, over, message)
+
+
 def _assert_config_error(tmp_path, capsys, over, message):
     """validate, run and batch each reject the config with exit 2 and
     ``message``, and batch goes on to a good config after it."""

@@ -174,6 +174,13 @@ def test_dimension_below_one_rejected(make, n):
         make(n)
 
 
+@pytest.mark.parametrize("make, match", [(Sphere, "sphere radius"), (Hyperboloid, "kappa")])
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
+def test_nonpositive_or_nonfinite_curvature_scale_rejected(make, match, value):
+    with pytest.raises(GeometryError, match=match):
+        make(2, value)
+
+
 def test_curvature_bounds():
     assert Euclidean(2).curvature_bounds() == CurvatureBounds(0.0, 0.0, True)
     assert Sphere(2, 2.0).curvature_bounds().lower == pytest.approx(0.25)

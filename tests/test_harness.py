@@ -166,15 +166,33 @@ def test_report_counts_delta_fixed_points_stopped_at_the_cap(tmp_path, monkeypat
         run={"k_max": 40, "x0_seed": 5, "x0_distance": 1.0},
     )
     res = run_experiment(load_config(p), str(tmp_path))
-    # one iteration's fixed point shares x_prev; it stopped at the cap if it
-    # took 60 steps and its last two rates still differ
-    capped = 0
-    for _, group in itertools.groupby(calls, key=lambda call: id(call[0])):
+    deltas = [r["delta"] for r in load_trace(res.trace_path).records]
+    # one iteration's fixed point shares x_prev; its first step uses the last
+    # recorded delta and each later one the previous realized rate
+    counts = {"converged": 0, "stalled": 0, "capped": 0}
+    worst = 0.0
+    groups = itertools.groupby(calls, key=lambda call: id(call[0]))
+    for k, (_, group) in enumerate(groups, start=1):
         rs = [r for _, r in group]
-        capped += len(rs) == 60 and abs(rs[-1] - rs[-2]) > 1e-12 * max(1.0, rs[-2])
+        ds = [max(1.0, deltas[k - 1])] + rs[:-1]
+        gaps = [abs(r - d) / max(1.0, d) for r, d in zip(rs, ds)]
+        assert all(a > b > 1e-12 for a, b in zip(gaps, gaps[1:-1]))
+        if gaps[-1] <= 1e-12:
+            counts["converged"] += 1
+        elif len(gaps) > 1 and gaps[-1] >= gaps[-2]:
+            counts["stalled"] += 1
+        else:
+            assert len(gaps) == 60
+            counts["capped"] += 1
+        # the recorded delta is the one that produced the smallest gap
+        kept = min(range(len(gaps)), key=gaps.__getitem__)
+        assert deltas[k] == ds[kept]
+        worst = max(worst, gaps[kept])
+    assert k == len(deltas) - 1 == 40
     block = res.report["delta_fixed_point"]
-    assert block["capped_iterations"] == capped > 0
-    assert block["worst_mismatch"] > 1e-12
+    assert block["capped_iterations"] == counts["capped"]
+    assert block["stalled_iterations"] == counts["stalled"] > 0
+    assert block["worst_mismatch"] == worst > 1e-12
     assert res.exit_code == 0
 
 
