@@ -50,11 +50,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    paths = sorted(
-        os.path.join(args.directory, p)
-        for p in os.listdir(args.directory)
-        if p.endswith((".yaml", ".yml"))
-    )
+    try:
+        names = os.listdir(args.directory)
+    except OSError as e:  # a missing directory, or a file
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    paths = sorted(os.path.join(args.directory, p) for p in names
+                   if p.endswith((".yaml", ".yml")))
     if not paths:
         print(f"no configs found in {args.directory}", file=sys.stderr)
         return 2
@@ -84,25 +86,16 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    try:
-        data = load_trace(args.trace)
-        fit = harness.fit_rate(data, args.k_from, args.k_to)
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    fit = harness.fit_rate(load_trace(args.trace), args.k_from, args.k_to)
     print(json.dumps({"slope": fit.slope, "intercept": fit.intercept,
                       "r2": fit.r2, "window": list(fit.window)}, sort_keys=True))
     return 0
 
 
 def _cmd_compare(args) -> int:
-    try:
-        traces = [load_trace(p) for p in args.traces]
-        labels = [os.path.splitext(os.path.basename(p))[0] for p in args.traces]
-        cmp = harness.compare_report(traces, labels)
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    traces = [load_trace(p) for p in args.traces]
+    labels = [os.path.splitext(os.path.basename(p))[0] for p in args.traces]
+    cmp = harness.compare_report(traces, labels)
     root = _out_root(args)
     os.makedirs(root, exist_ok=True)
     csv_path = os.path.join(root, "comparison.csv")
@@ -116,12 +109,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    try:
-        data = load_trace(args.trace)
-        trace_to_csv(data, args.csv)
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    trace_to_csv(load_trace(args.trace), args.csv)
     print(f"csv: {args.csv}")
     return 0
 
@@ -164,7 +152,15 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_export)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as e:
+        if args.command not in ("fit", "compare", "export"):
+            raise  # run, validate and batch report their config errors themselves
+        # a trace that cannot be read, a malformed trace or fit window, or an
+        # output file that cannot be written
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from geodescent.geometry import DomainSpec, ManifoldPoint, TangentVector, in_domain
 from geodescent.objectives import Objective, _dist_sq_L
@@ -131,7 +130,8 @@ def rgd_step(obj: Objective, x: ManifoldPoint, eta: float,
     certificate is (2, eta*(1 - L*eta/2), backward).
     """
     L = obj.metadata.L
-    if L is not None and not 0.0 < eta < 2.0 / L:
+    # L = 0 (a constant objective) bounds no step
+    if L is not None and not 0.0 < eta < (2.0 / L if L > 0 else np.inf):
         raise ValueError(f"eta={eta:g} outside (0, 2/L) for L={L:g}")
     if eta <= 0:
         raise ValueError("eta must be positive")
@@ -207,6 +207,8 @@ def _solve_cubic_model(g: np.ndarray, evals: np.ndarray, evecs: np.ndarray,
         hi *= 2.0
         if hi > 1e300:
             raise SubsolverError("secular equation bracket expansion failed")
+    from scipy.optimize import brentq  # here, not at import: scipy takes ~0.5 s to load
+
     sigma = brentq(phi, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
     s_hat = -ghat / (evals + sigma)
     return evecs @ s_hat

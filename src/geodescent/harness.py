@@ -19,14 +19,17 @@ import os
 import tempfile
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate, takewhile
 
 import numpy as np
 import yaml
 
 from geodescent import acceleration as accel
+from geodescent import config
 from geodescent import descent as desc
-from geodescent.geometry import DomainSpec, Euclidean, Manifold, ManifoldPoint, Sphere, TangentVector
+from geodescent.config import ORACLE_KINDS, SECTIONS, finite, value
+from geodescent.geometry import DomainSpec, Manifold, ManifoldPoint, TangentVector
 from geodescent.objectives import (
     FrechetMean,
     Objective,
@@ -35,7 +38,7 @@ from geodescent.objectives import (
     SquaredDistance,
     estimate_hessian_lipschitz,
 )
-from geodescent.traces import TraceData, TraceWriter, build_manifold, load_trace, manifold_spec
+from geodescent.traces import TraceData, TraceWriter, build_manifold, manifold_spec
 
 __all__ = [
     "ConfigError",
@@ -58,11 +61,8 @@ __all__ = [
 REPORT_SCHEMA = 1
 OUTPUT_ROOT_ENV = "GEODESCENT_OUTPUT_ROOT"
 
-MANIFOLD_KINDS = ("euclidean", "sphere", "hyperboloid")
-OBJECTIVE_KINDS = ("quadratic", "squared_distance", "frechet_mean", "sphere_rayleigh")
-ALGORITHM_KINDS = ("rgd", "proximal", "cubic_newton", "accelerated")
-ORACLE_KINDS = ("rgd", "proximal")
-DEFAULT_K_MAX = 1000
+# defaults written into the sections, so the report echoes and hashes them
+_FILLED = (("run", "k_max"), ("output", "trace"), ("output", "report"))
 
 
 class ConfigError(ValueError):
@@ -86,13 +86,7 @@ class ExperimentConfig:
     output: dict
 
     def as_dict(self) -> dict:
-        return {
-            "manifold": self.manifold,
-            "objective": self.objective,
-            "algorithm": self.algorithm,
-            "run": self.run,
-            "output": self.output,
-        }
+        return {name: getattr(self, name) for name in SECTIONS}
 
     @property
     def config_hash(self) -> str:
@@ -101,7 +95,8 @@ class ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse and validate an experiment config, collecting *all* violations."""
+    """Parse and validate an experiment config against ``config.SCHEMA``,
+    collecting *all* violations."""
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh)
@@ -114,7 +109,7 @@ def load_config(path) -> ExperimentConfig:
 
     violations = []
     sections = {}
-    for name in ("manifold", "objective", "algorithm", "run", "output"):
+    for name in SECTIONS:
         sec = raw.get(name)
         if sec is None and name in ("run", "output"):
             sec = {}  # optional sections
@@ -122,88 +117,47 @@ def load_config(path) -> ExperimentConfig:
             violations.append(f"missing or malformed section '{name}'")
             sec = {}
         sections[name] = dict(sec)
-
-    mkind = sections["manifold"].get("kind")
-    if mkind not in MANIFOLD_KINDS:
-        violations.append(f"manifold.kind must be one of {MANIFOLD_KINDS}, got {mkind!r}")
-    n = sections["manifold"].get("n", 2)
-    if not (_is_nonnegative_int(n) and n > 0):
-        violations.append("manifold.n must be a positive integer")
-    okind = sections["objective"].get("kind")
-    if okind not in OBJECTIVE_KINDS:
-        violations.append(f"objective.kind must be one of {OBJECTIVE_KINDS}, got {okind!r}")
-    akind = sections["algorithm"].get("kind")
-    if akind not in ALGORITHM_KINDS:
-        violations.append(f"algorithm.kind must be one of {ALGORITHM_KINDS}, got {akind!r}")
-
-    if okind == "sphere_rayleigh" and mkind not in (None, "sphere"):
-        violations.append("sphere_rayleigh requires manifold.kind = sphere")
-    if okind == "quadratic" and mkind not in (None, "euclidean"):
-        violations.append("quadratic requires manifold.kind = euclidean")
-
-    if akind == "accelerated":
-        mode = sections["algorithm"].get("mode", "gconvex")
-        if mode not in (accel.GCONVEX, accel.STRONGLY):
-            violations.append(f"algorithm.mode must be gconvex or strongly, got {mode!r}")
-        if mode == accel.STRONGLY and okind == "sphere_rayleigh":
-            violations.append("strongly mode requires a strongly g-convex objective")
-        dm = sections["algorithm"].get("delta_mode", accel.ANALYTIC)
-        if dm not in (accel.ANALYTIC, accel.ORACLE):
-            violations.append(f"algorithm.delta_mode must be analytic or oracle, got {dm!r}")
-        if dm == accel.ANALYTIC and mkind == "sphere":
-            violations.append("analytic distortion rates need a Hadamard manifold")
-        oracle = sections["algorithm"].get("oracle", "rgd")
-        if oracle not in ORACLE_KINDS:
-            violations.append(f"algorithm.oracle must be one of {ORACLE_KINDS}, got {oracle!r}")
-
-    for key in ("eta", "M", "theta", "rho", "xi0", "tol_prox"):
-        v = sections["algorithm"].get(key)
-        if v is not None and not (_finite(v) and v > 0):
-            violations.append(f"algorithm.{key} must be a positive number")
-
     if "k_max" not in sections["run"]:
-        warnings.warn(f"run.k_max missing, defaulting to {DEFAULT_K_MAX}", ConfigWarning)
-        sections["run"]["k_max"] = DEFAULT_K_MAX
-    k_max = sections["run"]["k_max"]
-    if not (_is_nonnegative_int(k_max) and k_max > 0):
-        violations.append("run.k_max must be a positive integer")
+        warnings.warn(f"run.k_max missing, defaulting to {value('run', {}, 'k_max')}",
+                      ConfigWarning)
+    for section, key in _FILLED:
+        sections[section].setdefault(key, value(section, {}, key))
 
-    # a null seed would draw from the OS and make the run non-reproducible
-    for section, key in (("objective", "seed"), ("run", "x0_seed"), ("algorithm", "rho_seed")):
-        if key in sections[section] and not _is_nonnegative_int(sections[section][key]):
-            violations.append(f"{section}.{key} must be a nonnegative integer")
-
-    # the builders read these through float(), which would take YAML's true as 1.0
-    for section, key, least in (("manifold", "radius", "positive"),
-                                ("manifold", "kappa", "positive"),
-                                ("objective", "domain_radius", "positive"),
-                                ("run", "domain_radius", "positive"),
-                                ("objective", "target_distance", "nonnegative"),
-                                ("objective", "spread", "nonnegative"),
-                                ("run", "x0_distance", "nonnegative")):
-        v = sections[section].get(key)
-        if v is not None and not (_finite(v) and (v > 0 if least == "positive" else v >= 0)):
-            violations.append(f"{section}.{key} must be a {least} number")
-
-    sections["output"].setdefault("trace", "trace.jsonl")
-    sections["output"].setdefault("report", "report.json")
-    for key in ("trace", "report"):
-        out = sections["output"][key]
-        if not isinstance(out, str) or os.path.basename(out) in ("", ".", ".."):
-            violations.append(f"output.{key} must be a file path")
-
+    # vector lengths are checked against the manifold once its section is valid
+    dims = None
+    if not (found := config.violations("manifold", sections["manifold"], None)):
+        try:
+            m = build_manifold(sections["manifold"])
+            dims = (m.dim, m.ambient_dim)
+        except (TypeError, ValueError):
+            pass  # such as a null radius: _build_experiment reports it
+    violations += found
+    for name in SECTIONS[1:]:
+        violations += config.violations(name, sections[name], dims)
+    violations += _cross_section_violations(sections)
     if violations:
         raise ConfigError(violations)
     return ExperimentConfig(**sections)
 
 
-def _finite(v) -> bool:
-    # YAML's true/false load as bool, a subclass of int
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-
-def _is_nonnegative_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+def _cross_section_violations(sections) -> list[str]:
+    """The rules that tie keys together, which the table's per-key types
+    cannot state."""
+    mkind, okind = sections["manifold"].get("kind"), sections["objective"].get("kind")
+    alg, out = sections["algorithm"], sections["output"]
+    accelerated = alg.get("kind") == "accelerated"
+    rules = (
+        (out.get("trace") == out.get("report"), "output.trace and output.report must differ"),
+        (okind == "sphere_rayleigh" and mkind not in (None, "sphere"),
+         "sphere_rayleigh requires manifold.kind = sphere"),
+        (okind == "quadratic" and mkind not in (None, "euclidean"),
+         "quadratic requires manifold.kind = euclidean"),
+        (accelerated and value("algorithm", alg, "mode") == accel.STRONGLY
+         and okind == "sphere_rayleigh", "strongly mode requires a strongly g-convex objective"),
+        (accelerated and value("algorithm", alg, "delta_mode") == accel.ANALYTIC
+         and mkind == "sphere", "analytic distortion rates need a Hadamard manifold"),
+    )
+    return [message for broken, message in rules if broken]
 
 
 # ---------------------------------------------------------------------------
@@ -220,23 +174,21 @@ def _point_at(m: Manifold, rng, center, dist: float):
 def build_objective(spec: dict, manifold: Manifold, cache_dir=None) -> Objective:
     """Instantiate the configured objective; sample data comes from the
     spec's own seed so identical configs give identical objectives."""
-    kind = spec["kind"]
-    rng = np.random.default_rng(spec.get("seed", 0))
-    radius = float(spec.get("domain_radius", 2.0))
+    kind, get = spec["kind"], partial(value, "objective", spec)
+    rng = np.random.default_rng(get("seed"))
+    radius = float(get("domain_radius"))
     if kind == "quadratic":
-        b = spec.get("b", [0.0] * manifold.dim)
-        return Quadratic(b, spec.get("scales"), domain_radius=float(spec.get("domain_radius", 10.0)))
+        return Quadratic(spec["b"] if "b" in spec else [0.0] * manifold.dim, get("scales"),
+                         domain_radius=radius)
     if kind == "squared_distance":
-        if "target" in spec:
-            target = manifold.point(spec["target"])
-        else:
-            target = _point_at(manifold, rng, manifold.origin(),
-                               float(spec.get("target_distance", 1.0)))
-        center = target if spec.get("domain_center") == "target" else manifold.origin()
+        target = get("target")
+        target = manifold.point(target) if target is not None else _point_at(
+            manifold, rng, manifold.origin(), float(get("target_distance")))
+        center = target if get("domain_center") == "target" else manifold.origin()
         return SquaredDistance(manifold, target, domain=DomainSpec(center, radius))
     if kind == "frechet_mean":
-        num = int(spec.get("num_points", 5))
-        spread = float(spec.get("spread", 0.7))
+        num = int(get("num_points"))
+        spread = float(get("spread"))
         origin = manifold.origin()
         # num random_tangent draws at the origin in one: the same normal
         # stream and basis sums, whose results are tangent there already
@@ -250,8 +202,7 @@ def build_objective(spec: dict, manifold: Manifold, cache_dir=None) -> Objective
         _attach_reference_solution(obj, spec, cache_dir)
         return obj
     if kind == "sphere_rayleigh":
-        diag = spec.get("diag", [2.0, 1.0, 0.5])
-        return SphereRayleigh(manifold, np.diag(diag))
+        return SphereRayleigh(manifold, np.diag(get("diag")))
     raise ConfigError([f"unknown objective kind {kind!r}"])
 
 
@@ -293,7 +244,7 @@ def _attach_reference_solution(obj: Objective, spec: dict, cache_dir):
         return {"x_star": x_star.coords.tolist(), "f_star": obj.value(x_star)}
 
     def attach(entry):
-        if not _finite(entry["f_star"]):
+        if not finite(entry["f_star"]):
             raise ValueError("f_star must be a finite number")
         obj._set_solution(obj.manifold.point(entry["x_star"]), entry["f_star"])
 
@@ -313,7 +264,7 @@ def _hessian_lipschitz(obj: Objective, objective_spec: dict, seed: int, cache_di
         return {"rho": estimate_hessian_lipschitz(obj, rng, **_RHO_ESTIMATOR)}
 
     def read(entry):
-        if not (_finite(entry["rho"]) and entry["rho"] > 0):
+        if not (finite(entry["rho"]) and entry["rho"] > 0):
             raise ValueError("rho must be a positive finite number")
         return float(entry["rho"])
 
@@ -329,23 +280,20 @@ def build_algorithm(spec: dict, obj: Objective, objective_spec: dict | None = No
     without ``rho`` on an objective that declares none estimates it, read
     from or stored in ``cache_dir`` under ``objective_spec`` (the config's
     objective section) when both are given.  The objective is not changed."""
-    kind = spec["kind"]
+    kind, get = spec["kind"], partial(value, "algorithm", spec)
     if kind == "rgd":
         L = obj.metadata.L
-        eta = float(spec.get("eta", 1.0 / L if L else 1.0))
-        return desc.GradientDescent(eta)
+        return desc.GradientDescent(float(get("eta") if "eta" in spec or not L else 1.0 / L))
     if kind == "proximal":
-        return desc.ProximalPoint(float(spec.get("eta", 1.0)),
-                                  tol_prox=float(spec.get("tol_prox", 1e-9)))
+        return desc.ProximalPoint(float(get("eta")), tol_prox=float(get("tol_prox")))
     if kind == "cubic_newton":
-        rho = spec.get("rho")
+        rho = get("rho")
         if rho is None and obj.metadata.rho in (None, 0.0):
-            rho = _hessian_lipschitz(obj, objective_spec, spec.get("rho_seed", 0),
+            rho = _hessian_lipschitz(obj, objective_spec, get("rho_seed"),
                                      cache_dir if objective_spec is not None else None)
-        return desc.CubicNewton(spec.get("M"), spec.get("theta"),
-                                None if rho is None else float(rho))
+        return desc.CubicNewton(get("M"), get("theta"), None if rho is None else float(rho))
     if kind == "accelerated":
-        oracle = spec.get("oracle", "rgd")
+        oracle = get("oracle")
         if oracle not in ORACLE_KINDS:
             raise ConfigError([f"unknown oracle kind {oracle!r}"])
         return build_algorithm({**spec, "kind": oracle}, obj)
@@ -473,19 +421,18 @@ def _build_experiment(cfg: ExperimentConfig, cache_dir=None):
         obj = build_objective(cfg.objective, manifold, cache_dir)
         alg = build_algorithm(cfg.algorithm, obj, cfg.objective, cache_dir)
 
-        dom = obj.domain
-        if "domain_radius" in cfg.run:
-            radius = float(cfg.run["domain_radius"])
-            if radius > obj.domain.radius + 1e-12:
-                raise ConfigError(["run.domain_radius exceeds the objective's ball: "
-                                   "declared constants would not apply"])
-            dom = DomainSpec(obj.domain.center, radius)
+        run = cfg.run
+        radius = float(run["domain_radius"]) if "domain_radius" in run else obj.domain.radius
+        if radius > obj.domain.radius + 1e-12:
+            raise ConfigError(["run.domain_radius exceeds the objective's ball: "
+                               "declared constants would not apply"])
+        dom = DomainSpec(obj.domain.center, radius)
 
-        rng_x0 = np.random.default_rng(cfg.run.get("x0_seed", 1))
-        if "x0" in cfg.run:
-            x0 = manifold.point(cfg.run["x0"])
+        rng_x0 = np.random.default_rng(value("run", run, "x0_seed"))
+        if "x0" in run:
+            x0 = manifold.point(run["x0"])
         else:
-            dist = float(cfg.run.get("x0_distance", 0.5 * dom.radius))
+            dist = float(run["x0_distance"]) if "x0_distance" in run else 0.5 * dom.radius
             x0 = _point_at(manifold, rng_x0, dom.center, dist)
     except ConfigError:
         raise
@@ -501,7 +448,7 @@ def run_experiment(cfg: ExperimentConfig, out_root: str | None = None) -> Experi
     out_root = out_root or os.environ.get(OUTPUT_ROOT_ENV) or "."
     os.makedirs(out_root, exist_ok=True)
     manifold, obj, alg, dom, x0 = _build_experiment(cfg, os.path.join(out_root, "cache"))
-    k_max = int(cfg.run["k_max"])
+    k_max = int(value("run", cfg.run, "k_max"))
     sol = obj.known_solution
     f_star = sol.f_star if sol else None
     accelerated = cfg.algorithm["kind"] == "accelerated"
@@ -533,11 +480,10 @@ def run_experiment(cfg: ExperimentConfig, out_root: str | None = None) -> Experi
 
         try:
             if accelerated:
-                spec = cfg.algorithm
-                run = accel.run_accelerated(obj, x0, k_max, spec.get("mode", accel.GCONVEX),
-                                            alg, dom,
-                                            delta_mode=spec.get("delta_mode", accel.ANALYTIC),
-                                            xi0=spec.get("xi0"), callback=cb)
+                get = partial(value, "algorithm", cfg.algorithm)
+                run = accel.run_accelerated(obj, x0, k_max, get("mode"), alg, dom,
+                                            delta_mode=get("delta_mode"), xi0=get("xi0"),
+                                            callback=cb)
                 trace = run.trace
                 tol = desc.default_tolerance(trace.values[0])
                 guarantees["oracle_contract"] = _check_oracle_contract(run, tol)

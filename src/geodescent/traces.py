@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from geodescent.config import value
 from geodescent.geometry import Euclidean, Hyperboloid, Manifold, Sphere
 
 TRACE_SCHEMA = 1
@@ -31,14 +33,14 @@ def manifold_spec(m: Manifold) -> dict:
 
 
 def build_manifold(spec: dict) -> Manifold:
-    kind = spec.get("kind")
-    n = int(spec.get("n", 2))
+    kind, get = spec.get("kind"), partial(value, "manifold", spec)
+    n = int(get("n"))
     if kind == "euclidean":
         return Euclidean(n)
     if kind == "sphere":
-        return Sphere(n, float(spec.get("radius", 1.0)))
+        return Sphere(n, float(get("radius")))
     if kind == "hyperboloid":
-        return Hyperboloid(n, float(spec.get("kappa", 1.0)))
+        return Hyperboloid(n, float(get("kappa")))
     raise ValueError(f"unknown manifold kind {kind!r}")
 
 

@@ -3,6 +3,8 @@ invalid or cannot be built, which validate, run and batch each end with exit
 2 and a message."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 import yaml
@@ -168,6 +170,52 @@ def test_geometric_numbers_out_of_range_are_config_errors(tmp_path, capsys, over
     _assert_config_error(tmp_path, capsys, over, message)
 
 
+_FRECHET = {"kind": "frechet_mean", "seed": 1}
+
+
+@pytest.mark.parametrize("over, message", [
+    ({"algorithm": {"kind": "rgd", "etta": 0.1}},
+     "unknown key algorithm.etta for algorithm.kind 'rgd'"),
+    ({"run": {"k_mx": 4}}, "unknown key run.k_mx"),
+    ({"objective": {**_SQDIST, "diag": [1.0, 2.0, 3.0]}},
+     "unknown key objective.diag for objective.kind 'squared_distance'"),
+    ({"algorithm": {"kind": "cubic_newton", "mode": "strongly"}},
+     "unknown key algorithm.mode for algorithm.kind 'cubic_newton'"),
+    ({"objective": {**_FRECHET, "num_points": True}},
+     "objective.num_points must be a positive integer"),
+    ({"objective": {**_FRECHET, "num_points": 2.5}},
+     "objective.num_points must be a positive integer"),
+    ({"objective": {**_FRECHET, "num_points": 0}},
+     "objective.num_points must be a positive integer"),
+    ({"objective": {**_FRECHET, "num_points": -3}},
+     "objective.num_points must be a positive integer"),
+    ({"manifold": {"kind": "euclidean", "n": 2},
+      "objective": {"kind": "quadratic", "b": [0.0, 0.0, 0.0]}},
+     "objective.b must be a list of 2 numbers"),
+    ({"run": {**_RUN, "x0": [1.0, 0.0]}}, "run.x0 must be a list of 3 numbers"),
+    ({"objective": {**_SQDIST, "domain_center": "bogus"}},
+     "objective.domain_center must be one of ('origin', 'target'), got 'bogus'"),
+], ids=["etta", "k_mx", "diag-on-squared_distance", "mode-on-cubic_newton",
+        "num_points-true", "num_points-float", "num_points-zero", "num_points-negative",
+        "b-length", "x0-length", "domain_center-bogus"])
+def test_unread_keys_and_unchecked_values_are_config_errors(tmp_path, capsys, over, message):
+    _assert_config_error(tmp_path, capsys, over, message)
+
+
+@pytest.mark.parametrize("over, message", [
+    ({"manifold": {"kind": "sphere", "n": 2, "radius": None},
+      "objective": {"kind": "sphere_rayleigh"}}, "cannot build the experiment: TypeError"),
+    ({"manifold": {"kind": "hyperboloid", "n": 2, "kappa": None}},
+     "cannot build the experiment: TypeError"),
+    # numpy refuses the Minkowski signature's length at once, allocating nothing
+    ({"manifold": {"kind": "hyperboloid", "n": 2**62}}, "cannot build the experiment: ValueError"),
+], ids=["radius-null", "kappa-null", "n-too-large"])
+def test_a_manifold_that_cannot_be_built_is_a_config_error(tmp_path, capsys, over, message):
+    # load_config builds the manifold for the vector lengths; it leaves these
+    # to the experiment's builder, which reports them as it does a null eta
+    _assert_config_error(tmp_path, capsys, over, message)
+
+
 def _assert_config_error(tmp_path, capsys, over, message):
     """validate, run and batch each reject the config with exit 2 and
     ``message``, and batch goes on to a good config after it."""
@@ -204,3 +252,33 @@ def test_unwritable_output_and_missing_config_exit_2(tmp_path, capsys):
     assert "invalid: cannot read the config" in capsys.readouterr().out
     assert cli.main(["--out-root", str(root), "run", missing]) == 2
     assert "config error: cannot read the config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["missing", "file"])
+def test_batch_of_a_missing_directory_or_a_file_exits_2(tmp_path, capsys, target):
+    path = tmp_path / "missing" if target == "missing" else _write(tmp_path / "a.yaml")
+    assert cli.main(["--out-root", str(tmp_path / "out"), "batch", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy is imported by the cubic-Newton subsolver only, when it first runs
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, geodescent.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_an_error_inside_a_run_is_not_taken_for_a_user_error(tmp_path, monkeypatch):
+    # only the trace commands turn a ValueError into "error: ..." and exit 2
+    def broken(cfg, out_root=None):
+        raise ValueError("a fault in the library")
+
+    monkeypatch.setattr(cli.harness, "run_experiment", broken)
+    with pytest.raises(ValueError, match="a fault in the library"):
+        cli.main(["--out-root", str(tmp_path / "out"), "run", _write(tmp_path / "a.yaml")])

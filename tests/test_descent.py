@@ -21,8 +21,9 @@ from geodescent.descent import (
     rgd_step,
     run_descent,
 )
-from geodescent.geometry import DomainSpec, Euclidean, Hyperboloid, TangentVector
-from geodescent.objectives import Quadratic, SquaredDistance, estimate_hessian_lipschitz
+from geodescent.geometry import DomainSpec, Euclidean, Hyperboloid, Sphere, TangentVector
+from geodescent.objectives import (Quadratic, SphereRayleigh, SquaredDistance,
+                                   estimate_hessian_lipschitz)
 from helpers import (
     make_frechet_h2,
     make_quadratic,
@@ -86,6 +87,16 @@ def test_rgd_eta_range():
         rgd_step(obj, obj.manifold.point([1.0, 0.0]), 2.5)
     with pytest.raises(ValueError):
         rgd_step(obj, obj.manifold.point([1.0, 0.0]), -0.1)
+
+
+def test_rgd_step_on_a_constant_objective():
+    # L = 0 bounds no step: the step is taken, not a division by zero
+    obj = SphereRayleigh(Sphere(2), np.zeros((3, 3)))
+    assert obj.metadata.L == 0.0
+    x = obj.manifold.origin()
+    assert np.array_equal(rgd_step(obj, x, 1.0).coords, x.coords)
+    with pytest.raises(ValueError):
+        rgd_step(obj, x, 0.0)
 
 
 def test_rgd_descent_inequality_on_h2():
