@@ -31,7 +31,6 @@ from geodescent.geometry import (
     GeometryError,
     Manifold,
     ManifoldPoint,
-    TangentVector,
     comparison,
 )
 from geodescent.objectives import Objective
@@ -143,10 +142,13 @@ def accel_step(obj: Objective, state: AccelState, params: AccelParams,
     new state, which carries f(y+), and the oracle slack (decrease contract
     residual, <= tol when honoured)."""
     m = obj.manifold
-    x_new = m.exp(state.y, TangentVector(state.y, params.tau * m.log(state.y, state.z).coords))
+    m._own(state.y)
+    m._own(state.z)
+    y, z = state.y.coords, state.z.coords
+    x_new = m._move(y, params.tau * m._log(y, z))
     f_x = obj.value(x_new)
     g_x = obj.gradient(x_new)
-    gn2 = m.norm(x_new, g_x) ** 2
+    gn2 = m._norm(x_new.coords, g_x.coords) ** 2
 
     y_new = step(obj, x_new, g_x)
     f_y = obj.value(y_new)
@@ -156,9 +158,8 @@ def accel_step(obj: Objective, state: AccelState, params: AccelParams,
             f"oracle decrease violated by {slack:.3e} (tol {tol:.3e}) at k={state.k}"
         )
 
-    drift = m.log(x_new, state.z)
-    step_vec = (params.beta * drift.coords - g_x.coords) / (params.alpha + params.beta)
-    z_new = m.exp(x_new, TangentVector(x_new, step_vec))
+    drift = m._log(x_new.coords, z)
+    z_new = m._move(x_new.coords, (params.beta * drift - g_x.coords) / (params.alpha + params.beta))
     return AccelState(x_new, y_new, z_new, state.k + 1, f_y), float(slack)
 
 

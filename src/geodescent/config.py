@@ -72,7 +72,7 @@ SCHEMA = {
                                         ("squared_distance",)),
     ("objective", "num_points"): Key(POSITIVE_INT, 5, ("frechet_mean",)),
     ("objective", "spread"): Key(NONNEGATIVE, 0.7, ("frechet_mean",)),
-    ("objective", "diag"): Key(_vector(1), [2.0, 1.0, 0.5], ("sphere_rayleigh",)),
+    ("objective", "diag"): Key(_vector(1), None, ("sphere_rayleigh",)),  # 2, 1, 0.5, ...
     ("algorithm", "kind"): Key(_choice(("rgd", "proximal", "cubic_newton", "accelerated"))),
     ("algorithm", "eta"): Key(POSITIVE, 1.0, ORACLE_KINDS),  # rgd: 1/L where L > 0
     ("algorithm", "tol_prox"): Key(POSITIVE, 1e-9, ("proximal",)),

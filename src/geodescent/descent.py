@@ -135,8 +135,9 @@ def rgd_step(obj: Objective, x: ManifoldPoint, eta: float,
         raise ValueError(f"eta={eta:g} outside (0, 2/L) for L={L:g}")
     if eta <= 0:
         raise ValueError("eta must be positive")
+    obj.manifold._own(x)
     g = obj.gradient(x) if grad is None else grad
-    return obj.manifold.exp(x, TangentVector(x, -eta * g.coords))
+    return obj.manifold._move(x.coords, -eta * g.coords)
 
 
 def proximal_step(obj: Objective, x: ManifoldPoint, eta: float,
@@ -156,20 +157,20 @@ def proximal_step(obj: Objective, x: ManifoldPoint, eta: float,
     if not tol_prox > 0:
         raise ValueError("tol_prox must be positive")
     m = obj.manifold
+    m._own(x)
     L_f = obj.metadata.L if obj.metadata.L is not None else 1.0
     # curvature bound for the proximal quadratic on the relevant region
-    L_prox = _dist_sq_L(m, 2.0 * obj.domain.radius + m.distance(obj.domain.center, x))
+    L_prox = _dist_sq_L(m, 2.0 * obj.domain.radius
+                        + m._distance(obj.domain.center.coords, x.coords))
     step = 1.0 / (L_f + L_prox / eta)
     y = x
     for i in range(max_inner):
-        g_f = grad if i == 0 and grad is not None else obj.gradient(y)
-        back = m.log(y, x)
-        residual = np.sqrt(max(m._inner(y.coords, back.coords - eta * g_f.coords,
-                                        back.coords - eta * g_f.coords), 0.0))
+        g_f = (grad if i == 0 and grad is not None else obj.gradient(y)).coords
+        back = m._log(y.coords, x.coords)
+        residual = m._norm(y.coords, back - eta * g_f)
         if residual < tol_prox:
             return y
-        g_total = TangentVector(y, g_f.coords - back.coords / eta)
-        y = m.exp(y, TangentVector(y, -step * g_total.coords))
+        y = m._move(y.coords, -step * (g_f - back / eta))
     raise ProximalSolverError(
         f"optimality residual {residual:.3e} > {tol_prox:g} after {max_inner} inner iterations"
     )
@@ -235,7 +236,8 @@ def cubic_newton_step(obj: Objective, x: ManifoldPoint, M: float, theta: float,
     m = obj.manifold
     basis = m.orthonormal_basis(x)
     g_vec = obj.gradient(x) if grad is None else grad
-    g = np.array([m.inner(x, g_vec, b) for b in basis])
+    m._same_base(x, g_vec)
+    g = np.array([m._inner(x.coords, g_vec.coords, b.coords) for b in basis])
     H = obj.hessian_matrix(x)
     gn = float(np.linalg.norm(g))
     evals, evecs = np.linalg.eigh(H)
@@ -268,8 +270,8 @@ def cubic_newton_step(obj: Objective, x: ManifoldPoint, M: float, theta: float,
         raise SubsolverError("cubic model did not decrease at the returned step")
 
     s_coords = sum(si * b.coords for si, b in zip(s, basis))
-    s_vec = TangentVector(x, m._project_tangent(x.coords, np.asarray(s_coords)))
-    return m.exp(x, s_vec), s_vec
+    s_coords = m._project_tangent(x.coords, np.asarray(s_coords))
+    return m._move(x.coords, s_coords), TangentVector(x, s_coords)
 
 
 # ---------------------------------------------------------------------------

@@ -150,10 +150,13 @@ class DomainSpec:
 class Manifold:
     """Interface shared by the concrete geometries.
 
-    Subclasses provide ``_exp``, ``_log``, ``_transport``, ``_distance``,
-    ``_project_point``, ``_project_tangent`` and validity checks on raw
-    coordinate arrays; the public methods handle wrapping, validation and
-    the common error conditions.
+    Subclasses provide ``_inner``, ``_exp``, ``_log``, ``_transport``,
+    ``_distance``, ``_project_tangent`` and validity checks on raw coordinate
+    arrays; ``_norm`` and ``_move`` build on them.  ``_exp`` returns the
+    point projected back onto the manifold.  The public methods check that
+    their operands belong here and share a base point, then call these
+    kernels; the descent loops check their inputs once and call the kernels
+    directly, stepping through ``_move``, which keeps the finiteness check.
 
     The row kernels ``_inner_rows``, ``_distance_rows``, ``_log_rows`` and
     ``_exp_rows`` apply the same formulas to every row of an
@@ -230,16 +233,13 @@ class Manifold:
 
     def norm(self, x: ManifoldPoint, v: TangentVector) -> float:
         self._same_base(x, v)
-        return float(np.sqrt(max(self._inner(x.coords, v.coords, v.coords), 0.0)))
+        return self._norm(x.coords, v.coords)
 
     # -- exponential / logarithm -------------------------------------------
 
     def exp(self, x: ManifoldPoint, v: TangentVector) -> ManifoldPoint:
         self._same_base(x, v)
-        if not np.all(np.isfinite(v.coords)):
-            raise GeometryError("non-finite tangent coordinates")
-        out = self._exp(x.coords, v.coords)
-        return ManifoldPoint(self, self._project_point(out))
+        return self._move(x.coords, v.coords)
 
     def log(self, x: ManifoldPoint, y: ManifoldPoint) -> TangentVector:
         self._own(x)
@@ -261,8 +261,7 @@ class Manifold:
         """Norm of ``log(x, w) - log(x, v)``, the tangent-space surrogate of d(w, v)."""
         lw = self.log(x, w)
         lv = self.log(x, v)
-        d = lw.coords - lv.coords
-        return float(np.sqrt(max(self._inner(x.coords, d, d), 0.0)))
+        return self._norm(x.coords, lw.coords - lv.coords)
 
     # -- bases and sampling --------------------------------------------------
 
@@ -277,7 +276,7 @@ class Manifold:
             u = self._project_tangent(x.coords, e)
             for b in basis:
                 u = u - self._inner(x.coords, u, b) * b
-            nrm = np.sqrt(max(self._inner(x.coords, u, u), 0.0))
+            nrm = self._norm(x.coords, u)
             if nrm > 1e-8:
                 basis.append(u / nrm)
             if len(basis) == self.dim:
@@ -308,6 +307,15 @@ class Manifold:
     def _inner(self, x, v, w) -> float:
         raise NotImplementedError
 
+    def _norm(self, x, v) -> float:
+        return float(np.sqrt(max(self._inner(x, v, v), 0.0)))
+
+    def _move(self, x, v) -> ManifoldPoint:
+        """The point ``_exp(x, v)`` for a finite ``v``."""
+        if not np.all(np.isfinite(v)):
+            raise GeometryError("non-finite tangent coordinates")
+        return ManifoldPoint(self, self._exp(x, v))
+
     def _exp(self, x, v):
         raise NotImplementedError
 
@@ -334,11 +342,7 @@ class Manifold:
         raise NotImplementedError
 
     def _exp_rows(self, x, V):
-        """The public ``exp``'s coordinates, ``_project_point(_exp(x, v))``,
-        for each row ``v`` of ``V``."""
-        raise NotImplementedError
-
-    def _project_point(self, x):
+        """``_exp(x, v)`` for each row ``v`` of ``V``."""
         raise NotImplementedError
 
     def _project_tangent(self, x, v):
@@ -405,9 +409,6 @@ class Euclidean(Manifold):
     def _exp_rows(self, x, V):
         return x + V
 
-    def _project_point(self, x):
-        return x
-
     def _project_tangent(self, x, v):
         return v
 
@@ -444,10 +445,10 @@ class Sphere(Manifold):
     def _exp(self, x, v):
         R = self.radius
         nv = np.linalg.norm(v)
-        if nv < 1e-300:
-            return x.copy()
         t = nv / R
-        return np.cos(t) * x + np.sin(t) * (R / nv) * v
+        out = x if nv < 1e-300 else np.cos(t) * x + np.sin(t) * (R / nv) * v
+        # rescale to radius R to kill drift
+        return R * out / np.linalg.norm(out)
 
     def _log(self, x, y):
         R = self.radius
@@ -509,9 +510,6 @@ class Sphere(Manifold):
         out = (v - a * u) + a * u_y
         return self._project_tangent(y, out)
 
-    def _project_point(self, x):
-        return self.radius * x / np.linalg.norm(x)
-
     def _project_tangent(self, x, v):
         return v - (np.dot(x, v) / self.radius**2) * x
 
@@ -561,21 +559,19 @@ class Hyperboloid(Manifold):
     def _inner_rows(self, x, V, w):
         return super()._inner_rows(x, V, w * self._signature)
 
-    def _norm_tangent(self, v):
-        return float(np.sqrt(max(self.minkowski(v, v), 0.0)))
-
     def _exp(self, x, v):
         sk = np.sqrt(self.kappa)
-        nv = self._norm_tangent(v)
-        if nv < 1e-300:
-            return x.copy()
+        nv = self._norm(x, v)
         t = sk * nv
-        return np.cosh(t) * x + np.sinh(t) * v / (sk * nv)
+        out = x.copy() if nv < 1e-300 else np.cosh(t) * x + np.sinh(t) * v / t
+        # re-solve the time coordinate from the spatial part to kill drift
+        out[0] = np.sqrt(1.0 / self.kappa + np.dot(out[1:], out[1:]))
+        return out
 
     def _log(self, x, y):
         # tangential component of y at x under the Minkowski form
         w = y + self.kappa * self.minkowski(x, y) * x
-        nw = self._norm_tangent(w)
+        nw = self._norm(x, w)
         if nw < 1e-300:
             return np.zeros_like(x)
         sk = np.sqrt(self.kappa)
@@ -586,7 +582,7 @@ class Hyperboloid(Manifold):
         # asinh of the projected norm: exact at zero separation, where the
         # arccosh form loses half the significant digits
         w = y + self.kappa * self.minkowski(x, y) * x
-        nw = self._norm_tangent(w)
+        nw = self._norm(x, w)
         sk = np.sqrt(self.kappa)
         return float(np.arcsinh(sk * nw) / sk)
 
@@ -610,13 +606,13 @@ class Hyperboloid(Manifold):
         nv = np.sqrt(np.maximum(self._inner_rows(x, V, V), 0.0))
         t = sk * nv
         out = np.cosh(t)[:, None] * x + _ratio(np.sinh(t), sk * nv)[:, None] * V
-        # re-solve the time coordinates, as _project_point does
+        # re-solve the time coordinates, as _exp does
         out[:, 0] = np.sqrt(1.0 / self.kappa + (out[:, 1:] * out[:, 1:]).sum(axis=1))
         return out
 
     def _transport(self, x, y, v):
         lg = self._log(x, y)
-        d = self._norm_tangent(lg)
+        d = self._norm(x, lg)
         if d < 1e-300:
             return self._project_tangent(y, v)
         u = lg / d
@@ -626,12 +622,6 @@ class Hyperboloid(Manifold):
         u_y = sk * np.sinh(t) * x + np.cosh(t) * u
         out = (v - a * u) + a * u_y
         return self._project_tangent(y, out)
-
-    def _project_point(self, x):
-        # re-solve the time coordinate from the spatial part to kill drift
-        out = x.copy()
-        out[0] = np.sqrt(1.0 / self.kappa + np.dot(x[1:], x[1:]))
-        return out
 
     def _project_tangent(self, x, v):
         return v + self.kappa * self.minkowski(x, v) * x

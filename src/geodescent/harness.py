@@ -202,7 +202,8 @@ def build_objective(spec: dict, manifold: Manifold, cache_dir=None) -> Objective
         _attach_reference_solution(obj, spec, cache_dir)
         return obj
     if kind == "sphere_rayleigh":
-        return SphereRayleigh(manifold, np.diag(get("diag")))
+        diag = spec["diag"] if "diag" in spec else 2.0 / 2.0 ** np.arange(manifold.ambient_dim)
+        return SphereRayleigh(manifold, np.diag(diag))
     raise ConfigError([f"unknown objective kind {kind!r}"])
 
 

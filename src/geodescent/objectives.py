@@ -366,11 +366,12 @@ def reference_minimize(obj: Objective, x0: ManifoldPoint, grad_tol: float = 1e-1
     L = obj.metadata.L
     if L is None or L <= 0:
         raise ValueError("reference minimization needs a declared L")
+    m._own(x0)
     eta = 1.0 / L
     x = x0
     for _ in range(max_iter):
-        g = obj.gradient(x)
-        if m.norm(x, g) < grad_tol:
+        g = obj.gradient(x).coords
+        if m._norm(x.coords, g) < grad_tol:
             return x
-        x = m.exp(x, TangentVector(x, -eta * g.coords))
+        x = m._move(x.coords, -eta * g)
     raise RuntimeError(f"reference minimization did not reach grad norm {grad_tol:g}")

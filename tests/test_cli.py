@@ -2,15 +2,18 @@
 invalid or cannot be built, which validate, run and batch each end with exit
 2 and a message."""
 
+import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 import yaml
 
 from geodescent import cli
-from geodescent.harness import ConfigError, load_config, run_experiment
+from geodescent.geometry import Sphere
+from geodescent.harness import ConfigError, build_objective, load_config, run_experiment
 
 
 def _write(path, **over):
@@ -73,6 +76,22 @@ def test_validate_builds_without_writing(tmp_path, monkeypatch, capsys):
     assert cli.main(["--out-root", str(tmp_path / "out"), "validate", cfg]) == 0
     assert capsys.readouterr().out == "ok\n"
     assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_the_default_rayleigh_diagonal_fits_any_sphere(tmp_path, capsys):
+    # the default diag has one entry per ambient coordinate: 2, 1, 0.5, 0.25 on S^3
+    cfg = _write(tmp_path / "s3.yaml", manifold={"kind": "sphere", "n": 3},
+                 objective={"kind": "sphere_rayleigh"})
+    assert cli.main(["validate", cfg]) == 0
+    assert capsys.readouterr().out == "ok\n"
+    root = str(tmp_path / "out")
+    assert cli.main(["--out-root", root, "run", cfg]) == 0
+    assert sorted(os.listdir(root)) == ["s3.json", "s3.jsonl"]
+    with open(os.path.join(root, "s3.json")) as fh:
+        assert "diag" not in json.load(fh)["config"]["objective"]
+    for n in (2, 3):
+        Q = build_objective({"kind": "sphere_rayleigh"}, Sphere(n)).Q
+        assert np.diag(Q).tolist() == [2.0, 1.0, 0.5, 0.25][:n + 1]
 
 
 def test_batch_continues_past_an_unbuildable_config(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Objective evaluations per iteration of the two drivers, and the public
-geometry calls one Frechet-mean evaluation makes.
+geometry calls that one Frechet-mean evaluation and each step make: none,
+since the steps check their points once and then run on the raw kernels.
 
 Each recorded point is evaluated once: the descent steps reuse the gradient
 recorded at their input, the accelerated step hands its oracle the gradient
@@ -12,8 +13,11 @@ import numpy as np
 import pytest
 
 from geodescent import acceleration as acc
-from geodescent.descent import BACKWARD, CubicNewton, GradientDescent, ProximalPoint, run_descent
-from geodescent.geometry import Manifold
+from geodescent.descent import (BACKWARD, CubicNewton, GradientDescent, ProximalPoint,
+                                cubic_newton_step, proximal_step, rgd_step, run_descent)
+from geodescent.geometry import (BaseMismatchError, GeometryError, Hyperboloid, Manifold,
+                                 ManifoldMismatchError, TangentVector)
+from geodescent.objectives import reference_minimize
 from helpers import make_frechet_h2, make_sqdist_h2, point_at
 
 K = 12
@@ -121,13 +125,10 @@ def test_oracle_delta_takes_one_step_per_fixed_point_iteration(monkeypatch):
     assert counts == {"value": 2 * n + 1, "gradient": n + k_max + 1}
 
 
-def test_frechet_mean_makes_no_public_geometry_calls(monkeypatch):
-    # value, gradient and Hessian each take one pass of the row kernels
-    # over the sample array, never a per-sample public call
-    obj = make_frechet_h2(num=50, solve_reference=False)
-    x = point_at(obj.manifold, np.random.default_rng(5), obj.domain.center, 0.5)
-    calls = {"log": 0, "distance": 0, "exp": 0}
-    for name in calls:
+def _public_geometry_calls(monkeypatch, names):
+    """Count calls of these public ``Manifold`` methods."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
         method = getattr(Manifold, name)
 
         def counted(*args, _name=name, _method=method, **kwargs):
@@ -135,7 +136,64 @@ def test_frechet_mean_makes_no_public_geometry_calls(monkeypatch):
             return _method(*args, **kwargs)
 
         monkeypatch.setattr(Manifold, name, counted)
+    return calls
+
+
+def test_frechet_mean_makes_no_public_geometry_calls(monkeypatch):
+    # value, gradient and Hessian each take one pass of the row kernels
+    # over the sample array, never a per-sample public call
+    obj = make_frechet_h2(num=50, solve_reference=False)
+    x = point_at(obj.manifold, np.random.default_rng(5), obj.domain.center, 0.5)
+    calls = _public_geometry_calls(monkeypatch, ("log", "distance", "exp"))
     obj.value(x)
     obj.gradient(x)
     obj.hessian_matrix(x)
     assert calls == {"log": 0, "distance": 0, "exp": 0}
+
+
+def test_the_steps_make_no_public_geometry_calls(monkeypatch):
+    # on an objective whose own methods make none, the steps check their
+    # points once and then call only the raw kernels
+    obj = make_frechet_h2(num=50, solve_reference=False)
+    m = obj.manifold
+    x = point_at(m, np.random.default_rng(5), obj.domain.center, 0.5)
+    z = point_at(m, np.random.default_rng(6), obj.domain.center, 0.8)
+    oracle = GradientDescent(1.0 / obj.metadata.L)
+    c = oracle.certificate(obj, BACKWARD).c
+    names = ("exp", "log", "norm", "inner", "distance")
+    calls = _public_geometry_calls(monkeypatch, names)
+    rgd_step(obj, x, oracle.eta)
+    proximal_step(obj, x, 1.0)
+    cubic_newton_step(obj, x, 1.0, 0.5, rho=1.0)
+    acc.accel_step(obj, acc.AccelState(x, x, z), acc.AccelParams(0.5, 0.1, 1.0), oracle.step, c)
+    reference_minimize(obj, x)
+    assert calls == dict.fromkeys(names, 0)
+
+
+STEPS = {
+    "rgd": lambda obj, x, g: rgd_step(obj, x, 0.1, g),
+    "proximal": lambda obj, x, g: proximal_step(obj, x, 1.0, grad=g),
+    "cubic": lambda obj, x, g: cubic_newton_step(obj, x, 1.0, 0.5, rho=1.0, grad=g),
+    "accel": lambda obj, x, g: acc.accel_step(obj, acc.AccelState(x, x, x),
+                                              acc.AccelParams(0.5, 0.1, 1.0),
+                                              GradientDescent(0.1).step, 0.05),
+    "reference": lambda obj, x, g: reference_minimize(obj, x),
+}
+
+
+@pytest.mark.parametrize("name, bad", [(name, "foreign point") for name in STEPS] + [
+    ("rgd", "nan step"), ("proximal", "nan step"), ("cubic", "gradient elsewhere")])
+def test_the_steps_check_their_inputs(name, bad):
+    # a point of H^2 with kappa = 4 has the shape of one with kappa = 1, so
+    # without the check the kernels would run on it silently
+    obj = make_sqdist_h2()
+    x = obj.domain.center
+    if bad == "foreign point":
+        x = Hyperboloid(2, 4.0).origin()
+        grad, error, match = TangentVector(x, [0.0, 0.1, 0.0]), ManifoldMismatchError, "kappa=4"
+    elif bad == "nan step":
+        grad, error, match = TangentVector(x, [np.nan, 0.0, 0.0]), GeometryError, "non-finite"
+    else:
+        grad, error, match = obj.gradient(obj.target), BaseMismatchError, "different point"
+    with pytest.raises(error, match=match):
+        STEPS[name](obj, x, grad)

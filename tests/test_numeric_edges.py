@@ -1,12 +1,18 @@
-"""Inputs at the edge of a function's range: rounding near a series switch
-and degenerate iteration budgets."""
+"""Inputs at the edge of a function's range: rounding near a series switch,
+degenerate iteration budgets, and the raw geometry kernels, which the
+descent loops call without the public API's checks, at far, zero and
+subnormal inputs."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from geodescent.descent import ProximalSolverError, proximal_step
-from geodescent.geometry import comparison
+from geodescent.geometry import ANTIPODAL_TOL, AntipodalPointsError, Hyperboloid, Sphere, comparison
 from helpers import make_sqdist_h2, point_at
+
+EPS = np.finfo(float).eps
 
 
 def test_comparison_never_rounds_below_one():
@@ -30,3 +36,82 @@ def test_proximal_step_with_one_inner_iteration():
     with pytest.raises(ProximalSolverError):
         proximal_step(obj, x, 1.0, max_inner=1)
     assert proximal_step(obj, obj.target, 1.0, max_inner=1) is obj.target
+
+
+# ---------------------------------------------------------------------------
+# raw kernels
+
+
+def _unit(m, x, raw):
+    u = m._project_tangent(x, np.asarray(raw, dtype=float))
+    n = m._norm(x, u)
+    assume(n > 1e-3)
+    return u / n
+
+
+@st.composite
+def _kernel_inputs(draw, hyperbolic=st.booleans()):
+    """A manifold, a point x and a tangent v at x, each of length up to
+    20/sqrt(kappa) on H^n and pi*R - 1e-6 on S^n; v may be zero or
+    subnormal."""
+    n = draw(st.sampled_from([2, 8]))
+    if draw(hyperbolic):
+        m = Hyperboloid(n, draw(st.sampled_from([1.0, 4.0])))
+        far = 20.0 / np.sqrt(m.kappa)
+    else:
+        m = Sphere(n, draw(st.sampled_from([1.0, 2.0])))
+        far = np.pi * m.radius - 1e-6
+    direction = st.lists(st.floats(-1.0, 1.0), min_size=m.ambient_dim, max_size=m.ambient_dim)
+    o = m.origin().coords
+    x = m._exp(o, draw(st.floats(0.0, far)) * _unit(m, o, draw(direction)))
+    length = draw(st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 1e-300]), st.floats(0.0, far)))
+    return m, x, length * _unit(m, x, draw(direction))
+
+
+def _projected(m, x):
+    """The point ``x`` pulled back onto ``m``, as ``_exp`` leaves it."""
+    if isinstance(m, Sphere):
+        return m.radius * x / np.linalg.norm(x)
+    out = x.copy()
+    out[0] = np.sqrt(1.0 / m.kappa + np.dot(x[1:], x[1:]))
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_kernel_inputs())
+def test_raw_kernels_are_finite_and_exp_lands_on_the_manifold(drawn):
+    m, x, v = drawn
+    y = m._exp(x, v)
+    assert np.all(np.isfinite(y))
+    if isinstance(m, Sphere):
+        assert abs(np.linalg.norm(y) - m.radius) <= 4 * EPS * m.radius
+    else:
+        assert y[0] > 0
+        assert abs(m.minkowski(y, y) + 1.0 / m.kappa) <= 8 * EPS * np.dot(y, y)
+    # the zero step still projects: try it on a point just off the manifold
+    off = x * (1.0 + 2.0**-20)
+    assert m._exp(off, np.zeros_like(x)).tobytes() == _projected(m, off).tobytes()
+    Y, V = np.array([x, y]), np.array([np.zeros_like(v), v])
+    assert np.isfinite(m._norm(x, v)) and np.all(np.isfinite(m._inner_rows(x, V, V)))
+    assert np.isfinite(m._distance(x, y)) and np.all(np.isfinite(m._distance_rows(x, Y)))
+    assert np.all(np.isfinite(m._exp_rows(x, V)))
+    try:
+        logs = [m._log(x, y), m._log_rows(x, Y)]
+    except AntipodalPointsError:
+        # only within the tolerance of the antipode
+        assert isinstance(m, Sphere) and np.dot(x, y) / m.radius**2 < -1.0 + 2 * ANTIPODAL_TOL
+    else:
+        assert all(np.all(np.isfinite(lg)) for lg in logs)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(_kernel_inputs(hyperbolic=st.just(False)), st.floats(0.0, 1e-4))
+def test_sphere_log_refuses_points_near_the_antipode(drawn, gap):
+    # within 1e-4 * R of the antipode the cosine is below -1 + 5e-9
+    m, x, v = drawn
+    assume(m._norm(x, v) > 0)
+    y = m._exp(x, (np.pi - gap) * m.radius * v / m._norm(x, v))
+    with pytest.raises(AntipodalPointsError):
+        m._log(x, y)
+    with pytest.raises(AntipodalPointsError):
+        m._log_rows(x, y[None])
