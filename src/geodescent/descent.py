@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from geodescent.geometry import DomainSpec, ManifoldPoint, TangentVector, in_domain
-from geodescent.objectives import Objective, _dist_sq_L
+from geodescent.objectives import Objective, _dist_sq_hessian, _dist_sq_L
 
 __all__ = [
     "DescentCertificate",
@@ -136,6 +136,8 @@ def rgd_step(obj: Objective, x: ManifoldPoint, eta: float,
     if eta <= 0:
         raise ValueError("eta must be positive")
     obj.manifold._own(x)
+    if grad is not None:
+        obj.manifold._same_base(x, grad)
     g = obj.gradient(x) if grad is None else grad
     return obj.manifold._move(x.coords, -eta * g.coords)
 
@@ -143,12 +145,16 @@ def rgd_step(obj: Objective, x: ManifoldPoint, eta: float,
 def proximal_step(obj: Objective, x: ManifoldPoint, eta: float,
                   tol_prox: float = 1e-9, max_inner: int = 50_000,
                   grad: TangentVector | None = None) -> ManifoldPoint:
-    """Approximate proximal point: minimize ``f(y) + d(y, x)^2 / (2 eta)``.
+    """Approximate proximal point: minimize ``F(y) = f(y) + d(y, x)^2 / (2 eta)``.
 
-    The inner problem is solved by gradient descent (it gains 1/eta in
-    strong convexity), started at x with ``grad`` = grad f(x) if given,
-    until the first-order residual ``||log(x', x) - eta * grad f(x')||``
-    drops below ``tol_prox``.  Certificate: (2, eta/2, forward).
+    The inner problem is solved from y = x, with ``grad`` = grad f(x) if
+    given, until the first-order residual ``||log(y, x) - eta * grad f(y)||``
+    (eta * ||grad F(y)||) drops below ``tol_prox``.  Each inner iteration
+    takes the Riemannian Newton step on F in ``orthonormal_basis(y)`` and
+    keeps it if it lowers the residual.  Otherwise, and where the Hessian of
+    F is not positive definite (f need not be convex) or the objective has
+    no ``hessian_matrix``, it takes the gradient step 1/(L_f + L_prox/eta)
+    from y.  Certificate: (2, eta/2, forward).
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
@@ -158,22 +164,53 @@ def proximal_step(obj: Objective, x: ManifoldPoint, eta: float,
         raise ValueError("tol_prox must be positive")
     m = obj.manifold
     m._own(x)
+    if grad is not None:
+        m._same_base(x, grad)
     L_f = obj.metadata.L if obj.metadata.L is not None else 1.0
     # curvature bound for the proximal quadratic on the relevant region
     L_prox = _dist_sq_L(m, 2.0 * obj.domain.radius
                         + m._distance(obj.domain.center.coords, x.coords))
     step = 1.0 / (L_f + L_prox / eta)
-    y = x
-    for i in range(max_inner):
-        g_f = (grad if i == 0 and grad is not None else obj.gradient(y)).coords
+
+    def at(y, g_f=None):
+        """y, grad f(y), log(y, x) and the residual at y."""
+        g_f = obj.gradient(y).coords if g_f is None else g_f
         back = m._log(y.coords, x.coords)
-        residual = m._norm(y.coords, back - eta * g_f)
+        return y, g_f, back, m._norm(y.coords, back - eta * g_f)
+
+    y, g_f, back, residual = at(x, None if grad is None else grad.coords)
+    for _ in range(max_inner):
         if residual < tol_prox:
             return y
-        y = m._move(y.coords, -step * (g_f - back / eta))
+        tested, grad_F = residual, g_f - back / eta
+        s = _prox_newton_step(obj, y, x, eta, grad_F)
+        trial = None if s is None else at(m._move(y.coords, s))
+        if trial is None or not trial[3] < residual:
+            trial = at(m._move(y.coords, -step * grad_F))
+        y, g_f, back, residual = trial
     raise ProximalSolverError(
-        f"optimality residual {residual:.3e} > {tol_prox:g} after {max_inner} inner iterations"
+        f"optimality residual {tested:.3e} > {tol_prox:g} after {max_inner} inner iterations"
     )
+
+
+def _prox_newton_step(obj: Objective, y: ManifoldPoint, x: ManifoldPoint, eta: float,
+                      grad_F: np.ndarray) -> np.ndarray | None:
+    """Ambient coordinates of the Newton step at y on ``f + d(., x)^2 / (2 eta)``
+    whose gradient there is ``grad_F``; None where the objective has no
+    Hessian or that of the sum is not positive definite."""
+    m = obj.manifold
+    try:
+        H = obj.hessian_matrix(y)
+    except NotImplementedError:
+        return None
+    basis = m.orthonormal_basis(y)
+    H = H + _dist_sq_hessian(m, y, x, basis) / eta
+    try:
+        np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        return None
+    s = np.linalg.solve(H, [-m._inner(y.coords, grad_F, b.coords) for b in basis])
+    return sum(si * b.coords for si, b in zip(s, basis))
 
 
 def _solve_cubic_model(g: np.ndarray, evals: np.ndarray, evecs: np.ndarray,

@@ -220,6 +220,8 @@ class Manifold:
 
     def _same_base(self, x: ManifoldPoint, v: TangentVector):
         self._own(x)
+        if v.base is x:
+            return
         self._own(v.base)
         if not np.array_equal(x.coords, v.base.coords):
             raise BaseMismatchError("tangent vector is based at a different point")

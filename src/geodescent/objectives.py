@@ -129,16 +129,18 @@ def _dist_sq_hessian(manifold: Manifold, x: ManifoldPoint, target: ManifoldPoint
     """Hessian matrix of 0.5*d(., target)^2 in the supplied basis.
 
     Eigenvalue 1 along the geodesic to the target, and the curvature
-    comparison value on the orthogonal complement.
+    comparison value on the orthogonal complement.  Runs on the raw kernels:
+    the callers have checked ``x``, ``target`` and ``basis``.
     """
     n = len(basis)
-    d = manifold.distance(x, target)
+    xc = x.coords
+    d = manifold._distance(xc, target.coords)
     if d < 1e-14:
         return np.eye(n)
     # the manifolds here have constant curvature: lower == upper
     trans = comparison(manifold.curvature_bounds().lower, d)
-    lg = manifold.log(x, target)
-    u = np.array([manifold.inner(x, lg, b) for b in basis]) / d
+    lg = manifold._log(xc, target.coords)
+    u = np.array([manifold._inner(xc, lg, b.coords) for b in basis]) / d
     return trans * np.eye(n) + (1.0 - trans) * np.outer(u, u)
 
 

@@ -127,6 +127,10 @@ class TraceData:
 
 
 def load_trace(path) -> TraceData:
+    """Load a trace, or the prefix of one cut short: reading stops at the
+    first line that does not parse.  Raises ``ValueError`` when no complete
+    metadata record precedes it (an empty file, or one cut inside its first
+    line)."""
     meta = None
     records = []
     with open(path) as fh:

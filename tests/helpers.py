@@ -79,3 +79,25 @@ def xi_solve_bisect(xi_k, delta_k1, mu, c, tol=1e-14):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def proximal_gradient_reference(obj, x, eta, tol_prox=1e-9, max_inner=50_000):
+    """The proximal subproblem ``min f(y) + d(y, x)^2 / (2 eta)`` solved by
+    plain gradient descent at step 1/(L_f + L_prox/eta) to the residual
+    ``||log(y, x) - eta * grad f(y)|| < tol_prox``; independent check of
+    the Newton solver in ``descent.proximal_step``.  Returns (y, number of
+    gradient steps)."""
+    from geodescent.objectives import _dist_sq_L
+
+    m = obj.manifold
+    L_f = obj.metadata.L if obj.metadata.L is not None else 1.0
+    L_prox = _dist_sq_L(m, 2.0 * obj.domain.radius + m.distance(obj.domain.center, x))
+    step = 1.0 / (L_f + L_prox / eta)
+    y = x
+    for i in range(max_inner):
+        g_f = obj.gradient(y).coords
+        back = m.log(y, x).coords
+        if m._norm(y.coords, back - eta * g_f) < tol_prox:
+            return y, i
+        y = m.exp(y, TangentVector(y, -step * (g_f - back / eta)))
+    raise RuntimeError(f"reference proximal solve did not converge in {max_inner} steps")

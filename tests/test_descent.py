@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from geodescent import descent
 from geodescent.descent import (
     BACKWARD,
     FORWARD,
@@ -22,14 +23,15 @@ from geodescent.descent import (
     run_descent,
 )
 from geodescent.geometry import DomainSpec, Euclidean, Hyperboloid, Sphere, TangentVector
-from geodescent.objectives import (Quadratic, SphereRayleigh, SquaredDistance,
-                                   estimate_hessian_lipschitz)
+from geodescent.objectives import (Objective, Quadratic, SphereRayleigh, SquaredDistance,
+                                   _dist_sq_hessian, estimate_hessian_lipschitz)
 from helpers import (
     make_frechet_h2,
     make_quadratic,
     make_rayleigh,
     make_sqdist_h2,
     point_at,
+    proximal_gradient_reference,
 )
 
 
@@ -149,10 +151,84 @@ def test_proximal_geodesic_contraction_on_h2():
 
 
 def test_proximal_inner_budget_error():
-    obj = make_sqdist_h2()
-    x = point_at(obj.manifold, np.random.default_rng(2), obj.target, 1.0)
+    # Newton solves the squared distance in one step, a Frechet mean in four
+    obj = make_frechet_h2()
+    x = point_at(obj.manifold, np.random.default_rng(2), obj.domain.center, 1.0)
     with pytest.raises(ProximalSolverError):
         proximal_step(obj, x, 1.0, max_inner=2)
+
+
+def _prox_hessian_min(obj, y, x, eta):
+    """Smallest Hessian eigenvalue at y of f + d(., x)^2 / (2 eta)."""
+    m = obj.manifold
+    H = obj.hessian_matrix(y) + _dist_sq_hessian(m, y, x, m.orthonormal_basis(y)) / eta
+    return float(np.linalg.eigvalsh(H).min())
+
+
+def _assert_matches_gradient_reference(obj, x, eta, tol_prox=1e-9):
+    # a residual eta*||grad F(y)|| below tol_prox puts y within
+    # tol_prox / (eta * mu_F) of the exact proximal point, mu_F the smallest
+    # Hessian eigenvalue of F there; so the two answers lie within twice that
+    y = proximal_step(obj, x, eta, tol_prox)
+    ref, _ = proximal_gradient_reference(obj, x, eta, tol_prox)
+    bound = 2.0 * tol_prox / (eta * _prox_hessian_min(obj, y, x, eta))
+    assert obj.manifold.distance(y, ref) < bound
+
+
+@pytest.mark.parametrize("make_obj, center, dist, eta", [
+    *[(make_sqdist_h2, lambda obj: obj.target, 1.0, eta) for eta in (0.5, 1.0, 4.0)],
+    (make_frechet_h2, lambda obj: obj.domain.center, 1.0, 1.0),
+    (make_rayleigh, lambda obj: obj.known_solution.x_star, 0.5, 1.0),
+], ids=["h2-sqdist-eta0.5", "h2-sqdist-eta1", "h2-sqdist-eta4", "h2-frechet", "s2-rayleigh"])
+def test_proximal_newton_matches_gradient_reference(make_obj, center, dist, eta):
+    obj = make_obj()
+    _assert_matches_gradient_reference(
+        obj, point_at(obj.manifold, np.random.default_rng(2), center(obj), dist), eta)
+
+
+def test_proximal_falls_back_to_gradient_steps(monkeypatch):
+    # near the Rayleigh quotient's maximum the subproblem's Hessian is
+    # indefinite at first, and later some Newton points raise the residual;
+    # both times the inner loop takes the gradient step instead
+    obj = make_rayleigh()
+    m = obj.manifold
+    x, eta = point_at(m, np.random.default_rng(2), obj.domain.center, 0.5), 1.0
+    assert _prox_hessian_min(obj, x, x, eta) < 0
+    newton = descent._prox_newton_step
+    iterates, steps = [], []
+
+    def recorded(obj_, y, *args):
+        iterates.append(y)
+        steps.append(newton(obj_, y, *args))
+        return steps[-1]
+
+    monkeypatch.setattr(descent, "_prox_newton_step", recorded)
+    _assert_matches_gradient_reference(obj, x, eta)
+
+    def residual(y):
+        return m.norm(y, TangentVector(y, m.log(y, x).coords - eta * obj.gradient(y).coords))
+
+    assert steps[0] is None
+    rejected = 0
+    for y, s, after in zip(iterates, steps, iterates[1:]):
+        if s is None:
+            continue
+        if np.array_equal(after.coords, m._move(y.coords, s).coords):
+            assert residual(after) < residual(y)
+        else:
+            rejected += 1
+    assert rejected
+
+
+def test_proximal_without_a_hessian_is_the_gradient_reference(monkeypatch):
+    # an objective with no hessian_matrix gets only the gradient steps,
+    # which are the reference's own, kernel for kernel
+    obj = make_sqdist_h2()
+    monkeypatch.setattr(obj, "hessian_matrix", lambda y: Objective.hessian_matrix(obj, y))
+    x = point_at(obj.manifold, np.random.default_rng(2), obj.target, 1.0)
+    ref, steps = proximal_gradient_reference(obj, x, 1.0)
+    assert steps > 2
+    np.testing.assert_array_equal(proximal_step(obj, x, 1.0).coords, ref.coords)
 
 
 @pytest.mark.parametrize("tol_prox", [0.0, -1e-9])

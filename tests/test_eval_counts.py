@@ -77,6 +77,16 @@ def _accel_run(delta_mode, k_max, eta):
     return counts
 
 
+@pytest.mark.parametrize("eta", [0.5, 1.0, 4.0])
+def test_proximal_step_on_squared_distance_takes_one_newton_step(eta):
+    # the subproblem's Newton step lands on the geodesic to the target at
+    # the exact proximal point, whose residual test ends the inner loop
+    obj, x0 = _problem()
+    counts = _counting(obj)
+    proximal_step(obj, x0, eta)
+    assert counts["gradient"] <= 2
+
+
 def test_accelerated_analytic_delta_counts():
     counts = _accel_run(acc.ANALYTIC, K, 0.005)
     # per iteration: f and grad at x+ and f(y+) inside accel_step (the
@@ -182,7 +192,8 @@ STEPS = {
 
 
 @pytest.mark.parametrize("name, bad", [(name, "foreign point") for name in STEPS] + [
-    ("rgd", "nan step"), ("proximal", "nan step"), ("cubic", "gradient elsewhere")])
+    ("rgd", "nan step"), ("proximal", "nan step")] + [
+    (name, "gradient elsewhere") for name in ("rgd", "proximal", "cubic")])
 def test_the_steps_check_their_inputs(name, bad):
     # a point of H^2 with kappa = 4 has the shape of one with kappa = 1, so
     # without the check the kernels would run on it silently

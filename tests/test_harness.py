@@ -5,6 +5,8 @@ import os
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from geodescent import cli, harness
 from geodescent.descent import CubicNewton
@@ -395,18 +397,36 @@ def test_domain_radius_above_objective_ball_rejected(tmp_path):
 
 
 def test_crash_safety_truncation(tmp_path):
+    # a trace cut at any byte loads to a prefix of the full trace's records,
+    # every complete line included, or, while the metadata line is
+    # incomplete, raises the documented error
     p = _write_cfg(tmp_path / "a.yaml", run={"k_max": 20, "x0_seed": 5})
     res = run_experiment(load_config(p), str(tmp_path))
     blob = open(res.trace_path, "rb").read()
     full = load_trace(res.trace_path)
-    for frac in (0.35, 0.6, 0.9):
-        cut = tmp_path / "cut.jsonl"
-        cut.write_bytes(blob[: int(len(blob) * frac)])
+    meta_len = blob.index(b"\n")
+    cut = tmp_path / "cut.jsonl"
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, len(blob)))
+    @example(0)
+    @example(meta_len // 2)
+    @example(meta_len - 1)
+    @example(meta_len)
+    @example(len(blob))
+    def loads_a_prefix(offset):
+        cut.write_bytes(blob[:offset])
+        if offset < meta_len:
+            with pytest.raises(ValueError, match="no metadata record"):
+                load_trace(cut)
+            return
         partial = load_trace(cut)
         n = len(partial.records)
-        assert 0 < n <= len(full.records)
-        for a, b in zip(partial.records, full.records[:n]):
-            assert a == b
+        assert partial.meta == full.meta
+        assert partial.records == full.records[:n]
+        assert n >= blob[:offset].count(b"\n") - 1
+
+    loads_a_prefix()
 
 
 def test_csv_export_and_plot_data(tmp_path):
