@@ -48,7 +48,7 @@ class ProximalSolverError(RuntimeError):
 
 
 class SubsolverError(RuntimeError):
-    """Cubic subproblem solution failed the acceptance conditions."""
+    """Cubic subproblem solve did not converge or failed the acceptance conditions."""
 
 
 @dataclass(frozen=True)
@@ -216,21 +216,17 @@ def _prox_newton_step(obj: Objective, y: ManifoldPoint, x: ManifoldPoint, eta: f
 def _solve_cubic_model(g: np.ndarray, evals: np.ndarray, evecs: np.ndarray,
                        M: float) -> np.ndarray:
     """Global minimizer of ``<g,s> + s'Hs/2 + M*||s||^3/3`` via the secular
-    equation in the eigenbasis ``eigh(H)`` of H (hard case included)."""
+    equation in the eigenbasis ``eigh(H)`` of H (hard case included).  Off the
+    hard case, psi(sigma) = 1/||(H + sigma I)^-1 g|| - M/sigma is concave and
+    increasing, so Newton from psi <= 0 climbs to its root without overshoot
+    (Moré & Sorensen 1983)."""
     ghat = evecs.T @ g
-    lam_min = float(evals[0])
-    sigma_min = max(0.0, -lam_min)
+    sigma_min = max(0.0, -float(evals[0]))
     scale = 1.0 + float(np.abs(evals).max()) + float(np.linalg.norm(g))
-
-    def snorm(sigma):
-        return float(np.linalg.norm(ghat / (evals + sigma)))
-
-    def phi(sigma):
-        return snorm(sigma) - sigma / M
 
     # strictly interior evaluation point just above sigma_min
     lo = sigma_min + 1e-14 * scale
-    if phi(lo) <= 0.0:
+    if np.linalg.norm(ghat / (evals + lo)) <= lo / M:
         # hard case: sigma pinned at sigma_min; pad with the bottom eigenvector
         denom = evals + sigma_min
         mask = denom > 1e-12 * scale
@@ -240,16 +236,19 @@ def _solve_cubic_model(g: np.ndarray, evals: np.ndarray, evecs: np.ndarray,
         if gap > 0 and not mask[0]:
             s_hat[0] += np.sqrt(gap)
         return evecs @ s_hat
-    hi = max(2.0 * sigma_min, np.sqrt(M * np.linalg.norm(g)), 1e-8)
-    while phi(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e300:
-            raise SubsolverError("secular equation bracket expansion failed")
-    from scipy.optimize import brentq  # here, not at import: scipy takes ~0.5 s to load
-
-    sigma = brentq(phi, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-    s_hat = -ghat / (evals + sigma)
-    return evecs @ s_hat
+    # start at the root's bound sigma * (lam_max + sigma) >= M ||g||, without cancellation
+    lam_max, c = float(evals[-1]), M * float(np.linalg.norm(g))
+    sq = np.sqrt(lam_max**2 + 4.0 * c)
+    sigma = max(lo, 2.0 * c / (lam_max + sq) if lam_max > 0 else (sq - lam_max) / 2.0)
+    for _ in range(100):
+        w = ghat / (evals + sigma)
+        sn = float(np.linalg.norm(w))
+        dpsi = float(np.dot(w, w / (evals + sigma))) / sn**3 + M / sigma**2
+        step = (M / sigma - 1.0 / sn) / dpsi
+        sigma += step
+        if step <= 1e-15 * sigma:
+            return evecs @ (-ghat / (evals + sigma))
+    raise SubsolverError("secular equation: Newton did not converge in 100 steps")
 
 
 def cubic_newton_step(obj: Objective, x: ManifoldPoint, M: float, theta: float,
@@ -379,11 +378,11 @@ class CubicNewton:
 
     def _params(self, obj):
         rho = self.rho if self.rho is not None else obj.metadata.rho
-        if rho is None and (self.M is None or self.theta is None):
-            raise ValueError("cubic Newton defaults need a declared rho")
+        if rho is None:
+            raise ValueError("cubic Newton needs a Hessian-Lipschitz constant rho")
         M = self.M if self.M is not None else rho
         theta = self.theta if self.theta is not None else rho / 2.0
-        return M, theta, rho if rho is not None else 2.0 * M
+        return M, theta, rho
 
     def step(self, obj, x, grad=None):
         M, theta, rho = self._params(obj)

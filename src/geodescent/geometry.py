@@ -581,8 +581,9 @@ class Hyperboloid(Manifold):
         return (d / nw) * w
 
     def _distance(self, x, y):
-        # asinh of the projected norm: exact at zero separation, where the
-        # arccosh form loses half the significant digits
+        """asinh of the projected norm (arccosh loses half the digits near d = 0).
+        Measured against long double, the absolute error here and in _distance_rows
+        is below 2*eps*(sqrt(kappa)*||x||_2^2 + d), so it grows as x leaves the origin."""
         w = y + self.kappa * self.minkowski(x, y) * x
         nw = self._norm(x, w)
         sk = np.sqrt(self.kappa)

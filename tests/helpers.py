@@ -81,6 +81,29 @@ def xi_solve_bisect(xi_k, delta_k1, mu, c, tol=1e-14):
     return 0.5 * (lo + hi)
 
 
+def cubic_sigma_bisect(ghat, evals, M):
+    """Bisection to adjacent floats on the secular equation
+    ``||(Lambda + sigma)^-1 ghat|| = sigma / M`` above ``max(0, -evals[0])``,
+    in the eigenbasis; independent check of ``descent._solve_cubic_model``
+    off the hard case."""
+    lo = max(0.0, -float(evals[0]))
+    hi = lo + 1.0
+
+    def phi(sigma):
+        return np.linalg.norm(ghat / (evals + sigma)) - sigma / M
+
+    while phi(hi) > 0.0:
+        hi *= 2.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if phi(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
 def proximal_gradient_reference(obj, x, eta, tol_prox=1e-9, max_inner=50_000):
     """The proximal subproblem ``min f(y) + d(y, x)^2 / (2 eta)`` solved by
     plain gradient descent at step 1/(L_f + L_prox/eta) to the residual

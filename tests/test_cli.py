@@ -282,11 +282,20 @@ def test_batch_of_a_missing_directory_or_a_file_exits_2(tmp_path, capsys, target
 
 
 def test_importing_the_cli_loads_no_scipy():
-    # scipy is imported by the cubic-Newton subsolver only, when it first runs
+    # geodescent does not depend on scipy: neither importing the CLI nor
+    # running a cubic-Newton step, whose subproblem is solved in-house, loads it
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, geodescent.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = (
+        "import sys, geodescent.cli\n"
+        "from geodescent.descent import cubic_newton_step\n"
+        "from geodescent.objectives import Quadratic\n"
+        "obj = Quadratic([1.0, -2.0]).with_rho(1.0)\n"
+        "x, s = cubic_newton_step(obj, obj.manifold.point([3.0, 4.0]), M=1.0, theta=0.5)\n"
+        "assert obj.manifold.norm(obj.manifold.point([3.0, 4.0]), s) > 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

@@ -26,6 +26,7 @@ from geodescent.geometry import DomainSpec, Euclidean, Hyperboloid, Sphere, Tang
 from geodescent.objectives import (Objective, Quadratic, SphereRayleigh, SquaredDistance,
                                    _dist_sq_hessian, estimate_hessian_lipschitz)
 from helpers import (
+    cubic_sigma_bisect,
     make_frechet_h2,
     make_quadratic,
     make_rayleigh,
@@ -267,6 +268,63 @@ def test_cubic_secular_equation_against_1d_oracle():
     np.testing.assert_allclose(out.coords, x.coords - t * g, atol=1e-10)
 
 
+def _cubic_models(kind, rng, count):
+    """Random cubic models (g, evals, evecs, M) in R^n, n = 1..8: positive
+    definite H, indefinite H with g and M large enough that sigma sits well
+    above sigma_min (so that M * ||s|| reads sigma out to round-off), or
+    positive definite H with small eigenvalues and a gradient so small that
+    sigma is near 1e-9, where an absolute tolerance on sigma would not do."""
+    for _ in range(count):
+        n = int(rng.integers(1, 9))
+        evecs = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        if kind == "indefinite":
+            evals = np.sort(rng.uniform(-5.0, 5.0, n))
+            ghat = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 1.0, n)
+            ghat *= 10 ** rng.uniform(0.5, 2)
+        elif kind == "pd":
+            evals = np.sort(10 ** rng.uniform(-1, 2, n))
+            ghat = rng.standard_normal(n) * 10 ** rng.uniform(-3, 3)
+        else:
+            evals = np.sort(10 ** rng.uniform(-4, 0, n))
+            ghat = rng.standard_normal(n) * 1e-12
+        M = {"pd": 10 ** rng.uniform(-2, 2), "indefinite": 10 ** rng.uniform(0.5, 2), "tiny": 1.0}
+        yield evecs @ ghat, evals, evecs, M[kind]
+
+
+@pytest.mark.parametrize("kind", ["pd", "indefinite", "tiny"])
+def test_cubic_secular_solve_matches_bisection(kind):
+    # off the hard case sigma = M * ||s|| solves ||(H + sigma I)^-1 g|| = sigma / M
+    rng = np.random.default_rng({"pd": 21, "indefinite": 22, "tiny": 23}[kind])
+    for g, evals, evecs, M in _cubic_models(kind, rng, 300):
+        s = descent._solve_cubic_model(g, evals, evecs, M)
+        sigma = cubic_sigma_bisect(evecs.T @ g, evals, M)
+        assert sigma > max(0.0, -evals[0])
+        assert M * np.linalg.norm(s) == pytest.approx(sigma, rel=1e-14, abs=0.0)
+        if kind == "tiny":
+            assert sigma < 1e-7
+
+
+def test_cubic_secular_solve_hard_case():
+    # g orthogonal to the bottom eigenvector and ||(H + sigma_min I)^+ g|| < sigma_min / M:
+    # the step is pinned at ||s|| = sigma_min / M and still zeroes the model gradient
+    rng = np.random.default_rng(24)
+    evecs = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    evals = np.array([-1.0, 2.0, 3.0])
+    H = evecs @ np.diag(evals) @ evecs.T
+    g = evecs @ np.array([0.0, 0.3, 0.4])
+    M = 2.0
+    s = descent._solve_cubic_model(g, evals, evecs, M)
+    atol = 1e-12 * (1.0 + np.linalg.norm(g) + np.abs(H).max())
+    assert np.linalg.norm(s) == pytest.approx(1.0 / M, abs=atol)
+    np.testing.assert_allclose(g + H @ s + M * np.linalg.norm(s) * s, 0.0, atol=atol)
+
+
+def test_cubic_secular_solve_that_does_not_converge_raises():
+    # a NaN model never meets the stopping rule: the Newton cap ends it in an error
+    with pytest.raises(descent.SubsolverError, match="did not converge"):
+        descent._solve_cubic_model(np.ones(2), np.array([1.0, 2.0]), np.eye(2), np.nan)
+
+
 def test_cubic_acceptance_conditions_reverified():
     obj = make_sqdist_h2()
     rho = estimate_hessian_lipschitz(obj, np.random.default_rng(4))
@@ -317,6 +375,21 @@ def test_cubic_parameter_validation():
         cubic_newton_step(obj, x, M=0.4, theta=0.5)  # M <= rho/2
     with pytest.raises(ValueError):
         cubic_newton_step(obj, x, M=1.0, theta=0.0)
+
+
+def test_cubic_newton_without_rho_raises_at_both_entry_points():
+    # a given M and theta do not stand in for rho: the certificate needs rho itself
+    obj = make_sqdist_h2()
+    assert obj.metadata.rho is None
+    x = point_at(obj.manifold, np.random.default_rng(9), obj.target, 0.5)
+    alg = CubicNewton(M=2.0, theta=1.0)
+    with pytest.raises(ValueError, match="needs a Hessian-Lipschitz constant rho"):
+        alg.certificate(obj)
+    with pytest.raises(ValueError, match="needs a Hessian-Lipschitz constant rho"):
+        alg.step(obj, x)
+    obj.with_rho(1.0)
+    assert alg.certificate(obj).c > 0.0
+    assert obj.value(alg.step(obj, x)) < obj.value(x)
 
 
 # ---------------------------------------------------------------------------

@@ -115,3 +115,41 @@ def test_sphere_log_refuses_points_near_the_antipode(drawn, gap):
         m._log(x, y)
     with pytest.raises(AntipodalPointsError):
         m._log_rows(x, y[None])
+
+
+def _distance_extended(m, x, y):
+    """``Hyperboloid._distance`` evaluated in extended precision."""
+    L = np.longdouble
+    x, y, kappa = x.astype(L), y.astype(L), L(m.kappa)
+    w = y + kappa * (-x[0] * y[0] + np.sum(x[1:] * y[1:])) * x
+    nw = np.sqrt(max(-w[0] * w[0] + np.sum(w[1:] * w[1:]), L(0)))
+    return np.arcsinh(np.sqrt(kappa) * nw) / np.sqrt(kappa)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= EPS, reason="no extended precision")
+@pytest.mark.parametrize("n, kappa", [(2, 1.0), (8, 4.0)])
+def test_hyperboloid_distance_error_grows_with_the_distance_from_the_origin(n, kappa):
+    # the tangential part y + kappa <x,y>_L x cancels coordinates of size ||x||_2, so
+    # the absolute error is bounded by 2 eps (sqrt(kappa) ||x||_2^2 + d), not by eps d:
+    # x up to sqrt(kappa) r = 6 from the origin, y up to sqrt(kappa) d = 10 from x
+    m = Hyperboloid(n, kappa)
+    rng = np.random.default_rng(31)
+    sk, o = np.sqrt(kappa), m.origin().coords
+
+    def unit(x):
+        u = m._project_tangent(x, rng.standard_normal(n + 1))
+        return u / m._norm(x, u)
+
+    worst_rel = 0.0
+    for _ in range(500):
+        x = m._exp(o, rng.uniform(0.0, 6.0) / sk * unit(o))
+        ds = np.concatenate([rng.uniform(0.0, 10.0, 3), 10 ** rng.uniform(-12.0, 0.0, 3)]) / sk
+        Y = np.array([m._exp(x, d * unit(x)) for d in ds])
+        for y, row in zip(Y, m._distance_rows(x, Y)):
+            ref = _distance_extended(m, x, y)
+            bound = 2 * EPS * (sk * np.dot(x, x) + float(ref))
+            err = abs(float(m._distance(x, y) - ref))
+            assert err <= bound and abs(float(row - ref)) <= bound
+            worst_rel = max(worst_rel, err / float(ref)) if ref > 0 else worst_rel
+    # far from the origin the relative error of a short distance is well above eps
+    assert worst_rel > 1e6 * EPS
