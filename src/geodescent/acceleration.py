@@ -230,23 +230,29 @@ def schedule_strongly(xi_k1: float, A_k: float, mu: float, c: float) -> tuple[Ac
 
 def distortion_rate(manifold: Manifold, x_prev: ManifoldPoint, z_prev: ManifoldPoint,
                     x_new: ManifoldPoint | None = None, mode: str = ANALYTIC,
-                    x_star: ManifoldPoint | None = None) -> float:
+                    x_star: ManifoldPoint | None = None, *,
+                    prev: EnergyRecord | None = None) -> float:
     """Distortion rate bounding the base-point change of the energy's
     squared projected distance.
 
     ``analytic`` evaluates the curvature comparison function at
     d(x_prev, z_prev) and needs a Hadamard manifold; ``oracle`` returns the
     realized (definitional) ratio, needs the minimizer, and is a diagnostic.
+    ``prev``, the energy recorded at (x_prev, z_prev), supplies d(x_prev,
+    z_prev) as its ``d_xz`` and the oracle ratio's denominator as its
+    ``dist_term``, so neither is computed again.
     """
     if mode == ANALYTIC:
         bounds = manifold.curvature_bounds()
         if not bounds.is_hadamard:
             raise GeometryError("analytic distortion rates need a Hadamard manifold")
-        return comparison(bounds.lower, manifold.distance(x_prev, z_prev))
+        d = manifold.distance(x_prev, z_prev) if prev is None else prev.d_xz
+        return comparison(bounds.lower, d)
     if mode == ORACLE:
         if x_new is None or x_star is None:
             raise ValueError("oracle mode needs x_new and x_star")
-        denom = manifold.projected_distance(x_prev, z_prev, x_star) ** 2
+        denom = (manifold.projected_distance(x_prev, z_prev, x_star) ** 2
+                 if prev is None else prev.dist_term)
         if denom < 1e-30:
             return 1.0
         num = manifold.projected_distance(x_new, z_prev, x_star) ** 2
@@ -381,7 +387,7 @@ def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
 
     for _ in range(k_max):
         if delta_mode == ANALYTIC:
-            delta = distortion_rate(m, state.x, state.z, mode=ANALYTIC)
+            delta = distortion_rate(m, state.x, state.z, mode=ANALYTIC, prev=run.energies[-1])
             new_sched, new_state, slack = _scheduled_step(
                 obj, state, sched, delta, mode, step, mu, c, tol)
         else:
@@ -391,8 +397,8 @@ def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
             delta, kept = max(1.0, sched.delta), None
             for _ in range(60):
                 candidate = _scheduled_step(obj, state, sched, delta, mode, step, mu, c, tol)
-                realized = distortion_rate(m, state.x, state.z, candidate[1].x,
-                                           mode=ORACLE, x_star=x_star)
+                realized = distortion_rate(m, state.x, state.z, candidate[1].x, mode=ORACLE,
+                                           x_star=x_star, prev=run.energies[-1])
                 gap = abs(realized - delta) / max(1.0, delta)
                 if kept is not None and gap >= kept_gap:
                     run.delta_stalled += 1

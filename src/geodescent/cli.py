@@ -9,6 +9,7 @@ output paths resolve under --out-root (or $GEODESCENT_OUTPUT_ROOT).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -114,7 +115,9 @@ def _cmd_export(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process."""
     # --out-root is accepted before and after the subcommand; SUPPRESS keeps
     # a subcommand's parser from overwriting a value given before it
     common = argparse.ArgumentParser(add_help=False)
@@ -150,8 +153,11 @@ def main(argv=None) -> int:
     p.add_argument("trace")
     p.add_argument("csv")
     p.set_defaults(func=_cmd_export)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError) as e:

@@ -199,11 +199,11 @@ def _prox_newton_step(obj: Objective, y: ManifoldPoint, x: ManifoldPoint, eta: f
     whose gradient there is ``grad_F``; None where the objective has no
     Hessian or that of the sum is not positive definite."""
     m = obj.manifold
+    basis = m.orthonormal_basis(y)
     try:
-        H = obj.hessian_matrix(y)
+        H = obj.hessian_matrix(y, basis=basis)
     except NotImplementedError:
         return None
-    basis = m.orthonormal_basis(y)
     H = H + _dist_sq_hessian(m, y, x, basis) / eta
     try:
         np.linalg.cholesky(H)
@@ -274,7 +274,7 @@ def cubic_newton_step(obj: Objective, x: ManifoldPoint, M: float, theta: float,
     g_vec = obj.gradient(x) if grad is None else grad
     m._same_base(x, g_vec)
     g = np.array([m._inner(x.coords, g_vec.coords, b.coords) for b in basis])
-    H = obj.hessian_matrix(x)
+    H = obj.hessian_matrix(x, basis=basis)
     gn = float(np.linalg.norm(g))
     evals, evecs = np.linalg.eigh(H)
     lam_min = float(evals[0])

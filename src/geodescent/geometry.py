@@ -314,7 +314,7 @@ class Manifold:
 
     def _move(self, x, v) -> ManifoldPoint:
         """The point ``_exp(x, v)`` for a finite ``v``."""
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise GeometryError("non-finite tangent coordinates")
         return ManifoldPoint(self, self._exp(x, v))
 
@@ -571,6 +571,9 @@ class Hyperboloid(Manifold):
         return out
 
     def _log(self, x, y):
+        """Measured against long double, the Euclidean norm of the error here and in
+        _log_rows is below 2*eps*kappa*||x||_2^3*(1 + sqrt(kappa)*d): the tangential
+        part cancels as in _distance, and its Minkowski norm cancels too."""
         # tangential component of y at x under the Minkowski form
         w = y + self.kappa * self.minkowski(x, y) * x
         nw = self._norm(x, w)

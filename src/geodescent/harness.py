@@ -61,6 +61,10 @@ __all__ = [
 REPORT_SCHEMA = 1
 OUTPUT_ROOT_ENV = "GEODESCENT_OUTPUT_ROOT"
 
+# libyaml's loader where PyYAML was built with it: the same constructor and
+# resolver as yaml.SafeLoader, so the same mapping
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 # defaults written into the sections, so the report echoes and hashes them
 _FILLED = (("run", "k_max"), ("output", "trace"), ("output", "report"))
 
@@ -99,7 +103,7 @@ def load_config(path) -> ExperimentConfig:
     collecting *all* violations."""
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_YAML_LOADER)
     except OSError as e:
         raise ConfigError([f"cannot read the config: {e}"]) from e
     except yaml.YAMLError as e:

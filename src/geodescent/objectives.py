@@ -79,8 +79,10 @@ class Objective:
     def gradient(self, x: ManifoldPoint) -> TangentVector:
         raise NotImplementedError
 
-    def hessian_matrix(self, x: ManifoldPoint) -> np.ndarray:
-        """Hessian in ``orthonormal_basis(x)`` coordinates (symmetric)."""
+    def hessian_matrix(self, x: ManifoldPoint,
+                       basis: list[TangentVector] | None = None) -> np.ndarray:
+        """Hessian in ``orthonormal_basis(x)`` coordinates (symmetric); a
+        caller that holds that basis passes it as ``basis``."""
         raise NotImplementedError
 
     @property
@@ -175,7 +177,7 @@ class Quadratic(Objective):
     def gradient(self, x):
         return TangentVector(x, self.scales * (x.coords - self.b))
 
-    def hessian_matrix(self, x):
+    def hessian_matrix(self, x, basis=None):
         return np.diag(self.scales)
 
 
@@ -206,8 +208,8 @@ class SquaredDistance(Objective):
         lg = self.manifold.log(x, self.target)
         return TangentVector(x, -lg.coords)
 
-    def hessian_matrix(self, x):
-        basis = self.manifold.orthonormal_basis(x)
+    def hessian_matrix(self, x, basis=None):
+        basis = self.manifold.orthonormal_basis(x) if basis is None else basis
         return _dist_sq_hessian(self.manifold, x, self.target, basis)
 
 
@@ -252,12 +254,12 @@ class FrechetMean(Objective):
         g = -_sum_rows(self.manifold._log_rows(x.coords, self.samples))
         return TangentVector(x, g / len(self.samples))
 
-    def hessian_matrix(self, x):
+    def hessian_matrix(self, x, basis=None):
         """mean(trans) * I + U^T diag((1 - trans) / N) U, where row i of U
         holds the basis coordinates of the unit direction to sample i and
         trans its transverse eigenvalue; a sample at x contributes I."""
         m = self.manifold
-        basis = m.orthonormal_basis(x)
+        basis = m.orthonormal_basis(x) if basis is None else basis
         n = len(self.samples)
         d = m._distance_rows(x.coords, self.samples)
         trans = comparison(m.curvature_bounds().lower, d)  # 1 for a sample at x
@@ -301,8 +303,8 @@ class SphereRayleigh(Objective):
         g = self.manifold._project_tangent(x.coords, -self.Q @ x.coords)
         return TangentVector(x, g)
 
-    def hessian_matrix(self, x):
-        basis = self.manifold.orthonormal_basis(x)
+    def hessian_matrix(self, x, basis=None):
+        basis = self.manifold.orthonormal_basis(x) if basis is None else basis
         R2 = self.manifold.radius**2
         shift = float(x.coords @ self.Q @ x.coords) / R2
         n = len(basis)
@@ -352,7 +354,7 @@ def estimate_hessian_lipschitz(obj: Objective, rng: np.random.Generator,
             continue
         basis = m.orthonormal_basis(x)
         sc = np.array([m.inner(x, s, b) for b in basis])
-        H = obj.hessian_matrix(x)
+        H = obj.hessian_matrix(x, basis=basis)
         g = obj.gradient(x)
         model = obj.value(x) + m.inner(x, g, s) + 0.5 * float(sc @ H @ sc)
         defect = abs(obj.value(m.exp(x, s)) - model)

@@ -2,6 +2,7 @@
 invalid or cannot be built, which validate, run and batch each end with exit
 2 and a message."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -44,6 +45,26 @@ def test_out_root_before_or_after_the_subcommand(tmp_path, before):
     argv = ["--out-root", root, "run", cfg] if before else ["run", cfg, "--out-root", root]
     assert cli.main(argv) == 0
     assert sorted(os.listdir(root)) == ["a.json", "a.jsonl"]
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    # the parser is kept for the process; --out-root still parses before
+    # and after the subcommand on every later call
+    cfg = _write(tmp_path / "a.yaml")
+    assert cli.main(["--out-root", str(tmp_path / "first"), "validate", cfg]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for argv, root in [(["--out-root", str(tmp_path / "before"), "run", cfg], "before"),
+                       (["run", cfg, "--out-root", str(tmp_path / "after")], "after")]:
+        assert cli.main(argv) == 0
+        assert sorted(os.listdir(tmp_path / root)) == ["a.json", "a.jsonl"]
+    assert built == []
 
 
 def test_out_root_after_the_subcommand_wins(tmp_path):

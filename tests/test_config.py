@@ -10,7 +10,7 @@ import yaml
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from geodescent import harness
+from geodescent import cli, harness
 from geodescent.config import (NONNEGATIVE, PATH, POSITIVE, POSITIVE_INT, SCHEMA, SECTIONS,
                                SEED, value)
 from geodescent.traces import build_manifold, load_trace
@@ -34,6 +34,50 @@ def test_every_shipped_config_passes_the_schema(tmp_path, monkeypatch):
     assert len(paths) > 100
     for path in paths:
         harness.load_config(path)
+
+
+# scalars whose reading depends on the YAML 1.1 resolver; .NaN reads as the
+# shared constructor's one nan object, so the two readings compare equal
+_TRICKY_YAML = """\
+a: [1e-3, 1.0e-3, .5, -.inf, .NaN, 0x1f, 0o17, 017, 1_000, +12, 3:25]
+b: [yes, No, on, OFF, ~, null, '', "1.0", 2001-12-14]
+c:
+  nested: {k: [1, {d: &x 2}, *x]}
+  multi: |
+    two
+    lines
+"""
+
+
+def test_the_libyaml_loader_reads_what_the_python_loader_reads(tmp_path, monkeypatch):
+    assert harness._YAML_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    assert (yaml.load(_TRICKY_YAML, Loader=harness._YAML_LOADER)
+            == yaml.load(_TRICKY_YAML, Loader=yaml.SafeLoader))
+    monkeypatch.syspath_prepend(os.path.join(REPO, "scripts"))
+    import trace_digests
+
+    paths = trace_digests._write_configs(str(tmp_path / "golden"))
+    demos = os.path.join(REPO, "demos", "configs")
+    paths += [os.path.join(demos, p) for p in sorted(os.listdir(demos))]
+    for path in paths:
+        fast = harness.load_config(path)
+        with monkeypatch.context() as mp:
+            mp.setattr(harness, "_YAML_LOADER", yaml.SafeLoader)
+            slow = harness.load_config(path)
+        assert fast.as_dict() == slow.as_dict()
+        assert fast.config_hash == slow.config_hash
+
+
+def test_malformed_yaml_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text("manifold: {kind: hyperboloid, n: 2\nobjective: [\n")
+    with pytest.raises(harness.ConfigError, match="^parse error: "):
+        harness.load_config(path)
+    assert cli.main(["validate", str(path)]) == 2
+    assert capsys.readouterr().out.startswith("invalid: parse error: ")
+    assert cli.main(["--out-root", str(tmp_path / "out"), "run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: parse error: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_the_readme_lists_every_key():

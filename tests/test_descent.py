@@ -225,7 +225,8 @@ def test_proximal_without_a_hessian_is_the_gradient_reference(monkeypatch):
     # an objective with no hessian_matrix gets only the gradient steps,
     # which are the reference's own, kernel for kernel
     obj = make_sqdist_h2()
-    monkeypatch.setattr(obj, "hessian_matrix", lambda y: Objective.hessian_matrix(obj, y))
+    monkeypatch.setattr(obj, "hessian_matrix",
+                        lambda y, basis=None: Objective.hessian_matrix(obj, y, basis))
     x = point_at(obj.manifold, np.random.default_rng(2), obj.target, 1.0)
     ref, steps = proximal_gradient_reference(obj, x, 1.0)
     assert steps > 2

@@ -149,6 +149,57 @@ def _public_geometry_calls(monkeypatch, names):
     return calls
 
 
+@pytest.mark.parametrize("delta_mode, eta", [(acc.ANALYTIC, 0.005), (acc.ORACLE, 0.05)],
+                         ids=["analytic", "oracle"])
+def test_accelerated_public_log_and_distance_counts(monkeypatch, delta_mode, eta):
+    # the distortion rate reads d(x, z) and the oracle ratio's denominator
+    # from the energy recorded at (x, z); only the realized ratio's
+    # numerator, a projected distance of two logs, is new per oracle rate.
+    # The rest: squared distance's value is a distance and its gradient a
+    # log; each step takes f(x+), f(y+) and grad f(x+); each record takes
+    # the energy's projected distance, d_xy, d_xz and grad f(y), and after
+    # the first the domain monitor's distance to x, y and z; f(y0), D0 and
+    # the start point's domain check come once
+    obj, x0 = _problem()
+    oracle = acc.gradient_oracle(obj, eta)
+    steps = {"accel_step": 0}
+    accel_step = acc.accel_step
+
+    def counted_step(*args, **kwargs):
+        steps["accel_step"] += 1
+        return accel_step(*args, **kwargs)
+
+    monkeypatch.setattr(acc, "accel_step", counted_step)
+    calls = _public_geometry_calls(monkeypatch, ("log", "distance"))
+    k_max = 40
+    acc.run_accelerated(obj, x0, k_max, acc.STRONGLY, oracle, delta_mode=delta_mode)
+    n = steps["accel_step"]
+    rate_logs = 2 * n if delta_mode == acc.ORACLE else 0
+    assert calls == {"log": n + rate_logs + 3 * (k_max + 1),
+                     "distance": 2 * n + 2 * (k_max + 1) + 3 * k_max + 3}
+    assert n > k_max if delta_mode == acc.ORACLE else n == k_max
+
+
+def test_newton_steps_build_one_basis_per_iteration(monkeypatch):
+    # the objective's Hessian is formed in the basis the step already holds
+    obj = make_frechet_h2(num=50, solve_reference=False)
+    x = point_at(obj.manifold, np.random.default_rng(5), obj.domain.center, 0.5)
+    hessians = {"calls": 0}
+    hessian = obj.hessian_matrix
+
+    def counted(*args, **kwargs):
+        hessians["calls"] += 1
+        return hessian(*args, **kwargs)
+
+    monkeypatch.setattr(obj, "hessian_matrix", counted)
+    calls = _public_geometry_calls(monkeypatch, ("orthonormal_basis",))
+    proximal_step(obj, x, 1.0)
+    assert calls["orthonormal_basis"] == hessians["calls"] > 1
+    calls["orthonormal_basis"] = hessians["calls"] = 0
+    cubic_newton_step(obj, x, 1.0, 0.5, rho=1.0)
+    assert calls["orthonormal_basis"] == hessians["calls"] == 1
+
+
 def test_frechet_mean_makes_no_public_geometry_calls(monkeypatch):
     # value, gradient and Hessian each take one pass of the row kernels
     # over the sample array, never a per-sample public call

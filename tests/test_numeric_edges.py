@@ -117,21 +117,19 @@ def test_sphere_log_refuses_points_near_the_antipode(drawn, gap):
         m._log_rows(x, y[None])
 
 
-def _distance_extended(m, x, y):
-    """``Hyperboloid._distance`` evaluated in extended precision."""
+def _extended(m, x, y):
+    """``Hyperboloid._distance`` and ``_log`` evaluated in extended precision."""
     L = np.longdouble
     x, y, kappa = x.astype(L), y.astype(L), L(m.kappa)
     w = y + kappa * (-x[0] * y[0] + np.sum(x[1:] * y[1:])) * x
     nw = np.sqrt(max(-w[0] * w[0] + np.sum(w[1:] * w[1:]), L(0)))
-    return np.arcsinh(np.sqrt(kappa) * nw) / np.sqrt(kappa)
+    d = np.arcsinh(np.sqrt(kappa) * nw) / np.sqrt(kappa)
+    return d, (d / nw) * w if nw > 0 else np.zeros_like(w)
 
 
-@pytest.mark.skipif(np.finfo(np.longdouble).eps >= EPS, reason="no extended precision")
-@pytest.mark.parametrize("n, kappa", [(2, 1.0), (8, 4.0)])
-def test_hyperboloid_distance_error_grows_with_the_distance_from_the_origin(n, kappa):
-    # the tangential part y + kappa <x,y>_L x cancels coordinates of size ||x||_2, so
-    # the absolute error is bounded by 2 eps (sqrt(kappa) ||x||_2^2 + d), not by eps d:
-    # x up to sqrt(kappa) r = 6 from the origin, y up to sqrt(kappa) d = 10 from x
+def _far_pairs(n, kappa):
+    """x up to sqrt(kappa) r = 6 from the origin and rows y up to
+    sqrt(kappa) d = 10 from x, down to d = 1e-12 / sqrt(kappa)."""
     m = Hyperboloid(n, kappa)
     rng = np.random.default_rng(31)
     sk, o = np.sqrt(kappa), m.origin().coords
@@ -140,16 +138,47 @@ def test_hyperboloid_distance_error_grows_with_the_distance_from_the_origin(n, k
         u = m._project_tangent(x, rng.standard_normal(n + 1))
         return u / m._norm(x, u)
 
-    worst_rel = 0.0
     for _ in range(500):
         x = m._exp(o, rng.uniform(0.0, 6.0) / sk * unit(o))
         ds = np.concatenate([rng.uniform(0.0, 10.0, 3), 10 ** rng.uniform(-12.0, 0.0, 3)]) / sk
-        Y = np.array([m._exp(x, d * unit(x)) for d in ds])
+        yield m, x, np.array([m._exp(x, d * unit(x)) for d in ds])
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= EPS, reason="no extended precision")
+@pytest.mark.parametrize("n, kappa", [(2, 1.0), (8, 4.0)])
+def test_hyperboloid_distance_error_grows_with_the_distance_from_the_origin(n, kappa):
+    # the tangential part y + kappa <x,y>_L x cancels coordinates of size ||x||_2, so
+    # the absolute error is bounded by 2 eps (sqrt(kappa) ||x||_2^2 + d), not by eps d
+    worst_rel = 0.0
+    for m, x, Y in _far_pairs(n, kappa):
         for y, row in zip(Y, m._distance_rows(x, Y)):
-            ref = _distance_extended(m, x, y)
-            bound = 2 * EPS * (sk * np.dot(x, x) + float(ref))
+            ref, _ = _extended(m, x, y)
+            bound = 2 * EPS * (np.sqrt(kappa) * np.dot(x, x) + float(ref))
             err = abs(float(m._distance(x, y) - ref))
             assert err <= bound and abs(float(row - ref)) <= bound
             worst_rel = max(worst_rel, err / float(ref)) if ref > 0 else worst_rel
     # far from the origin the relative error of a short distance is well above eps
+    assert worst_rel > 1e6 * EPS
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= EPS, reason="no extended precision")
+@pytest.mark.parametrize("n, kappa", [(2, 1.0), (8, 4.0)])
+def test_hyperboloid_log_error_grows_with_the_distance_from_the_origin(n, kappa):
+    # besides the tangential part's cancellation, the Minkowski norm of a tangent
+    # vector at x cancels coordinates sqrt(kappa) ||x||_2 times its size; the
+    # Euclidean norm of the error stays below 2 eps kappa ||x||_2^3 (1 + sqrt(kappa) d)
+    # (measured worst: 0.52 and 0.73 of it)
+    worst, worst_rel = 0.0, 0.0
+    for m, x, Y in _far_pairs(n, kappa):
+        for y, row in zip(Y, m._log_rows(x, Y)):
+            d, ref = _extended(m, x, y)
+            bound = 2 * EPS * kappa * np.dot(x, x) ** 1.5 * (1.0 + np.sqrt(kappa) * float(d))
+            err = float(np.linalg.norm((m._log(x, y) - ref).astype(float)))
+            err_row = float(np.linalg.norm((row - ref).astype(float)))
+            assert err <= bound and err_row <= bound
+            worst = max(worst, err / bound, err_row / bound)
+            if d > 0:
+                worst_rel = max(worst_rel, err / float(np.linalg.norm(ref.astype(float))))
+    assert worst > 0.25
+    # far from the origin the relative error of a short log is well above eps
     assert worst_rel > 1e6 * EPS
