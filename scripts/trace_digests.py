@@ -16,13 +16,15 @@ Usage::
 The first form runs each config with the ``geodescent`` found on the path
 (so ``PYTHONPATH=<checkout>/src`` digests another checkout) and writes, per
 config, the sha256 of its trace and report, its exit code, its guarantee
-verdicts and its ``f``, ``grad_norm`` and ``delta`` columns.  It then runs
+verdicts and its ``f``, ``grad_norm`` and ``delta`` columns, and under
+``src_lines`` the line count of that package's ``.py`` files.  It then runs
 each config a second time in the same output root, where the f* and rho
 cache entries of the first run are warm, and exits 1 if any trace or report
-differs from the cold run's.  ``--compare``
-lists the configs whose digests differ, with the largest absolute
-difference in each column and whether any verdict or exit code changed; it
-exits 1 if a verdict or exit code changed or a config is missing.
+differs from the cold run's.  ``--compare`` prints both line counts
+(``n/a`` for a file written before they were recorded) and lists the configs
+whose digests differ, with the largest absolute difference in each column
+and whether any verdict or exit code changed; it exits 1 if a verdict or
+exit code changed or a config is missing.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ import tempfile
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COLUMNS = ("f", "grad_norm", "delta")
+# the digest file's key for the line count; config names all hold a "/"
+SRC_LINES = "src_lines"
 
 _H2 = {"kind": "hyperboloid", "n": 2, "kappa": 1.0}
 _S2R15 = {"kind": "sphere", "n": 2, "radius": 1.5}
@@ -125,11 +129,21 @@ def _sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def _src_lines(package_dir: str) -> int:
+    """Lines in the package's ``.py`` files, as ``wc -l`` counts them."""
+    total = 0
+    for path in glob.glob(os.path.join(package_dir, "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
+
+
 def digest(out_path: str) -> int:
     from geodescent import harness
 
-    print(f"geodescent from {os.path.dirname(harness.__file__)}", file=sys.stderr)
-    digests = {}
+    package_dir = os.path.dirname(harness.__file__)
+    print(f"geodescent from {package_dir}", file=sys.stderr)
+    digests = {SRC_LINES: _src_lines(package_dir)}
     status = 0
     with tempfile.TemporaryDirectory() as tmp:
         for path in _write_configs(os.path.join(tmp, "configs")):
@@ -180,6 +194,8 @@ def compare(a_path: str, b_path: str) -> int:
         a = json.load(fh)
     with open(b_path) as fh:
         b = json.load(fh)
+    lines = [d.pop(SRC_LINES, None) for d in (a, b)]
+    print("src lines " + " → ".join("n/a" if n is None else f"{n:,}" for n in lines))
     status = identical = 0
     for name in sorted(set(a) | set(b)):
         if name not in a or name not in b:

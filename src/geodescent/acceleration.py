@@ -54,6 +54,7 @@ __all__ = [
     "shrink_diagnostics",
     "ShrinkReport",
     "xi_convergence_report",
+    "settles_from",
     "conjugate_bound_check",
 ]
 
@@ -243,11 +244,10 @@ def distortion_rate(manifold: Manifold, x_prev: ManifoldPoint, z_prev: ManifoldP
     ``dist_term``, so neither is computed again.
     """
     if mode == ANALYTIC:
-        bounds = manifold.curvature_bounds()
-        if not bounds.is_hadamard:
+        if manifold.curvature > 0:
             raise GeometryError("analytic distortion rates need a Hadamard manifold")
         d = manifold.distance(x_prev, z_prev) if prev is None else prev.d_xz
-        return comparison(bounds.lower, d)
+        return comparison(manifold.curvature, d)
     if mode == ORACLE:
         if x_new is None or x_star is None:
             raise ValueError("oracle mode needs x_new and x_star")
@@ -492,6 +492,15 @@ def shrink_diagnostics(run: AccelRun) -> ShrinkReport:
     )
 
 
+def settles_from(mask) -> int | None:
+    """First index k with ``mask[k:]`` all true, or None if the last entry
+    is false (or there is none)."""
+    mask = np.asarray(mask, dtype=bool)
+    outside = np.flatnonzero(~mask)
+    k = int(outside[-1]) + 1 if outside.size else 0
+    return k if k < mask.size else None
+
+
 def xi_convergence_report(xi_seq, mu: float, c: float, eps: float) -> tuple[int | None, float]:
     """First index after which |xi_k - sqrt(2*mu*c)| <= eps holds to the end
     of the sequence (None if the last xi_k is outside the band), plus the
@@ -500,9 +509,7 @@ def xi_convergence_report(xi_seq, mu: float, c: float, eps: float) -> tuple[int 
     back reports the index where it re-entered for good."""
     target = math.sqrt(2.0 * mu * c)
     dev = np.abs(np.asarray(xi_seq, dtype=float) - target)
-    outside = np.nonzero(~(dev <= eps))[0]
-    last_out = int(outside[-1]) if outside.size else -1
-    first = last_out + 1 if last_out + 1 < dev.size else None
+    first = settles_from(dev <= eps)
     mask = dev > 1e-15
     if mask.sum() >= 2:
         ks = np.nonzero(mask)[0]

@@ -19,7 +19,6 @@ from geodescent.objectives import Objective, _dist_sq_hessian, _dist_sq_L
 __all__ = [
     "DescentCertificate",
     "IterateTrace",
-    "RateConstants",
     "ProximalSolverError",
     "SubsolverError",
     "rgd_step",
@@ -94,22 +93,6 @@ class IterateTrace:
 
     def __len__(self):
         return len(self.iterates)
-
-
-@dataclass(frozen=True)
-class RateConstants:
-    """Constants of the g-convex rate envelope, in final combined form."""
-
-    p: float
-    c: float
-
-    @property
-    def C_fwd(self) -> float:
-        return self.c ** (1.0 - self.p) * (self.p**2 - self.p) ** (self.p - 1.0)
-
-    @property
-    def C_bwd(self) -> float:
-        return self.c ** (1.0 - self.p) * (self.p - 1.0) ** (self.p - 1.0)
 
 
 def default_tolerance(f0: float) -> float:
@@ -475,11 +458,11 @@ def certify(trace: IterateTrace, cert: DescentCertificate, tol: float) -> tuple[
 
 
 def rate_bound_gconvex(p: float, c: float, diam: float, k: int, direction: str) -> float:
-    """g-convex envelope ``C * diam^p / k^(p-1)`` with the combined constant."""
+    """g-convex envelope ``C * diam^p / k^(p-1)`` with the combined constant
+    C = c^(1-p) * (p^2 - p)^(p-1) forward and c^(1-p) * (p - 1)^(p-1) backward."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    rc = RateConstants(p, c)
-    C = rc.C_fwd if direction == FORWARD else rc.C_bwd
+    C = c ** (1.0 - p) * ((p**2 - p) if direction == FORWARD else (p - 1.0)) ** (p - 1.0)
     return C * diam**p / k ** (p - 1.0)
 
 

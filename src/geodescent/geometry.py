@@ -10,7 +10,7 @@ the hyperboloid uses the Minkowski form ``<x, y> = -x0*y0 + sum_i xi*yi``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ __all__ = [
     "AntipodalPointsError",
     "ManifoldPoint",
     "TangentVector",
-    "CurvatureBounds",
     "comparison",
     "DomainSpec",
     "Manifold",
@@ -83,21 +82,6 @@ class TangentVector:
 
     def __repr__(self):
         return f"TangentVector(base={np.array2string(self.base.coords, precision=6)}, coords={np.array2string(self.coords, precision=6)})"
-
-
-@dataclass(frozen=True)
-class CurvatureBounds:
-    """Sectional curvature bounds, units 1/length^2."""
-
-    lower: float
-    upper: float
-    is_hadamard: bool
-
-    def __post_init__(self):
-        if self.lower > self.upper:
-            raise GeometryError("curvature lower bound exceeds upper bound")
-        if self.is_hadamard and self.upper > 0:
-            raise GeometryError("Hadamard manifolds have nonpositive curvature")
 
 
 def comparison(K: float, d):
@@ -167,6 +151,7 @@ class Manifold:
     dim: int
     ambient_dim: int
     key: str
+    curvature: float  # the constant sectional curvature, 1/length^2; <= 0 is Hadamard
 
     # -- construction -----------------------------------------------------
 
@@ -301,9 +286,6 @@ class Manifold:
     def origin(self) -> ManifoldPoint:
         raise NotImplementedError
 
-    def curvature_bounds(self) -> CurvatureBounds:
-        raise NotImplementedError
-
     # -- hooks ---------------------------------------------------------------
 
     def _inner(self, x, v, w) -> float:
@@ -379,12 +361,10 @@ class Euclidean(Manifold):
         self.dim = _dimension(n)
         self.ambient_dim = n
         self.key = f"euclidean(n={n})"
+        self.curvature = 0.0
 
     def origin(self):
         return ManifoldPoint(self, np.zeros(self.dim))
-
-    def curvature_bounds(self):
-        return CurvatureBounds(0.0, 0.0, True)
 
     def _inner(self, x, v, w):
         return float(np.dot(v, w))
@@ -431,15 +411,12 @@ class Sphere(Manifold):
         self.ambient_dim = n + 1
         self.radius = float(radius)
         self.key = f"sphere(n={n},R={radius:g})"
+        self.curvature = 1.0 / self.radius**2
 
     def origin(self):
         c = np.zeros(self.ambient_dim)
         c[-1] = self.radius
         return ManifoldPoint(self, c)
-
-    def curvature_bounds(self):
-        k = 1.0 / self.radius**2
-        return CurvatureBounds(k, k, False)
 
     def _inner(self, x, v, w):
         return float(np.dot(v, w))
@@ -538,6 +515,7 @@ class Hyperboloid(Manifold):
         self.ambient_dim = n + 1
         self.kappa = float(kappa)
         self.key = f"hyperboloid(n={n},kappa={kappa:g})"
+        self.curvature = -self.kappa
         # the Minkowski form as a diagonal metric, for the row kernels
         self._signature = np.ones(self.ambient_dim)
         self._signature[0] = -1.0
@@ -547,9 +525,6 @@ class Hyperboloid(Manifold):
         c = np.zeros(self.ambient_dim)
         c[0] = 1.0 / np.sqrt(self.kappa)
         return ManifoldPoint(self, c)
-
-    def curvature_bounds(self):
-        return CurvatureBounds(-self.kappa, -self.kappa, True)
 
     @staticmethod
     def minkowski(u, v) -> float:

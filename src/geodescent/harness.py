@@ -651,12 +651,7 @@ def compare_report(traces: list[TraceData], labels: list[str] | None = None) -> 
     labels = labels or [f"t{j}" for j in range(len(traces))]
     crossovers: list[int | None] = [None]
     for j in range(1, len(traces)):
-        below = gaps[j] < gaps[0]
-        cross = None
-        for k in range(n):
-            if below[k:].all():
-                cross = int(ks[k])
-                break
-        crossovers.append(cross)
-    max_abs_diff = float(np.max(np.abs(gaps - gaps[0]))) if len(traces) > 1 else 0.0
+        k = accel.settles_from(gaps[j] < gaps[0])
+        crossovers.append(None if k is None else int(ks[k]))
+    max_abs_diff = float(np.max(np.abs(gaps - gaps[0])))
     return Comparison(ks, labels, gaps, crossovers, max_abs_diff)

@@ -32,14 +32,19 @@ __all__ = [
     "SquaredDistance",
     "FrechetMean",
     "SphereRayleigh",
-    "grad_check",
     "estimate_hessian_lipschitz",
     "reference_minimize",
+    "ReferenceMinimizationError",
 ]
 
 NONCONVEX = "nonconvex"
 G_CONVEX = "g_convex"
 STRONGLY_G_CONVEX = "strongly_g_convex"
+
+
+class ReferenceMinimizationError(ValueError):
+    """The reference minimizer did not reach its gradient tolerance, so the
+    objective has no minimizer to check against."""
 
 
 @dataclass(frozen=True)
@@ -110,15 +115,15 @@ def _dist_sq_L(manifold: Manifold, d: float) -> float:
     """Largest Hessian eigenvalue of 0.5*d(., y)^2 within distance d of y.
     The radial eigenvalue is 1, so positive curvature is clipped to 0: on the
     sphere the bound is 1 even past pi*R, where t*cot(t) is large."""
-    return comparison(min(manifold.curvature_bounds().lower, 0.0), d)
+    return comparison(min(manifold.curvature, 0.0), d)
 
 
 def _dist_sq_metadata(manifold: Manifold, d_max: float) -> ObjectiveMetadata:
     """Declared constants of a sum of 0.5*d(., y)^2 terms whose y lie within
     d_max of every point of the analysis ball.  mu is the smallest Hessian
-    eigenvalue, taken at the upper curvature bound clipped at 0, and is
-    declared only while sqrt(K)*d_max < pi/2."""
-    K = max(manifold.curvature_bounds().upper, 0.0)
+    eigenvalue, taken at the curvature clipped at 0, and is declared only
+    while sqrt(K)*d_max < pi/2."""
+    K = max(manifold.curvature, 0.0)
     mu = comparison(K, d_max) if np.sqrt(K) * d_max < np.pi / 2 else 0.0
     L = _dist_sq_L(manifold, d_max)
     if mu > 0:
@@ -139,8 +144,7 @@ def _dist_sq_hessian(manifold: Manifold, x: ManifoldPoint, target: ManifoldPoint
     d = manifold._distance(xc, target.coords)
     if d < 1e-14:
         return np.eye(n)
-    # the manifolds here have constant curvature: lower == upper
-    trans = comparison(manifold.curvature_bounds().lower, d)
+    trans = comparison(manifold.curvature, d)
     lg = manifold._log(xc, target.coords)
     u = np.array([manifold._inner(xc, lg, b.coords) for b in basis]) / d
     return trans * np.eye(n) + (1.0 - trans) * np.outer(u, u)
@@ -262,7 +266,7 @@ class FrechetMean(Objective):
         basis = m.orthonormal_basis(x) if basis is None else basis
         n = len(self.samples)
         d = m._distance_rows(x.coords, self.samples)
-        trans = comparison(m.curvature_bounds().lower, d)  # 1 for a sample at x
+        trans = comparison(m.curvature, d)  # 1 for a sample at x
         d = np.where(d < 1e-14, 1.0, d)
         lg = m._log_rows(x.coords, self.samples)
         U = np.stack([m._inner_rows(x.coords, lg, b.coords) for b in basis], axis=1) / d[:, None]
@@ -317,23 +321,6 @@ class SphereRayleigh(Objective):
         return 0.5 * (H + H.T)
 
 
-def grad_check(obj: Objective, x: ManifoldPoint, h: float = 1e-5) -> float:
-    """Max relative error between the analytic gradient and central
-    differences of ``f o exp`` over the orthonormal basis directions."""
-    if not 1e-7 <= h <= 1e-3:
-        raise ValueError("h must lie in [1e-7, 1e-3]")
-    m = obj.manifold
-    g = obj.gradient(x)
-    worst = 0.0
-    for e in m.orthonormal_basis(x):
-        fp = obj.value(m.exp(x, TangentVector(x, h * e.coords)))
-        fm = obj.value(m.exp(x, TangentVector(x, -h * e.coords)))
-        fd = (fp - fm) / (2.0 * h)
-        ge = m.inner(x, g, e)
-        worst = max(worst, abs(fd - ge) / (1.0 + abs(ge)))
-    return worst
-
-
 def estimate_hessian_lipschitz(obj: Objective, rng: np.random.Generator,
                                n_samples: int = 200, step_scale: float = 0.5,
                                floor: float = 1e-6) -> float:
@@ -365,7 +352,8 @@ def estimate_hessian_lipschitz(obj: Objective, rng: np.random.Generator,
 def reference_minimize(obj: Objective, x0: ManifoldPoint, grad_tol: float = 1e-12,
                        max_iter: int = 200_000) -> ManifoldPoint:
     """Plain gradient descent run to a tiny gradient norm; the reference
-    oracle for minimizers without a closed form."""
+    oracle for minimizers without a closed form.  Raises
+    ReferenceMinimizationError if ``max_iter`` steps do not reach it."""
     m = obj.manifold
     L = obj.metadata.L
     if L is None or L <= 0:
@@ -378,4 +366,5 @@ def reference_minimize(obj: Objective, x0: ManifoldPoint, grad_tol: float = 1e-1
         if m._norm(x.coords, g) < grad_tol:
             return x
         x = m._move(x.coords, -eta * g)
-    raise RuntimeError(f"reference minimization did not reach grad norm {grad_tol:g}")
+    raise ReferenceMinimizationError(
+        f"reference minimization did not reach grad norm {grad_tol:g} in {max_iter} steps")

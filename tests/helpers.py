@@ -1,5 +1,5 @@
 """Shared sampling utilities, the benchmark objective set and test-only
-reference solvers used across the test modules."""
+reference solvers and checks used across the test modules."""
 
 import numpy as np
 
@@ -59,6 +59,23 @@ def make_rayleigh(diag=(2.0, 1.0, 0.5)):
 
 def euclidean2():
     return Euclidean(2)
+
+
+def grad_check(obj, x, h=1e-5):
+    """Max relative error between the analytic gradient and central
+    differences of ``f o exp`` over the orthonormal basis directions."""
+    if not 1e-7 <= h <= 1e-3:
+        raise ValueError("h must lie in [1e-7, 1e-3]")
+    m = obj.manifold
+    g = obj.gradient(x)
+    worst = 0.0
+    for e in m.orthonormal_basis(x):
+        fp = obj.value(m.exp(x, TangentVector(x, h * e.coords)))
+        fm = obj.value(m.exp(x, TangentVector(x, -h * e.coords)))
+        fd = (fp - fm) / (2.0 * h)
+        ge = m.inner(x, g, e)
+        worst = max(worst, abs(fd - ge) / (1.0 + abs(ge)))
+    return worst
 
 
 def xi_solve_bisect(xi_k, delta_k1, mu, c, tol=1e-14):

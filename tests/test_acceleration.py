@@ -508,6 +508,15 @@ def test_xi_convergence_report_counts_the_last_entry_into_the_band():
     assert first is None
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.booleans(), max_size=40))
+def test_settles_from_matches_the_suffix_scan(mask):
+    # the rule as a scan over every suffix: the first k whose suffix is all true
+    mask = np.array(mask, dtype=bool)
+    expected = next((k for k in range(mask.size) if mask[k:].all()), None)
+    assert acc.settles_from(mask) == expected
+
+
 def test_h2_run_deltas_and_xi_settle():
     # on a contracting hyperbolic run the iterate spread dies out, so the
     # distortion rates fall back to 1 and xi settles at sqrt(2*mu*c)

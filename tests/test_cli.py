@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
-from geodescent import cli
+from geodescent import cli, objectives
 from geodescent.geometry import Sphere
 from geodescent.harness import ConfigError, build_objective, load_config, run_experiment
 
@@ -125,6 +125,31 @@ def test_batch_continues_past_an_unbuildable_config(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "a_bad.yaml] exit 2" in out and "b_good.yaml] exit 0" in out
     assert (root / "b_good.json").exists()
+
+
+def test_a_reference_minimizer_that_does_not_converge_is_a_config_error(
+        tmp_path, monkeypatch, capsys):
+    # the real solver takes 200,000 steps on this config before it gives up;
+    # cut to one step, it gives up at once, through the same error
+    solve = objectives.reference_minimize
+    monkeypatch.setattr(objectives, "reference_minimize",
+                        lambda obj, x0: solve(obj, x0, max_iter=1))
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    cfg = _write(configs / "a_far.yaml",
+                 objective={"kind": "frechet_mean", "seed": 0, "num_points": 5,
+                            "spread": 3.0, "domain_radius": 100000.0})
+    _write(configs / "b_good.yaml")
+    root = str(tmp_path / "out")
+    message = "cannot build the experiment: ReferenceMinimizationError: reference minimization"
+    assert cli.main(["validate", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out.startswith(f"invalid: {message}") and "Traceback" not in out + err
+    assert cli.main(["--out-root", root, "run", cfg]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert cli.main(["--out-root", root, "batch", str(configs)]) == 2
+    out = capsys.readouterr().out
+    assert "a_far.yaml] exit 2" in out and "b_good.yaml] exit 0" in out
 
 
 @pytest.mark.parametrize("oracle", ["bogus", "cubic_newton", "accelerated"])

@@ -11,7 +11,6 @@ from geodescent.descent import (
     IterateTrace,
     ProximalPoint,
     ProximalSolverError,
-    RateConstants,
     certify,
     cubic_newton_step,
     default_tolerance,
@@ -52,10 +51,11 @@ def test_certificate_validation():
 
 
 def test_rate_constants_ordering():
-    rc = RateConstants(2.0, 0.25)
-    assert rc.C_bwd == pytest.approx(4.0)
-    assert rc.C_fwd == pytest.approx(8.0)
-    assert rc.C_bwd <= rc.C_fwd
+    C_bwd = rate_bound_gconvex(2.0, 0.25, 1.0, 1, BACKWARD)
+    C_fwd = rate_bound_gconvex(2.0, 0.25, 1.0, 1, FORWARD)
+    assert C_bwd == pytest.approx(4.0)
+    assert C_fwd == pytest.approx(8.0)
+    assert C_bwd <= C_fwd
 
 
 def test_trace_validation():
@@ -367,6 +367,32 @@ def test_cubic_escapes_rayleigh_saddle():
     out, s = cubic_newton_step(obj, saddle, M=rho, theta=rho / 2)
     assert S.norm(saddle, s) > 1e-3
     assert obj.value(out) < obj.value(saddle)
+
+
+def test_cubic_theta_fallback_meets_the_theta_condition():
+    # near a saddle with a small theta the secular solve's step misses
+    # ||grad m(s)|| <= theta ||s||^2, and the gradient loop on the model mends it
+    obj = make_rayleigh()
+    S = obj.manifold
+    v = np.array([1e-9, 1.0, 0.0])
+    x = S.point(v / np.linalg.norm(v))
+    M, theta = 4.0, 4e-8
+    basis = S.orthonormal_basis(x)
+    g = np.array([S.inner(x, obj.gradient(x), b) for b in basis])
+    H = obj.hessian_matrix(x, basis=basis)
+    atol = 1e-12 * (1.0 + np.linalg.norm(g) + np.abs(H).max())
+
+    def model_grad(sc):
+        return g + H @ sc + M * np.linalg.norm(sc) * sc
+
+    evals, evecs = np.linalg.eigh(H)
+    s0 = descent._solve_cubic_model(g, evals, evecs, M)
+    assert np.linalg.norm(model_grad(s0)) > theta * np.dot(s0, s0) + atol
+
+    _, s = cubic_newton_step(obj, x, M, theta, rho=4.0)
+    sc = np.array([S.inner(x, s, b) for b in basis])
+    assert np.linalg.norm(model_grad(sc)) <= theta * np.dot(sc, sc) + atol
+    assert g @ sc + 0.5 * sc @ H @ sc + M / 3.0 * np.linalg.norm(sc) ** 3 <= 0.0
 
 
 def test_cubic_parameter_validation():

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from geodescent.geometry import (
     AntipodalPointsError,
     BaseMismatchError,
-    CurvatureBounds,
     DomainSpec,
     Euclidean,
     GeometryError,
@@ -182,15 +181,9 @@ def test_nonpositive_or_nonfinite_curvature_scale_rejected(make, match, value):
 
 
 def test_curvature_bounds():
-    assert Euclidean(2).curvature_bounds() == CurvatureBounds(0.0, 0.0, True)
-    assert Sphere(2, 2.0).curvature_bounds().lower == pytest.approx(0.25)
-    assert not Sphere(2, 2.0).curvature_bounds().is_hadamard
-    hb = Hyperboloid(2, 1.5).curvature_bounds()
-    assert hb.is_hadamard and hb.lower == pytest.approx(-1.5)
-    with pytest.raises(GeometryError):
-        CurvatureBounds(1.0, 0.0, False)
-    with pytest.raises(GeometryError):
-        CurvatureBounds(0.5, 1.0, True)
+    assert Euclidean(2).curvature == 0.0
+    assert Sphere(2, 2.0).curvature == 0.25
+    assert Hyperboloid(2, 1.5).curvature == -1.5
 
 
 # ---------------------------------------------------------------------------

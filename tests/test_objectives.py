@@ -12,10 +12,10 @@ from geodescent.objectives import (
     _dist_sq_L,
     _dist_sq_metadata,
     estimate_hessian_lipschitz,
-    grad_check,
     reference_minimize,
 )
 from helpers import (
+    grad_check,
     make_frechet_h2,
     make_frechet_sphere,
     make_quadratic,
