@@ -29,7 +29,7 @@ rng = np.random.default_rng(2)
 H = Hyperboloid(2, 1.0)
 o = H.origin()
 pts = [H.exp(o, H.random_tangent(rng, o, 0.7)) for _ in range(5)]
-frechet = FrechetMean(H, pts, domain=DomainSpec(o, 2.0))
+frechet = FrechetMean(H, np.array([p.coords for p in pts]), domain=DomainSpec(o, 2.0))
 alg = GradientDescent(1.0 / frechet.metadata.L)
 cert = alg.certificate(frechet)
 x0 = H.exp(o, H.tangent(o, [0.0, 1.0, 0.3]))

@@ -134,16 +134,17 @@ class DomainSpec:
 class Manifold:
     """Interface shared by the concrete geometries.
 
-    Subclasses provide ``_inner``, ``_exp``, ``_log``, ``_transport``,
-    ``_distance``, ``_project_tangent`` and validity checks on raw coordinate
-    arrays; ``_norm`` and ``_move`` build on them.  ``_exp`` returns the
+    Subclasses provide ``_inner``, ``_exp``, ``_transport``, ``_distance``,
+    ``_dist_log`` (distance and log from one pass), ``_project_tangent`` and
+    validity checks on raw coordinate arrays; ``_norm``, ``_move`` and
+    ``_log`` build on them.  ``_exp`` returns the
     point projected back onto the manifold.  The public methods check that
     their operands belong here and share a base point, then call these
     kernels; the descent loops check their inputs once and call the kernels
     directly, stepping through ``_move``, which keeps the finiteness check.
 
-    The row kernels ``_inner_rows``, ``_distance_rows``, ``_log_rows`` and
-    ``_exp_rows`` apply the same formulas to every row of an
+    The row kernels ``_inner_rows``, ``_distance_rows``, ``_dist_log_rows``,
+    ``_log_rows`` and ``_exp_rows`` apply the same formulas to every row of an
     ``(N, ambient_dim)`` array at once, for objectives that sum over many
     samples.  They take unvalidated raw arrays, like the scalar kernels.
     """
@@ -278,7 +279,10 @@ class Manifold:
         return self.exp(o, v)
 
     def random_tangent(self, rng: np.random.Generator, x: ManifoldPoint, scale: float = 1.0) -> TangentVector:
-        basis = self.orthonormal_basis(x)
+        return self._random_tangent(rng, x, scale, self.orthonormal_basis(x))
+
+    def _random_tangent(self, rng, x, scale, basis):
+        """``random_tangent`` in ``orthonormal_basis(x)``, which the caller holds."""
         coeff = rng.normal(0.0, scale, size=self.dim)
         coords = sum(c * b.coords for c, b in zip(coeff, basis))
         return TangentVector(x, self._project_tangent(x.coords, coords))
@@ -304,10 +308,23 @@ class Manifold:
         raise NotImplementedError
 
     def _log(self, x, y):
-        raise NotImplementedError
+        return self._defined(self._dist_log(x, y)[1])
 
     def _distance(self, x, y) -> float:
         raise NotImplementedError
+
+    def _dist_log(self, x, y):
+        """``(_distance(x, y), log_x y)`` from one pass, the same floats as
+        the two kernels; the log is None where it is undefined (within
+        ANTIPODAL_TOL of a sphere point's antipode), and ``_log`` raises."""
+        raise NotImplementedError
+
+    @staticmethod
+    def _defined(lg):
+        """The log ``lg`` of a ``_dist_log`` pass, or AntipodalPointsError if None."""
+        if lg is None:
+            raise AntipodalPointsError("logarithm undefined within tolerance of the antipode")
+        return lg
 
     def _transport(self, x, y, v):
         raise NotImplementedError
@@ -323,6 +340,11 @@ class Manifold:
 
     def _log_rows(self, x, Y):
         """``_log(x, y)`` for each row ``y`` of ``Y``."""
+        return self._defined(self._dist_log_rows(x, Y)[1])
+
+    def _dist_log_rows(self, x, Y):
+        """``_dist_log`` for each row of ``Y``: the distances, and the logs or
+        None if any is undefined."""
         raise NotImplementedError
 
     def _exp_rows(self, x, V):
@@ -372,11 +394,12 @@ class Euclidean(Manifold):
     def _exp(self, x, v):
         return x + v
 
-    def _log(self, x, y):
-        return y - x
-
     def _distance(self, x, y):
         return float(np.linalg.norm(y - x))
+
+    def _dist_log(self, x, y):
+        w = y - x
+        return float(np.linalg.norm(w)), w
 
     def _transport(self, x, y, v):
         return v.copy()
@@ -385,8 +408,9 @@ class Euclidean(Manifold):
         D = Y - x
         return np.sqrt(self._inner_rows(x, D, D))
 
-    def _log_rows(self, x, Y):
-        return Y - x
+    def _dist_log_rows(self, x, Y):
+        D = Y - x
+        return np.sqrt(self._inner_rows(x, D, D)), D
 
     def _exp_rows(self, x, V):
         return x + V
@@ -429,25 +453,21 @@ class Sphere(Manifold):
         # rescale to radius R to kill drift
         return R * out / np.linalg.norm(out)
 
-    def _log(self, x, y):
-        R = self.radius
-        c = np.dot(x, y) / R**2
-        if c < -1.0 + ANTIPODAL_TOL:
-            raise AntipodalPointsError(
-                "logarithm undefined within tolerance of the antipode"
-            )
-        w = y - c * x
-        nw = np.linalg.norm(w)
-        if nw < 1e-300:
-            return np.zeros_like(x)
-        # atan2 keeps full precision at both ends of the arc
-        theta = np.arctan2(nw / R, c)
-        return (R * theta / nw) * w
-
     def _distance(self, x, y):
         c = np.dot(x, y) / self.radius**2
         w = y - c * x
         return float(self.radius * np.arctan2(np.linalg.norm(w) / self.radius, c))
+
+    def _dist_log(self, x, y):
+        R = self.radius
+        c = np.dot(x, y) / R**2
+        w = y - c * x
+        nw = np.linalg.norm(w)
+        # atan2 keeps full precision at both ends of the arc
+        d = float(R * np.arctan2(nw / R, c))
+        if c < -1.0 + ANTIPODAL_TOL:
+            return d, None
+        return d, np.zeros_like(x) if nw < 1e-300 else (d / nw) * w
 
     def _cos_rows(self, x, Y):
         """Cosine of the angle to each row of ``Y`` and the part of the row
@@ -460,15 +480,13 @@ class Sphere(Manifold):
         c, _, nw = self._cos_rows(x, Y)
         return self.radius * np.arctan2(nw / self.radius, c)
 
-    def _log_rows(self, x, Y):
+    def _dist_log_rows(self, x, Y):
         R = self.radius
         c, W, nw = self._cos_rows(x, Y)
+        d = R * np.arctan2(nw / R, c)
         if np.any(c < -1.0 + ANTIPODAL_TOL):
-            raise AntipodalPointsError(
-                "logarithm undefined within tolerance of the antipode"
-            )
-        theta = np.arctan2(nw / R, c)
-        return _ratio(R * theta, nw)[:, None] * W
+            return d, None
+        return d, _ratio(d, nw)[:, None] * W
 
     def _exp_rows(self, x, V):
         R = self.radius
@@ -545,19 +563,6 @@ class Hyperboloid(Manifold):
         out[0] = np.sqrt(1.0 / self.kappa + np.dot(out[1:], out[1:]))
         return out
 
-    def _log(self, x, y):
-        """Measured against long double, the Euclidean norm of the error here and in
-        _log_rows is below 2*eps*kappa*||x||_2^3*(1 + sqrt(kappa)*d): the tangential
-        part cancels as in _distance, and its Minkowski norm cancels too."""
-        # tangential component of y at x under the Minkowski form
-        w = y + self.kappa * self.minkowski(x, y) * x
-        nw = self._norm(x, w)
-        if nw < 1e-300:
-            return np.zeros_like(x)
-        sk = np.sqrt(self.kappa)
-        d = np.arcsinh(sk * nw) / sk
-        return (d / nw) * w
-
     def _distance(self, x, y):
         """asinh of the projected norm (arccosh loses half the digits near d = 0).
         Measured against long double, the absolute error here and in _distance_rows
@@ -566,6 +571,17 @@ class Hyperboloid(Manifold):
         nw = self._norm(x, w)
         sk = np.sqrt(self.kappa)
         return float(np.arcsinh(sk * nw) / sk)
+
+    def _dist_log(self, x, y):
+        """Measured against long double, the Euclidean norm of the log's error here
+        and in _dist_log_rows is below 2*eps*kappa*||x||_2^3*(1 + sqrt(kappa)*d): the
+        tangential part cancels as in _distance, and its Minkowski norm cancels too."""
+        # tangential component of y at x under the Minkowski form
+        w = y + self.kappa * self.minkowski(x, y) * x
+        nw = self._norm(x, w)
+        sk = np.sqrt(self.kappa)
+        d = float(np.arcsinh(sk * nw) / sk)
+        return d, np.zeros_like(x) if nw < 1e-300 else (d / nw) * w
 
     def _tangential_rows(self, x, Y):
         """Tangential component at ``x`` of each row of ``Y``, and its norm."""
@@ -577,10 +593,11 @@ class Hyperboloid(Manifold):
         sk = np.sqrt(self.kappa)
         return np.arcsinh(sk * nw) / sk
 
-    def _log_rows(self, x, Y):
+    def _dist_log_rows(self, x, Y):
         W, nw = self._tangential_rows(x, Y)
         sk = np.sqrt(self.kappa)
-        return _ratio(np.arcsinh(sk * nw) / sk, nw)[:, None] * W
+        d = np.arcsinh(sk * nw) / sk
+        return d, _ratio(d, nw)[:, None] * W
 
     def _exp_rows(self, x, V):
         sk = np.sqrt(self.kappa)

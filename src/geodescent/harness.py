@@ -29,7 +29,7 @@ from geodescent import acceleration as accel
 from geodescent import config
 from geodescent import descent as desc
 from geodescent.config import ORACLE_KINDS, SECTIONS, finite, value
-from geodescent.geometry import DomainSpec, Manifold, ManifoldPoint, TangentVector
+from geodescent.geometry import DomainSpec, Manifold, TangentVector
 from geodescent.objectives import (
     FrechetMean,
     Objective,
@@ -200,9 +200,8 @@ def build_objective(spec: dict, manifold: Manifold, cache_dir=None) -> Objective
         tangents = np.zeros((num, manifold.ambient_dim))
         for c, b in zip(coeff.T, manifold.orthonormal_basis(origin)):
             tangents += c[:, None] * b.coords
-        pts = [ManifoldPoint(manifold, y) for y in manifold._exp_rows(origin.coords, tangents)]
-        obj = FrechetMean(manifold, pts, domain=DomainSpec(origin, radius),
-                          solve_reference=False)
+        obj = FrechetMean(manifold, manifold._exp_rows(origin.coords, tangents),
+                          domain=DomainSpec(origin, radius), solve_reference=False)
         _attach_reference_solution(obj, spec, cache_dir)
         return obj
     if kind == "sphere_rayleigh":

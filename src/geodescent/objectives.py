@@ -17,6 +17,7 @@ import numpy as np
 from geodescent.geometry import (
     DomainSpec,
     Euclidean,
+    GeometryError,
     Manifold,
     ManifoldPoint,
     Sphere,
@@ -90,6 +91,16 @@ class Objective:
         caller that holds that basis passes it as ``basis``."""
         raise NotImplementedError
 
+    _last = None  # (x, _kernel_pass(x)) for the last point x evaluated
+
+    def _pass_at(self, x: ManifoldPoint):
+        """The subclass's ``_kernel_pass(x)``, kept for the last point seen:
+        value, gradient and Hessian at one ``ManifoldPoint`` object share it."""
+        last = self._last
+        if last is None or last[0] is not x:
+            last = self._last = (x, self._kernel_pass(x))
+        return last[1]
+
     @property
     def known_solution(self) -> KnownSolution | None:
         return getattr(self, "_known_solution", None)
@@ -132,20 +143,21 @@ def _dist_sq_metadata(manifold: Manifold, d_max: float) -> ObjectiveMetadata:
 
 
 def _dist_sq_hessian(manifold: Manifold, x: ManifoldPoint, target: ManifoldPoint,
-                     basis: list[TangentVector]) -> np.ndarray:
+                     basis: list[TangentVector], d_log=None) -> np.ndarray:
     """Hessian matrix of 0.5*d(., target)^2 in the supplied basis.
 
     Eigenvalue 1 along the geodesic to the target, and the curvature
-    comparison value on the orthogonal complement.  Runs on the raw kernels:
-    the callers have checked ``x``, ``target`` and ``basis``.
+    comparison value on the orthogonal complement.  Runs on the raw kernels,
+    or on ``d_log``, a ``_dist_log(x, target)`` pass the caller holds: the
+    callers have checked ``x``, ``target`` and ``basis``.
     """
     n = len(basis)
     xc = x.coords
-    d = manifold._distance(xc, target.coords)
+    d, lg = manifold._dist_log(xc, target.coords) if d_log is None else d_log
     if d < 1e-14:
         return np.eye(n)
     trans = comparison(manifold.curvature, d)
-    lg = manifold._log(xc, target.coords)
+    lg = manifold._defined(lg)
     u = np.array([manifold._inner(xc, lg, b.coords) for b in basis]) / d
     return trans * np.eye(n) + (1.0 - trans) * np.outer(u, u)
 
@@ -205,41 +217,48 @@ class SquaredDistance(Objective):
         self.metadata = _dist_sq_metadata(manifold, d_max)
         self._set_solution(target, 0.0)
 
+    def _kernel_pass(self, x):
+        self.manifold._own(x)
+        return self.manifold._dist_log(x.coords, self.target.coords)
+
     def value(self, x):
-        return 0.5 * self.manifold.distance(x, self.target) ** 2
+        return 0.5 * self._pass_at(x)[0] ** 2
 
     def gradient(self, x):
-        lg = self.manifold.log(x, self.target)
-        return TangentVector(x, -lg.coords)
+        return TangentVector(x, -self.manifold._defined(self._pass_at(x)[1]))
 
     def hessian_matrix(self, x, basis=None):
         basis = self.manifold.orthonormal_basis(x) if basis is None else basis
-        return _dist_sq_hessian(self.manifold, x, self.target, basis)
+        return _dist_sq_hessian(self.manifold, x, self.target, basis, self._pass_at(x))
 
 
 class FrechetMean(Objective):
-    """(1/2N) * sum_i d(x, y_i)^2 over fixed sample points.
+    """(1/2N) * sum_i d(x, y_i)^2 over the rows y_i of an ``(N, ambient_dim)``
+    sample array.
 
-    The samples are validated once and held as one ``(N, ambient_dim)``
-    array, ``samples``, so value, gradient and Hessian each take one pass of
-    the manifold's row kernels.  Sums over samples run in sample order.
+    The samples are checked for shape and finiteness and held as a read-only
+    copy, ``samples``; they are taken as given, with no point-constraint
+    check.  Value, gradient and Hessian at a point share one pass of the
+    manifold's row kernels.  Sums over samples run in sample order.
     """
 
     name = "frechet_mean"
 
-    def __init__(self, manifold: Manifold, points: list[ManifoldPoint],
+    def __init__(self, manifold: Manifold, samples: np.ndarray,
                  domain: DomainSpec | None = None, domain_radius: float = 2.0,
                  solve_reference: bool = True):
-        if not points:
-            raise ValueError("need at least one sample point")
-        for p in points:
-            manifold._own(p)
+        samples = np.asarray(samples)
+        if samples.ndim != 2 or samples.shape[0] < 1 or samples.shape[1] != manifold.ambient_dim:
+            raise GeometryError(f"expected an (N, {manifold.ambient_dim}) sample array with "
+                                f"N >= 1, got shape {samples.shape}")
+        samples = samples.astype(float)
+        if not np.isfinite(samples).all():
+            raise GeometryError("non-finite sample coordinates")
+        samples.setflags(write=False)
         self.manifold = manifold
-        self.points = list(points)
-        self.samples = np.array([p.coords for p in points])
-        self.samples.setflags(write=False)
-        center = points[0]
-        self.domain = domain if domain is not None else DomainSpec(center, domain_radius)
+        self.samples = samples
+        self.domain = domain if domain is not None else DomainSpec(
+            ManifoldPoint(manifold, samples[0]), domain_radius)
         d_max = self.domain.radius + float(
             manifold._distance_rows(self.domain.center.coords, self.samples).max()
         )
@@ -248,14 +267,16 @@ class FrechetMean(Objective):
             x_star = reference_minimize(self, self.domain.center)
             self._set_solution(x_star)
 
-    def value(self, x):
+    def _kernel_pass(self, x):
         self.manifold._own(x)
-        d = self.manifold._distance_rows(x.coords, self.samples)
+        return self.manifold._dist_log_rows(x.coords, self.samples)
+
+    def value(self, x):
+        d = self._pass_at(x)[0]
         return float(_sum_rows(0.5 * d**2)) / len(self.samples)
 
     def gradient(self, x):
-        self.manifold._own(x)
-        g = -_sum_rows(self.manifold._log_rows(x.coords, self.samples))
+        g = -_sum_rows(self.manifold._defined(self._pass_at(x)[1]))
         return TangentVector(x, g / len(self.samples))
 
     def hessian_matrix(self, x, basis=None):
@@ -265,10 +286,10 @@ class FrechetMean(Objective):
         m = self.manifold
         basis = m.orthonormal_basis(x) if basis is None else basis
         n = len(self.samples)
-        d = m._distance_rows(x.coords, self.samples)
+        d, lg = self._pass_at(x)
         trans = comparison(m.curvature, d)  # 1 for a sample at x
         d = np.where(d < 1e-14, 1.0, d)
-        lg = m._log_rows(x.coords, self.samples)
+        lg = m._defined(lg)
         U = np.stack([m._inner_rows(x.coords, lg, b.coords) for b in basis], axis=1) / d[:, None]
         w = (1.0 - trans) / n
         return _sum_rows(trans) / n * np.eye(len(basis)) + (U.T * w) @ U
@@ -331,15 +352,16 @@ def estimate_hessian_lipschitz(obj: Objective, rng: np.random.Generator,
     (which requires M > rho/2 > 0).
     """
     m = obj.manifold
+    center = obj.domain.center
+    center_basis = m.orthonormal_basis(center)
     worst = 0.0
     for _ in range(n_samples):
-        x = m.exp(obj.domain.center,
-                  m.random_tangent(rng, obj.domain.center, 0.4 * obj.domain.radius))
-        s = m.random_tangent(rng, x, step_scale)
+        x = m.exp(center, m._random_tangent(rng, center, 0.4 * obj.domain.radius, center_basis))
+        basis = m.orthonormal_basis(x)
+        s = m._random_tangent(rng, x, step_scale, basis)
         ns = m.norm(x, s)
         if ns < 1e-8:
             continue
-        basis = m.orthonormal_basis(x)
         sc = np.array([m.inner(x, s, b) for b in basis])
         H = obj.hessian_matrix(x, basis=basis)
         g = obj.gradient(x)

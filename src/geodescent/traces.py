@@ -21,6 +21,9 @@ TRACE_SCHEMA = 1
 
 ACCEL_FIELDS = ("delta", "xi", "A", "B", "E", "d_xy", "d_xz", "envelope")
 
+# json.dumps(rec, sort_keys=True) builds this encoder anew for every record
+_encode = json.JSONEncoder(sort_keys=True).encode
+
 
 def manifold_spec(m: Manifold) -> dict:
     if isinstance(m, Euclidean):
@@ -63,7 +66,7 @@ class TraceWriter:
         self._write(rec)
 
     def _write(self, rec: dict):
-        self._fh.write(json.dumps(rec, sort_keys=True))
+        self._fh.write(_encode(rec))
         self._fh.write("\n")
         self._fh.flush()
 

@@ -41,7 +41,7 @@ def make_frechet_h2(seed=7, num=5, spread=0.7, domain_radius=2.0, solve_referenc
     rng = np.random.default_rng(seed)
     o = H.origin()
     pts = [H.exp(o, H.random_tangent(rng, o, spread)) for _ in range(num)]
-    return FrechetMean(H, pts, domain=DomainSpec(o, domain_radius),
+    return FrechetMean(H, np.array([p.coords for p in pts]), domain=DomainSpec(o, domain_radius),
                        solve_reference=solve_reference)
 
 
@@ -50,7 +50,7 @@ def make_frechet_sphere(seed=11, num=4, spread=0.25, domain_radius=0.5):
     rng = np.random.default_rng(seed)
     o = S.origin()
     pts = [S.exp(o, S.random_tangent(rng, o, spread)) for _ in range(num)]
-    return FrechetMean(S, pts, domain=DomainSpec(o, domain_radius))
+    return FrechetMean(S, np.array([p.coords for p in pts]), domain=DomainSpec(o, domain_radius))
 
 
 def make_rayleigh(diag=(2.0, 1.0, 0.5)):

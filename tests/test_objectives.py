@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from geodescent.geometry import (DomainSpec, Euclidean, Hyperboloid, Sphere, TangentVector,
-                                 comparison)
+from geodescent.geometry import (DomainSpec, Euclidean, Hyperboloid, ManifoldPoint, Sphere,
+                                 TangentVector, comparison)
 from geodescent.objectives import (
     FrechetMean,
     ObjectiveMetadata,
@@ -92,7 +92,8 @@ def test_frechet_value_is_direct_summation():
     rng = np.random.default_rng(1)
     for _ in range(20):
         x = m.random_point(rng, 0.5)
-        direct = sum(0.5 * m.distance(x, p) ** 2 for p in obj.points) / len(obj.points)
+        direct = sum(0.5 * m.distance(x, ManifoldPoint(m, y)) ** 2
+                     for y in obj.samples) / len(obj.samples)
         assert obj.value(x) == pytest.approx(direct, rel=1e-14)
 
 
@@ -102,7 +103,8 @@ def test_frechet_gradient_vanishes_at_symmetric_mean():
     v = H.tangent(o, [0.0, 0.7, 0.0])
     p1 = H.exp(o, v)
     p2 = H.exp(o, TangentVector(o, -v.coords))
-    obj = FrechetMean(H, [p1, p2], domain=DomainSpec(o, 2.0), solve_reference=False)
+    obj = FrechetMean(H, np.array([p1.coords, p2.coords]), domain=DomainSpec(o, 2.0),
+                      solve_reference=False)
     assert H.norm(o, obj.gradient(o)) == pytest.approx(0.0, abs=1e-12)
 
 
