@@ -137,14 +137,14 @@ class Manifold:
     Subclasses provide ``_inner``, ``_exp``, ``_transport``, ``_distance``,
     ``_dist_log`` (distance and log from one pass), ``_project_tangent`` and
     validity checks on raw coordinate arrays; ``_norm``, ``_move`` and
-    ``_log`` build on them.  ``_exp`` returns the
-    point projected back onto the manifold.  The public methods check that
-    their operands belong here and share a base point, then call these
-    kernels; the descent loops check their inputs once and call the kernels
-    directly, stepping through ``_move``, which keeps the finiteness check.
+    ``_log`` build on them.  ``_exp`` returns the point projected back onto
+    the manifold.  The public methods check that their operands belong here
+    and share a base point, then call these kernels; the descent loops check
+    their inputs once and call the kernels directly, stepping through
+    ``_move``, which keeps the finiteness check.
 
-    The row kernels ``_inner_rows``, ``_distance_rows``, ``_dist_log_rows``,
-    ``_log_rows`` and ``_exp_rows`` apply the same formulas to every row of an
+    The row kernels ``_inner_rows``, ``_dist_log_rows``, ``_log_rows`` and
+    ``_exp_rows`` apply the same formulas to every row of an
     ``(N, ambient_dim)`` array at once, for objectives that sum over many
     samples.  They take unvalidated raw arrays, like the scalar kernels.
     """
@@ -334,10 +334,6 @@ class Manifold:
         (one vector, or one row per row of ``V``)."""
         return V @ w if w.ndim == 1 else np.einsum("ij,ij->i", V, w)
 
-    def _distance_rows(self, x, Y):
-        """``_distance(x, y)`` for each row ``y`` of ``Y``."""
-        raise NotImplementedError
-
     def _log_rows(self, x, Y):
         """``_log(x, y)`` for each row ``y`` of ``Y``."""
         return self._defined(self._dist_log_rows(x, Y)[1])
@@ -394,19 +390,19 @@ class Euclidean(Manifold):
     def _exp(self, x, v):
         return x + v
 
+    def _log(self, x, y):
+        # the log alone skips _dist_log's norm
+        return y - x
+
     def _distance(self, x, y):
-        return float(np.linalg.norm(y - x))
+        return self._dist_log(x, y)[0]
 
     def _dist_log(self, x, y):
-        w = y - x
+        w = self._log(x, y)
         return float(np.linalg.norm(w)), w
 
     def _transport(self, x, y, v):
         return v.copy()
-
-    def _distance_rows(self, x, Y):
-        D = Y - x
-        return np.sqrt(self._inner_rows(x, D, D))
 
     def _dist_log_rows(self, x, Y):
         D = Y - x
@@ -453,36 +449,31 @@ class Sphere(Manifold):
         # rescale to radius R to kill drift
         return R * out / np.linalg.norm(out)
 
-    def _distance(self, x, y):
-        c = np.dot(x, y) / self.radius**2
-        w = y - c * x
-        return float(self.radius * np.arctan2(np.linalg.norm(w) / self.radius, c))
-
-    def _dist_log(self, x, y):
+    def _arc(self, x, y):
+        """The distance to ``y``, the cosine of its angle, and the part of ``y``
+        orthogonal to ``x`` with its norm: the pass ``_distance`` and
+        ``_dist_log`` share."""
         R = self.radius
         c = np.dot(x, y) / R**2
         w = y - c * x
         nw = np.linalg.norm(w)
         # atan2 keeps full precision at both ends of the arc
-        d = float(R * np.arctan2(nw / R, c))
+        return float(R * np.arctan2(nw / R, c)), c, w, nw
+
+    def _distance(self, x, y):
+        return self._arc(x, y)[0]
+
+    def _dist_log(self, x, y):
+        d, c, w, nw = self._arc(x, y)
         if c < -1.0 + ANTIPODAL_TOL:
             return d, None
         return d, np.zeros_like(x) if nw < 1e-300 else (d / nw) * w
 
-    def _cos_rows(self, x, Y):
-        """Cosine of the angle to each row of ``Y`` and the part of the row
-        orthogonal to ``x``, with its norm."""
-        c = self._inner_rows(x, Y, x) / self.radius**2
-        W = Y - c[:, None] * x
-        return c, W, np.sqrt(self._inner_rows(x, W, W))
-
-    def _distance_rows(self, x, Y):
-        c, _, nw = self._cos_rows(x, Y)
-        return self.radius * np.arctan2(nw / self.radius, c)
-
     def _dist_log_rows(self, x, Y):
         R = self.radius
-        c, W, nw = self._cos_rows(x, Y)
+        c = self._inner_rows(x, Y, x) / R**2
+        W = Y - c[:, None] * x
+        nw = np.sqrt(self._inner_rows(x, W, W))
         d = R * np.arctan2(nw / R, c)
         if np.any(c < -1.0 + ANTIPODAL_TOL):
             return d, None
@@ -563,38 +554,31 @@ class Hyperboloid(Manifold):
         out[0] = np.sqrt(1.0 / self.kappa + np.dot(out[1:], out[1:]))
         return out
 
-    def _distance(self, x, y):
-        """asinh of the projected norm (arccosh loses half the digits near d = 0).
-        Measured against long double, the absolute error here and in _distance_rows
-        is below 2*eps*(sqrt(kappa)*||x||_2^2 + d), so it grows as x leaves the origin."""
-        w = y + self.kappa * self.minkowski(x, y) * x
-        nw = self._norm(x, w)
-        sk = np.sqrt(self.kappa)
-        return float(np.arcsinh(sk * nw) / sk)
-
-    def _dist_log(self, x, y):
-        """Measured against long double, the Euclidean norm of the log's error here
-        and in _dist_log_rows is below 2*eps*kappa*||x||_2^3*(1 + sqrt(kappa)*d): the
-        tangential part cancels as in _distance, and its Minkowski norm cancels too."""
+    def _tangential(self, x, y):
+        """The distance to ``y``, as asinh of the projected norm (arccosh loses half
+        the digits near d = 0), and the tangential component of ``y`` at ``x`` with
+        its norm: the pass ``_distance`` and ``_dist_log`` share.  Measured against
+        long double, the distance's absolute error here and in _dist_log_rows is
+        below 2*eps*(sqrt(kappa)*||x||_2^2 + d), so it grows as x leaves the origin."""
         # tangential component of y at x under the Minkowski form
         w = y + self.kappa * self.minkowski(x, y) * x
         nw = self._norm(x, w)
         sk = np.sqrt(self.kappa)
-        d = float(np.arcsinh(sk * nw) / sk)
+        return float(np.arcsinh(sk * nw) / sk), w, nw
+
+    def _distance(self, x, y):
+        return self._tangential(x, y)[0]
+
+    def _dist_log(self, x, y):
+        """Measured against long double, the Euclidean norm of the log's error here
+        and in _dist_log_rows is below 2*eps*kappa*||x||_2^3*(1 + sqrt(kappa)*d): the
+        tangential part cancels as in the distance, and its Minkowski norm cancels too."""
+        d, w, nw = self._tangential(x, y)
         return d, np.zeros_like(x) if nw < 1e-300 else (d / nw) * w
 
-    def _tangential_rows(self, x, Y):
-        """Tangential component at ``x`` of each row of ``Y``, and its norm."""
-        W = Y + (self.kappa * self._inner_rows(x, Y, x))[:, None] * x
-        return W, np.sqrt(np.maximum(self._inner_rows(x, W, W), 0.0))
-
-    def _distance_rows(self, x, Y):
-        _, nw = self._tangential_rows(x, Y)
-        sk = np.sqrt(self.kappa)
-        return np.arcsinh(sk * nw) / sk
-
     def _dist_log_rows(self, x, Y):
-        W, nw = self._tangential_rows(x, Y)
+        W = Y + (self.kappa * self._inner_rows(x, Y, x))[:, None] * x
+        nw = np.sqrt(np.maximum(self._inner_rows(x, W, W), 0.0))
         sk = np.sqrt(self.kappa)
         d = np.arcsinh(sk * nw) / sk
         return d, _ratio(d, nw)[:, None] * W

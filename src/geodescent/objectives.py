@@ -91,16 +91,6 @@ class Objective:
         caller that holds that basis passes it as ``basis``."""
         raise NotImplementedError
 
-    _last = None  # (x, _kernel_pass(x)) for the last point x evaluated
-
-    def _pass_at(self, x: ManifoldPoint):
-        """The subclass's ``_kernel_pass(x)``, kept for the last point seen:
-        value, gradient and Hessian at one ``ManifoldPoint`` object share it."""
-        last = self._last
-        if last is None or last[0] is not x:
-            last = self._last = (x, self._kernel_pass(x))
-        return last[1]
-
     @property
     def known_solution(self) -> KnownSolution | None:
         return getattr(self, "_known_solution", None)
@@ -143,21 +133,20 @@ def _dist_sq_metadata(manifold: Manifold, d_max: float) -> ObjectiveMetadata:
 
 
 def _dist_sq_hessian(manifold: Manifold, x: ManifoldPoint, target: ManifoldPoint,
-                     basis: list[TangentVector], d_log=None) -> np.ndarray:
+                     basis: list[TangentVector]) -> np.ndarray:
     """Hessian matrix of 0.5*d(., target)^2 in the supplied basis.
 
     Eigenvalue 1 along the geodesic to the target, and the curvature
-    comparison value on the orthogonal complement.  Runs on the raw kernels,
-    or on ``d_log``, a ``_dist_log(x, target)`` pass the caller holds: the
-    callers have checked ``x``, ``target`` and ``basis``.
+    comparison value on the orthogonal complement.  Runs on the raw kernels:
+    the callers have checked ``x``, ``target`` and ``basis``.
     """
     n = len(basis)
     xc = x.coords
-    d, lg = manifold._dist_log(xc, target.coords) if d_log is None else d_log
+    d = manifold._distance(xc, target.coords)
     if d < 1e-14:
         return np.eye(n)
     trans = comparison(manifold.curvature, d)
-    lg = manifold._defined(lg)
+    lg = manifold._log(xc, target.coords)
     u = np.array([manifold._inner(xc, lg, b.coords) for b in basis]) / d
     return trans * np.eye(n) + (1.0 - trans) * np.outer(u, u)
 
@@ -217,19 +206,16 @@ class SquaredDistance(Objective):
         self.metadata = _dist_sq_metadata(manifold, d_max)
         self._set_solution(target, 0.0)
 
-    def _kernel_pass(self, x):
-        self.manifold._own(x)
-        return self.manifold._dist_log(x.coords, self.target.coords)
-
     def value(self, x):
-        return 0.5 * self._pass_at(x)[0] ** 2
+        return 0.5 * self.manifold.distance(x, self.target) ** 2
 
     def gradient(self, x):
-        return TangentVector(x, -self.manifold._defined(self._pass_at(x)[1]))
+        lg = self.manifold.log(x, self.target)
+        return TangentVector(x, -lg.coords)
 
     def hessian_matrix(self, x, basis=None):
         basis = self.manifold.orthonormal_basis(x) if basis is None else basis
-        return _dist_sq_hessian(self.manifold, x, self.target, basis, self._pass_at(x))
+        return _dist_sq_hessian(self.manifold, x, self.target, basis)
 
 
 class FrechetMean(Objective):
@@ -239,7 +225,8 @@ class FrechetMean(Objective):
     The samples are checked for shape and finiteness and held as a read-only
     copy, ``samples``; they are taken as given, with no point-constraint
     check.  Value, gradient and Hessian at a point share one pass of the
-    manifold's row kernels.  Sums over samples run in sample order.
+    manifold's row kernel ``_dist_log_rows``, kept for the last
+    ``ManifoldPoint`` object evaluated.  Sums over samples run in sample order.
     """
 
     name = "frechet_mean"
@@ -260,16 +247,23 @@ class FrechetMean(Objective):
         self.domain = domain if domain is not None else DomainSpec(
             ManifoldPoint(manifold, samples[0]), domain_radius)
         d_max = self.domain.radius + float(
-            manifold._distance_rows(self.domain.center.coords, self.samples).max()
+            manifold._dist_log_rows(self.domain.center.coords, self.samples)[0].max()
         )
         self.metadata = _dist_sq_metadata(manifold, d_max)
         if solve_reference:
             x_star = reference_minimize(self, self.domain.center)
             self._set_solution(x_star)
 
-    def _kernel_pass(self, x):
-        self.manifold._own(x)
-        return self.manifold._dist_log_rows(x.coords, self.samples)
+    _last = None  # (x, its pass) for the last point x evaluated
+
+    def _pass_at(self, x: ManifoldPoint):
+        """``_dist_log_rows`` from ``x`` to the samples, kept for the last point
+        seen: value, gradient and Hessian at one point object share it."""
+        last = self._last
+        if last is None or last[0] is not x:
+            self.manifold._own(x)
+            last = self._last = (x, self.manifold._dist_log_rows(x.coords, self.samples))
+        return last[1]
 
     def value(self, x):
         d = self._pass_at(x)[0]

@@ -93,7 +93,7 @@ def test_raw_kernels_are_finite_and_exp_lands_on_the_manifold(drawn):
     assert m._exp(off, np.zeros_like(x)).tobytes() == _projected(m, off).tobytes()
     Y, V = np.array([x, y]), np.array([np.zeros_like(v), v])
     assert np.isfinite(m._norm(x, v)) and np.all(np.isfinite(m._inner_rows(x, V, V)))
-    assert np.isfinite(m._distance(x, y)) and np.all(np.isfinite(m._distance_rows(x, Y)))
+    assert np.isfinite(m._distance(x, y)) and np.all(np.isfinite(m._dist_log_rows(x, Y)[0]))
     assert np.all(np.isfinite(m._exp_rows(x, V)))
     try:
         logs = [m._log(x, y), m._log_rows(x, Y)]
@@ -151,7 +151,7 @@ def test_hyperboloid_distance_error_grows_with_the_distance_from_the_origin(n, k
     # the absolute error is bounded by 2 eps (sqrt(kappa) ||x||_2^2 + d), not by eps d
     worst_rel = 0.0
     for m, x, Y in _far_pairs(n, kappa):
-        for y, row in zip(Y, m._distance_rows(x, Y)):
+        for y, row in zip(Y, m._dist_log_rows(x, Y)[0]):
             ref, _ = _extended(m, x, y)
             bound = 2 * EPS * (np.sqrt(kappa) * np.dot(x, x) + float(ref))
             err = abs(float(m._distance(x, y) - ref))
