@@ -4,8 +4,8 @@ compare two digest files.
 The golden set is ``demos/configs``, the seed-0 configs of the three
 benchmark workloads (``bench/workloads.py``) and the extra configs below:
 proximal and cubic-Newton runs, accelerated runs with ``oracle: proximal``,
-oracle-delta runs on the g-convex schedule and with the proximal oracle,
-Fréchet means on a sphere cap, problems on a sphere of radius 1.5 and two
+oracle-delta runs on the g-convex schedule, with the proximal oracle and on
+a Fréchet mean off one geodesic, Fréchet means on a sphere cap, problems on a sphere of radius 1.5 and two
 runs whose reports hold a void check.
 
 Usage::
@@ -70,6 +70,14 @@ EXTRA = {
     "h2-sqdist.accel-proximal-strongly-oracle-delta": (
         _H2, _SQDIST, {"kind": "accelerated", "mode": "strongly", "oracle": "proximal",
                        "eta": 0.5, "delta_mode": "oracle"}, {**_RUN, "k_max": 60}),
+    # the iterates of a squared distance stay on the geodesic through x0 and
+    # x*, where the realized distortion rate is 1; a Fréchet mean's leave it,
+    # so this fixed point takes more than one step per iteration
+    "h2-frechet20.accel-strongly-oracle-delta": (
+        _H2, {"kind": "frechet_mean", "seed": 0, "num_points": 20, "spread": 1.0,
+              "domain_radius": 2.0},
+        {"kind": "accelerated", "mode": "strongly", "eta": 0.05, "delta_mode": "oracle"},
+        {**_RUN, "k_max": 150}),
     # 2r + d exceeds pi*R here, so the proximal step's curvature bound
     # must not use the sphere's own curvature
     "s2-sqdist-wide.proximal": (

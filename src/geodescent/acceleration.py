@@ -88,13 +88,15 @@ class AccelParams:
 
 @dataclass
 class AccelState:
-    """The (x, y, z) triple after iteration k, with f(y) once evaluated."""
+    """The (x, y, z) triple after iteration k, with f(y) once evaluated and,
+    after a step, its drift log_x(z_{k-1}) as a coordinate array."""
 
     x: ManifoldPoint
     y: ManifoldPoint
     z: ManifoldPoint
     k: int = 0
     f_y: float | None = None
+    drift: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -140,8 +142,8 @@ def accel_step(obj: Objective, state: AccelState, params: AccelParams,
                step, c: float, tol: float = 0.0) -> tuple[AccelState, float]:
     """One accelerated update with y+ = step(obj, x+, grad f(x+)), a step
     G_c that claims ``f(G(x)) - f(x) <= -c * ||grad f(x)||^2``.  Returns the
-    new state, which carries f(y+), and the oracle slack (decrease contract
-    residual, <= tol when honoured)."""
+    new state, which carries f(y+) and the drift log_{x+}(z), and the oracle
+    slack (decrease contract residual, <= tol when honoured)."""
     m = obj.manifold
     m._own(state.y)
     m._own(state.z)
@@ -161,7 +163,7 @@ def accel_step(obj: Objective, state: AccelState, params: AccelParams,
 
     drift = m._log(x_new.coords, z)
     z_new = m._move(x_new.coords, (params.beta * drift - g_x.coords) / (params.alpha + params.beta))
-    return AccelState(x_new, y_new, z_new, state.k + 1, f_y), float(slack)
+    return AccelState(x_new, y_new, z_new, state.k + 1, f_y, drift), float(slack)
 
 
 def schedule_gconvex(k: int, A_k: float, B_k: float, delta_k: float,
@@ -232,7 +234,7 @@ def schedule_strongly(xi_k1: float, A_k: float, mu: float, c: float) -> tuple[Ac
 def distortion_rate(manifold: Manifold, x_prev: ManifoldPoint, z_prev: ManifoldPoint,
                     x_new: ManifoldPoint | None = None, mode: str = ANALYTIC,
                     x_star: ManifoldPoint | None = None, *,
-                    prev: EnergyRecord | None = None) -> float:
+                    prev: EnergyRecord | None = None, logs=None) -> float:
     """Distortion rate bounding the base-point change of the energy's
     squared projected distance.
 
@@ -241,7 +243,9 @@ def distortion_rate(manifold: Manifold, x_prev: ManifoldPoint, z_prev: ManifoldP
     realized (definitional) ratio, needs the minimizer, and is a diagnostic.
     ``prev``, the energy recorded at (x_prev, z_prev), supplies d(x_prev,
     z_prev) as its ``d_xz`` and the oracle ratio's denominator as its
-    ``dist_term``, so neither is computed again.
+    ``dist_term``, so neither is computed again; ``logs``, the coordinate
+    arrays log_{x_new}(z_prev) and log_{x_new}(x_star), supplies its
+    numerator's.
     """
     if mode == ANALYTIC:
         if manifold.curvature > 0:
@@ -255,24 +259,35 @@ def distortion_rate(manifold: Manifold, x_prev: ManifoldPoint, z_prev: ManifoldP
                  if prev is None else prev.dist_term)
         if denom < 1e-30:
             return 1.0
-        num = manifold.projected_distance(x_new, z_prev, x_star) ** 2
+        if logs is None:
+            num = manifold.projected_distance(x_new, z_prev, x_star) ** 2
+        else:
+            num = manifold._norm(x_new.coords, logs[0] - logs[1]) ** 2
         return max(1.0, num / denom)
     raise ValueError(f"unknown distortion mode {mode!r}")
 
 
 def energy(A: float, B: float, obj: Objective, state: AccelState,
-           x_star: ManifoldPoint, f_star: float, envelope: float | None = None) -> EnergyRecord:
+           x_star: ManifoldPoint, f_star: float, envelope: float | None = None,
+           star_log=None) -> EnergyRecord:
     """Evaluate the energy and its components at the current state; f(y) is
-    taken from the state when it carries it."""
+    taken from the state when it carries it, and log_x(x*) from ``star_log``
+    when the caller holds it.  d(x, z) and log_x(z) come from one pass."""
     m = obj.manifold
+    m._own(state.z)
+    m._own(x_star)
     f_gap = (obj.value(state.y) if state.f_y is None else state.f_y) - f_star
-    dist_term = m.projected_distance(state.x, state.z, x_star) ** 2
+    x = state.x.coords
+    d_xz, log_z = m._dist_log(x, state.z.coords)
+    if star_log is None:
+        star_log = m._log(x, x_star.coords)
+    dist_term = m._norm(x, m._defined(log_z) - star_log) ** 2
     return EnergyRecord(
         E=A * f_gap + B * dist_term,
         f_gap=f_gap,
         dist_term=dist_term,
         d_xy=m.distance(state.x, state.y),
-        d_xz=m.distance(state.x, state.z),
+        d_xz=d_xz,
         envelope=envelope,
     )
 
@@ -371,9 +386,9 @@ def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
     run = AccelRun(None, [], [], [], [], mode, delta_mode, c, mu, xi0, D0, None,
                    dom.diameter, x_star)
 
-    def record(slack):
+    def record(slack, star_log=None):
         # energy and record at the current state, schedule and envelope
-        e = energy(sched.A, sched.B, obj, state, x_star, f_star, env)
+        e = energy(sched.A, sched.B, obj, state, x_star, f_star, env, star_log)
         run.energies.append(e)
         run.xs.append(state.x)
         run.zs.append(state.z)
@@ -390,26 +405,32 @@ def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
             delta = distortion_rate(m, state.x, state.z, mode=ANALYTIC, prev=run.energies[-1])
             new_sched, new_state, slack = _scheduled_step(
                 obj, state, sched, delta, mode, step, mu, c, tol)
+            star_log = None
         else:
             # self-consistent realized distortion rate; near x* round-off
             # keeps the gap from reaching the target, so stop once it fails
-            # to shrink and keep the step with the smallest gap
+            # to shrink and keep the step with the smallest gap.  The rate's
+            # numerator takes the step's drift, and its log_{x+}(x*) goes to
+            # the kept step's energy record
             delta, kept = max(1.0, sched.delta), None
             for _ in range(60):
                 candidate = _scheduled_step(obj, state, sched, delta, mode, step, mu, c, tol)
-                realized = distortion_rate(m, state.x, state.z, candidate[1].x, mode=ORACLE,
-                                           x_star=x_star, prev=run.energies[-1])
+                x_new = candidate[1].x
+                star_log = m._log(x_new.coords, x_star.coords)
+                realized = distortion_rate(m, state.x, state.z, x_new, mode=ORACLE,
+                                           x_star=x_star, prev=run.energies[-1],
+                                           logs=(candidate[1].drift, star_log))
                 gap = abs(realized - delta) / max(1.0, delta)
                 if kept is not None and gap >= kept_gap:
                     run.delta_stalled += 1
                     break
-                kept, kept_gap = candidate, gap
+                kept, kept_gap = (*candidate, star_log), gap
                 if gap <= 1e-12:
                     break
                 delta = realized
             else:
                 run.delta_capped += 1
-            new_sched, new_state, slack = kept
+            new_sched, new_state, slack, star_log = kept
             run.delta_mismatch = max(run.delta_mismatch, kept_gap)
 
         state, sched = new_state, new_sched
@@ -417,7 +438,7 @@ def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
             prod *= 1.0 - sched.xi
             env = math.sqrt(max(prod * D0, 0.0))
         run.schedules.append(sched)
-        record(slack)
+        record(slack, star_log)
 
     run.trace = rec.trace()
     return run

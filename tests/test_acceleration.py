@@ -391,7 +391,8 @@ def _scripted_rates(monkeypatch, rates):
     the list of candidate x+ it was asked about."""
     candidates = []
 
-    def scripted(m, x_prev, z_prev, x_new=None, mode=acc.ANALYTIC, x_star=None, prev=None):
+    def scripted(m, x_prev, z_prev, x_new=None, mode=acc.ANALYTIC, x_star=None, prev=None,
+                 logs=None):
         assert mode == acc.ORACLE
         candidates.append(x_new)
         return rates[len(candidates) - 1]

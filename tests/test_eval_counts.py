@@ -37,10 +37,18 @@ def _counting(obj):
     return counts
 
 
-def _problem():
-    obj = make_sqdist_h2()
+def _problem(obj=None):
+    obj = make_sqdist_h2() if obj is None else obj
     x0 = point_at(obj.manifold, np.random.default_rng(5), obj.domain.center, 1.0)
     return obj, x0
+
+
+def _off_geodesic():
+    # a Frechet mean: the iterates leave the geodesic through x0 and x*, and
+    # the realized distortion rate reaches about 1.007, so the oracle-delta
+    # fixed point takes more than one step per iteration.  On the squared
+    # distance the iterates stay on that geodesic and the rate is exactly 1
+    return _problem(make_frechet_h2(seed=0, num=20, spread=1.0))
 
 
 def test_rgd_evaluates_value_and_gradient_once_per_iterate():
@@ -68,8 +76,8 @@ def test_step_reuses_the_recorded_gradient(make_alg):
     assert in_run["gradient"] == (K + 1) + standalone - K
 
 
-def _accel_run(delta_mode, k_max, eta):
-    obj, x0 = _problem()
+def _accel_run(delta_mode, k_max, eta, problem=_problem):
+    obj, x0 = problem()
     counts = _counting(obj)
     run = acc.run_accelerated(obj, x0, k_max, acc.STRONGLY, acc.gradient_oracle(obj, eta),
                               delta_mode=delta_mode)
@@ -124,10 +132,8 @@ def test_oracle_delta_takes_one_step_per_fixed_point_iteration(monkeypatch):
 
     monkeypatch.setattr(acc, "accel_step", counted_step)
     monkeypatch.setattr(acc, "distortion_rate", counted_rate)
-    # with this step size the fixed point needs more than one step per
-    # iteration
     k_max = 40
-    counts = _accel_run(acc.ORACLE, k_max, 0.05)
+    counts = _accel_run(acc.ORACLE, k_max, 0.05, _off_geodesic)
     n = steps["accel_step"]
     assert n == steps["fixed_point"] > k_max
     # two values and one gradient per step, one gradient per recorded iterate
@@ -149,18 +155,21 @@ def _public_geometry_calls(monkeypatch, names):
     return calls
 
 
-@pytest.mark.parametrize("delta_mode, eta", [(acc.ANALYTIC, 0.005), (acc.ORACLE, 0.05)],
-                         ids=["analytic", "oracle"])
-def test_accelerated_public_log_and_distance_counts(monkeypatch, delta_mode, eta):
+@pytest.mark.parametrize("delta_mode, eta, problem, public", [
+    (acc.ANALYTIC, 0.005, _problem, 1), (acc.ORACLE, 0.05, _off_geodesic, 0)],
+    ids=["analytic", "oracle"])
+def test_accelerated_public_log_and_distance_counts(monkeypatch, delta_mode, eta, problem,
+                                                    public):
     # the distortion rate reads d(x, z) and the oracle ratio's denominator
-    # from the energy recorded at (x, z); only the realized ratio's
-    # numerator, a projected distance of two logs, is new per oracle rate.
-    # The rest: squared distance's value is a distance and its gradient a
-    # log; each step takes f(x+), f(y+) and grad f(x+); each record takes
-    # the energy's projected distance, d_xy, d_xz and grad f(y), and after
-    # the first the domain monitor's distance to x, y and z; f(y0), D0 and
-    # the start point's domain check come once
-    obj, x0 = _problem()
+    # from the energy recorded at (x, z), and its numerator's logs from the
+    # step and the driver; the energy takes d_xz and its logs from the raw
+    # kernels.  The rest: each value and gradient makes ``public`` calls
+    # (squared distance's value is a distance and its gradient a log, the
+    # Frechet mean's row passes none); each step takes f(x+), f(y+) and
+    # grad f(x+); each record takes d_xy and grad f(y), and after the first
+    # the domain monitor's distance to x, y and z; f(y0) comes once, and D0
+    # and the start point's domain check are distances
+    obj, x0 = problem()
     oracle = acc.gradient_oracle(obj, eta)
     steps = {"accel_step": 0}
     accel_step = acc.accel_step
@@ -174,9 +183,8 @@ def test_accelerated_public_log_and_distance_counts(monkeypatch, delta_mode, eta
     k_max = 40
     acc.run_accelerated(obj, x0, k_max, acc.STRONGLY, oracle, delta_mode=delta_mode)
     n = steps["accel_step"]
-    rate_logs = 2 * n if delta_mode == acc.ORACLE else 0
-    assert calls == {"log": n + rate_logs + 3 * (k_max + 1),
-                     "distance": 2 * n + 2 * (k_max + 1) + 3 * k_max + 3}
+    assert calls == {"log": public * (n + k_max + 1),
+                     "distance": public * (2 * n + 1) + (k_max + 1) + 3 * k_max + 2}
     assert n > k_max if delta_mode == acc.ORACLE else n == k_max
 
 
