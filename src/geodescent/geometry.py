@@ -554,34 +554,66 @@ class Hyperboloid(Manifold):
         out[0] = np.sqrt(1.0 / self.kappa + np.dot(out[1:], out[1:]))
         return out
 
-    def _tangential(self, x, y):
-        """The distance to ``y``, as asinh of the projected norm (arccosh loses half
-        the digits near d = 0), and the tangential component of ``y`` at ``x`` with
-        its norm: the pass ``_distance`` and ``_dist_log`` share.  Measured against
-        long double, the distance's absolute error here and in _dist_log_rows is
-        below 2*eps*(sqrt(kappa)*||x||_2^2 + d), so it grows as x leaves the origin."""
-        # tangential component of y at x under the Minkowski form
-        w = y + self.kappa * self.minkowski(x, y) * x
-        nw = self._norm(x, w)
-        sk = np.sqrt(self.kappa)
-        return float(np.arcsinh(sk * nw) / sk), w, nw
-
     def _distance(self, x, y):
-        return self._tangential(x, y)[0]
+        """The distance of _dist_log, the same floats, without the log."""
+        ds = y[1:] - x[1:]
+        dn = float(ds @ ds)
+        p2 = 2.0 * float(ds @ x[1:])
+        x0 = float(x[0])
+        s = x0 + float(y[0])
+        q = (dn + p2) / s
+        u2 = max((2.0 * x0 * dn - p2 * q) / ((4.0 / self.kappa) * s), 0.0)
+        return 2.0 / math.sqrt(self.kappa) * math.asinh(math.sqrt(u2))
 
     def _dist_log(self, x, y):
-        """Measured against long double, the Euclidean norm of the log's error here
-        and in _dist_log_rows is below 2*eps*kappa*||x||_2^3*(1 + sqrt(kappa)*d): the
-        tangential part cancels as in the distance, and its Minkowski norm cancels too."""
-        d, w, nw = self._tangential(x, y)
-        return d, np.zeros_like(x) if nw < 1e-300 else (d / nw) * w
+        """Distance and log from the chord c = ||y - x||_L = (2/sqrt(kappa)) *
+        sinh(sqrt(kappa)*d/2).  With the spatial difference ds = ys - xs, the
+        time difference is q = y0 - x0 = (||ds||^2 + 2<ds, xs>) / (x0 + y0), and
+        c^2 = ||ds||^2 - q^2 = 2*(x0*||ds||^2 - <ds, xs>*q) / (x0 + y0); the
+        second form cancels no more than the first at short distances and
+        much less at long ones.  With u = sqrt(kappa)*c/2, d = (2/sqrt(kappa))
+        * asinh(u) and log_x y = (sqrt(kappa)*d / sinh(sqrt(kappa)*d)) *
+        ((y - x) - (kappa*c^2/2)*x), where sinh(sqrt(kappa)*d) = 2u*sqrt(1 + u^2)
+        and y0 - x0 is q.
+
+        Against a 60-digit reference for the points with these spatial
+        coordinates, here and in _dist_log_rows: the error of d is below
+        2*eps*kappa*||x||_2^2*d, and that of the log below 4*eps*kappa*||x||_2^2*d
+        in the metric norm and 8*eps*(sqrt(kappa)*||x||_2)^3*d in the Euclidean
+        one (measured worst: 0.72, 0.63 and 0.61 of these, for sqrt(kappa)*d up
+        to 10 from x up to 6 from the origin).  So both are accurate to
+        1e-12 relative while sqrt(kappa)*||x - origin|| <= 3, at any d."""
+        v = y - x
+        ds = v[1:]
+        dn = float(ds @ ds)
+        p2 = 2.0 * float(ds @ x[1:])
+        x0 = float(x[0])
+        s = x0 + float(y[0])
+        v[0] = q = (dn + p2) / s
+        u2 = max((2.0 * x0 * dn - p2 * q) / ((4.0 / self.kappa) * s), 0.0)
+        u = math.sqrt(u2)
+        a = math.asinh(u)
+        d = 2.0 / math.sqrt(self.kappa) * a
+        if u < 1e-300:
+            return d, np.zeros_like(x)
+        f = a / (u * math.sqrt(1.0 + u2))
+        return d, f * v - (2.0 * u2 * f) * x
 
     def _dist_log_rows(self, x, Y):
-        W = Y + (self.kappa * self._inner_rows(x, Y, x))[:, None] * x
-        nw = np.sqrt(np.maximum(self._inner_rows(x, W, W), 0.0))
-        sk = np.sqrt(self.kappa)
-        d = np.arcsinh(sk * nw) / sk
-        return d, _ratio(d, nw)[:, None] * W
+        V = Y - x
+        Ds = V[:, 1:]
+        dn = np.einsum("ij,ij->i", Ds, Ds)
+        p2 = Ds @ (2.0 * x[1:])
+        s = x[0] + Y[:, 0]
+        V[:, 0] = q = (dn + p2) / s
+        u2 = np.maximum((2.0 * x[0] * dn - p2 * q) / ((4.0 / self.kappa) * s), 0.0)
+        u = np.sqrt(u2)
+        a = np.arcsinh(u)
+        # 0 at u = 0 (y = x), where _dist_log returns the zero log
+        f = a / np.maximum(u * np.sqrt(1.0 + u2), 1e-300)
+        V *= f[:, None]
+        V -= np.multiply.outer(u2 * f, 2.0 * x)
+        return 2.0 / math.sqrt(self.kappa) * a, V
 
     def _exp_rows(self, x, V):
         sk = np.sqrt(self.kappa)

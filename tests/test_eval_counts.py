@@ -141,6 +141,37 @@ def test_oracle_delta_takes_one_step_per_fixed_point_iteration(monkeypatch):
     assert counts == {"value": 2 * n + 1, "gradient": n + k_max + 1}
 
 
+def test_oracle_delta_on_one_geodesic_takes_one_step_and_six_logs_per_iteration(monkeypatch):
+    # the squared distance's iterates stay on the geodesic through x0 and x*,
+    # where the realized rate is 1 and the fixed point's first step matches.
+    # Logs per iteration: log_y(z), grad f(x+) and the drift log_{x+}(z) in
+    # the step; log_{x+}(x*) for the rate's numerator, which the record's
+    # energy reuses with log_{x+}(z+); and grad f(y+).  The first record
+    # takes three
+    steps = {"accel_step": 0}
+    accel_step = acc.accel_step
+
+    def counted_step(*args, **kwargs):
+        steps["accel_step"] += 1
+        return accel_step(*args, **kwargs)
+
+    logs = {"passes": 0}
+    dist_log = Hyperboloid._dist_log
+
+    def counted_log(*args):
+        logs["passes"] += 1
+        return dist_log(*args)
+
+    obj, x0 = _problem()
+    monkeypatch.setattr(acc, "accel_step", counted_step)
+    monkeypatch.setattr(Hyperboloid, "_dist_log", counted_log)
+    k_max = 40
+    acc.run_accelerated(obj, x0, k_max, acc.STRONGLY, acc.gradient_oracle(obj, 0.05),
+                        delta_mode=acc.ORACLE)
+    assert steps["accel_step"] == k_max
+    assert logs["passes"] == 6 * k_max + 3
+
+
 def _public_geometry_calls(monkeypatch, names):
     """Count calls of these public ``Manifold`` methods."""
     calls = dict.fromkeys(names, 0)

@@ -25,6 +25,11 @@ from geodescent.objectives import estimate_hessian_lipschitz
 from geodescent.traces import load_trace, trace_to_csv, write_plot_data
 
 
+# a Frechet mean whose realized distortion rate reaches about 1.007
+OFF_GEODESIC = {"kind": "frechet_mean", "seed": 0, "num_points": 20, "spread": 1.0,
+                "domain_radius": 2.0}
+
+
 def _write_cfg(path, **over):
     cfg = {
         "manifold": {"kind": "hyperboloid", "n": 2, "kappa": 1.0},
@@ -161,8 +166,12 @@ def test_report_counts_delta_fixed_points_stopped_at_the_cap(tmp_path, monkeypat
         return r
 
     monkeypatch.setattr(acc, "distortion_rate", observed)
+    # a Frechet mean: its iterates leave the geodesic through x0 and x*, so
+    # the realized distortion rate moves between iterations and the fixed
+    # point takes more than one step
     p = _write_cfg(
         tmp_path / "a.yaml",
+        objective=OFF_GEODESIC,
         algorithm={"kind": "accelerated", "mode": "strongly", "oracle": "rgd",
                    "eta": 0.05, "delta_mode": "oracle"},
         run={"k_max": 40, "x0_seed": 5, "x0_distance": 1.0},
@@ -191,11 +200,44 @@ def test_report_counts_delta_fixed_points_stopped_at_the_cap(tmp_path, monkeypat
         assert deltas[k] == ds[kept]
         worst = max(worst, gaps[kept])
     assert k == len(deltas) - 1 == 40
+    assert len(calls) > 40
     block = res.report["delta_fixed_point"]
     assert block["capped_iterations"] == counts["capped"]
-    assert block["stalled_iterations"] == counts["stalled"] > 0
-    assert block["worst_mismatch"] == worst > 1e-12
+    assert block["stalled_iterations"] == counts["stalled"]
+    assert block["worst_mismatch"] == worst
     assert res.exit_code == 0
+
+
+def test_report_counts_a_stalled_and_a_capped_fixed_point(tmp_path, monkeypatch):
+    from geodescent import acceleration as acc
+
+    # iteration 1 starts at delta = 1 and stalls on its fourth rate (relative
+    # gaps 0.5, 0.1/1.5, 0.01/1.6, then 0.09/1.61), keeping delta = 1.6;
+    # iteration 2 starts there, and its gaps, about 0.025 * 0.9^i, shrink
+    # through all 60 steps
+    stall = [1.5, 1.6, 1.61, 1.7]
+    cap = [2.0 - 0.4 * 0.9 ** (i + 1) for i in range(60)]
+    rates = iter(stall + cap)
+
+    def scripted(*args, mode=acc.ANALYTIC, **kwargs):
+        assert mode == acc.ORACLE
+        return next(rates)
+
+    monkeypatch.setattr(acc, "distortion_rate", scripted)
+    p = _write_cfg(
+        tmp_path / "a.yaml",
+        algorithm={"kind": "accelerated", "mode": "strongly", "oracle": "rgd",
+                   "eta": 0.05, "delta_mode": "oracle"},
+        run={"k_max": 2, "x0_seed": 5, "x0_distance": 1.0},
+    )
+    res = run_experiment(load_config(p), str(tmp_path))
+    assert next(rates, None) is None
+    deltas = [r["delta"] for r in load_trace(res.trace_path).records]
+    assert deltas[1:] == [1.6, cap[58]]
+    block = res.report["delta_fixed_point"]
+    assert (block["stalled_iterations"], block["capped_iterations"]) == (1, 1)
+    # the worst kept gap is the stalled iteration's, above the capped one's
+    assert block["worst_mismatch"] == abs(1.61 - 1.6) / 1.6 > abs(cap[59] - cap[58]) / cap[58]
 
 
 @pytest.mark.parametrize("algorithm, void", [

@@ -3,9 +3,9 @@ built on them against the looped sums it replaced.
 
 The row kernels add over coordinates in another order than the BLAS dot
 product of the scalar kernels, so results agree to 1e-14 relative (1e-14
-absolute near zero) rather than bit for bit.  Hyperboloid points stay within
-sqrt(kappa)*d of about 5 of each other: near 10, the cancellation in
-y + kappa*<x, y>*x costs both forms about 1e-13 against extended precision.
+absolute near zero) rather than bit for bit.  Hyperboloid base points stay
+0.6 from the origin, where the rounding of the chord form, which grows as
+eps*kappa*||x||_2^2 (tests/test_numeric_edges.py), stays well below 1e-14.
 """
 
 import numpy as np
