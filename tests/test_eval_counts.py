@@ -193,13 +193,15 @@ def test_accelerated_public_log_and_distance_counts(monkeypatch, delta_mode, eta
                                                     public):
     # the distortion rate reads d(x, z) and the oracle ratio's denominator
     # from the energy recorded at (x, z), and its numerator's logs from the
-    # step and the driver; the energy takes d_xz and its logs from the raw
-    # kernels.  The rest: each value and gradient makes ``public`` calls
-    # (squared distance's value is a distance and its gradient a log, the
-    # Frechet mean's row passes none); each step takes f(x+), f(y+) and
-    # grad f(x+); each record takes d_xy and grad f(y), and after the first
-    # the domain monitor's distance to x, y and z; f(y0) comes once, and D0
-    # and the start point's domain check are distances
+    # step and the driver; the energy takes d_xz and log_x(z) from the raw
+    # kernels, and log_x(x*) from the public log unless the oracle-delta
+    # driver holds it (every record but the first).  The rest: each value
+    # and gradient makes ``public`` calls (squared distance's value is a
+    # distance and its gradient a log, the Frechet mean's row passes none);
+    # each step takes f(x+), f(y+) and grad f(x+); each record takes d_xy and
+    # grad f(y), and after the first the domain monitor's distance to x, y
+    # and z; f(y0) comes once, and D0 and the start point's domain check are
+    # distances
     obj, x0 = problem()
     oracle = acc.gradient_oracle(obj, eta)
     steps = {"accel_step": 0}
@@ -214,7 +216,8 @@ def test_accelerated_public_log_and_distance_counts(monkeypatch, delta_mode, eta
     k_max = 40
     acc.run_accelerated(obj, x0, k_max, acc.STRONGLY, oracle, delta_mode=delta_mode)
     n = steps["accel_step"]
-    assert calls == {"log": public * (n + k_max + 1),
+    star_logs = k_max + 1 if delta_mode == acc.ANALYTIC else 1
+    assert calls == {"log": public * (n + k_max + 1) + star_logs,
                      "distance": public * (2 * n + 1) + (k_max + 1) + 3 * k_max + 2}
     assert n > k_max if delta_mode == acc.ORACLE else n == k_max
 
