@@ -120,10 +120,10 @@ def test_sphere_log_refuses_points_near_the_antipode(drawn, gap):
 
 
 def _exact(m, x, y):
-    """d(x, y) and log_x y, for the points whose spatial coordinates are those
-    of ``x`` and ``y`` (their time coordinates re-solved, as ``_exp`` leaves
-    them), and that x, as Decimals: the arccosh form, whose cancellation the
-    caller's 60 digits absorb."""
+    """d(x, y), log_x y and x as Decimals, for the points whose spatial
+    coordinates are those of ``x`` and ``y`` (their time coordinates
+    re-solved, as ``_exp`` leaves them): the arccosh form, whose cancellation
+    the caller's 60 digits absorb."""
     kappa = Decimal(m.kappa)
 
     def lift(p):
@@ -194,9 +194,12 @@ def test_hyperboloid_kernels_keep_1e_12_relative_near_the_origin(n, kappa):
 def test_hyperboloid_kernel_errors_grow_with_the_distance_from_the_origin(n, kappa):
     # the chord's cancellation costs eps * kappa ||x||_2^2 relative at any d, and
     # the Euclidean norm of a tangent vector at x is up to sqrt(kappa) ||x||_2
-    # times its metric norm (measured worst: 0.72, 0.63 and 0.61 of the bounds)
+    # times its metric norm (over these and radial pairs, the worst measured
+    # were 0.72, 0.63 and 0.61 of the bounds)
+    def draw(rng):
+        return np.concatenate([rng.uniform(0.0, 10.0, 3), 10 ** rng.uniform(-12.0, 1.0, 3)])
+
     worst = 0.0
-    draw = lambda rng: np.concatenate([rng.uniform(0.0, 10.0, 3), 10 ** rng.uniform(-12.0, 1.0, 3)])
     for m, x, y in _pairs(n, kappa, 6.0, 150, draw):
         g = EPS * kappa * np.dot(x, x)
         bounds = (2 * g, 4 * g, 8 * g * np.sqrt(kappa * np.dot(x, x)))
