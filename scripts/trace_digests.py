@@ -5,8 +5,8 @@ The golden set is ``demos/configs``, the seed-0 configs of the three
 benchmark workloads (``bench/workloads.py``) and the extra configs below:
 proximal and cubic-Newton runs, accelerated runs with ``oracle: proximal``,
 oracle-delta runs on the g-convex schedule, with the proximal oracle and on
-a Fréchet mean off one geodesic, Fréchet means on a sphere cap, problems on a sphere of radius 1.5 and two
-runs whose reports hold a void check.
+a Fréchet mean off one geodesic, Fréchet means on a sphere cap, problems on
+a sphere of radius 1.5 and two runs whose reports hold a void check.
 
 Usage::
 

@@ -581,7 +581,7 @@ class Hyperboloid(Manifold):
         2*eps*kappa*||x||_2^2*d, and that of the log below 4*eps*kappa*||x||_2^2*d
         in the metric norm and 8*eps*(sqrt(kappa)*||x||_2)^3*d in the Euclidean
         one (measured worst: 0.72, 0.63 and 0.61 of these, for sqrt(kappa)*d up
-        to 10 from x up to 6 from the origin).  So both are accurate to
+        to 10 from x up to 6/sqrt(kappa) from the origin).  So both are accurate to
         1e-12 relative while x lies within 3/sqrt(kappa) of the origin, at
         any d."""
         v = y - x
