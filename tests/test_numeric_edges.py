@@ -144,14 +144,15 @@ def _minkowski(u, v):
 
 
 def _errors(m, x, y):
-    """For the scalar and then the row kernel at (x, y): the error of d, that
-    of the log in the metric norm at x (of its tangent part) and in the
-    Euclidean norm, and the exact d, computed to 60 digits."""
+    """For the scalar kernels ``_distance`` and ``_log`` and then the row
+    kernel at (x, y): the error of d, that of the log in the metric norm at x
+    (of its tangent part) and in the Euclidean norm, and the exact d,
+    computed to 60 digits."""
     out = []
     with localcontext() as ctx:
         ctx.prec = 60
         ref_d, ref_log, xd = _exact(m, x, y)
-        for d, log in [m._dist_log(x, y), m._dist_log_rows(x, y[None])]:
+        for d, log in [(m._distance(x, y), m._log(x, y)), m._dist_log_rows(x, y[None])]:
             e = [Decimal(float(c)) - r for c, r in zip(np.ravel(log), ref_log)]
             tangent = [c + Decimal(m.kappa) * _minkowski(xd, e) * a for a, c in zip(xd, e)]
             out.append((float(abs(Decimal(float(np.ravel(d)[0])) - ref_d)),
@@ -195,16 +196,25 @@ def test_hyperboloid_kernel_errors_grow_with_the_distance_from_the_origin(n, kap
     # the chord's cancellation costs eps * kappa ||x||_2^2 relative at any d, and
     # the Euclidean norm of a tangent vector at x is up to sqrt(kappa) ||x||_2
     # times its metric norm (over these and radial pairs, the worst measured
-    # were 0.72, 0.63 and 0.61 of the bounds)
+    # were 0.72, 0.63 and 0.61 of the bounds).  Below sqrt(kappa) d = 2 the
+    # errors also stay below 2 eps (sqrt(kappa) ||x||_2^2 + d) for d and
+    # 2 eps kappa ||x||_2^3 (1 + sqrt(kappa) d) for the log's Euclidean norm
+    # (worst over a radial sweep: 0.63 and 0.61); beyond it they reach 1.2
+    # and 2.0 of these
     def draw(rng):
         return np.concatenate([rng.uniform(0.0, 10.0, 3), 10 ** rng.uniform(-12.0, 1.0, 3)])
 
     worst = 0.0
     for m, x, y in _pairs(n, kappa, 6.0, 150, draw):
-        g = EPS * kappa * np.dot(x, x)
-        bounds = (2 * g, 4 * g, 8 * g * np.sqrt(kappa * np.dot(x, x)))
+        xx = np.dot(x, x)
+        g = EPS * kappa * xx
+        bounds = (2 * g, 4 * g, 8 * g * np.sqrt(kappa * xx))
         for *errs, d in _errors(m, x, y):
             ratios = [err / (bound * d) for err, bound in zip(errs, bounds)]
             assert max(ratios) <= 1.0
             worst = max(worst, *ratios)
+            err_d, _, err_euclid = errs
+            if np.sqrt(kappa) * d < 2.0:
+                assert err_d <= 2 * EPS * (np.sqrt(kappa) * xx + d)
+                assert err_euclid <= 2 * EPS * kappa * xx**1.5 * (1.0 + np.sqrt(kappa) * d)
     assert worst > 0.25
