@@ -600,15 +600,19 @@ class Hyperboloid(Manifold):
         return d, f * v - (2.0 * u2 * f) * x
 
     def _dist_log_rows(self, x, Y):
-        # _dist_log's expressions, with the temporaries updated in place
-        V = Y - x
-        Ds = V[:, 1:]
-        dn = np.einsum("ij,ij->i", Ds, Ds)
-        p2 = Ds @ (2.0 * x[1:])
-        s = Y[:, 0] + x[0]
+        # _chord's and _dist_log's expressions, with the temporaries updated
+        # in place, on the transposed (ambient_dim, N) layout: there x
+        # broadcasts along whole rows, where over the (N, ambient_dim) layout
+        # numpy loops over rows of ambient_dim entries
+        YT = Y.T.copy()
+        V = YT - x[:, None]
+        Ds = V[1:]
+        dn = np.einsum("ij,ij->j", Ds, Ds)
+        p2 = (2.0 * x[1:]) @ Ds
+        s = YT[0] + x[0]
         q = dn + p2
         q /= s
-        V[:, 0] = q
+        V[0] = q
         u2 = dn * (2.0 * x[0])
         p2 *= q
         u2 -= p2
@@ -624,11 +628,11 @@ class Hyperboloid(Manifold):
         f *= u
         np.maximum(f, 1e-300, out=f)
         np.divide(a, f, out=f)
-        V *= f[:, None]
+        V *= f
         f *= u2
-        V -= np.multiply.outer(f, 2.0 * x)
+        V -= np.multiply.outer(2.0 * x, f)
         a *= 2.0 / math.sqrt(self.kappa)
-        return a, V
+        return a, V.T.copy()
 
     def _exp_rows(self, x, V):
         sk = np.sqrt(self.kappa)
