@@ -589,7 +589,7 @@ class Hyperboloid(Manifold):
         any d.  Below sqrt(kappa)*d = 2 the errors also stay below
         2*eps*(sqrt(kappa)*||x||_2^2 + d) for d and 2*eps*kappa*||x||_2^3*(1 +
         sqrt(kappa)*d) for the log's Euclidean norm; at longer distances they
-        reach 1.2 and 2.0 of these."""
+        reach 1.3 and 2.1 of these."""
         v, u2 = self._chord(x, y)
         u = math.sqrt(u2)
         a = math.asinh(u)

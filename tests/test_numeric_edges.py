@@ -199,8 +199,8 @@ def test_hyperboloid_kernel_errors_grow_with_the_distance_from_the_origin(n, kap
     # were 0.72, 0.63 and 0.61 of the bounds).  Below sqrt(kappa) d = 2 the
     # errors also stay below 2 eps (sqrt(kappa) ||x||_2^2 + d) for d and
     # 2 eps kappa ||x||_2^3 (1 + sqrt(kappa) d) for the log's Euclidean norm
-    # (worst over a radial sweep: 0.63 and 0.61); beyond it they reach 1.2
-    # and 2.0 of these
+    # (worst over a radial sweep: 0.63 and 0.61); beyond it they reach 1.3
+    # and 2.1 of these
     def draw(rng):
         return np.concatenate([rng.uniform(0.0, 10.0, 3), 10 ** rng.uniform(-12.0, 1.0, 3)])
 
