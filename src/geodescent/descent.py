@@ -9,11 +9,12 @@ a recorded trace, independently of how the steps were produced.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from geodescent.geometry import DomainSpec, ManifoldPoint, TangentVector, in_domain
+from geodescent.geometry import DomainSpec, ManifoldPoint, TangentVector, _norm2, in_domain
 from geodescent.objectives import Objective, _dist_sq_hessian, _dist_sq_L
 
 __all__ = [
@@ -205,28 +206,29 @@ def _solve_cubic_model(g: np.ndarray, evals: np.ndarray, evecs: np.ndarray,
     (Moré & Sorensen 1983)."""
     ghat = evecs.T @ g
     sigma_min = max(0.0, -float(evals[0]))
-    scale = 1.0 + float(np.abs(evals).max()) + float(np.linalg.norm(g))
+    gn = _norm2(g)
+    scale = 1.0 + float(np.abs(evals).max()) + gn
 
     # strictly interior evaluation point just above sigma_min
     lo = sigma_min + 1e-14 * scale
-    if np.linalg.norm(ghat / (evals + lo)) <= lo / M:
+    if _norm2(ghat / (evals + lo)) <= lo / M:
         # hard case: sigma pinned at sigma_min; pad with the bottom eigenvector
         denom = evals + sigma_min
         mask = denom > 1e-12 * scale
         s_hat = np.zeros_like(ghat)
         s_hat[mask] = -ghat[mask] / denom[mask]
-        gap = (sigma_min / M) ** 2 - float(np.dot(s_hat, s_hat))
+        gap = (sigma_min / M) ** 2 - float(s_hat.dot(s_hat))
         if gap > 0 and not mask[0]:
-            s_hat[0] += np.sqrt(gap)
+            s_hat[0] += math.sqrt(gap)
         return evecs @ s_hat
     # start at the root's bound sigma * (lam_max + sigma) >= M ||g||, without cancellation
-    lam_max, c = float(evals[-1]), M * float(np.linalg.norm(g))
-    sq = np.sqrt(lam_max**2 + 4.0 * c)
+    lam_max, c = float(evals[-1]), M * gn
+    sq = math.sqrt(lam_max**2 + 4.0 * c)
     sigma = max(lo, 2.0 * c / (lam_max + sq) if lam_max > 0 else (sq - lam_max) / 2.0)
     for _ in range(100):
         w = ghat / (evals + sigma)
-        sn = float(np.linalg.norm(w))
-        dpsi = float(np.dot(w, w / (evals + sigma))) / sn**3 + M / sigma**2
+        sn = _norm2(w)
+        dpsi = float(w.dot(w / (evals + sigma))) / sn**3 + M / sigma**2
         step = (M / sigma - 1.0 / sn) / dpsi
         sigma += step
         if step <= 1e-15 * sigma:
@@ -258,7 +260,7 @@ def cubic_newton_step(obj: Objective, x: ManifoldPoint, M: float, theta: float,
     m._same_base(x, g_vec)
     g = np.array([m._inner(x.coords, g_vec.coords, b.coords) for b in basis])
     H = obj.hessian_matrix(x, basis=basis)
-    gn = float(np.linalg.norm(g))
+    gn = _norm2(g)
     evals, evecs = np.linalg.eigh(H)
     lam_min = float(evals[0])
     atol = 1e-12 * (1.0 + gn + float(np.abs(H).max()))
@@ -270,17 +272,17 @@ def cubic_newton_step(obj: Objective, x: ManifoldPoint, M: float, theta: float,
     s = _solve_cubic_model(g, evals, evecs, M)
 
     def model_drop(sv):
-        return float(g @ sv + 0.5 * sv @ H @ sv + (M / 3.0) * np.linalg.norm(sv) ** 3)
+        return float(g.dot(sv) + 0.5 * sv @ H @ sv + (M / 3.0) * _norm2(sv) ** 3)
 
     def model_grad(sv):
-        return g + H @ sv + M * np.linalg.norm(sv) * sv
+        return g + H @ sv + M * _norm2(sv) * sv
 
-    if np.linalg.norm(model_grad(s)) > theta * np.dot(s, s) + atol:
+    if _norm2(model_grad(s)) > theta * s.dot(s) + atol:
         # fall back to gradient descent on the model
-        step = 1.0 / (abs(lam_min) + float(np.abs(H).max()) + M * np.linalg.norm(s) + 1.0)
+        step = 1.0 / (abs(lam_min) + float(np.abs(H).max()) + M * _norm2(s) + 1.0)
         for _ in range(20_000):
             gm = model_grad(s)
-            if np.linalg.norm(gm) <= theta * np.dot(s, s) + atol:
+            if _norm2(gm) <= theta * s.dot(s) + atol:
                 break
             s = s - step * gm
         else:

@@ -5,6 +5,26 @@ All operations are pure functions of their inputs and every manifold object
 is immutable after construction, so instances can be shared freely across
 concurrent runs.  Points and tangent vectors live in ambient coordinates;
 the hyperboloid uses the Minkowski form ``<x, y> = -x0*y0 + sum_i xi*yi``.
+
+The scalar kernels run on 3- to 9-vectors, where numpy's per-call dispatch
+costs more than the arithmetic.  They use idioms that perform the same IEEE
+operations in the same order as numpy's generic calls, so every float is
+bit-identical to them (``tests/kernel_reference.py`` keeps the generic
+bodies as the reference):
+
+- ``a.dot(b)`` for ``a @ b`` and ``np.dot(a, b)`` on 1-D float arrays;
+- ``math.sqrt(a.dot(a))`` for ``np.linalg.norm(a)``, numpy's own formula;
+- ``math.sqrt`` for ``np.sqrt`` of one number (both correctly rounded),
+  ``a.item(i)`` for ``float(a[i])``, and sqrt(kappa) computed once;
+- numpy's ``cosh``, ``sinh``, ``cos``, ``sin`` and ``arctan2`` called on
+  Python floats;
+- a finiteness test per entry of ``a.tolist()`` for ``np.isfinite(a).all()``.
+
+They keep numpy's ``cosh``, ``sinh``, ``tanh``, ``tan`` and ``arctan2``:
+numpy computes these with its own routines, not the C library's that
+``math`` calls, and ``math.cosh`` differed in the last bit on about a fifth
+of inputs.  Matrix products keep ``@``.  The row kernels run on whole arrays
+and keep numpy's calls.
 """
 
 from __future__ import annotations
@@ -162,7 +182,7 @@ class Manifold:
             raise GeometryError(
                 f"expected {self.ambient_dim} ambient coordinates, got shape {coords.shape}"
             )
-        if not np.all(np.isfinite(coords)):
+        if not _finite(coords):
             raise GeometryError("non-finite point coordinates")
         p = ManifoldPoint(self, coords)
         self.check_point(p)
@@ -175,7 +195,7 @@ class Manifold:
             raise GeometryError(
                 f"expected {self.ambient_dim} ambient coordinates, got shape {coords.shape}"
             )
-        if not np.all(np.isfinite(coords)):
+        if not _finite(coords):
             raise GeometryError("non-finite tangent coordinates")
         v = TangentVector(base, coords)
         self.check_tangent(v)
@@ -194,7 +214,7 @@ class Manifold:
     def check_tangent(self, v: TangentVector, tol: float = POINT_TOL):
         err = self._tangent_defect(v.base.coords, v.coords)
         # absolute at unit scale, relative for large vectors / far points
-        scale = 1.0 + float(np.linalg.norm(v.base.coords) * np.linalg.norm(v.coords))
+        scale = 1.0 + _norm2(v.base.coords) * _norm2(v.coords)
         if err > tol * scale:
             raise GeometryError(f"tangent violates {self.key} constraint by {err:.3e}")
 
@@ -296,11 +316,11 @@ class Manifold:
         raise NotImplementedError
 
     def _norm(self, x, v) -> float:
-        return float(np.sqrt(max(self._inner(x, v, v), 0.0)))
+        return math.sqrt(max(self._inner(x, v, v), 0.0))
 
     def _move(self, x, v) -> ManifoldPoint:
         """The point ``_exp(x, v)`` for a finite ``v``."""
-        if not np.isfinite(v).all():
+        if not _finite(v):
             raise GeometryError("non-finite tangent coordinates")
         return ManifoldPoint(self, self._exp(x, v))
 
@@ -360,6 +380,23 @@ class Manifold:
         return self.key
 
 
+def _finite(a) -> bool:
+    """Whether every entry of the 1-D array ``a`` is finite, as
+    ``np.isfinite(a).all()`` says, without numpy's dispatch.  Not a test on
+    ``a.dot(a)`` or ``a.sum()``, which overflow on finite entries."""
+    return all(map(math.isfinite, a.tolist()))
+
+
+def _norm2(a) -> float:
+    """``np.linalg.norm(a)`` of a 1-D float array, by numpy's own formula."""
+    return math.sqrt(a.dot(a))
+
+
+def _minkowski(u, v) -> float:
+    """``Hyperboloid.minkowski`` of two 1-D float arrays."""
+    return -u.item(0) * v.item(0) + float(u[1:].dot(v[1:]))
+
+
 def _ratio(num, den):
     """``num / den`` per row, and 0 where ``den`` is below 1e-300: the
     zero-norm branch of the scalar kernels."""
@@ -385,7 +422,7 @@ class Euclidean(Manifold):
         return ManifoldPoint(self, np.zeros(self.dim))
 
     def _inner(self, x, v, w):
-        return float(np.dot(v, w))
+        return float(v.dot(w))
 
     def _exp(self, x, v):
         return x + v
@@ -399,7 +436,7 @@ class Euclidean(Manifold):
 
     def _dist_log(self, x, y):
         w = self._log(x, y)
-        return float(np.linalg.norm(w)), w
+        return _norm2(w), w
 
     def _transport(self, x, y, v):
         return v.copy()
@@ -439,26 +476,26 @@ class Sphere(Manifold):
         return ManifoldPoint(self, c)
 
     def _inner(self, x, v, w):
-        return float(np.dot(v, w))
+        return float(v.dot(w))
 
     def _exp(self, x, v):
         R = self.radius
-        nv = np.linalg.norm(v)
+        nv = _norm2(v)
         t = nv / R
         out = x if nv < 1e-300 else np.cos(t) * x + np.sin(t) * (R / nv) * v
         # rescale to radius R to kill drift
-        return R * out / np.linalg.norm(out)
+        return R * out / _norm2(out)
 
     def _arc(self, x, y):
         """The distance to ``y``, the cosine of its angle, and the part of ``y``
         orthogonal to ``x`` with its norm: the pass ``_distance`` and
         ``_dist_log`` share."""
         R = self.radius
-        c = np.dot(x, y) / R**2
+        c = float(x.dot(y)) / R**2
         w = y - c * x
-        nw = np.linalg.norm(w)
+        nw = _norm2(w)
         # atan2 keeps full precision at both ends of the arc
-        return float(R * np.arctan2(nw / R, c)), c, w, nw
+        return R * float(np.arctan2(nw / R, c)), c, w, nw
 
     def _distance(self, x, y):
         return self._arc(x, y)[0]
@@ -467,7 +504,7 @@ class Sphere(Manifold):
         d, c, w, nw = self._arc(x, y)
         if c < -1.0 + ANTIPODAL_TOL:
             return d, None
-        return d, np.zeros_like(x) if nw < 1e-300 else (d / nw) * w
+        return d, np.zeros(x.size) if nw < 1e-300 else (d / nw) * w
 
     def _dist_log_rows(self, x, Y):
         R = self.radius
@@ -488,24 +525,24 @@ class Sphere(Manifold):
 
     def _transport(self, x, y, v):
         lg = self._log(x, y)
-        d = np.linalg.norm(lg)
+        d = _norm2(lg)
         if d < 1e-300:
             return self._project_tangent(y, v)
         u = lg / d
         theta = d / self.radius
-        a = np.dot(v, u)
+        a = float(v.dot(u))
         u_y = np.cos(theta) * u - np.sin(theta) * x / self.radius
         out = (v - a * u) + a * u_y
         return self._project_tangent(y, out)
 
     def _project_tangent(self, x, v):
-        return v - (np.dot(x, v) / self.radius**2) * x
+        return v - (float(x.dot(v)) / self.radius**2) * x
 
     def _point_defect(self, x):
-        return abs(np.linalg.norm(x) - self.radius)
+        return abs(_norm2(x) - self.radius)
 
     def _tangent_defect(self, x, v):
-        return abs(np.dot(x, v)) / self.radius
+        return abs(float(x.dot(v))) / self.radius
 
 
 class Hyperboloid(Manifold):
@@ -525,6 +562,9 @@ class Hyperboloid(Manifold):
         self.kappa = float(kappa)
         self.key = f"hyperboloid(n={n},kappa={kappa:g})"
         self.curvature = -self.kappa
+        # sqrt(kappa) and 2/sqrt(kappa), which the scalar kernels read on every call
+        self._sk = math.sqrt(self.kappa)
+        self._2_sk = 2.0 / self._sk
         # the Minkowski form as a diagonal metric, for the row kernels
         self._signature = np.ones(self.ambient_dim)
         self._signature[0] = -1.0
@@ -532,26 +572,26 @@ class Hyperboloid(Manifold):
 
     def origin(self):
         c = np.zeros(self.ambient_dim)
-        c[0] = 1.0 / np.sqrt(self.kappa)
+        c[0] = 1.0 / self._sk
         return ManifoldPoint(self, c)
 
     @staticmethod
     def minkowski(u, v) -> float:
-        return float(-u[0] * v[0] + np.dot(u[1:], v[1:]))
+        return _minkowski(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
 
     def _inner(self, x, v, w):
-        return self.minkowski(v, w)
+        return _minkowski(v, w)
 
     def _inner_rows(self, x, V, w):
         return super()._inner_rows(x, V, w * self._signature)
 
     def _exp(self, x, v):
-        sk = np.sqrt(self.kappa)
         nv = self._norm(x, v)
-        t = sk * nv
+        t = self._sk * nv
         out = x.copy() if nv < 1e-300 else np.cosh(t) * x + np.sinh(t) * v / t
         # re-solve the time coordinate from the spatial part to kill drift
-        out[0] = np.sqrt(1.0 / self.kappa + np.dot(out[1:], out[1:]))
+        s = out[1:]
+        out[0] = math.sqrt(1.0 / self.kappa + s.dot(s))
         return out
 
     def _chord(self, x, y):
@@ -564,15 +604,15 @@ class Hyperboloid(Manifold):
         more than the first at short distances and much less at long ones."""
         v = y - x
         ds = v[1:]
-        dn = float(ds @ ds)
-        p2 = 2.0 * float(ds @ x[1:])
-        x0 = float(x[0])
-        s = x0 + float(y[0])
+        dn = float(ds.dot(ds))
+        p2 = 2.0 * float(ds.dot(x[1:]))
+        x0 = x.item(0)
+        s = x0 + y.item(0)
         v[0] = q = (dn + p2) / s
         return v, max((2.0 * x0 * dn - p2 * q) / ((4.0 / self.kappa) * s), 0.0)
 
     def _distance(self, x, y):
-        return 2.0 / math.sqrt(self.kappa) * math.asinh(math.sqrt(self._chord(x, y)[1]))
+        return self._2_sk * math.asinh(math.sqrt(self._chord(x, y)[1]))
 
     def _dist_log(self, x, y):
         """d = (2/sqrt(kappa)) * asinh(u) and log_x y = (sqrt(kappa)*d /
@@ -593,9 +633,9 @@ class Hyperboloid(Manifold):
         v, u2 = self._chord(x, y)
         u = math.sqrt(u2)
         a = math.asinh(u)
-        d = 2.0 / math.sqrt(self.kappa) * a
+        d = self._2_sk * a
         if u < 1e-300:
-            return d, np.zeros_like(x)
+            return d, np.zeros(x.size)
         f = a / (u * math.sqrt(1.0 + u2))
         return d, f * v - (2.0 * u2 * f) * x
 
@@ -649,23 +689,24 @@ class Hyperboloid(Manifold):
         if d < 1e-300:
             return self._project_tangent(y, v)
         u = lg / d
-        sk = np.sqrt(self.kappa)
+        sk = self._sk
         t = sk * d
-        a = self.minkowski(v, u)
+        a = _minkowski(v, u)
         u_y = sk * np.sinh(t) * x + np.cosh(t) * u
         out = (v - a * u) + a * u_y
         return self._project_tangent(y, out)
 
     def _project_tangent(self, x, v):
+        # the public form, which takes a list v as well as an array
         return v + self.kappa * self.minkowski(x, v) * x
 
     def _point_defect(self, x):
         if x[0] <= 0:
             return np.inf
-        return abs(self.minkowski(x, x) + 1.0 / self.kappa) * self.kappa
+        return abs(_minkowski(x, x) + 1.0 / self.kappa) * self.kappa
 
     def _tangent_defect(self, x, v):
-        return abs(self.minkowski(x, v)) * np.sqrt(self.kappa)
+        return abs(_minkowski(x, v)) * self._sk
 
 
 def in_domain(dom: DomainSpec, x: ManifoldPoint, tol: float = 1e-9) -> bool:

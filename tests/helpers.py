@@ -2,9 +2,20 @@
 reference solvers and checks used across the test modules."""
 
 import numpy as np
+from hypothesis import assume
 
 from geodescent.geometry import DomainSpec, Euclidean, Hyperboloid, Sphere, TangentVector
 from geodescent.objectives import FrechetMean, Quadratic, SphereRayleigh, SquaredDistance
+
+
+def drawn_unit(m, x, raw):
+    """The unit tangent at raw coordinates ``x`` along the ambient vector
+    ``raw`` drawn by hypothesis, which rejects a projection shorter than
+    1e-3."""
+    u = m._project_tangent(x, np.asarray(raw, dtype=float))
+    n = m._norm(x, u)
+    assume(n > 1e-3)
+    return u / n
 
 
 def unit_tangent(m, rng, x):

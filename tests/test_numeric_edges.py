@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from geodescent.descent import ProximalSolverError, proximal_step
 from geodescent.geometry import ANTIPODAL_TOL, AntipodalPointsError, Hyperboloid, Sphere, comparison
-from helpers import make_sqdist_h2, point_at
+from helpers import drawn_unit, make_sqdist_h2, point_at
 
 EPS = np.finfo(float).eps
 
@@ -44,13 +44,6 @@ def test_proximal_step_with_one_inner_iteration():
 # raw kernels
 
 
-def _unit(m, x, raw):
-    u = m._project_tangent(x, np.asarray(raw, dtype=float))
-    n = m._norm(x, u)
-    assume(n > 1e-3)
-    return u / n
-
-
 @st.composite
 def _kernel_inputs(draw, hyperbolic=st.booleans()):
     """A manifold, a point x and a tangent v at x, each of length up to
@@ -65,9 +58,9 @@ def _kernel_inputs(draw, hyperbolic=st.booleans()):
         far = np.pi * m.radius - 1e-6
     direction = st.lists(st.floats(-1.0, 1.0), min_size=m.ambient_dim, max_size=m.ambient_dim)
     o = m.origin().coords
-    x = m._exp(o, draw(st.floats(0.0, far)) * _unit(m, o, draw(direction)))
+    x = m._exp(o, draw(st.floats(0.0, far)) * drawn_unit(m, o, draw(direction)))
     length = draw(st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 1e-300]), st.floats(0.0, far)))
-    return m, x, length * _unit(m, x, draw(direction))
+    return m, x, length * drawn_unit(m, x, draw(direction))
 
 
 def _projected(m, x):
