@@ -54,6 +54,7 @@ __all__ = [
     "shrink_diagnostics",
     "ShrinkReport",
     "xi_convergence_report",
+    "xi_convergence_levels",
     "settles_from",
     "conjugate_bound_check",
 ]
@@ -78,11 +79,11 @@ class AccelParams:
     beta: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.tau) and 0.0 < self.tau <= 1.0):
+        if not (math.isfinite(self.tau) and 0.0 < self.tau <= 1.0):
             raise ValueError(f"tau={self.tau!r} outside (0, 1]")
-        if not (np.isfinite(self.alpha) and self.alpha >= 0.0):
+        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
             raise ValueError("alpha must be finite and >= 0")
-        if not (np.isfinite(self.beta) and self.beta > 0.0):
+        if not (math.isfinite(self.beta) and self.beta > 0.0):
             raise ValueError("beta must be finite and positive")
 
 
@@ -530,16 +531,25 @@ def xi_convergence_report(xi_seq, mu: float, c: float, eps: float) -> tuple[int 
     fitted log-linear convergence slope of the deviation (nan if
     degenerate).  A sequence that starts in the band, leaves it and comes
     back reports the index where it re-entered for good."""
+    (first,), slope = xi_convergence_levels(xi_seq, mu, c, (eps,))
+    return first, slope
+
+
+def xi_convergence_levels(xi_seq, mu: float, c: float,
+                          eps_levels) -> tuple[list[int | None], float]:
+    """``xi_convergence_report`` at each of ``eps_levels``: the first index
+    for each level, and the slope, which does not depend on the level and
+    is fitted once."""
     target = math.sqrt(2.0 * mu * c)
     dev = np.abs(np.asarray(xi_seq, dtype=float) - target)
-    first = settles_from(dev <= eps)
+    firsts = [settles_from(dev <= eps) for eps in eps_levels]
     mask = dev > 1e-15
     if mask.sum() >= 2:
         ks = np.nonzero(mask)[0]
         slope = float(np.polyfit(ks, np.log(dev[mask]), 1)[0])
     else:
         slope = float("nan")
-    return first, slope
+    return firsts, slope
 
 
 def conjugate_bound_check(s, u, alpha: float, q: float, slack: float = 1e-12) -> bool:

@@ -389,10 +389,8 @@ def _check_product_rate(run, tol):
 def _xi_table(run, eps_levels=(1e-1, 1e-2, 1e-3, 1e-6)):
     """Convergence table of the contraction factor toward sqrt(2*mu*c)."""
     xi = run.xi_seq
-    table = {}
-    for eps in eps_levels:
-        k, slope = accel.xi_convergence_report(xi, run.mu, run.c, eps)
-        table[f"first_k_within_{eps:g}"] = k
+    firsts, slope = accel.xi_convergence_levels(xi, run.mu, run.c, eps_levels)
+    table = {f"first_k_within_{eps:g}": k for eps, k in zip(eps_levels, firsts)}
     table.update({"target": math.sqrt(2.0 * run.mu * run.c), "final": xi[-1],
                   "log_deviation_slope": None if math.isnan(slope) else slope})
     return table

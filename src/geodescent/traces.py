@@ -23,6 +23,9 @@ ACCEL_FIELDS = ("delta", "xi", "A", "B", "E", "d_xy", "d_xz", "envelope")
 
 # json.dumps(rec, sort_keys=True) builds this encoder anew for every record
 _encode = json.JSONEncoder(sort_keys=True).encode
+# json.loads(line) is decode(line): raw_decode plus two whitespace matches
+# that a stripped line does not need
+_decode = json.JSONDecoder().raw_decode
 
 
 def manifold_spec(m: Manifold) -> dict:
@@ -66,20 +69,20 @@ class TraceWriter:
         self._write(rec)
 
     def _write(self, rec: dict):
-        self._fh.write(_encode(rec))
-        self._fh.write("\n")
+        self._fh.write(_encode(rec) + "\n")
         self._fh.flush()
 
     def record(self, k: int, coords, f: float, grad_norm: float, slack=None, **extra):
         rec = {
             "type": "iter",
             "k": int(k),
-            "coords": _jsonify(np.asarray(coords)),
+            "coords": np.asarray(coords).tolist(),
             "f": float(f),
             "grad_norm": float(grad_norm),
             "slack": None if slack is None else float(slack),
         }
-        rec.update({k2: _jsonify(v) for k2, v in extra.items()})
+        for k2, v in extra.items():
+            rec[k2] = v if v is None or type(v) is float else _jsonify(v)
         self._write(rec)
 
     def close(self):
@@ -142,9 +145,11 @@ def load_trace(path) -> TraceData:
             if not line:
                 continue
             try:
-                rec = json.loads(line)
+                rec, end = _decode(line)
             except json.JSONDecodeError:
                 break  # truncated tail from a crash; keep the parseable prefix
+            if end != len(line):
+                break  # more than one value on the line, as json.loads refuses
             if rec.get("type") == "meta":
                 meta = rec
             elif rec.get("type") == "iter":
@@ -157,14 +162,13 @@ def load_trace(path) -> TraceData:
 def trace_to_csv(data: TraceData, path):
     """Numeric columns only, one row per iteration."""
     cols = data.numeric_columns()
+    lines = [",".join(cols)]
+    for r in data.records:
+        lines.append(",".join(["" if (v := r.get(c)) is None else repr(float(v))
+                               for c in cols]))
+    lines.append("")
     with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for r in data.records:
-            row = []
-            for c in cols:
-                v = r.get(c)
-                row.append("" if v is None else repr(float(v)))
-            fh.write(",".join(row) + "\n")
+        fh.write("\n".join(lines))
 
 
 def write_plot_data(data: TraceData, path):

@@ -469,6 +469,10 @@ def test_crash_safety_truncation(tmp_path):
         assert n >= blob[:offset].count(b"\n") - 1
 
     loads_a_prefix()
+    # a line holding two values ends the prefix, as a cut line does
+    lines = blob.split(b"\n")
+    cut.write_bytes(b"\n".join(lines[:3] + [lines[3] + b" " + lines[4]] + lines[5:]))
+    assert load_trace(cut).records == full.records[:2]
 
 
 def test_csv_export_and_plot_data(tmp_path):
