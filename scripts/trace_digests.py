@@ -6,7 +6,8 @@ benchmark workloads (``bench/workloads.py``) and the extra configs below:
 proximal and cubic-Newton runs, accelerated runs with ``oracle: proximal``,
 oracle-delta runs on the g-convex schedule, with the proximal oracle and on
 a Fréchet mean off one geodesic, Fréchet means on a sphere cap, problems on
-a sphere of radius 1.5 and two runs whose reports hold a void check.
+a sphere of radius 1.5, two runs whose reports hold a void check and an
+accelerated run that leaves its domain.
 
 Usage::
 
@@ -102,6 +103,10 @@ EXTRA = {
     # above the floor (product_rate_bound)
     "h2-sqdist.rgd-domain-exit": (
         _H2, _SQDIST, {"kind": "rgd"}, {**_RUN, "x0_distance": 0.25, "domain_radius": 0.5}),
+    # an accelerated run that leaves a wider ball, at k = 3
+    "h2-sqdist.accel-strongly-domain-exit": (
+        _H2, _SQDIST, {"kind": "accelerated", "mode": "strongly"},
+        {**_RUN, "x0_distance": 0.25, "domain_radius": 0.7}),
     "h2-sqdist.accel-strongly-at-target": (
         _H2, {**_SQDIST, "domain_center": "target"}, {"kind": "accelerated", "mode": "strongly"},
         {**_RUN, "x0_distance": 0.0}),

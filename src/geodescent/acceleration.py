@@ -20,7 +20,7 @@ checked after the fact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -211,13 +211,15 @@ def xi_solve(xi_k: float, delta_k1: float, mu: float, c: float) -> float:
     return max(xi, a)
 
 
-def schedule_strongly(xi_k1: float, A_k: float, mu: float, c: float) -> tuple[AccelParams, ScheduleState]:
+def schedule_strongly(xi_k1: float, A_k: float, mu: float, c: float,
+                      delta_k1: float = 1.0) -> tuple[AccelParams, ScheduleState]:
     """Coefficients for the strongly g-convex schedule at contraction xi_{k+1}.
 
     tau = (xi - 2*mu*c)/(1 - 2*mu*c), alpha = mu, beta = (xi - 2*mu*c)/(2c);
     A grows by 1/(1 - xi) and B tracks xi^2 * A / (4c).  The bracket endpoint
     xi = 2*mu*c would give beta = 0 (the delta -> infinity limit) and is
-    rejected as degenerate.
+    rejected as degenerate.  The schedule stores ``delta_k1``, the distortion
+    rate that ``xi_solve`` turned into xi_{k+1}.
     """
     a = 2.0 * mu * c
     if not c < 1.0 / (2.0 * mu):
@@ -229,7 +231,7 @@ def schedule_strongly(xi_k1: float, A_k: float, mu: float, c: float) -> tuple[Ac
     beta = (xi_k1 - a) / (2.0 * c)
     A_k1 = A_k / (1.0 - xi_k1)
     B_k1 = xi_k1**2 / (1.0 - xi_k1) * A_k / (4.0 * c)
-    return AccelParams(tau, alpha, beta), ScheduleState(A_k1, B_k1, A_k1 - A_k, 1.0, xi_k1)
+    return AccelParams(tau, alpha, beta), ScheduleState(A_k1, B_k1, A_k1 - A_k, delta_k1, xi_k1)
 
 
 def distortion_rate(manifold: Manifold, x_prev: ManifoldPoint, z_prev: ManifoldPoint,
@@ -345,7 +347,9 @@ def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
     relative, until that relative gap fails to shrink (``delta_stalled``
     counts these iterations) or for at most 60 steps (``delta_capped``), and
     the step with the smallest gap is kept.  The trace records the y iterates; the domain
-    monitor watches x, y and z.  ``callback(k, y, f, grad_norm, slack,
+    monitor watches x, y and z: ``in_domain`` checks y0 = x0 = z0 before the
+    first step, and the row kernel the later triples once the run ends
+    (``_Recorder``).  ``callback(k, y, f, grad_norm, slack,
     extra)`` fires after every iteration, with the schedule and energy
     fields in ``extra``.
     """
@@ -453,8 +457,7 @@ def _scheduled_step(obj, state, sched, delta, mode, step, mu, c, tol):
     if mode == GCONVEX:
         params, new = schedule_gconvex(state.k, sched.A, sched.B, sched.delta, delta, c)
     else:
-        params, new = schedule_strongly(xi_solve(sched.xi, delta, mu, c), sched.A, mu, c)
-        new = replace(new, delta=delta)
+        params, new = schedule_strongly(xi_solve(sched.xi, delta, mu, c), sched.A, mu, c, delta)
     new_state, slack = accel_step(obj, state, params, step, c, tol)
     return new, new_state, slack
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from geodescent.geometry import DomainSpec, ManifoldPoint, TangentVector, _norm2, in_domain
+from geodescent.geometry import (DOMAIN_TOL, DomainSpec, ManifoldPoint, TangentVector, _norm2,
+                                  in_domain)
 from geodescent.objectives import Objective, _dist_sq_hessian, _dist_sq_L
 
 __all__ = [
@@ -41,6 +42,8 @@ BACKWARD = "backward"
 
 # floor below which rate envelopes are no longer numerically meaningful
 ENVELOPE_FLOOR = 1e-13
+# iterations per row-kernel pass of the domain monitor
+MONITOR_BLOCK = 1024
 
 
 class ProximalSolverError(RuntimeError):
@@ -389,9 +392,16 @@ class CubicNewton:
 
 
 class _Recorder:
-    """Trace columns, domain monitor and callback shared by both drivers: the
-    start point must lie in ``dom``; the first iteration at which a watched
-    point (default: the iterate) leaves it is noted."""
+    """Trace columns, domain monitor and callback shared by both drivers.
+
+    ``in_domain`` checks that the start point lies in ``dom``.  ``record``
+    keeps each later iteration's watched points (default: the iterate), and
+    ``trace`` notes the first iteration at which one lies beyond the bound
+    ``in_domain`` uses.  It measures their distances from the centre with the
+    row kernel ``_dist_log_rows``, one pass per ``MONITOR_BLOCK`` iterations
+    until a block leaves.  Row and scalar distances may differ in the last
+    bit, so only a point within a few ulps of the bound can be judged
+    otherwise than ``in_domain`` would."""
 
     def __init__(self, dom: DomainSpec, x0: ManifoldPoint, callback=None):
         if not in_domain(dom, x0):
@@ -399,7 +409,7 @@ class _Recorder:
         self.dom = dom
         self.callback = callback
         self.xs, self.values, self.grad_norms, self.slacks = [], [], [], []
-        self.domain_exit = None
+        self.watched = []
 
     def record(self, x, f, grad_norm, slack=None, extra=None, watch=None):
         k = len(self.xs)
@@ -408,25 +418,37 @@ class _Recorder:
         self.grad_norms.append(grad_norm)
         if k:
             self.slacks.append(slack)
-            if self.domain_exit is None and not all(
-                in_domain(self.dom, p) for p in (watch or (x,))
-            ):
-                self.domain_exit = k
+            self.watched.append(watch or (x,))
         if self.callback is not None:
             self.callback(k, x, f, grad_norm, slack, extra or {})
 
+    def domain_exit(self) -> int | None:
+        """The first k >= 1 with a watched point outside the domain, or None."""
+        center = self.dom.center
+        bound = self.dom.radius + DOMAIN_TOL
+        for start in range(0, len(self.watched), MONITOR_BLOCK):
+            block = self.watched[start:start + MONITOR_BLOCK]
+            d = center.manifold._dist_log_rows(
+                center.coords, np.array([p.coords for pts in block for p in pts]))[0]
+            # not "d > bound", which a NaN distance would pass as inside
+            out = np.flatnonzero(~(d <= bound))
+            if out.size:
+                return start + int(out[0]) // len(block[0]) + 1
+        return None
+
     def trace(self) -> IterateTrace:
         return IterateTrace(self.xs, self.values, self.grad_norms, self.slacks,
-                            self.domain_exit)
+                            self.domain_exit())
 
 
 def run_descent(alg, obj: Objective, x0: ManifoldPoint, k_max: int,
                 dom: DomainSpec | None = None, callback=None) -> IterateTrace:
     """Run ``alg`` for up to ``k_max`` steps, recording values, gradient norms
     and the per-step certificate slack.  The first iterate outside ``dom`` is
-    recorded (assumption monitor), not fatal.  ``callback(k, x, f, grad_norm,
-    slack, extra)`` fires after every recorded iterate (slack None at k=0,
-    extra empty).  Each step reuses the gradient recorded at its input."""
+    recorded (assumption monitor), not fatal: ``in_domain`` checks x0 before
+    the first step, and the row kernel the later iterates once the run ends
+    (``_Recorder``).  ``callback(k, x, f, grad_norm, slack, extra)`` fires
+    after every recorded iterate (slack None at k=0, extra empty).  Each step reuses the gradient recorded at its input."""
     m = obj.manifold
     cert = alg.certificate(obj)
     rec = _Recorder(dom if dom is not None else obj.domain, x0, callback)

@@ -52,6 +52,8 @@ __all__ = [
 
 POINT_TOL = 1e-10
 ANTIPODAL_TOL = 1e-8
+# slack beyond a domain's radius that ``in_domain`` still counts as inside
+DOMAIN_TOL = 1e-9
 
 
 class GeometryError(ValueError):
@@ -697,8 +699,7 @@ class Hyperboloid(Manifold):
         return self._project_tangent(y, out)
 
     def _project_tangent(self, x, v):
-        # the public form, which takes a list v as well as an array
-        return v + self.kappa * self.minkowski(x, v) * x
+        return v + self.kappa * _minkowski(x, v) * x
 
     def _point_defect(self, x):
         if x[0] <= 0:
@@ -709,7 +710,7 @@ class Hyperboloid(Manifold):
         return abs(_minkowski(x, v)) * self._sk
 
 
-def in_domain(dom: DomainSpec, x: ManifoldPoint, tol: float = 1e-9) -> bool:
+def in_domain(dom: DomainSpec, x: ManifoldPoint, tol: float = DOMAIN_TOL) -> bool:
     """Whether ``x`` lies in the closed geodesic ball ``dom`` (boundary inclusive)."""
     m = dom.center.manifold
     return m.distance(dom.center, x) <= dom.radius + tol

@@ -142,11 +142,11 @@ def _dist_sq_hessian(manifold: Manifold, x: ManifoldPoint, target: ManifoldPoint
     """
     n = len(basis)
     xc = x.coords
-    d = manifold._distance(xc, target.coords)
+    d, lg = manifold._dist_log(xc, target.coords)
     if d < 1e-14:
         return np.eye(n)
     trans = comparison(manifold.curvature, d)
-    lg = manifold._log(xc, target.coords)
+    lg = manifold._defined(lg)
     u = np.array([manifold._inner(xc, lg, b.coords) for b in basis]) / d
     return trans * np.eye(n) + (1.0 - trans) * np.outer(u, u)
 

@@ -228,6 +228,32 @@ def test_schedule_strongly_example():
     assert params.beta == pytest.approx(1.5)
     assert sched.A == pytest.approx(1.0 / 0.6)
     assert sched.B == pytest.approx((0.16 / 0.6) / 0.32)
+    assert (sched.delta, sched.xi) == (1.0, 0.4)
+
+
+def test_schedule_strongly_stores_the_distortion_rate():
+    # the delta that produced xi is stored; the coefficients depend on xi alone
+    mu, c = 1.0, 0.08
+    params, sched = acc.schedule_strongly(0.4, 1.0, mu, c)
+    params_d, sched_d = acc.schedule_strongly(0.4, 1.0, mu, c, 1.7)
+    assert params_d == params
+    assert sched_d.delta == 1.7
+    assert (sched_d.A, sched_d.B, sched_d.A_bar, sched_d.xi) == (
+        sched.A, sched.B, sched.A_bar, sched.xi)
+    with pytest.raises(ValueError):
+        acc.schedule_strongly(0.4, 1.0, mu, c, 0.9)
+
+
+@pytest.mark.parametrize("delta_mode", [acc.ANALYTIC, acc.ORACLE])
+def test_strongly_run_records_the_rate_behind_each_xi(delta_mode):
+    # each recorded xi is xi_solve's root for the rate stored beside it
+    obj = make_frechet_h2(seed=0, num=20, spread=1.0)
+    x0 = point_at(obj.manifold, np.random.default_rng(5), obj.domain.center, 1.0)
+    run = acc.run_accelerated(obj, x0, 20, acc.STRONGLY, acc.gradient_oracle(obj, 0.05),
+                              delta_mode=delta_mode)
+    assert max(run.deltas) > 1.0
+    for xi_k, s in zip(run.xi_seq, run.schedules):
+        assert s.xi == acc.xi_solve(xi_k, s.delta, run.mu, run.c)
 
 
 def test_schedule_strongly_degenerate_endpoint():

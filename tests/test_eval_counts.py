@@ -199,9 +199,9 @@ def test_accelerated_public_log_and_distance_counts(monkeypatch, delta_mode, eta
     # and gradient makes ``public`` calls (squared distance's value is a
     # distance and its gradient a log, the Frechet mean's row passes none);
     # each step takes f(x+), f(y+) and grad f(x+); each record takes d_xy and
-    # grad f(y), and after the first the domain monitor's distance to x, y
-    # and z; f(y0) comes once, and D0 and the start point's domain check are
-    # distances
+    # grad f(y); f(y0) comes once, and D0 and the start point's domain check
+    # are distances.  The domain monitor checks x, y and z with the row
+    # kernel once the run ends, with no public call
     obj, x0 = problem()
     oracle = acc.gradient_oracle(obj, eta)
     steps = {"accel_step": 0}
@@ -218,8 +218,20 @@ def test_accelerated_public_log_and_distance_counts(monkeypatch, delta_mode, eta
     n = steps["accel_step"]
     star_logs = k_max + 1 if delta_mode == acc.ANALYTIC else 1
     assert calls == {"log": public * (n + k_max + 1) + star_logs,
-                     "distance": public * (2 * n + 1) + (k_max + 1) + 3 * k_max + 2}
+                     "distance": public * (2 * n + 1) + (k_max + 1) + 2}
     assert n > k_max if delta_mode == acc.ORACLE else n == k_max
+
+
+@pytest.mark.parametrize("problem, public", [(_problem, 1), (_off_geodesic, 0)],
+                         ids=["sqdist", "frechet"])
+def test_descent_public_distance_counts(monkeypatch, problem, public):
+    # each iterate's value makes ``public`` distances (a Frechet mean's row
+    # pass none); the domain monitor makes one, the start point's check, and
+    # checks the later iterates with the row kernel once the run ends
+    obj, x0 = problem()
+    calls = _public_geometry_calls(monkeypatch, ("distance",))
+    run_descent(GradientDescent(1.0 / obj.metadata.L), obj, x0, K)
+    assert calls == {"distance": public * (K + 1) + 1}
 
 
 def test_newton_steps_build_one_basis_per_iteration(monkeypatch):

@@ -381,8 +381,8 @@ def test_exp_and_transport_match_ode_integration(m):
 def test_hyperboloid_roundtrip_hypothesis(a, b, c, d):
     H = Hyperboloid(2, 1.0)
     o = H.origin()
-    x = H.exp(o, H.tangent(o, H._project_tangent(o.coords, [0.0, a, b])))
-    v = H.tangent(x, H._project_tangent(x.coords, [0.0, c, d]))
+    x = H.exp(o, H.tangent(o, H._project_tangent(o.coords, np.array([0.0, a, b]))))
+    v = H.tangent(x, H._project_tangent(x.coords, np.array([0.0, c, d])))
     y = H.exp(x, v)
     back = H.log(x, y)
     assert np.linalg.norm(back.coords - v.coords) < 1e-8

@@ -60,6 +60,22 @@ def test_kept_pass_gives_a_fresh_objectives_bits(m, kind, order):
             assert _bits(getattr(obj, name)(x)) == _bits(getattr(make(), name)(x)), (x, name)
 
 
+@pytest.mark.parametrize("m", [Euclidean(3), Sphere(2, 1.5), Hyperboloid(8, 4.0)], ids=repr)
+def test_squared_distance_hessian_takes_one_distance_and_log_pass(monkeypatch, m):
+    factories, a, _ = _factories(m)
+    obj = factories["squared_distance"]()
+    basis = m.orthonormal_basis(a)
+    calls = dict.fromkeys(("_distance", "_dist_log"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _method=getattr(m, name)):
+            calls[_name] += 1
+            return _method(*args)
+
+        monkeypatch.setattr(m, name, counted)
+    obj.hessian_matrix(a, basis=basis)
+    assert calls == {"_distance": 0, "_dist_log": 1}
+
+
 @pytest.mark.parametrize("value_first", [True, False])
 def test_squared_distance_at_the_antipode_has_a_value_and_no_gradient(value_first):
     R = 1.5
