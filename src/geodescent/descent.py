@@ -42,8 +42,6 @@ BACKWARD = "backward"
 
 # floor below which rate envelopes are no longer numerically meaningful
 ENVELOPE_FLOOR = 1e-13
-# iterations per row-kernel pass of the domain monitor
-MONITOR_BLOCK = 1024
 
 
 class ProximalSolverError(RuntimeError):
@@ -395,13 +393,14 @@ class _Recorder:
     """Trace columns, domain monitor and callback shared by both drivers.
 
     ``in_domain`` checks that the start point lies in ``dom``.  ``record``
-    keeps each later iteration's watched points (default: the iterate), and
-    ``trace`` notes the first iteration at which one lies beyond the bound
-    ``in_domain`` uses.  It measures their distances from the centre with the
-    row kernel ``_dist_log_rows``, one pass per ``MONITOR_BLOCK`` iterations
-    until a block leaves.  Row and scalar distances may differ in the last
-    bit, so only a point within a few ulps of the bound can be judged
-    otherwise than ``in_domain`` would."""
+    keeps the points a driver asks it to ``watch`` at each later iteration
+    (a driver passes them at every iteration or at none; with none, the
+    recorded iterates are watched).  ``trace`` notes the first iteration at
+    which one lies beyond the bound ``in_domain`` uses, measuring every
+    watched point's distance from the centre in one pass of the row kernel
+    ``_dist_log_rows`` once the run ends.  Row and scalar distances may
+    differ in the last bit, so only a point within a few ulps of the bound
+    can be judged otherwise than ``in_domain`` would."""
 
     def __init__(self, dom: DomainSpec, x0: ManifoldPoint, callback=None):
         if not in_domain(dom, x0):
@@ -418,23 +417,24 @@ class _Recorder:
         self.grad_norms.append(grad_norm)
         if k:
             self.slacks.append(slack)
-            self.watched.append(watch or (x,))
+            if watch is not None:
+                self.watched.append(watch)
         if self.callback is not None:
             self.callback(k, x, f, grad_norm, slack, extra or {})
 
     def domain_exit(self) -> int | None:
         """The first k >= 1 with a watched point outside the domain, or None."""
+        if self.watched:
+            width, points = len(self.watched[0]), [p for pts in self.watched for p in pts]
+        else:
+            width, points = 1, self.xs[1:]
+        if not points:
+            return None
         center = self.dom.center
-        bound = self.dom.radius + DOMAIN_TOL
-        for start in range(0, len(self.watched), MONITOR_BLOCK):
-            block = self.watched[start:start + MONITOR_BLOCK]
-            d = center.manifold._dist_log_rows(
-                center.coords, np.array([p.coords for pts in block for p in pts]))[0]
-            # not "d > bound", which a NaN distance would pass as inside
-            out = np.flatnonzero(~(d <= bound))
-            if out.size:
-                return start + int(out[0]) // len(block[0]) + 1
-        return None
+        d = center.manifold._dist_log_rows(center.coords, np.array([p.coords for p in points]))[0]
+        # not "d > bound", which a NaN distance would pass as inside
+        out = np.flatnonzero(~(d <= self.dom.radius + DOMAIN_TOL))
+        return int(out[0]) // width + 1 if out.size else None
 
     def trace(self) -> IterateTrace:
         return IterateTrace(self.xs, self.values, self.grad_norms, self.slacks,
@@ -448,7 +448,8 @@ def run_descent(alg, obj: Objective, x0: ManifoldPoint, k_max: int,
     recorded (assumption monitor), not fatal: ``in_domain`` checks x0 before
     the first step, and the row kernel the later iterates once the run ends
     (``_Recorder``).  ``callback(k, x, f, grad_norm, slack, extra)`` fires
-    after every recorded iterate (slack None at k=0, extra empty).  Each step reuses the gradient recorded at its input."""
+    after every recorded iterate (slack None at k=0, extra empty).  Each step
+    reuses the gradient recorded at its input."""
     m = obj.manifold
     cert = alg.certificate(obj)
     rec = _Recorder(dom if dom is not None else obj.domain, x0, callback)

@@ -90,15 +90,3 @@ def test_domain_exit_matches_the_per_iteration_monitor(monkeypatch, name, accele
     if case == "late":
         assert expected > 1
 
-
-def test_the_monitor_reads_points_in_blocks(monkeypatch):
-    # exits in the first, a middle and the last block of four, and none
-    monkeypatch.setattr(descent, "MONITOR_BLOCK", 4)
-    _, dist = _run("H2", False)
-    # reach[k]: the farthest any iterate up to k gets from x0
-    reach = np.concatenate([[0.0], np.maximum.accumulate(dist[:, 0])])
-    for k in (1, 6, 9, K):
-        assert reach[k] > reach[k - 1] + 1e-6
-        trace, _ = _run("H2", False, 0.5 * (reach[k - 1] + reach[k]))
-        assert trace.domain_exit == k
-    assert _run("H2", False)[0].domain_exit is None
