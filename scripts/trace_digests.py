@@ -16,16 +16,18 @@ Usage::
 
 The first form runs each config with the ``geodescent`` found on the path
 (so ``PYTHONPATH=<checkout>/src`` digests another checkout) and writes, per
-config, the sha256 of its trace and report, its exit code, its guarantee
-verdicts and its ``f``, ``grad_norm`` and ``delta`` columns, and under
+config, the sha256 of its trace, its report and its trace's metadata line
+(x0, f* and the config), its exit code, its guarantee verdicts and its
+``f``, ``grad_norm`` and ``delta`` columns, and under
 ``src_lines`` the line count of that package's ``.py`` files.  It then runs
 each config a second time in the same output root, where the f* and rho
 cache entries of the first run are warm, and exits 1 if any trace or report
 differs from the cold run's.  ``--compare`` prints both line counts
 (``n/a`` for a file written before they were recorded) and lists the configs
-whose digests differ, with the largest absolute difference in each column
-and whether any verdict or exit code changed; it exits 1 if a verdict or
-exit code changed or a config is missing.
+whose digests differ, with the largest absolute difference in each column,
+whether the metadata line is identical (``n/a`` for a file written before
+it was recorded) and whether any verdict or exit code changed; it exits 1
+if a verdict or exit code changed or a config is missing.
 """
 
 from __future__ import annotations
@@ -166,14 +168,16 @@ def digest(out_path: str) -> int:
             root = os.path.join(tmp, "out", name)
             result = harness.run_experiment(harness.load_config(path), root)
             columns = {c: [] for c in COLUMNS}
-            with open(result.trace_path) as fh:
-                for line in fh.readlines()[1:]:
+            with open(result.trace_path, "rb") as fh:
+                meta, *records = fh.readlines()
+                for line in records:
                     rec = json.loads(line)
                     for c in COLUMNS:
                         columns[c].append(rec.get(c))
             digests[name] = {
                 "trace_sha256": _sha256(result.trace_path),
                 "report_sha256": _sha256(result.report_path),
+                "metadata_sha256": hashlib.sha256(meta).hexdigest(),
                 "exit_code": result.exit_code,
                 "verdicts": {g: v["pass"] for g, v in result.report["guarantees"].items()},
                 "errors": result.report["errors"],
@@ -226,8 +230,12 @@ def compare(a_path: str, b_path: str) -> int:
             status = 1
         changed = ("trace and report differ" if da["trace_sha256"] != db["trace_sha256"]
                    else "report differs")
+        metas = da.get("metadata_sha256"), db.get("metadata_sha256")
+        meta = ("n/a" if None in metas else "identical" if metas[0] == metas[1]
+                else "DIFFERS")
         print(f"{name}: {changed}; max |diff| "
               + ", ".join(f"{c} {v:.3g}" for c, v in diffs.items() if v is not None)
+              + f"; metadata {meta}"
               + f"; verdicts and exit code {'unchanged' if same else 'CHANGED'}")
     print(f"{identical} of {len(set(a) | set(b))} configs byte-identical")
     return status
