@@ -348,8 +348,8 @@ def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
     counts these iterations) or for at most 60 steps (``delta_capped``), and
     the step with the smallest gap is kept.  The trace records the y iterates; the domain
     monitor watches x, y and z: ``in_domain`` checks y0 = x0 = z0 before the
-    first step, and the row kernel the later triples once the run ends
-    (``_Recorder``).  ``callback(k, y, f, grad_norm, slack,
+    first step, and the row kernel the later y's and the run's ``xs`` and
+    ``zs`` once the run ends (``_Recorder``).  ``callback(k, y, f, grad_norm, slack,
     extra)`` fires after every iteration, with the schedule and energy
     fields in ``extra``.
     """
@@ -401,8 +401,7 @@ def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
         run.zs.append(state.z)
         rec.record(state.y, state.f_y, m.norm(state.y, obj.gradient(state.y)), slack,
                    {"delta": sched.delta, "xi": sched.xi, "A": sched.A, "B": sched.B,
-                    "E": e.E, "d_xy": e.d_xy, "d_xz": e.d_xz, "envelope": e.envelope},
-                   (state.x, state.y, state.z))
+                    "E": e.E, "d_xy": e.d_xy, "d_xz": e.d_xz, "envelope": e.envelope})
 
     record(None)
     run.E0 = run.energies[0].E
@@ -447,7 +446,7 @@ def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
         run.schedules.append(sched)
         record(slack, star_log)
 
-    run.trace = rec.trace()
+    run.trace = rec.trace(run.xs, run.zs)
     return run
 
 

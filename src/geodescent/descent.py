@@ -392,15 +392,14 @@ class CubicNewton:
 class _Recorder:
     """Trace columns, domain monitor and callback shared by both drivers.
 
-    ``in_domain`` checks that the start point lies in ``dom``.  ``record``
-    keeps the points a driver asks it to ``watch`` at each later iteration
-    (a driver passes them at every iteration or at none; with none, the
-    recorded iterates are watched).  ``trace`` notes the first iteration at
-    which one lies beyond the bound ``in_domain`` uses, measuring every
-    watched point's distance from the centre in one pass of the row kernel
-    ``_dist_log_rows`` once the run ends.  Row and scalar distances may
-    differ in the last bit, so only a point within a few ulps of the bound
-    can be judged otherwise than ``in_domain`` would."""
+    ``in_domain`` checks that the start point lies in ``dom``.  ``trace``
+    notes the first iteration at which the recorded iterate, or the point of
+    one of the driver's own point ``columns`` at that iteration, lies beyond
+    the bound ``in_domain`` uses, measuring every such point's distance from
+    the centre in one pass of the row kernel ``_dist_log_rows`` once the run
+    ends.  Row and scalar distances may differ in the last bit, so only a
+    point within a few ulps of the bound can be judged otherwise than
+    ``in_domain`` would."""
 
     def __init__(self, dom: DomainSpec, x0: ManifoldPoint, callback=None):
         if not in_domain(dom, x0):
@@ -408,37 +407,35 @@ class _Recorder:
         self.dom = dom
         self.callback = callback
         self.xs, self.values, self.grad_norms, self.slacks = [], [], [], []
-        self.watched = []
 
-    def record(self, x, f, grad_norm, slack=None, extra=None, watch=None):
+    def record(self, x, f, grad_norm, slack=None, extra=None):
         k = len(self.xs)
         self.xs.append(x)
         self.values.append(f)
         self.grad_norms.append(grad_norm)
         if k:
             self.slacks.append(slack)
-            if watch is not None:
-                self.watched.append(watch)
         if self.callback is not None:
             self.callback(k, x, f, grad_norm, slack, extra or {})
 
-    def domain_exit(self) -> int | None:
-        """The first k >= 1 with a watched point outside the domain, or None."""
-        if self.watched:
-            width, points = len(self.watched[0]), [p for pts in self.watched for p in pts]
-        else:
-            width, points = 1, self.xs[1:]
-        if not points:
+    def domain_exit(self, columns=()) -> int | None:
+        """The first k >= 1 at which a point of row k of ``zip(xs, *columns)``
+        lies outside the domain, or None."""
+        rows = list(zip(self.xs, *columns))[1:]
+        if not rows:
             return None
         center = self.dom.center
-        d = center.manifold._dist_log_rows(center.coords, np.array([p.coords for p in points]))[0]
+        points = np.array([p.coords for row in rows for p in row])
+        d = center.manifold._dist_log_rows(center.coords, points)[0]
         # not "d > bound", which a NaN distance would pass as inside
         out = np.flatnonzero(~(d <= self.dom.radius + DOMAIN_TOL))
-        return int(out[0]) // width + 1 if out.size else None
+        return int(out[0]) // len(rows[0]) + 1 if out.size else None
 
-    def trace(self) -> IterateTrace:
+    def trace(self, *columns) -> IterateTrace:
+        """The recorded trace; ``columns`` are further point lists, one entry
+        per recorded iterate, that the domain monitor also watches."""
         return IterateTrace(self.xs, self.values, self.grad_norms, self.slacks,
-                            self.domain_exit())
+                            self.domain_exit(columns))
 
 
 def run_descent(alg, obj: Objective, x0: ManifoldPoint, k_max: int,
