@@ -184,18 +184,17 @@ def _prox_newton_step(obj: Objective, y: ManifoldPoint, x: ManifoldPoint, eta: f
     whose gradient there is ``grad_F``; None where the objective has no
     Hessian or that of the sum is not positive definite."""
     m = obj.manifold
-    basis = m.orthonormal_basis(y)
+    B = m.orthonormal_basis(y)
     try:
-        H = obj.hessian_matrix(y, basis=basis)
+        H = obj.hessian_matrix(y, basis=B)
     except NotImplementedError:
         return None
-    H = H + _dist_sq_hessian(m, y, x, basis) / eta
+    H = H + _dist_sq_hessian(m, y, x, B) / eta
     try:
         np.linalg.cholesky(H)
     except np.linalg.LinAlgError:
         return None
-    s = np.linalg.solve(H, [-m._inner(y.coords, grad_F, b.coords) for b in basis])
-    return sum(si * b.coords for si, b in zip(s, basis))
+    return np.linalg.solve(H, -m._inner_rows(y.coords, B, grad_F)) @ B
 
 
 def _solve_cubic_model(g: np.ndarray, evals: np.ndarray, evecs: np.ndarray,
@@ -256,11 +255,11 @@ def cubic_newton_step(obj: Objective, x: ManifoldPoint, M: float, theta: float,
     if theta <= 0:
         raise ValueError("theta must be positive")
     m = obj.manifold
-    basis = m.orthonormal_basis(x)
+    B = m.orthonormal_basis(x)
     g_vec = obj.gradient(x) if grad is None else grad
     m._same_base(x, g_vec)
-    g = np.array([m._inner(x.coords, g_vec.coords, b.coords) for b in basis])
-    H = obj.hessian_matrix(x, basis=basis)
+    g = m._inner_rows(x.coords, B, g_vec.coords)
+    H = obj.hessian_matrix(x, basis=B)
     gn = _norm2(g)
     evals, evecs = np.linalg.eigh(H)
     lam_min = float(evals[0])
@@ -291,8 +290,7 @@ def cubic_newton_step(obj: Objective, x: ManifoldPoint, M: float, theta: float,
     if model_drop(s) > atol:
         raise SubsolverError("cubic model did not decrease at the returned step")
 
-    s_coords = sum(si * b.coords for si, b in zip(s, basis))
-    s_coords = m._project_tangent(x.coords, np.asarray(s_coords))
+    s_coords = m._project_tangent(x.coords, s @ B)
     return m._move(x.coords, s_coords), TangentVector(x, s_coords)
 
 

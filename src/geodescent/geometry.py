@@ -275,9 +275,11 @@ class Manifold:
 
     # -- bases and sampling --------------------------------------------------
 
-    def orthonormal_basis(self, x: ManifoldPoint) -> list[TangentVector]:
+    def orthonormal_basis(self, x: ManifoldPoint) -> np.ndarray:
         """Deterministic orthonormal tangent basis at ``x`` (Gram-Schmidt of the
-        ambient basis projected to the tangent space)."""
+        ambient basis projected to the tangent space), as the rows of a
+        read-only ``(dim, ambient_dim)`` array.  Tangent coordinates map to
+        basis coordinates by ``_inner_rows(x, B, v)`` and back by ``s @ B``."""
         self._own(x)
         basis = []
         for i in range(self.ambient_dim):
@@ -291,7 +293,9 @@ class Manifold:
                 basis.append(u / nrm)
             if len(basis) == self.dim:
                 break
-        return [TangentVector(x, b) for b in basis]
+        basis = np.array(basis)
+        basis.setflags(write=False)
+        return basis
 
     def random_point(self, rng: np.random.Generator, scale: float = 1.0) -> ManifoldPoint:
         """Point at exp of a Gaussian tangent vector from the origin (scale =
@@ -306,7 +310,9 @@ class Manifold:
     def _random_tangent(self, rng, x, scale, basis):
         """``random_tangent`` in ``orthonormal_basis(x)``, which the caller holds."""
         coeff = rng.normal(0.0, scale, size=self.dim)
-        coords = sum(c * b.coords for c, b in zip(coeff, basis))
+        # row by row, not coeff @ basis, whose BLAS sum rounds differently:
+        # every x0 and Fréchet sample set is drawn here
+        coords = sum(c * b for c, b in zip(coeff, basis))
         return TangentVector(x, self._project_tangent(x.coords, coords))
 
     def origin(self) -> ManifoldPoint:

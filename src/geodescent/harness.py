@@ -171,7 +171,7 @@ def _cross_section_violations(sections) -> list[str]:
 def _point_at(m: Manifold, rng, center, dist: float):
     v = m.random_tangent(rng, center, 1.0)
     n = m.norm(center, v)
-    u = m.orthonormal_basis(center)[0].coords if n < 1e-12 else v.coords / n
+    u = m.orthonormal_basis(center)[0] if n < 1e-12 else v.coords / n
     return m.exp(center, TangentVector(center, dist * u))
 
 
@@ -195,11 +195,12 @@ def build_objective(spec: dict, manifold: Manifold, cache_dir=None) -> Objective
         spread = float(get("spread"))
         origin = manifold.origin()
         # num random_tangent draws at the origin in one: the same normal
-        # stream and basis sums, whose results are tangent there already
+        # stream and basis sums, whose results are tangent there already;
+        # row by row, not coeff @ basis, whose BLAS sum rounds differently
         coeff = rng.normal(0.0, spread, size=(num, manifold.dim))
         tangents = np.zeros((num, manifold.ambient_dim))
         for c, b in zip(coeff.T, manifold.orthonormal_basis(origin)):
-            tangents += c[:, None] * b.coords
+            tangents += c[:, None] * b
         obj = FrechetMean(manifold, manifold._exp_rows(origin.coords, tangents),
                           domain=DomainSpec(origin, radius), solve_reference=False)
         _attach_reference_solution(obj, spec, cache_dir)

@@ -85,10 +85,9 @@ class Objective:
     def gradient(self, x: ManifoldPoint) -> TangentVector:
         raise NotImplementedError
 
-    def hessian_matrix(self, x: ManifoldPoint,
-                       basis: list[TangentVector] | None = None) -> np.ndarray:
-        """Hessian in ``orthonormal_basis(x)`` coordinates (symmetric); a
-        caller that holds that basis passes it as ``basis``."""
+    def hessian_matrix(self, x: ManifoldPoint, basis: np.ndarray | None = None) -> np.ndarray:
+        """Hessian in the coordinates of the rows of ``orthonormal_basis(x)``
+        (symmetric); a caller that holds that basis passes it as ``basis``."""
         raise NotImplementedError
 
     @property
@@ -133,8 +132,9 @@ def _dist_sq_metadata(manifold: Manifold, d_max: float) -> ObjectiveMetadata:
 
 
 def _dist_sq_hessian(manifold: Manifold, x: ManifoldPoint, target: ManifoldPoint,
-                     basis: list[TangentVector]) -> np.ndarray:
-    """Hessian matrix of 0.5*d(., target)^2 in the supplied basis.
+                     basis: np.ndarray) -> np.ndarray:
+    """Hessian matrix of 0.5*d(., target)^2 in the basis held in the rows of
+    ``basis``.
 
     Eigenvalue 1 along the geodesic to the target, and the curvature
     comparison value on the orthogonal complement.  Runs on the raw kernels:
@@ -147,7 +147,7 @@ def _dist_sq_hessian(manifold: Manifold, x: ManifoldPoint, target: ManifoldPoint
         return np.eye(n)
     trans = comparison(manifold.curvature, d)
     lg = manifold._defined(lg)
-    u = np.array([manifold._inner(xc, lg, b.coords) for b in basis]) / d
+    u = manifold._inner_rows(xc, basis, lg) / d
     return trans * np.eye(n) + (1.0 - trans) * np.outer(u, u)
 
 
@@ -284,7 +284,7 @@ class FrechetMean(Objective):
         trans = comparison(m.curvature, d)  # 1 for a sample at x
         d = np.where(d < 1e-14, 1.0, d)
         lg = m._defined(lg)
-        U = np.stack([m._inner_rows(x.coords, lg, b.coords) for b in basis], axis=1) / d[:, None]
+        U = np.stack([m._inner_rows(x.coords, lg, b) for b in basis], axis=1) / d[:, None]
         w = (1.0 - trans) / n
         return _sum_rows(trans) / n * np.eye(len(basis)) + (U.T * w) @ U
 
@@ -323,16 +323,9 @@ class SphereRayleigh(Objective):
         return TangentVector(x, g)
 
     def hessian_matrix(self, x, basis=None):
-        basis = self.manifold.orthonormal_basis(x) if basis is None else basis
-        R2 = self.manifold.radius**2
-        shift = float(x.coords @ self.Q @ x.coords) / R2
-        n = len(basis)
-        H = np.empty((n, n))
-        for j, bj in enumerate(basis):
-            col = -self.Q @ bj.coords
-            for i, bi in enumerate(basis):
-                H[i, j] = float(np.dot(bi.coords, col))
-        H += shift * np.eye(n)
+        B = self.manifold.orthonormal_basis(x) if basis is None else basis
+        shift = float(x.coords @ self.Q @ x.coords) / self.manifold.radius**2
+        H = B @ -self.Q @ B.T + shift * np.eye(len(B))
         return 0.5 * (H + H.T)
 
 
@@ -356,7 +349,7 @@ def estimate_hessian_lipschitz(obj: Objective, rng: np.random.Generator,
         ns = m.norm(x, s)
         if ns < 1e-8:
             continue
-        sc = np.array([m.inner(x, s, b) for b in basis])
+        sc = m._inner_rows(x.coords, basis, s.coords)
         H = obj.hessian_matrix(x, basis=basis)
         g = obj.gradient(x)
         model = obj.value(x) + m.inner(x, g, s) + 0.5 * float(sc @ H @ sc)

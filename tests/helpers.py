@@ -22,7 +22,7 @@ def unit_tangent(m, rng, x):
     v = m.random_tangent(rng, x, 1.0)
     n = m.norm(x, v)
     if n < 1e-12:
-        return m.orthonormal_basis(x)[0]
+        return TangentVector(x, m.orthonormal_basis(x)[0])
     return TangentVector(x, m._project_tangent(x.coords, v.coords / n))
 
 
@@ -80,9 +80,10 @@ def grad_check(obj, x, h=1e-5):
     m = obj.manifold
     g = obj.gradient(x)
     worst = 0.0
-    for e in m.orthonormal_basis(x):
-        fp = obj.value(m.exp(x, TangentVector(x, h * e.coords)))
-        fm = obj.value(m.exp(x, TangentVector(x, -h * e.coords)))
+    for b in m.orthonormal_basis(x):
+        e = TangentVector(x, b)
+        fp = obj.value(m.exp(x, TangentVector(x, h * b)))
+        fm = obj.value(m.exp(x, TangentVector(x, -h * b)))
         fd = (fp - fm) / (2.0 * h)
         ge = m.inner(x, g, e)
         worst = max(worst, abs(fd - ge) / (1.0 + abs(ge)))

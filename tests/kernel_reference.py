@@ -8,14 +8,20 @@ they are the reference the change is measured against.
 
 Each class subclasses the manifold it mirrors, so construction, keys and
 the row kernels are inherited, and overrides every scalar kernel (and
-``orthonormal_basis``, which is built from them)."""
+``orthonormal_basis``, which is built from them).
+
+The functions at the end keep the loops over a tangent basis as they stood
+before the basis became one ``(dim, ambient_dim)`` array: coordinates by one
+scalar ``_inner`` per basis vector, the map back as a sum of scaled basis
+vectors, and the Hessians built from them.  ``test_basis_forms`` checks the
+array forms against them."""
 
 import math
 
 import numpy as np
 
 from geodescent.geometry import (ANTIPODAL_TOL, Euclidean, GeometryError, Hyperboloid,
-                                 ManifoldPoint, Sphere, TangentVector)
+                                 ManifoldPoint, Sphere, TangentVector, comparison)
 
 
 class _Reference:
@@ -182,3 +188,48 @@ class ReferenceHyperboloid(_Reference, Hyperboloid):
 
     def _tangent_defect(self, x, v):
         return abs(self.minkowski(x, v)) * np.sqrt(self.kappa)
+
+
+# -- loops over a tangent basis (the rows of ``basis``; raw arrays) -------
+
+
+def basis_coords(m, x, basis, v):
+    """Coordinates of the tangent ``v`` at ``x``, one ``_inner`` per basis row."""
+    return np.array([m._inner(x, v, b) for b in basis])
+
+
+def from_basis_coords(s, basis):
+    """The tangent with coordinates ``s``, summed one basis row at a time."""
+    return sum(si * b for si, b in zip(s, basis))
+
+
+def random_tangent(m, rng, x, scale, basis):
+    """``Manifold._random_tangent`` at the point ``x`` in ``basis``."""
+    coeff = rng.normal(0.0, scale, size=m.dim)
+    coords = sum(c * b for c, b in zip(coeff, basis))
+    return TangentVector(x, m._project_tangent(x.coords, coords))
+
+
+def dist_sq_hessian(m, x, target, basis):
+    """Hessian of 0.5*d(., target)^2 at the raw point ``x`` in ``basis``."""
+    n = len(basis)
+    d, lg = m._dist_log(x, target)
+    if d < 1e-14:
+        return np.eye(n)
+    trans = comparison(m.curvature, d)
+    u = basis_coords(m, x, basis, m._defined(lg)) / d
+    return trans * np.eye(n) + (1.0 - trans) * np.outer(u, u)
+
+
+def rayleigh_hessian(obj, x, basis):
+    """``SphereRayleigh.hessian_matrix`` at the raw point ``x`` as a double
+    loop over ``basis``."""
+    shift = float(x @ obj.Q @ x) / obj.manifold.radius**2
+    n = len(basis)
+    H = np.empty((n, n))
+    for j, bj in enumerate(basis):
+        col = -obj.Q @ bj
+        for i, bi in enumerate(basis):
+            H[i, j] = float(np.dot(bi, col))
+    H += shift * np.eye(n)
+    return 0.5 * (H + H.T)

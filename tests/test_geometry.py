@@ -12,6 +12,7 @@ from geodescent.geometry import (
     Hyperboloid,
     ManifoldMismatchError,
     Sphere,
+    TangentVector,
     comparison,
     in_domain,
 )
@@ -127,24 +128,25 @@ def test_hadamard_projected_distance_contracts():
 def test_orthonormal_basis():
     S = Sphere(2, 1.0)
     x = S.point([0.0, 0.0, 1.0])
-    basis = S.orthonormal_basis(x)
-    assert len(basis) == 2
-    np.testing.assert_allclose(basis[0].coords, [1.0, 0.0, 0.0], atol=1e-14)
-    np.testing.assert_allclose(basis[1].coords, [0.0, 1.0, 0.0], atol=1e-14)
+    np.testing.assert_allclose(S.orthonormal_basis(x), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                               atol=1e-14)
 
     E = Euclidean(2)
-    o = E.origin()
-    eb = E.orthonormal_basis(o)
-    np.testing.assert_allclose([b.coords for b in eb], np.eye(2), atol=1e-15)
+    np.testing.assert_allclose(E.orthonormal_basis(E.origin()), np.eye(2), atol=1e-15)
 
     rng = np.random.default_rng(0)
     for m in MANIFOLDS:
         x = m.random_point(rng, 0.7)
         basis = m.orthonormal_basis(x)
-        assert len(basis) == m.dim
-        for i, bi in enumerate(basis):
+        assert isinstance(basis, np.ndarray) and basis.dtype == float
+        assert basis.shape == (m.dim, m.ambient_dim)
+        assert not basis.flags.writeable
+        with pytest.raises(ValueError):
+            basis[0, 0] = 1.0
+        vectors = [TangentVector(x, b) for b in basis]
+        for i, bi in enumerate(vectors):
             m.check_tangent(bi)
-            for j, bj in enumerate(basis):
+            for j, bj in enumerate(vectors):
                 assert m.inner(x, bi, bj) == pytest.approx(float(i == j), abs=1e-10)
 
 

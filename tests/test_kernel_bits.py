@@ -85,7 +85,7 @@ def test_scalar_kernels_match_their_reference_bit_for_bit(drawn):
     for name, *args in calls:
         assert _call(getattr(m, name), *args) == _call(getattr(ref, name), *args), name
     p = ManifoldPoint(m, x)
-    assert _bits(m.orthonormal_basis(p)) == _bits(ref.orthonormal_basis(p))
+    assert _bits(list(m.orthonormal_basis(p))) == _bits(ref.orthonormal_basis(p))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -22,6 +22,7 @@ from helpers import (
     make_rayleigh,
     make_sqdist_h2,
 )
+from kernel_reference import basis_coords
 
 
 def _sample_inside(obj, rng, point_scale=0.4, step_scale=0.35):
@@ -222,8 +223,7 @@ def test_hessian_matches_finite_differences(make):
         ns = m.norm(x, s)
         if ns < 1e-8:
             continue
-        basis = m.orthonormal_basis(x)
-        sc = np.array([m.inner(x, s, b) for b in basis])
+        sc = basis_coords(m, x.coords, m.orthonormal_basis(x), s.coords)
         Hm = obj.hessian_matrix(x)
         np.testing.assert_allclose(Hm, Hm.T, atol=1e-9)
         quad = float(sc @ Hm @ sc)
@@ -300,8 +300,7 @@ def test_estimated_rho_bounds_third_order_defect():
         ns = m.norm(x, s)
         if ns < 1e-6:
             continue
-        basis = m.orthonormal_basis(x)
-        sc = np.array([m.inner(x, s, b) for b in basis])
+        sc = basis_coords(m, x.coords, m.orthonormal_basis(x), s.coords)
         model = obj.value(x) + m.inner(x, obj.gradient(x), s) + \
             0.5 * float(sc @ obj.hessian_matrix(x) @ sc)
         assert abs(obj.value(m.exp(x, s)) - model) <= rho / 6.0 * ns**3 + 1e-10
