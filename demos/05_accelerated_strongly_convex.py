@@ -55,7 +55,7 @@ for k in (1, 5, 20, 60, 120, 200):
     print(f"{k:>5} {gaps[k]:>12.3e} {prod[k-1] * run.E0:>17.3e} {xi[k]:>9.5f}"
           f" {run.deltas[k-1]:>10.6f}")
 
-first, slope = acc.xi_convergence_report(run.xi_seq[1:], run.mu, run.c, 1e-6)
+(first,), slope = acc.xi_convergence_levels(run.xi_seq[1:], run.mu, run.c, (1e-6,))
 print(f"after the early distortion dip, xi re-enters the 1e-6 band of its limit"
       f" at k = {first + 1}; log-deviation slope {slope:.3f}")
 

@@ -53,7 +53,6 @@ __all__ = [
     "accel_gconvex_bound",
     "shrink_diagnostics",
     "ShrinkReport",
-    "xi_convergence_report",
     "xi_convergence_levels",
     "settles_from",
     "conjugate_bound_check",
@@ -527,21 +526,15 @@ def settles_from(mask) -> int | None:
     return k if k < mask.size else None
 
 
-def xi_convergence_report(xi_seq, mu: float, c: float, eps: float) -> tuple[int | None, float]:
-    """First index after which |xi_k - sqrt(2*mu*c)| <= eps holds to the end
-    of the sequence (None if the last xi_k is outside the band), plus the
-    fitted log-linear convergence slope of the deviation (nan if
-    degenerate).  A sequence that starts in the band, leaves it and comes
-    back reports the index where it re-entered for good."""
-    (first,), slope = xi_convergence_levels(xi_seq, mu, c, (eps,))
-    return first, slope
-
-
 def xi_convergence_levels(xi_seq, mu: float, c: float,
                           eps_levels) -> tuple[list[int | None], float]:
-    """``xi_convergence_report`` at each of ``eps_levels``: the first index
-    for each level, and the slope, which does not depend on the level and
-    is fitted once."""
+    """For each eps of ``eps_levels``, the first index after which
+    |xi_k - sqrt(2*mu*c)| <= eps holds to the end of the sequence (None if
+    the last xi_k is outside the band); plus the fitted log-linear
+    convergence slope of the deviation (nan if degenerate), which does not
+    depend on the level and is fitted once.  A sequence that starts in a
+    band, leaves it and comes back reports the index where it re-entered
+    for good."""
     target = math.sqrt(2.0 * mu * c)
     dev = np.abs(np.asarray(xi_seq, dtype=float) - target)
     firsts = [settles_from(dev <= eps) for eps in eps_levels]

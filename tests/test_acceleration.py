@@ -504,12 +504,12 @@ def test_shrink_diagnostics_requires_strongly():
         acc.shrink_diagnostics(run)
 
 
-def test_xi_convergence_report():
+def test_xi_convergence_levels():
     mu, c = 1.0, 0.08
     a = 2 * mu * c
     target = math.sqrt(a)
     # exact fixed point: hit at k = 0
-    first, _ = acc.xi_convergence_report([target, target], mu, c, 1e-12)
+    (first,), _ = acc.xi_convergence_levels([target, target], mu, c, (1e-12,))
     assert first == 0
     # monotone approach from just above the lower bracket end
     xi = a + 1e-3
@@ -518,20 +518,20 @@ def test_xi_convergence_report():
         xi = acc.xi_solve(xi, 1.0, mu, c)
         seq.append(xi)
     assert all(b >= a_ for a_, b in zip(seq, seq[1:]))
-    first, slope = acc.xi_convergence_report(seq, mu, c, 1e-6)
+    (first,), slope = acc.xi_convergence_levels(seq, mu, c, (1e-6,))
     assert first is not None and first <= 200
     assert slope < 0
 
 
-def test_xi_convergence_report_counts_the_last_entry_into_the_band():
+def test_xi_convergence_levels_count_the_last_entry_into_the_band():
     mu, c = 1.0, 0.08
     target = math.sqrt(2 * mu * c)
     # in the band at k = 0, out at k = 1 and 2, back in from k = 3 on
     seq = [target, target + 0.5, target + 0.1, target + 1e-9, target]
-    first, _ = acc.xi_convergence_report(seq, mu, c, 1e-6)
+    (first,), _ = acc.xi_convergence_levels(seq, mu, c, (1e-6,))
     assert first == 3
     # a sequence that ends outside the band never settles
-    first, _ = acc.xi_convergence_report(seq + [target + 0.5], mu, c, 1e-6)
+    (first,), _ = acc.xi_convergence_levels(seq + [target + 0.5], mu, c, (1e-6,))
     assert first is None
 
 
