@@ -165,10 +165,9 @@ class Manifold:
     their inputs once and call the kernels directly, stepping through
     ``_move``, which keeps the finiteness check.
 
-    The row kernels ``_inner_rows``, ``_dist_log_rows``, ``_log_rows`` and
-    ``_exp_rows`` apply the same formulas to every row of an
-    ``(N, ambient_dim)`` array at once, for objectives that sum over many
-    samples.  They take unvalidated raw arrays, like the scalar kernels.
+    The row kernels ``_inner_rows``, ``_dist_log_rows`` and ``_exp_rows``
+    apply the same formulas to every row of an ``(N, ambient_dim)`` array at
+    once, for objectives that sum over many samples.  They take unvalidated raw arrays, like the scalar kernels.
     """
 
     dim: int
@@ -361,10 +360,6 @@ class Manifold:
         """Metric inner product at ``x`` of each row of ``V`` with ``w``
         (one vector, or one row per row of ``V``)."""
         return V @ w if w.ndim == 1 else np.einsum("ij,ij->i", V, w)
-
-    def _log_rows(self, x, Y):
-        """``_log(x, y)`` for each row ``y`` of ``Y``."""
-        return self._defined(self._dist_log_rows(x, Y)[1])
 
     def _dist_log_rows(self, x, Y):
         """``_dist_log`` for each row of ``Y``: the distances, and the logs or

@@ -52,7 +52,8 @@ def test_row_kernels_agree_with_scalar_kernels(m):
     xc = x.coords
     np.testing.assert_allclose(m._dist_log_rows(xc, Y)[0],
                                [m._distance(xc, y) for y in Y], **TOL)
-    np.testing.assert_allclose(m._log_rows(xc, Y), [m._log(xc, y) for y in Y], **TOL)
+    np.testing.assert_allclose(m._defined(m._dist_log_rows(xc, Y)[1]),
+                               [m._log(xc, y) for y in Y], **TOL)
     np.testing.assert_allclose(m._inner_rows(xc, V, Y[5] - xc),
                                [m._inner(xc, v, Y[5] - xc) for v in V], **TOL)
     exp_rows = m._exp_rows(xc, V)
@@ -66,8 +67,8 @@ def test_rows_at_the_base_point_take_the_zero_branch(m):
     # at the origin the tangential part of the origin itself is exactly 0
     o = m.origin().coords
     Y = np.array([o, o])
-    np.testing.assert_array_equal(m._log_rows(o, Y), [m._log(o, o)] * 2)
-    np.testing.assert_array_equal(m._log_rows(o, Y), 0.0)
+    np.testing.assert_array_equal(m._defined(m._dist_log_rows(o, Y)[1]), [m._log(o, o)] * 2)
+    np.testing.assert_array_equal(m._defined(m._dist_log_rows(o, Y)[1]), 0.0)
     np.testing.assert_array_equal(m._dist_log_rows(o, Y)[0], 0.0)
     np.testing.assert_array_equal(m._exp_rows(o, np.zeros_like(Y)), Y)
 
@@ -87,7 +88,7 @@ def test_sphere_rows_near_the_antipode(R):
         S.log(x, y)
     Y = np.array([x.coords, y.coords])
     with pytest.raises(AntipodalPointsError):
-        S._log_rows(x.coords, Y)
+        S._defined(S._dist_log_rows(x.coords, Y)[1])
     np.testing.assert_allclose(S._dist_log_rows(x.coords, Y)[0],
                                [S.distance(x, x), S.distance(x, y)], **TOL)
     obj = FrechetMean(S, Y, domain=DomainSpec(x, 0.5 * R), solve_reference=False)
