@@ -167,7 +167,8 @@ class Manifold:
 
     The row kernels ``_inner_rows``, ``_dist_log_rows`` and ``_exp_rows``
     apply the same formulas to every row of an ``(N, ambient_dim)`` array at
-    once, for objectives that sum over many samples.  They take unvalidated raw arrays, like the scalar kernels.
+    once, for objectives that sum over many samples.  They take unvalidated
+    raw arrays, like the scalar kernels.
     """
 
     dim: int

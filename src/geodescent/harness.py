@@ -169,6 +169,7 @@ def _cross_section_violations(sections) -> list[str]:
 
 
 def _point_at(m: Manifold, rng, center, dist: float):
+    # every x0 and target is drawn here: it keeps _random_tangent's row sums
     v = m.random_tangent(rng, center, 1.0)
     n = m.norm(center, v)
     u = m.orthonormal_basis(center)[0] if n < 1e-12 else v.coords / n
