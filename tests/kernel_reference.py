@@ -205,8 +205,7 @@ def from_basis_coords(s, basis):
 
 def random_tangent(m, rng, x, scale, basis):
     """``Manifold._random_tangent`` at the point ``x`` in ``basis``."""
-    coeff = rng.normal(0.0, scale, size=m.dim)
-    coords = sum(c * b for c, b in zip(coeff, basis))
+    coords = from_basis_coords(rng.normal(0.0, scale, size=m.dim), basis)
     return TangentVector(x, m._project_tangent(x.coords, coords))
 
 
