@@ -135,7 +135,7 @@ def proximal_step(obj: Objective, x: ManifoldPoint, eta: float,
     The inner problem is solved from y = x, with ``grad`` = grad f(x) if
     given, until the first-order residual ``||log(y, x) - eta * grad f(y)||``
     (eta * ||grad F(y)||) drops below ``tol_prox``.  Each inner iteration
-    takes the Riemannian Newton step on F in ``orthonormal_basis(y)`` and
+    takes the Riemannian Newton step on F in the frame ``_frame(y)`` and
     keeps it if it lowers the residual.  Otherwise, and where the Hessian of
     F is not positive definite (f need not be convex) or the objective has
     no ``hessian_matrix``, it takes the gradient step 1/(L_f + L_prox/eta)
@@ -158,38 +158,39 @@ def proximal_step(obj: Objective, x: ManifoldPoint, eta: float,
     step = 1.0 / (L_f + L_prox / eta)
 
     def at(y, g_f=None):
-        """y, grad f(y), log(y, x) and the residual at y."""
+        """y, grad f(y), the pass (d(y, x), log(y, x)) and the residual at y."""
         g_f = obj.gradient(y).coords if g_f is None else g_f
-        back = m._log(y.coords, x.coords)
-        return y, g_f, back, m._norm(y.coords, back - eta * g_f)
+        d, back = m._dist_log(y.coords, x.coords)
+        back = m._defined(back)
+        return y, g_f, (d, back), m._norm(y.coords, back - eta * g_f)
 
-    y, g_f, back, residual = at(x, None if grad is None else grad.coords)
+    y, g_f, dist_log, residual = at(x, None if grad is None else grad.coords)
     for _ in range(max_inner):
         if residual < tol_prox:
             return y
-        tested, grad_F = residual, g_f - back / eta
-        s = _prox_newton_step(obj, y, x, eta, grad_F)
+        tested, grad_F = residual, g_f - dist_log[1] / eta
+        s = _prox_newton_step(obj, y, x, eta, grad_F, dist_log)
         trial = None if s is None else at(m._move(y.coords, s))
         if trial is None or not trial[3] < residual:
             trial = at(m._move(y.coords, -step * grad_F))
-        y, g_f, back, residual = trial
+        y, g_f, dist_log, residual = trial
     raise ProximalSolverError(
         f"optimality residual {tested:.3e} > {tol_prox:g} after {max_inner} inner iterations"
     )
 
 
 def _prox_newton_step(obj: Objective, y: ManifoldPoint, x: ManifoldPoint, eta: float,
-                      grad_F: np.ndarray) -> np.ndarray | None:
+                      grad_F: np.ndarray, dist_log) -> np.ndarray | None:
     """Ambient coordinates of the Newton step at y on ``f + d(., x)^2 / (2 eta)``
-    whose gradient there is ``grad_F``; None where the objective has no
-    Hessian or that of the sum is not positive definite."""
+    whose gradient there is ``grad_F``, from the ``_dist_log`` pass to x; None
+    where the objective has no Hessian or that of the sum is not positive definite."""
     m = obj.manifold
-    B = m.orthonormal_basis(y)
+    B = m._frame(y.coords)
     try:
         H = obj.hessian_matrix(y, basis=B)
     except NotImplementedError:
         return None
-    H = H + _dist_sq_hessian(m, y, x, B) / eta
+    H = H + _dist_sq_hessian(m, y, x, B, dist_log) / eta
     try:
         np.linalg.cholesky(H)
     except np.linalg.LinAlgError:
@@ -255,9 +256,9 @@ def cubic_newton_step(obj: Objective, x: ManifoldPoint, M: float, theta: float,
     if theta <= 0:
         raise ValueError("theta must be positive")
     m = obj.manifold
-    B = m.orthonormal_basis(x)
     g_vec = obj.gradient(x) if grad is None else grad
     m._same_base(x, g_vec)
+    B = m._frame(x.coords)
     g = m._inner_rows(x.coords, B, g_vec.coords)
     H = obj.hessian_matrix(x, basis=B)
     gn = _norm2(g)

@@ -279,7 +279,9 @@ class Manifold:
         """Deterministic orthonormal tangent basis at ``x`` (Gram-Schmidt of the
         ambient basis projected to the tangent space), as the rows of a
         read-only ``(dim, ambient_dim)`` array.  Tangent coordinates map to
-        basis coordinates by ``_inner_rows(x, B, v)`` and back by ``s @ B``."""
+        basis coordinates by ``_inner_rows(x, B, v)`` and back by ``s @ B``.
+        Every x0, target, Fréchet sample set and rho estimate is drawn in it;
+        the Newton and cubic steps take the cheaper closed-form ``_frame``."""
         self._own(x)
         basis = []
         for i in range(self.ambient_dim):
@@ -361,6 +363,15 @@ class Manifold:
         """Metric inner product at ``x`` of each row of ``V`` with ``w``
         (one vector, or one row per row of ``V``)."""
         return V @ w if w.ndim == 1 else np.einsum("ij,ij->i", V, w)
+
+    def _inner_matrix(self, x, V, W):
+        """Metric inner products at ``x`` of each row of ``V`` with each row of ``W``."""
+        return V @ W.T
+
+    def _frame(self, x):
+        """Closed-form orthonormal tangent basis at raw ``x`` as ``(dim, ambient_dim)``
+        rows, the Newton and cubic steps' basis; the identity of flat space here."""
+        return np.eye(self.dim)
 
     def _dist_log_rows(self, x, Y):
         """``_dist_log`` for each row of ``Y``: the distances, and the logs or
@@ -539,6 +550,14 @@ class Sphere(Manifold):
         out = (v - a * u) + a * u_y
         return self._project_tangent(y, out)
 
+    def _frame(self, x):
+        # the Householder reflection taking the pole s*o nearer x (s = sign x_n) to
+        # -x: rows e_i - x_i (x + s*o) / (R (R + |x_n|)), whose denominator never cancels
+        R, xn = self.radius, x.item(-1)
+        w = x.copy()
+        w[-1] = math.copysign(R + abs(xn), xn)
+        return np.eye(self.dim, self.ambient_dim) - (x[:-1] / (R * (R + abs(xn))))[:, None] * w
+
     def _project_tangent(self, x, v):
         return v - (float(x.dot(v)) / self.radius**2) * x
 
@@ -588,6 +607,9 @@ class Hyperboloid(Manifold):
 
     def _inner_rows(self, x, V, w):
         return super()._inner_rows(x, V, w * self._signature)
+
+    def _inner_matrix(self, x, V, W):
+        return V @ (W * self._signature).T
 
     def _exp(self, x, v):
         nv = self._norm(x, v)
@@ -699,6 +721,13 @@ class Hyperboloid(Manifold):
         u_y = sk * np.sinh(t) * x + np.cosh(t) * u
         out = (v - a * u) + a * u_y
         return self._project_tangent(y, out)
+
+    def _frame(self, x):
+        # the origin's basis transported to x: rows e_i + kappa x_i (o + x) / (1 + sqrt(kappa) x_0)
+        w = x.copy()
+        w[0] += 1.0 / self._sk
+        c = self.kappa / (1.0 + self._sk * x.item(0))
+        return np.eye(self.dim, self.ambient_dim, 1) + (c * x[1:])[:, None] * w
 
     def _project_tangent(self, x, v):
         return v + self.kappa * _minkowski(x, v) * x

@@ -86,8 +86,8 @@ class Objective:
         raise NotImplementedError
 
     def hessian_matrix(self, x: ManifoldPoint, basis: np.ndarray | None = None) -> np.ndarray:
-        """Hessian in the coordinates of the rows of ``orthonormal_basis(x)``
-        (symmetric); a caller that holds that basis passes it as ``basis``."""
+        """Symmetric Hessian in the coordinates of the rows of ``basis``, an orthonormal
+        tangent basis at ``x``: ``orthonormal_basis(x)`` if None; the steps pass ``_frame``."""
         raise NotImplementedError
 
     @property
@@ -132,9 +132,9 @@ def _dist_sq_metadata(manifold: Manifold, d_max: float) -> ObjectiveMetadata:
 
 
 def _dist_sq_hessian(manifold: Manifold, x: ManifoldPoint, target: ManifoldPoint,
-                     basis: np.ndarray) -> np.ndarray:
-    """Hessian matrix of 0.5*d(., target)^2 in the basis held in the rows of
-    ``basis``.
+                     basis: np.ndarray, dist_log=None) -> np.ndarray:
+    """Hessian matrix of 0.5*d(., target)^2 in the rows of ``basis``, from the
+    ``_dist_log`` pass to the target if the caller holds it (``dist_log``).
 
     Eigenvalue 1 along the geodesic to the target, and the curvature
     comparison value on the orthogonal complement.  Runs on the raw kernels:
@@ -142,7 +142,7 @@ def _dist_sq_hessian(manifold: Manifold, x: ManifoldPoint, target: ManifoldPoint
     """
     n = len(basis)
     xc = x.coords
-    d, lg = manifold._dist_log(xc, target.coords)
+    d, lg = manifold._dist_log(xc, target.coords) if dist_log is None else dist_log
     if d < 1e-14:
         return np.eye(n)
     trans = comparison(manifold.curvature, d)
@@ -284,7 +284,7 @@ class FrechetMean(Objective):
         trans = comparison(m.curvature, d)  # 1 for a sample at x
         d = np.where(d < 1e-14, 1.0, d)
         lg = m._defined(lg)
-        U = np.stack([m._inner_rows(x.coords, lg, b) for b in basis], axis=1) / d[:, None]
+        U = m._inner_matrix(x.coords, lg, basis) / d[:, None]
         w = (1.0 - trans) / n
         return _sum_rows(trans) / n * np.eye(len(basis)) + (U.T * w) @ U
 

@@ -234,10 +234,8 @@ def test_descent_public_distance_counts(monkeypatch, problem, public):
     assert calls == {"distance": public * (K + 1) + 1}
 
 
-def test_newton_steps_build_one_basis_per_iteration(monkeypatch):
-    # the objective's Hessian is formed in the basis the step already holds
-    obj = make_frechet_h2(num=50, solve_reference=False)
-    x = point_at(obj.manifold, np.random.default_rng(5), obj.domain.center, 0.5)
+def _counted_hessians(monkeypatch, obj):
+    """Count ``hessian_matrix`` calls on this objective instance."""
     hessians = {"calls": 0}
     hessian = obj.hessian_matrix
 
@@ -246,12 +244,51 @@ def test_newton_steps_build_one_basis_per_iteration(monkeypatch):
         return hessian(*args, **kwargs)
 
     monkeypatch.setattr(obj, "hessian_matrix", counted)
+    return hessians
+
+
+def test_newton_steps_build_one_basis_per_iteration(monkeypatch):
+    # the objective's Hessian is formed in the closed-form frame the step
+    # already holds; the Gram-Schmidt basis serves only the draws
+    obj = make_frechet_h2(num=50, solve_reference=False)
+    x = point_at(obj.manifold, np.random.default_rng(5), obj.domain.center, 0.5)
+    hessians = _counted_hessians(monkeypatch, obj)
+    frames = {"calls": 0}
+    frame = Hyperboloid._frame
+
+    def counted_frame(*args):
+        frames["calls"] += 1
+        return frame(*args)
+
+    monkeypatch.setattr(Hyperboloid, "_frame", counted_frame)
     calls = _public_geometry_calls(monkeypatch, ("orthonormal_basis",))
     proximal_step(obj, x, 1.0)
-    assert calls["orthonormal_basis"] == hessians["calls"] > 1
-    calls["orthonormal_basis"] = hessians["calls"] = 0
+    assert frames["calls"] == hessians["calls"] > 1
+    assert calls["orthonormal_basis"] == 0
+    frames["calls"] = hessians["calls"] = 0
     cubic_newton_step(obj, x, 1.0, 0.5, rho=1.0)
-    assert calls["orthonormal_basis"] == hessians["calls"] == 1
+    assert frames["calls"] == hessians["calls"] == 1
+    assert calls["orthonormal_basis"] == 0
+
+
+def test_proximal_newton_iteration_takes_one_pass_to_the_prox_centre(monkeypatch):
+    # each residual test computes d(y, x) and log_y(x) in one pass, and the
+    # Newton step's prox-term Hessian reads that pass; a Frechet mean's own
+    # value, gradient and Hessian take the row kernel, never _dist_log
+    obj = make_frechet_h2(num=50, solve_reference=False)
+    x = point_at(obj.manifold, np.random.default_rng(5), obj.domain.center, 0.5)
+    hessians = _counted_hessians(monkeypatch, obj)
+    passes = {"calls": 0}
+    dist_log = Hyperboloid._dist_log
+
+    def counted_pass(*args):
+        passes["calls"] += 1
+        return dist_log(*args)
+
+    monkeypatch.setattr(Hyperboloid, "_dist_log", counted_pass)
+    proximal_step(obj, x, 1.0)
+    # one at the start, one per accepted Newton point
+    assert passes["calls"] == hessians["calls"] + 1 > 2
 
 
 def test_frechet_mean_value_gradient_and_hessian_share_one_kernel_pass(monkeypatch):
