@@ -276,26 +276,13 @@ class Manifold:
     # -- bases and sampling --------------------------------------------------
 
     def orthonormal_basis(self, x: ManifoldPoint) -> np.ndarray:
-        """Deterministic orthonormal tangent basis at ``x`` (Gram-Schmidt of the
-        ambient basis projected to the tangent space), as the rows of a
-        read-only ``(dim, ambient_dim)`` array.  Tangent coordinates map to
-        basis coordinates by ``_inner_rows(x, B, v)`` and back by ``s @ B``.
-        Every x0, target, Fréchet sample set and rho estimate is drawn in it;
-        the Newton and cubic steps take the cheaper closed-form ``_frame``."""
+        """Orthonormal tangent basis at ``x``, the closed-form ``_frame``, as the
+        rows of a read-only ``(dim, ambient_dim)`` array.  Tangent coordinates
+        map to basis coordinates by ``_inner_rows(x, B, v)`` and back by
+        ``s @ B``.  At the origin its rows are the ambient unit vectors tangent
+        there, in order."""
         self._own(x)
-        basis = []
-        for i in range(self.ambient_dim):
-            e = np.zeros(self.ambient_dim)
-            e[i] = 1.0
-            u = self._project_tangent(x.coords, e)
-            for b in basis:
-                u = u - self._inner(x.coords, u, b) * b
-            nrm = self._norm(x.coords, u)
-            if nrm > 1e-8:
-                basis.append(u / nrm)
-            if len(basis) == self.dim:
-                break
-        basis = np.array(basis)
+        basis = self._frame(x.coords)
         basis.setflags(write=False)
         return basis
 
@@ -369,8 +356,8 @@ class Manifold:
         return V @ W.T
 
     def _frame(self, x):
-        """Closed-form orthonormal tangent basis at raw ``x`` as ``(dim, ambient_dim)``
-        rows, the Newton and cubic steps' basis; the identity of flat space here."""
+        """The closed-form ``orthonormal_basis`` at raw ``x``, a fresh array that the
+        Newton and cubic steps take unchecked; the identity of flat space here."""
         return np.eye(self.dim)
 
     def _dist_log_rows(self, x, Y):

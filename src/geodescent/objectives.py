@@ -87,7 +87,7 @@ class Objective:
 
     def hessian_matrix(self, x: ManifoldPoint, basis: np.ndarray | None = None) -> np.ndarray:
         """Symmetric Hessian in the coordinates of the rows of ``basis``, an orthonormal
-        tangent basis at ``x``: ``orthonormal_basis(x)`` if None; the steps pass ``_frame``."""
+        tangent basis at ``x``: ``orthonormal_basis(x)`` if None."""
         raise NotImplementedError
 
     @property

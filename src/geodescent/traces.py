@@ -26,6 +26,8 @@ _encode = json.JSONEncoder(sort_keys=True).encode
 # json.loads(line) is decode(line): raw_decode plus two whitespace matches
 # that a stripped line does not need
 _decode = json.JSONDecoder().raw_decode
+# the types json gives a number or null; bool, a subclass of int, is not one
+_NUMBER_OR_NULL = frozenset((int, float, type(None)))
 
 
 def manifold_spec(m: Manifold) -> dict:
@@ -136,11 +138,12 @@ def load_trace(path) -> TraceData:
     """Load a trace, or the prefix of one cut short: reading stops at the
     first line that does not parse.  Raises ``ValueError`` when no complete
     metadata record precedes it (an empty file, or one cut inside its first
-    line)."""
+    line), and names the line of a record that is not an object or whose
+    ``k`` is not an integer or ``f`` or ``f_star`` not a number or null."""
     meta = None
     records = []
     with open(path) as fh:
-        for line in fh:
+        for i, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
@@ -150,9 +153,18 @@ def load_trace(path) -> TraceData:
                 break  # truncated tail from a crash; keep the parseable prefix
             if end != len(line):
                 break  # more than one value on the line, as json.loads refuses
-            if rec.get("type") == "meta":
+            if type(rec) is not dict:
+                raise ValueError(f"{path}: line {i}: not a JSON object")
+            kind = rec.get("type")
+            if kind == "meta":
+                if type(rec.get("f_star")) not in _NUMBER_OR_NULL:
+                    raise ValueError(f"{path}: line {i}: f_star is neither a number nor null")
                 meta = rec
-            elif rec.get("type") == "iter":
+            elif kind == "iter":
+                if type(rec.get("k")) is not int:
+                    raise ValueError(f"{path}: line {i}: iter record has no integer k")
+                if type(rec.get("f")) not in _NUMBER_OR_NULL:
+                    raise ValueError(f"{path}: line {i}: f is neither a number nor null")
                 records.append(rec)
     if meta is None:
         raise ValueError(f"{path}: no metadata record found")

@@ -8,7 +8,8 @@ they are the reference the change is measured against.
 
 Each class subclasses the manifold it mirrors, so construction, keys and
 the row kernels are inherited, and overrides every scalar kernel (and
-``orthonormal_basis``, which is built from them).
+``orthonormal_basis``, Gram-Schmidt built from them, which the library's
+closed-form frame equals at the origin and is tested against elsewhere).
 
 The functions at the end keep the loops over a tangent basis as they stood
 before the basis became one ``(dim, ambient_dim)`` array: coordinates by one

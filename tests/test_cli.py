@@ -356,3 +356,32 @@ def test_an_error_inside_a_run_is_not_taken_for_a_user_error(tmp_path, monkeypat
     monkeypatch.setattr(cli.harness, "run_experiment", broken)
     with pytest.raises(ValueError, match="a fault in the library"):
         cli.main(["--out-root", str(tmp_path / "out"), "run", _write(tmp_path / "a.yaml")])
+
+
+_META = {"type": "meta", "schema": 1, "f_star": 0.0}
+_ITER = {"type": "iter", "k": 0, "coords": [1.0, 0.0, 0.0], "f": 1.0, "grad_norm": 1.0,
+         "slack": None}
+
+
+@pytest.mark.parametrize("command, lines, message", [
+    ("compare", [_META, {**_ITER, "k": None}], "line 2: iter record has no integer k"),
+    ("compare", [_META, {k: v for k, v in _ITER.items() if k != "k"}],
+     "line 2: iter record has no integer k"),
+    ("fit", [_META, _ITER, {**_ITER, "k": 1.0}], "line 3: iter record has no integer k"),
+    ("export", [_META, [_ITER]], "line 2: not a JSON object"),
+    ("export", [_META, _ITER, "iter"], "line 3: not a JSON object"),
+    ("fit", [{**_META, "f_star": "x"}, _ITER], "line 1: f_star is neither a number nor null"),
+    ("compare", [{**_META, "f_star": True}, _ITER], "line 1: f_star is neither"),
+    ("compare", [_META, {**_ITER, "f": "x"}], "line 2: f is neither a number nor null"),
+], ids=["k-null", "k-missing", "k-float", "list", "string", "f_star-string", "f_star-bool",
+        "f-string"])
+def test_a_malformed_trace_record_exits_2_naming_its_line(tmp_path, capsys, command, lines,
+                                                          message):
+    trace = tmp_path / "a.jsonl"
+    trace.write_text("".join(json.dumps(rec) + "\n" for rec in lines))
+    argv = {"fit": ["fit", str(trace), "--from", "0", "--to", "1"],
+            "compare": ["compare", str(trace), str(trace)],
+            "export": ["export", str(trace), str(tmp_path / "a.csv")]}[command]
+    assert cli.main(["--out-root", str(tmp_path / "out")] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {trace}: ") and message in err

@@ -248,8 +248,9 @@ def _counted_hessians(monkeypatch, obj):
 
 
 def test_newton_steps_build_one_basis_per_iteration(monkeypatch):
-    # the objective's Hessian is formed in the closed-form frame the step
-    # already holds; the Gram-Schmidt basis serves only the draws
+    # the objective's Hessian is formed in the frame the step already holds,
+    # taken by the raw _frame once per iteration, never by the checked
+    # public orthonormal_basis
     obj = make_frechet_h2(num=50, solve_reference=False)
     x = point_at(obj.manifold, np.random.default_rng(5), obj.domain.center, 0.5)
     hessians = _counted_hessians(monkeypatch, obj)

@@ -84,8 +84,11 @@ def test_scalar_kernels_match_their_reference_bit_for_bit(drawn):
         calls += [("_arc", x, y), ("_arc", x, x)]
     for name, *args in calls:
         assert _call(getattr(m, name), *args) == _call(getattr(ref, name), *args), name
-    p = ManifoldPoint(m, x)
-    assert _bits(list(m.orthonormal_basis(p))) == _bits(ref.orthonormal_basis(p))
+    # the closed-form frame, read-only, which is Gram-Schmidt at the origin
+    basis = m.orthonormal_basis(ManifoldPoint(m, x))
+    assert _bits(basis) == _bits(m._frame(x)) and not basis.flags.writeable
+    o = m.origin()
+    assert _bits(list(m.orthonormal_basis(o))) == _bits(ref.orthonormal_basis(o))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
