@@ -17,18 +17,20 @@ Usage::
 The first form runs each config with the ``geodescent`` found on the path
 (so ``PYTHONPATH=<checkout>/src`` digests another checkout) and writes, per
 config, the sha256 of its trace, its report and its trace's metadata line
-(x0, f* and the config), its exit code, its guarantee verdicts, its ``f``,
-``grad_norm`` and ``delta`` columns and the rho it estimated (null where it
-estimated none), and under ``src_lines`` the line count of that package's
-``.py`` files.  It then runs each config a second time in the same output
-root, where the f* and rho cache entries of the first run are warm, and
-exits 1 if any trace or report differs from the cold run's.  ``--compare``
+(x0, f* and the config), its exit code, its guarantee verdicts, its count
+of iteration records, its ``f``, ``grad_norm`` and ``delta`` columns and the
+rho it estimated (null where it estimated none), and under ``src_lines`` the
+line count of that package's ``.py`` files.  It then runs each config a
+second time in the same output root, where the f* and rho cache entries of
+the first run are warm, and exits 1 if any trace or report differs from the
+cold run's.  ``--compare``
 prints both line counts (``n/a`` for a file written before they were
 recorded) and lists the configs whose digests differ, with the largest
 absolute difference in each column, whether the metadata line is identical,
-both estimated rho (``n/a`` for a file written before the metadata line or
-rho was recorded) and whether any verdict or exit code changed; it exits 1
-if a verdict or exit code changed or a config is missing.
+both estimated rho and both record counts (``n/a`` for a file written before
+the metadata line, rho or the count was recorded) and whether any verdict or
+exit code changed; it exits 1 if a verdict or exit code changed or a config
+is missing.
 """
 
 from __future__ import annotations
@@ -193,6 +195,7 @@ def digest(out_path: str) -> int:
                 "verdicts": {g: v["pass"] for g, v in result.report["guarantees"].items()},
                 "errors": result.report["errors"],
                 "rho": _rho(root),
+                "records": len(records),
                 **columns,
             }
             warm = harness.run_experiment(harness.load_config(path), root)
@@ -245,10 +248,11 @@ def compare(a_path: str, b_path: str) -> int:
         metas = da.get("metadata_sha256"), db.get("metadata_sha256")
         meta = ("n/a" if None in metas else "identical" if metas[0] == metas[1]
                 else "DIFFERS")
-        rho = " → ".join("n/a" if "rho" not in d else repr(d["rho"]) for d in (da, db))
+        rho, records = (" → ".join("n/a" if key not in d else repr(d[key]) for d in (da, db))
+                        for key in ("rho", "records"))
         print(f"{name}: {changed}; max |diff| "
               + ", ".join(f"{c} {v:.3g}" for c, v in diffs.items() if v is not None)
-              + f"; metadata {meta}; rho {rho}"
+              + f"; metadata {meta}; rho {rho}; iter records {records}"
               + f"; verdicts and exit code {'unchanged' if same else 'CHANGED'}")
     print(f"{identical} of {len(set(a) | set(b))} configs byte-identical")
     return status

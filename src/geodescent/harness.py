@@ -480,7 +480,7 @@ def run_experiment(cfg: ExperimentConfig, out_root: str | None = None) -> Experi
 
     with TraceWriter(trace_path, meta) as writer:
         def cb(k, x, f, gn, slack, extra):
-            writer.record(k, x.coords, f, gn, slack, **extra)
+            writer.record(k, x.coords, f, gn, slack, extra)
 
         try:
             if accelerated:

@@ -1,9 +1,13 @@
 """Trace persistence.
 
 Traces are JSON-lines: a metadata record followed by one self-contained
-record per iteration, flushed line by line so a crash (or truncation) always
-leaves a parseable prefix.  Points serialize as plain coordinate arrays plus
-the manifold tag carried in the metadata.
+record per iteration.  The writer flushes the metadata line when it opens,
+then writes and flushes the iteration records a block of ``BLOCK_SIZE`` at a
+time, and the last, shorter block on ``close``.  A file therefore always holds
+the metadata line plus whole records and parses to a prefix of the run: a
+killed process loses at most the ``BLOCK_SIZE - 1`` records not yet written,
+and a run that raises loses none once the writer is closed.  Points serialize
+as plain coordinate arrays plus the manifold tag carried in the metadata.
 """
 
 from __future__ import annotations
@@ -21,6 +25,9 @@ TRACE_SCHEMA = 1
 
 ACCEL_FIELDS = ("delta", "xi", "A", "B", "E", "d_xy", "d_xz", "envelope")
 
+# iteration records encoded, written and flushed at once
+BLOCK_SIZE = 256
+
 # json.dumps(rec, sort_keys=True) builds this encoder anew for every record
 _encode = json.JSONEncoder(sort_keys=True).encode
 # json.loads(line) is decode(line): raw_decode plus two whitespace matches
@@ -28,6 +35,8 @@ _encode = json.JSONEncoder(sort_keys=True).encode
 _decode = json.JSONDecoder().raw_decode
 # the types json gives a number or null; bool, a subclass of int, is not one
 _NUMBER_OR_NULL = frozenset((int, float, type(None)))
+# what float() raises on a JSON value that is not a number
+_NOT_A_FLOAT = (TypeError, ValueError, OverflowError)
 
 
 def manifold_spec(m: Manifold) -> dict:
@@ -60,21 +69,47 @@ def _jsonify(v):
     return v
 
 
+def _number(key: str, v):
+    """An extra trace field as JSON: a number, or a numpy number or numeric
+    array as Python numbers.  Anything else could hold the text that
+    separates two records of a block, so it raises ``TypeError``."""
+    if isinstance(v, np.ndarray):
+        numeric = v.dtype.kind in "iuf"
+    else:
+        numeric = isinstance(v, (int, float, np.integer, np.floating)) and type(v) is not bool
+    if numeric:
+        return _jsonify(v)
+    raise TypeError(f"trace field {key!r} must be None, a number or a numeric array, "
+                    f"not {type(v).__name__}")
+
+
 class TraceWriter:
-    """Incremental JSON-lines writer; one flushed line per record."""
+    """Incremental JSON-lines writer.  The metadata line is flushed on
+    opening; iteration records are encoded, written and flushed a block of
+    ``BLOCK_SIZE`` at a time, and the rest on ``close``, so the file holds
+    the metadata line plus whole records at every moment."""
 
     def __init__(self, path, meta: dict):
         self.path = path
         self._fh = open(path, "w")
+        self._block = []
         rec = {"type": "meta", "schema": TRACE_SCHEMA}
         rec.update({k: _jsonify(v) for k, v in meta.items()})
-        self._write(rec)
-
-    def _write(self, rec: dict):
         self._fh.write(_encode(rec) + "\n")
         self._fh.flush()
 
-    def record(self, k: int, coords, f: float, grad_norm: float, slack=None, **extra):
+    def _write_block(self):
+        # one encode for the block: a JSON array of the records, whose only
+        # "}, {" are the separators between them, since no record holds text
+        # or a nested object (``_number``)
+        text = _encode(self._block)
+        self._block.clear()
+        self._fh.write(text[1:-1].replace("}, {", "}\n{") + "\n")
+        self._fh.flush()
+
+    def record(self, k: int, coords, f: float, grad_norm: float, slack=None, extra=None):
+        """Add the record of iteration ``k``; ``extra`` maps further field
+        names to None, numbers or numeric arrays."""
         rec = {
             "type": "iter",
             "k": int(k),
@@ -83,12 +118,23 @@ class TraceWriter:
             "grad_norm": float(grad_norm),
             "slack": None if slack is None else float(slack),
         }
-        for k2, v in extra.items():
-            rec[k2] = v if v is None or type(v) is float else _jsonify(v)
-        self._write(rec)
+        if extra:
+            rec.update(extra)
+            for key, v in extra.items():
+                if v is not None and type(v) is not float:
+                    rec[key] = _number(key, v)
+        block = self._block
+        block.append(rec)
+        if len(block) == BLOCK_SIZE:
+            self._write_block()
 
     def close(self):
-        self._fh.close()
+        """Write the records not yet written and close the file."""
+        try:
+            if self._block:
+                self._write_block()
+        finally:
+            self._fh.close()
 
     def __enter__(self):
         return self
@@ -103,16 +149,32 @@ class TraceData:
 
     meta: dict
     records: list[dict]
+    path: str | None = None
 
     @property
     def ks(self):
         return np.array([r["k"] for r in self.records])
 
     def column(self, name, default=np.nan):
-        return np.array(
-            [r.get(name, default) if r.get(name) is not None else default for r in self.records],
-            dtype=float,
-        )
+        try:
+            return np.array([default if (v := r.get(name)) is None else v
+                             for r in self.records], dtype=float)
+        except _NOT_A_FLOAT as e:
+            raise self._not_a_number((name,), e) from None
+
+    def _not_a_number(self, names, err) -> ValueError:
+        """``err``, raised converting the fields ``names`` to floats, as an
+        error naming the trace and the first record whose value ``float``
+        refuses."""
+        for r in self.records:
+            for name in names:
+                if (v := r.get(name)) is not None:
+                    try:
+                        float(v)
+                    except _NOT_A_FLOAT:
+                        return ValueError(f"{self.path}: iter record k={r['k']}: "
+                                          f"{name} is neither a number nor null")
+        return ValueError(f"{self.path}: {err}")
 
     @property
     def values(self):
@@ -168,16 +230,20 @@ def load_trace(path) -> TraceData:
                 records.append(rec)
     if meta is None:
         raise ValueError(f"{path}: no metadata record found")
-    return TraceData(meta, records)
+    return TraceData(meta, records, path)
 
 
 def trace_to_csv(data: TraceData, path):
-    """Numeric columns only, one row per iteration."""
+    """Numeric columns only, one row per iteration.  Raises ``ValueError``
+    naming the record of a value that is not a number or null."""
     cols = data.numeric_columns()
     lines = [",".join(cols)]
-    for r in data.records:
-        lines.append(",".join(["" if (v := r.get(c)) is None else repr(float(v))
-                               for c in cols]))
+    try:
+        for r in data.records:
+            lines.append(",".join(["" if (v := r.get(c)) is None else repr(float(v))
+                                   for c in cols]))
+    except _NOT_A_FLOAT as e:
+        raise data._not_a_number(cols, e) from None
     lines.append("")
     with open(path, "w") as fh:
         fh.write("\n".join(lines))

@@ -373,8 +373,14 @@ _ITER = {"type": "iter", "k": 0, "coords": [1.0, 0.0, 0.0], "f": 1.0, "grad_norm
     ("fit", [{**_META, "f_star": "x"}, _ITER], "line 1: f_star is neither a number nor null"),
     ("compare", [{**_META, "f_star": True}, _ITER], "line 1: f_star is neither"),
     ("compare", [_META, {**_ITER, "f": "x"}], "line 2: f is neither a number nor null"),
+    # export converts the other columns, and names the record that fails
+    ("export", [_META, _ITER, {**_ITER, "k": 1, "grad_norm": "x"}],
+     "iter record k=1: grad_norm is neither a number nor null"),
+    ("export", [_META, {**_ITER, "slack": [1.0]}], "iter record k=0: slack is neither"),
+    ("export", [_META, {**_ITER, "delta": {"a": 1.0}}], "iter record k=0: delta is neither"),
+    ("export", [_META, {**_ITER, "E": 10**400}], "iter record k=0: E is neither"),
 ], ids=["k-null", "k-missing", "k-float", "list", "string", "f_star-string", "f_star-bool",
-        "f-string"])
+        "f-string", "grad_norm-string", "slack-list", "delta-object", "E-huge-int"])
 def test_a_malformed_trace_record_exits_2_naming_its_line(tmp_path, capsys, command, lines,
                                                           message):
     trace = tmp_path / "a.jsonl"
@@ -385,3 +391,17 @@ def test_a_malformed_trace_record_exits_2_naming_its_line(tmp_path, capsys, comm
     assert cli.main(["--out-root", str(tmp_path / "out")] + argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {trace}: ") and message in err
+
+
+@pytest.mark.parametrize("command", ["fit", "compare"])
+def test_fit_and_compare_read_only_k_and_f(tmp_path, capsys, command):
+    trace = tmp_path / "a.jsonl"
+    recs = [_META] + [{**_ITER, "k": k, "f": 2.0 ** -k, "grad_norm": "x", "slack": [k]}
+                      for k in range(12)]
+    trace.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
+    argv = {"fit": ["fit", str(trace), "--from", "1", "--to", "11"],
+            "compare": ["compare", str(trace), str(trace)]}[command]
+    assert cli.main(["--out-root", str(tmp_path / "out")] + argv) == 0
+    assert capsys.readouterr().err == ""
+    with pytest.raises(ValueError, match=r"a\.jsonl: iter record k=0: grad_norm is neither"):
+        cli.load_trace(trace).column("grad_norm")
