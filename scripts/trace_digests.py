@@ -19,14 +19,15 @@ The first form runs each config with the ``geodescent`` found on the path
 config, the sha256 of its trace, its report and its trace's metadata line
 (x0, f* and the config), its exit code, its guarantee verdicts, its count
 of iteration records, its ``f``, ``grad_norm`` and ``delta`` columns and the
-rho it estimated (null where it estimated none), and under ``src_lines`` the
-line count of that package's ``.py`` files.  It then runs each config a
-second time in the same output root, where the f* and rho cache entries of
-the first run are warm, and exits 1 if any trace or report differs from the
-cold run's.  ``--compare``
-prints both line counts (``n/a`` for a file written before they were
-recorded) and lists the configs whose digests differ, with the largest
-absolute difference in each column, whether the metadata line is identical,
+rho it estimated (null where it estimated none), and under ``src_lines`` and
+``src_module_lines`` the line count of that package's ``.py`` files, in
+total and per module.  It then runs each config a second time in the same
+output root, where the f* and rho cache entries of the first run are warm,
+and exits 1 if any trace or report differs from the cold run's.
+``--compare`` prints both line counts and the modules whose counts differ
+(``n/a`` for a file written before they were recorded) and lists the
+configs whose digests differ, with the largest absolute difference in each
+column, whether the metadata line is identical,
 both estimated rho and both record counts (``n/a`` for a file written before
 the metadata line, rho or the count was recorded) and whether any verdict or
 exit code changed; it exits 1 if a verdict or exit code changed or a config
@@ -45,8 +46,9 @@ import tempfile
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COLUMNS = ("f", "grad_norm", "delta")
-# the digest file's key for the line count; config names all hold a "/"
+# the digest file's keys for the line counts; config names all hold a "/"
 SRC_LINES = "src_lines"
+SRC_MODULE_LINES = "src_module_lines"
 
 _H2 = {"kind": "hyperboloid", "n": 2, "kappa": 1.0}
 _S2R15 = {"kind": "sphere", "n": 2, "radius": 1.5}
@@ -147,13 +149,13 @@ def _sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _src_lines(package_dir: str) -> int:
-    """Lines in the package's ``.py`` files, as ``wc -l`` counts them."""
-    total = 0
-    for path in glob.glob(os.path.join(package_dir, "*.py")):
+def _src_lines(package_dir: str) -> dict[str, int]:
+    """Lines in each of the package's ``.py`` files, as ``wc -l`` counts them."""
+    counts = {}
+    for path in sorted(glob.glob(os.path.join(package_dir, "*.py"))):
         with open(path, "rb") as fh:
-            total += fh.read().count(b"\n")
-    return total
+            counts[os.path.basename(path)] = fh.read().count(b"\n")
+    return counts
 
 
 def _rho(root: str) -> float | None:
@@ -171,7 +173,8 @@ def digest(out_path: str) -> int:
 
     package_dir = os.path.dirname(harness.__file__)
     print(f"geodescent from {package_dir}", file=sys.stderr)
-    digests = {SRC_LINES: _src_lines(package_dir)}
+    modules = _src_lines(package_dir)
+    digests = {SRC_LINES: sum(modules.values()), SRC_MODULE_LINES: modules}
     status = 0
     with tempfile.TemporaryDirectory() as tmp:
         for path in _write_configs(os.path.join(tmp, "configs")):
@@ -228,6 +231,14 @@ def compare(a_path: str, b_path: str) -> int:
         b = json.load(fh)
     lines = [d.pop(SRC_LINES, None) for d in (a, b)]
     print("src lines " + " → ".join("n/a" if n is None else f"{n:,}" for n in lines))
+    modules = [d.pop(SRC_MODULE_LINES, None) for d in (a, b)]
+    if None in modules:
+        print("  per module n/a")
+    else:
+        for module in sorted(set(modules[0]) | set(modules[1])):
+            counts = [m.get(module) for m in modules]
+            if counts[0] != counts[1]:
+                print(f"  {module} " + " → ".join("-" if n is None else f"{n:,}" for n in counts))
     status = identical = 0
     for name in sorted(set(a) | set(b)):
         if name not in a or name not in b:

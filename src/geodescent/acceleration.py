@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from geodescent.descent import (BACKWARD, ENVELOPE_FLOOR, GradientDescent, IterateTrace,
-                                 _Recorder, default_tolerance, rgd_step)  # noqa: F401  (rgd_step re-exported)
+                                 default_tolerance, rgd_step)  # noqa: F401  (rgd_step re-exported)
 from geodescent.geometry import (
     DomainSpec,
     GeometryError,
@@ -311,7 +311,6 @@ class AccelRun:
     mu: float | None
     xi0: float | None
     D0: float | None
-    E0: float
     diam: float
     x_star: ManifoldPoint | None = None
     # oracle delta: fixed points stopped at the cap or by a stalled gap, and
@@ -319,6 +318,10 @@ class AccelRun:
     delta_capped: int = 0
     delta_stalled: int = 0
     delta_mismatch: float = 0.0
+
+    @property
+    def E0(self) -> float:
+        return self.energies[0].E
 
     @property
     def xi_seq(self) -> list[float]:
@@ -333,7 +336,7 @@ class AccelRun:
 def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
                     oracle, dom: DomainSpec | None = None,
                     delta_mode: str = ANALYTIC, xi0: float | None = None,
-                    callback=None) -> AccelRun:
+                    writer=None) -> AccelRun:
     """Drive the accelerated scheme from y0 = z0 for ``k_max`` iterations.
 
     ``oracle`` is a descent algorithm with a 2-backward certificate
@@ -345,12 +348,10 @@ def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
     until the rate used by the schedule matches the realized ratio to 1e-12
     relative, until that relative gap fails to shrink (``delta_stalled``
     counts these iterations) or for at most 60 steps (``delta_capped``), and
-    the step with the smallest gap is kept.  The trace records the y iterates; the domain
-    monitor watches x, y and z: ``in_domain`` checks y0 = x0 = z0 before the
-    first step, and the row kernel the later y's and the run's ``xs`` and
-    ``zs`` once the run ends (``_Recorder``).  ``callback(k, y, f, grad_norm, slack,
-    extra)`` fires after every iteration, with the schedule and energy
-    fields in ``extra``.
+    the step with the smallest gap is kept.  The run's ``IterateTrace``
+    records the y iterates, hands each record to ``writer`` if one is given,
+    with the schedule and energy fields in ``extra``, and monitors the domain
+    at x, y and z (its ``close`` watches the run's ``xs`` and ``zs`` too).
     """
     if mode not in (GCONVEX, STRONGLY):
         raise ValueError(f"unknown mode {mode!r}")
@@ -358,7 +359,7 @@ def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
         raise ValueError(f"unknown delta mode {delta_mode!r}")
     m = obj.manifold
     dom = dom if dom is not None else obj.domain
-    rec = _Recorder(dom, y0, callback)
+    trace = IterateTrace(dom, y0, writer)
     sol = obj.known_solution
     if sol is None:
         raise ValueError("accelerated runs need a known or precomputed minimizer")
@@ -388,9 +389,7 @@ def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
     else:
         sched = ScheduleState(0.0, 4.0 / c, 0.0, 1.0, xi0)
     prod = 1.0
-    # the trace and E0 are filled in once recorded
-    run = AccelRun(None, [], [], [], [], mode, delta_mode, c, mu, xi0, D0, None,
-                   dom.diameter, x_star)
+    run = AccelRun(trace, [], [], [], [], mode, delta_mode, c, mu, xi0, D0, dom.diameter, x_star)
 
     def record(slack, star_log=None):
         # energy and record at the current state, schedule and envelope
@@ -398,12 +397,11 @@ def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
         run.energies.append(e)
         run.xs.append(state.x)
         run.zs.append(state.z)
-        rec.record(state.y, state.f_y, m.norm(state.y, obj.gradient(state.y)), slack,
-                   {"delta": sched.delta, "xi": sched.xi, "A": sched.A, "B": sched.B,
-                    "E": e.E, "d_xy": e.d_xy, "d_xz": e.d_xz, "envelope": e.envelope})
+        trace.record(state.y, state.f_y, m.norm(state.y, obj.gradient(state.y)), slack,
+                     {"delta": sched.delta, "xi": sched.xi, "A": sched.A, "B": sched.B,
+                      "E": e.E, "d_xy": e.d_xy, "d_xz": e.d_xz, "envelope": e.envelope})
 
     record(None)
-    run.E0 = run.energies[0].E
 
     for _ in range(k_max):
         if delta_mode == ANALYTIC:
@@ -445,7 +443,7 @@ def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
         run.schedules.append(sched)
         record(slack, star_log)
 
-    run.trace = rec.trace(run.xs, run.zs)
+    trace.close(run.xs, run.zs)
     return run
 
 

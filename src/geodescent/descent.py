@@ -3,8 +3,10 @@ closed-form rate envelopes they imply.
 
 A certificate ``(p, c, direction)`` claims each step decreases f by at least
 ``c * ||grad f||^(p/(p-1))``, with the gradient taken at the new iterate
-(forward) or the current one (backward).  ``certify`` re-checks the claim on
-a recorded trace, independently of how the steps were produced.
+(forward) or the current one (backward).  ``run_descent`` records each
+step's slack in its ``IterateTrace``, which also monitors the domain and
+can stream every record to a trace writer; ``certify`` re-checks the claim
+on a recorded trace, independently of how the steps were produced.
 """
 
 from __future__ import annotations
@@ -72,29 +74,70 @@ class DescentCertificate:
     def exponent(self) -> float:
         return self.p / (self.p - 1.0)
 
+    def slack(self, f_prev: float, f: float, gn_prev: float, gn: float) -> float:
+        """A step's slack ``f - f_prev + c * ||grad f||^(p/(p-1))`` from the values
+        and gradient norms before and after it (positive = claim violated)."""
+        gn_ref = gn if self.direction == FORWARD else gn_prev
+        return f - f_prev + self.c * gn_ref**self.exponent
 
-@dataclass
+
 class IterateTrace:
     """Recorded run: iterates x_0..x_K plus values, gradient norms and the
-    per-step certificate slack (positive slack = inequality violated)."""
+    per-step certificate slack (positive slack = inequality violated).
 
-    iterates: list[ManifoldPoint]
-    values: list[float]
-    grad_norms: list[float]
-    per_step_violation: list[float]
-    domain_exit: int | None = None
+    A driver builds it on its domain and start point, which ``in_domain``
+    checks, and appends each iterate with ``record``, which also calls
+    ``writer.record(k, x.coords, f, grad_norm, slack, extra)`` if a writer
+    (such as a ``TraceWriter``) is given.  ``close`` checks that every value
+    is finite and sets ``domain_exit`` (assumption monitor, not fatal): the
+    first iteration at which the iterate, or the point of one of the driver's
+    own point ``columns`` there, lies beyond the bound ``in_domain`` uses.
+    One pass of the row kernel ``_dist_log_rows`` measures every such point's
+    distance from the centre; row and scalar distances may differ in the last
+    bit, so only a point within a few ulps of the bound can be judged
+    otherwise than ``in_domain`` would."""
 
-    def __post_init__(self):
-        n = len(self.iterates)
-        if len(self.values) != n or len(self.grad_norms) != n:
-            raise ValueError("trace column lengths are inconsistent")
-        if len(self.per_step_violation) not in (0, n - 1):
-            raise ValueError("need one violation entry per step")
-        if not all(np.isfinite(v) for v in self.values):
-            raise ValueError("non-finite objective values in trace")
+    def __init__(self, dom: DomainSpec, x0: ManifoldPoint, writer=None):
+        if not in_domain(dom, x0):
+            raise ValueError("the start point must lie inside the domain")
+        self.dom = dom
+        self.writer = writer
+        self.domain_exit = None
+        self.iterates, self.values, self.grad_norms, self.per_step_violation = [], [], [], []
 
     def __len__(self):
         return len(self.iterates)
+
+    def record(self, x, f, grad_norm, slack=None, extra=None):
+        k = len(self.iterates)
+        self.iterates.append(x)
+        self.values.append(f)
+        self.grad_norms.append(grad_norm)
+        if k:
+            self.per_step_violation.append(slack)
+        if self.writer is not None:
+            self.writer.record(k, x.coords, f, grad_norm, slack, extra)
+
+    def _first_exit(self, columns) -> int | None:
+        """The first k >= 1 at which a point of row k of ``zip(iterates,
+        *columns)`` lies outside the domain, or None."""
+        rows = list(zip(self.iterates, *columns))[1:]
+        if not rows:
+            return None
+        center = self.dom.center
+        points = np.array([p.coords for row in rows for p in row])
+        d = center.manifold._dist_log_rows(center.coords, points)[0]
+        # not "d > bound", which a NaN distance would pass as inside
+        out = np.flatnonzero(~(d <= self.dom.radius + DOMAIN_TOL))
+        return int(out[0]) // len(rows[0]) + 1 if out.size else None
+
+    def close(self, *columns) -> IterateTrace:
+        """End the run and return the trace; ``columns`` are further point lists,
+        one entry per recorded iterate, that the domain monitor also watches."""
+        self.domain_exit = self._first_exit(columns)
+        if not all(np.isfinite(v) for v in self.values):
+            raise ValueError("non-finite objective values in trace")
+        return self
 
 
 def default_tolerance(f0: float) -> float:
@@ -120,11 +163,12 @@ def rgd_step(obj: Objective, x: ManifoldPoint, eta: float,
         raise ValueError(f"eta={eta:g} outside (0, 2/L) for L={L:g}")
     if eta <= 0:
         raise ValueError("eta must be positive")
-    obj.manifold._own(x)
-    if grad is not None:
+    if grad is None:
+        obj.manifold._own(x)
+        grad = obj.gradient(x)
+    else:
         obj.manifold._same_base(x, grad)
-    g = obj.gradient(x) if grad is None else grad
-    return obj.manifold._move(x.coords, -eta * g.coords)
+    return obj.manifold._move(x.coords, -eta * grad.coords)
 
 
 def proximal_step(obj: Objective, x: ManifoldPoint, eta: float,
@@ -148,8 +192,9 @@ def proximal_step(obj: Objective, x: ManifoldPoint, eta: float,
     if not tol_prox > 0:
         raise ValueError("tol_prox must be positive")
     m = obj.manifold
-    m._own(x)
-    if grad is not None:
+    if grad is None:
+        m._own(x)
+    else:
         m._same_base(x, grad)
     L_f = obj.metadata.L if obj.metadata.L is not None else 1.0
     # curvature bound for the proximal quadratic on the relevant region
@@ -388,78 +433,26 @@ class CubicNewton:
 # driver and checks
 
 
-class _Recorder:
-    """Trace columns, domain monitor and callback shared by both drivers.
-
-    ``in_domain`` checks that the start point lies in ``dom``.  ``trace``
-    notes the first iteration at which the recorded iterate, or the point of
-    one of the driver's own point ``columns`` at that iteration, lies beyond
-    the bound ``in_domain`` uses, measuring every such point's distance from
-    the centre in one pass of the row kernel ``_dist_log_rows`` once the run
-    ends.  Row and scalar distances may differ in the last bit, so only a
-    point within a few ulps of the bound can be judged otherwise than
-    ``in_domain`` would."""
-
-    def __init__(self, dom: DomainSpec, x0: ManifoldPoint, callback=None):
-        if not in_domain(dom, x0):
-            raise ValueError("the start point must lie inside the domain")
-        self.dom = dom
-        self.callback = callback
-        self.xs, self.values, self.grad_norms, self.slacks = [], [], [], []
-
-    def record(self, x, f, grad_norm, slack=None, extra=None):
-        k = len(self.xs)
-        self.xs.append(x)
-        self.values.append(f)
-        self.grad_norms.append(grad_norm)
-        if k:
-            self.slacks.append(slack)
-        if self.callback is not None:
-            self.callback(k, x, f, grad_norm, slack, extra or {})
-
-    def domain_exit(self, columns=()) -> int | None:
-        """The first k >= 1 at which a point of row k of ``zip(xs, *columns)``
-        lies outside the domain, or None."""
-        rows = list(zip(self.xs, *columns))[1:]
-        if not rows:
-            return None
-        center = self.dom.center
-        points = np.array([p.coords for row in rows for p in row])
-        d = center.manifold._dist_log_rows(center.coords, points)[0]
-        # not "d > bound", which a NaN distance would pass as inside
-        out = np.flatnonzero(~(d <= self.dom.radius + DOMAIN_TOL))
-        return int(out[0]) // len(rows[0]) + 1 if out.size else None
-
-    def trace(self, *columns) -> IterateTrace:
-        """The recorded trace; ``columns`` are further point lists, one entry
-        per recorded iterate, that the domain monitor also watches."""
-        return IterateTrace(self.xs, self.values, self.grad_norms, self.slacks,
-                            self.domain_exit(columns))
-
-
 def run_descent(alg, obj: Objective, x0: ManifoldPoint, k_max: int,
-                dom: DomainSpec | None = None, callback=None) -> IterateTrace:
+                dom: DomainSpec | None = None, writer=None) -> IterateTrace:
     """Run ``alg`` for up to ``k_max`` steps, recording values, gradient norms
-    and the per-step certificate slack.  The first iterate outside ``dom`` is
-    recorded (assumption monitor), not fatal: ``in_domain`` checks x0 before
-    the first step, and the row kernel the later iterates once the run ends
-    (``_Recorder``).  ``callback(k, x, f, grad_norm, slack, extra)`` fires
-    after every recorded iterate (slack None at k=0, extra empty).  Each step
-    reuses the gradient recorded at its input."""
+    and the per-step certificate slack in an ``IterateTrace`` on ``dom``
+    (default: the objective's), which monitors the domain and hands every
+    record to ``writer`` if one is given (slack None at k=0, no extra).
+    Each step reuses the gradient recorded at its input."""
     m = obj.manifold
     cert = alg.certificate(obj)
-    rec = _Recorder(dom if dom is not None else obj.domain, x0, callback)
+    trace = IterateTrace(dom if dom is not None else obj.domain, x0, writer)
     x, g = x0, obj.gradient(x0)
-    gn = m.norm(x0, g)
-    rec.record(x0, obj.value(x0), gn)
+    f, gn = obj.value(x0), m.norm(x0, g)
+    trace.record(x0, f, gn)
     for _ in range(k_max):
         x = alg.step(obj, x, g)
         g = obj.gradient(x)
-        f = obj.value(x)
+        f_prev, f = f, obj.value(x)
         gn_prev, gn = gn, m.norm(x, g)
-        gn_ref = gn if cert.direction == FORWARD else gn_prev
-        rec.record(x, f, gn, f - rec.values[-1] + cert.c * gn_ref**cert.exponent)
-    return rec.trace()
+        trace.record(x, f, gn, cert.slack(f_prev, f, gn_prev, gn))
+    return trace.close()
 
 
 def certify(trace: IterateTrace, cert: DescentCertificate, tol: float) -> tuple[bool, float]:
@@ -469,12 +462,8 @@ def certify(trace: IterateTrace, cert: DescentCertificate, tol: float) -> tuple[
     """
     if len(trace) < 2:
         raise ValueError("need at least two iterates to certify")
-    worst = -np.inf
-    q = cert.exponent
-    for k in range(len(trace) - 1):
-        gn = trace.grad_norms[k + 1] if cert.direction == FORWARD else trace.grad_norms[k]
-        slack = trace.values[k + 1] - trace.values[k] + cert.c * gn**q
-        worst = max(worst, slack)
+    f, gn = trace.values, trace.grad_norms
+    worst = max(cert.slack(f[k], f[k + 1], gn[k], gn[k + 1]) for k in range(len(trace) - 1))
     return worst <= tol, float(worst)
 
 

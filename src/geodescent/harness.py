@@ -133,7 +133,7 @@ def load_config(path) -> ExperimentConfig:
         try:
             m = build_manifold(sections["manifold"])
             dims = (m.dim, m.ambient_dim)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, ArithmeticError):
             pass  # such as a null radius: _build_experiment reports it
     violations += found
     for name in SECTIONS[1:]:
@@ -331,8 +331,8 @@ def _above_floor(bounds, scale):
 
 
 def _check_certificate(trace, cert, tol):
-    _, worst = desc.certify(trace, cert, tol)
-    return _verdict([worst], tol, f"p={cert.p:g}, c={cert.c:g}, {cert.direction}")
+    detail = f"p={cert.p:g}, c={cert.c:g}, {cert.direction}"
+    return _verdict(trace.per_step_violation, tol, detail)
 
 
 def _check_gconvex_envelope(trace, cert, f_star, diam, tol):
@@ -418,8 +418,9 @@ def _resolve(path, out_root):
 
 def _build_experiment(cfg: ExperimentConfig, cache_dir=None):
     """Build a config's manifold, objective, algorithm, domain and x0 for
-    ``validate`` and ``run_experiment``; a ValueError or TypeError (such as a
-    null where a number belongs) becomes a ConfigError."""
+    ``validate`` and ``run_experiment``; a ValueError, TypeError (such as a
+    null where a number belongs) or ArithmeticError (such as a radius whose
+    curvature overflows) becomes a ConfigError."""
     try:
         manifold = build_manifold(cfg.manifold)
         obj = build_objective(cfg.objective, manifold, cache_dir)
@@ -440,7 +441,7 @@ def _build_experiment(cfg: ExperimentConfig, cache_dir=None):
             x0 = _point_at(manifold, rng_x0, dom.center, dist)
     except ConfigError:
         raise
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, ArithmeticError) as e:
         raise ConfigError([f"cannot build the experiment: {type(e).__name__}: {e}"]) from e
     return manifold, obj, alg, dom, x0
 
@@ -479,15 +480,12 @@ def run_experiment(cfg: ExperimentConfig, out_root: str | None = None) -> Experi
     extra_report = {}
 
     with TraceWriter(trace_path, meta) as writer:
-        def cb(k, x, f, gn, slack, extra):
-            writer.record(k, x.coords, f, gn, slack, extra)
-
         try:
             if accelerated:
                 get = partial(value, "algorithm", cfg.algorithm)
                 run = accel.run_accelerated(obj, x0, k_max, get("mode"), alg, dom,
                                             delta_mode=get("delta_mode"), xi0=get("xi0"),
-                                            callback=cb)
+                                            writer=writer)
                 trace = run.trace
                 tol = desc.default_tolerance(trace.values[0])
                 guarantees["oracle_contract"] = _check_oracle_contract(run, tol)
@@ -503,7 +501,7 @@ def run_experiment(cfg: ExperimentConfig, out_root: str | None = None) -> Experi
                         "stalled_iterations": run.delta_stalled,
                         "worst_mismatch": run.delta_mismatch}
             else:
-                trace = desc.run_descent(alg, obj, x0, k_max, dom, callback=cb)
+                trace = desc.run_descent(alg, obj, x0, k_max, dom, writer)
                 tol = desc.default_tolerance(trace.values[0])
                 cert = alg.certificate(obj)
                 guarantees["certificate"] = _check_certificate(trace, cert, tol)
@@ -516,7 +514,7 @@ def run_experiment(cfg: ExperimentConfig, out_root: str | None = None) -> Experi
                         guarantees["graddom_envelope"] = _check_graddom_envelope(
                             trace, cert, obj.metadata.grad_dom[0], f_star, tol)
         except (desc.ProximalSolverError, desc.SubsolverError,
-                accel.OracleViolationError, ValueError) as e:
+                accel.OracleViolationError, ValueError, ArithmeticError) as e:
             errors.append(f"{type(e).__name__}: {e}")
             trace = None
 

@@ -56,13 +56,17 @@ class ObjectiveMetadata:
     L: float | None = None
     mu: float | None = None
     rho: float | None = None
-    grad_dom: tuple[float, float] | None = None  # (tau, p)
 
     def __post_init__(self):
         if self.convexity_class not in (NONCONVEX, G_CONVEX, STRONGLY_G_CONVEX):
             raise ValueError(f"unknown convexity class {self.convexity_class!r}")
         if self.convexity_class == STRONGLY_G_CONVEX and not (self.mu and self.mu > 0):
             raise ValueError("strongly g-convex objectives must declare mu > 0")
+
+    @property
+    def grad_dom(self) -> tuple[float, float] | None:
+        """(tau, p): a mu-strongly g-convex f is (1/(2 mu), 2)-gradient-dominated."""
+        return (1.0 / (2.0 * self.mu), 2.0) if self.mu else None
 
 
 @dataclass(frozen=True)
@@ -127,7 +131,7 @@ def _dist_sq_metadata(manifold: Manifold, d_max: float) -> ObjectiveMetadata:
     mu = comparison(K, d_max) if np.sqrt(K) * d_max < np.pi / 2 else 0.0
     L = _dist_sq_L(manifold, d_max)
     if mu > 0:
-        return ObjectiveMetadata(STRONGLY_G_CONVEX, L=L, mu=mu, grad_dom=(1.0 / (2.0 * mu), 2.0))
+        return ObjectiveMetadata(STRONGLY_G_CONVEX, L=L, mu=mu)
     return ObjectiveMetadata(G_CONVEX, L=L)
 
 
@@ -169,9 +173,7 @@ class Quadratic(Objective):
             raise ValueError("quadratic scales must be positive")
         L = float(self.scales.max())
         mu = float(self.scales.min())
-        self.metadata = ObjectiveMetadata(
-            STRONGLY_G_CONVEX, L=L, mu=mu, rho=0.0, grad_dom=(1.0 / (2.0 * mu), 2.0)
-        )
+        self.metadata = ObjectiveMetadata(STRONGLY_G_CONVEX, L=L, mu=mu, rho=0.0)
         self.domain = DomainSpec(self.manifold.point(b), domain_radius)
         self._set_solution(self.manifold.point(b), 0.0)
 

@@ -274,25 +274,48 @@ def test_unread_keys_and_unchecked_values_are_config_errors(tmp_path, capsys, ov
      "cannot build the experiment: TypeError"),
     # numpy refuses the Minkowski signature's length at once, allocating nothing
     ({"manifold": {"kind": "hyperboloid", "n": 2**62}}, "cannot build the experiment: ValueError"),
-], ids=["radius-null", "kappa-null", "n-too-large"])
+    # the curvature 1/radius^2 overflows, or underflows to a division by zero
+    ({"manifold": {"kind": "sphere", "n": 2, "radius": 1e300},
+      "objective": {"kind": "sphere_rayleigh"}}, "cannot build the experiment: OverflowError"),
+    ({"manifold": {"kind": "sphere", "n": 2, "radius": 1e-300},
+      "objective": {"kind": "sphere_rayleigh"}},
+     "cannot build the experiment: ZeroDivisionError"),
+], ids=["radius-null", "kappa-null", "n-too-large", "radius-1e300", "radius-1e-300"])
 def test_a_manifold_that_cannot_be_built_is_a_config_error(tmp_path, capsys, over, message):
     # load_config builds the manifold for the vector lengths; it leaves these
     # to the experiment's builder, which reports them as it does a null eta
     _assert_config_error(tmp_path, capsys, over, message)
 
 
+def test_a_certificate_constant_that_overflows_is_reported(tmp_path, capsys):
+    # validate accepts rho = 1e-300; the cubic certificate's
+    # (theta + rho/2 + M)^(-3/2) overflows once the run starts
+    cfg = _write(tmp_path / "a.yaml", algorithm={"kind": "cubic_newton", "rho": 1e-300})
+    assert cli.main(["validate", cfg]) == 0
+    capsys.readouterr()
+    root = tmp_path / "out"
+    assert cli.main(["--out-root", str(root), "run", cfg]) == 1
+    out, err = capsys.readouterr()
+    assert "error: OverflowError" in err and "Traceback" not in out + err
+    report = json.loads((root / "a.json").read_text())
+    assert report["exit_code"] == 1
+    assert [e.split(":")[0] for e in report["errors"]] == ["OverflowError"]
+
+
 def _assert_config_error(tmp_path, capsys, over, message):
     """validate, run and batch each reject the config with exit 2 and
-    ``message``, and batch goes on to a good config after it."""
+    ``message``, not a traceback, and batch goes on to a good config after it."""
     configs = tmp_path / "configs"
     configs.mkdir()
     bad = _write(configs / "a_bad.yaml", **over)
     _write(configs / "b_good.yaml")
     assert cli.main(["validate", bad]) == 2
-    assert f"invalid: {message}" in capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert f"invalid: {message}" in out and "Traceback" not in out + err
     root = tmp_path / "out"
     assert cli.main(["--out-root", str(root), "run", bad]) == 2
-    assert f"config error: {message}" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert f"config error: {message}" in err and "Traceback" not in out + err
     assert cli.main(["--out-root", str(root), "batch", str(configs)]) == 2
     out = capsys.readouterr().out
     assert "a_bad.yaml] exit 2" in out and "b_good.yaml] exit 0" in out

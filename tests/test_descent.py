@@ -59,13 +59,26 @@ def test_rate_constants_ordering():
     assert C_bwd <= C_fwd
 
 
+@pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
+def test_certificate_slack_is_the_hand_formula(direction):
+    # p = 3: the exponent p/(p-1) is 1.5; forward takes the new gradient norm
+    gn = 0.3 if direction == FORWARD else 0.8
+    slack = DescentCertificate(3.0, 0.2, direction).slack(2.0, 1.5, 0.8, 0.3)
+    assert slack == 1.5 - 2.0 + 0.2 * gn**1.5
+
+
+def _recorded(values, grad_norms, slacks):
+    """A trace at the origin of R^1 recorded through ``record`` and ``close``."""
+    p = Euclidean(1).point([0.0])
+    tr = IterateTrace(DomainSpec(p, 1.0), p)
+    for f, gn, slack in zip(values, grad_norms, [None, *slacks]):
+        tr.record(p, f, gn, slack)
+    return tr.close()
+
+
 def test_trace_validation():
-    E = Euclidean(1)
-    p = E.point([0.0])
     with pytest.raises(ValueError):
-        IterateTrace([p, p], [0.0], [0.0, 0.0], [0.0])
-    with pytest.raises(ValueError):
-        IterateTrace([p, p], [0.0, np.inf], [0.0, 0.0], [0.0])
+        _recorded([0.0, np.inf], [0.0, 0.0], [0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +474,7 @@ def test_run_descent_flags_domain_exit():
 
 
 def test_certify_constant_trace():
-    E = Euclidean(1)
-    p = E.point([0.0])
-    tr = IterateTrace([p, p, p], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0])
+    tr = _recorded([1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0])
     ok, worst = certify(tr, DescentCertificate(2.0, 0.5, BACKWARD), 0.0)
     assert ok and worst == 0.0
 
@@ -483,8 +494,7 @@ def test_certify_rgd_quadratic_and_tightness():
 
 
 def test_certify_needs_two_iterates():
-    E = Euclidean(1)
-    tr = IterateTrace([E.point([0.0])], [0.0], [0.0], [])
+    tr = _recorded([0.0], [0.0], [])
     with pytest.raises(ValueError):
         certify(tr, DescentCertificate(2.0, 0.5, BACKWARD), 0.0)
 

@@ -83,8 +83,8 @@ def test_domain_exit_matches_the_per_iteration_monitor(monkeypatch, name, accele
     radius, expected = _radius(dist, case)
     trace, _ = _run(name, accelerated, radius)
     with monkeypatch.context() as patch:
-        patch.setattr(descent, "_Recorder", ReferenceRecorder)
-        patch.setattr(acc, "_Recorder", ReferenceRecorder)
+        patch.setattr(descent, "IterateTrace", ReferenceRecorder)
+        patch.setattr(acc, "IterateTrace", ReferenceRecorder)
         reference, _ = _run(name, accelerated, radius)
     assert trace.domain_exit == reference.domain_exit == expected
     if case == "late":

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geodescent import cli, harness
-from geodescent.descent import CubicNewton
+from geodescent.descent import CubicNewton, certify, default_tolerance, run_descent
 from geodescent.harness import (
     Comparison,
     ConfigError,
@@ -120,6 +120,19 @@ def test_run_experiment_quadratic_rgd(tmp_path):
     data = load_trace(res.trace_path)
     assert len(data.records) == 101
     assert data.meta["f_star"] == 0.0
+
+
+@pytest.mark.parametrize("algorithm", [
+    {"kind": "rgd"}, {"kind": "proximal", "eta": 1.0}, {"kind": "cubic_newton", "rho": 1.0},
+], ids=["rgd", "proximal", "cubic"])
+def test_the_certificate_verdict_is_certify_of_the_trace(tmp_path, algorithm):
+    # the report reads the slacks run_descent recorded; certify recomputes them
+    cfg = load_config(_write_cfg(tmp_path / "a.yaml", algorithm=algorithm))
+    verdict = run_experiment(cfg, tmp_path / "out").report["guarantees"]["certificate"]
+    _, obj, alg, dom, x0 = harness._build_experiment(cfg)
+    trace = run_descent(alg, obj, x0, cfg.run["k_max"], dom)
+    passed, worst = certify(trace, alg.certificate(obj), default_tolerance(trace.values[0]))
+    assert (verdict["pass"], verdict["worst_slack"]) == (passed, worst)
 
 
 def test_run_experiment_accelerated_strongly(tmp_path):

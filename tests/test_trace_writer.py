@@ -1,6 +1,7 @@
 """The block trace writer: its bytes equal one encoded line per record, a
 killed process leaves whole blocks, a run that raises leaves every record it
-made, and extras that are not numbers are refused."""
+made, extras that are not numbers are refused, and both drivers hand every
+record they make to the writer."""
 
 import os
 import subprocess
@@ -11,8 +12,11 @@ import pytest
 import yaml
 
 from geodescent import descent, traces
+from geodescent.acceleration import STRONGLY, gradient_oracle, run_accelerated
+from geodescent.descent import GradientDescent, run_descent
 from geodescent.harness import load_config, run_experiment
 from geodescent.traces import BLOCK_SIZE, TRACE_SCHEMA, TraceWriter, _encode, load_trace
+from helpers import make_sqdist_h2, point_at
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 META = {"kind": "descent", "f_star": 0.0, "x0": np.array([1.0, 0.0, 0.0])}
@@ -127,3 +131,33 @@ def test_the_benchmark_hooks_exist_and_record_runs_once_per_iterate(tmp_path, mo
         res = run_experiment(_config(tmp_path / f"{name}.yaml", algorithm, 30), tmp_path / name)
         assert res.report["errors"] == []
         assert len(count) == 31
+
+
+class _Recording:
+    """A writer that keeps the arguments of every ``record`` call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def record(self, k, coords, f, grad_norm, slack=None, extra=None):
+        self.calls.append((k, coords, f, grad_norm, slack, extra))
+
+
+@pytest.mark.parametrize("accelerated", [False, True], ids=["descent", "accelerated"])
+def test_the_drivers_hand_every_record_to_the_writer(accelerated):
+    obj, k_max, writer = make_sqdist_h2(), 12, _Recording()
+    x0 = point_at(obj.manifold, np.random.default_rng(0), obj.domain.center, 1.0)
+    if accelerated:
+        run = run_accelerated(obj, x0, k_max, STRONGLY, gradient_oracle(obj, 0.3), writer=writer)
+        trace = run.trace
+    else:
+        trace = run_descent(GradientDescent(0.3), obj, x0, k_max, writer=writer)
+    k, coords, f, grad_norm, slack, extra = (list(c) for c in zip(*writer.calls))
+    assert k == list(range(k_max + 1)) and len(trace) == k_max + 1
+    assert f == trace.values and grad_norm == trace.grad_norms
+    assert slack == [None, *trace.per_step_violation]
+    assert all(c is x.coords for c, x in zip(coords, trace.iterates))
+    if accelerated:
+        assert [e["E"] for e in extra] == [e.E for e in run.energies]
+    else:
+        assert extra == [None] * (k_max + 1)
