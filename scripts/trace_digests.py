@@ -6,8 +6,9 @@ benchmark workloads (``bench/workloads.py``) and the extra configs below:
 proximal and cubic-Newton runs, accelerated runs with ``oracle: proximal``,
 oracle-delta runs on the g-convex schedule, with the proximal oracle and on
 a Fréchet mean off one geodesic, Fréchet means on a sphere cap, problems on
-a sphere of radius 1.5, two runs whose reports hold a void check and an
-accelerated run that leaves its domain.
+a sphere of radius 1.5, two runs whose reports hold a void check, an
+accelerated run that leaves its domain and a proximal run whose inner solve
+fails.
 
 Usage::
 
@@ -19,13 +20,16 @@ The first form runs each config with the ``geodescent`` found on the path
 config, the sha256 of its trace, its report and its trace's metadata line
 (x0, f* and the config), its exit code, its guarantee verdicts, its count
 of iteration records, its ``f``, ``grad_norm`` and ``delta`` columns and the
-rho it estimated (null where it estimated none), and under ``src_lines`` and
+rho it estimated (null where it estimated none), under ``src_lines`` and
 ``src_module_lines`` the line count of that package's ``.py`` files, in
-total and per module.  It then runs each config a second time in the same
+total and per module, and under ``src_options`` its count of options: the
+parameter defaults of every function, method and lambda, plus the defaulted
+fields of every ``@dataclass``.  It then runs each config a second time in the same
 output root, where the f* and rho cache entries of the first run are warm,
 and exits 1 if any trace or report differs from the cold run's.
-``--compare`` prints both line counts and the modules whose counts differ
-(``n/a`` for a file written before they were recorded) and lists the
+``--compare`` prints both line counts, the modules whose counts differ and
+both option counts (``n/a`` for a file written before they were recorded)
+and lists the
 configs whose digests differ, with the largest absolute difference in each
 column, whether the metadata line is identical,
 both estimated rho and both record counts (``n/a`` for a file written before
@@ -37,6 +41,7 @@ is missing.
 from __future__ import annotations
 
 import argparse
+import ast
 import glob
 import hashlib
 import json
@@ -49,6 +54,7 @@ COLUMNS = ("f", "grad_norm", "delta")
 # the digest file's keys for the line counts; config names all hold a "/"
 SRC_LINES = "src_lines"
 SRC_MODULE_LINES = "src_module_lines"
+SRC_OPTIONS = "src_options"
 
 _H2 = {"kind": "hyperboloid", "n": 2, "kappa": 1.0}
 _S2R15 = {"kind": "sphere", "n": 2, "radius": 1.5}
@@ -117,6 +123,11 @@ EXTRA = {
     "h2-sqdist.accel-strongly-at-target": (
         _H2, {**_SQDIST, "domain_center": "target"}, {"kind": "accelerated", "mode": "strongly"},
         {**_RUN, "x0_distance": 0.0}),
+    # eta * grad f overflows, so the first inner residual is NaN: exit 1 with
+    # a ProximalSolverError in the report
+    "h2-sqdist.proximal-eta1e300": (
+        {"kind": "hyperboloid", "n": 2}, {"kind": "squared_distance"},
+        {"kind": "proximal", "eta": 1.0e300}, {"k_max": 5}),
 }
 
 
@@ -158,6 +169,28 @@ def _src_lines(package_dir: str) -> dict[str, int]:
     return counts
 
 
+def _src_options(package_dir: str) -> int:
+    """Parameter defaults of the package's functions, methods and lambdas, plus
+    the defaulted fields of its ``@dataclass`` classes."""
+    def is_dataclass(decorator):
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return (target.attr if isinstance(target, ast.Attribute)
+                else getattr(target, "id", None)) == "dataclass"
+
+    count = 0
+    for path in sorted(glob.glob(os.path.join(package_dir, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                count += len(node.args.defaults)
+                count += sum(d is not None for d in node.args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and any(map(is_dataclass, node.decorator_list)):
+                count += sum(isinstance(f, ast.AnnAssign) and f.value is not None
+                             for f in node.body)
+    return count
+
+
 def _rho(root: str) -> float | None:
     """The rho estimated under the output root ``root``, or None if none was."""
     paths = glob.glob(os.path.join(root, "cache", "rho-*.json"))
@@ -174,7 +207,8 @@ def digest(out_path: str) -> int:
     package_dir = os.path.dirname(harness.__file__)
     print(f"geodescent from {package_dir}", file=sys.stderr)
     modules = _src_lines(package_dir)
-    digests = {SRC_LINES: sum(modules.values()), SRC_MODULE_LINES: modules}
+    digests = {SRC_LINES: sum(modules.values()), SRC_MODULE_LINES: modules,
+               SRC_OPTIONS: _src_options(package_dir)}
     status = 0
     with tempfile.TemporaryDirectory() as tmp:
         for path in _write_configs(os.path.join(tmp, "configs")):
@@ -239,6 +273,8 @@ def compare(a_path: str, b_path: str) -> int:
             counts = [m.get(module) for m in modules]
             if counts[0] != counts[1]:
                 print(f"  {module} " + " → ".join("-" if n is None else f"{n:,}" for n in counts))
+    options = [d.pop(SRC_OPTIONS, None) for d in (a, b)]
+    print("src options " + " → ".join("n/a" if n is None else str(n) for n in options))
     status = identical = 0
     for name in sorted(set(a) | set(b)):
         if name not in a or name not in b:

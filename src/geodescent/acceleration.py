@@ -197,8 +197,6 @@ def xi_solve(xi_k: float, delta_k1: float, mu: float, c: float) -> float:
     whose positive root is returned in closed form.
     """
     a = 2.0 * mu * c
-    if not a < 1.0:
-        raise ValueError("need 2*mu*c < 1")
     if not a <= xi_k < 1.0:
         raise ValueError(f"xi_k={xi_k!r} outside [2*mu*c, 1)")
     if delta_k1 < 1.0:
@@ -221,10 +219,9 @@ def schedule_strongly(xi_k1: float, A_k: float, mu: float, c: float,
     rate that ``xi_solve`` turned into xi_{k+1}.
     """
     a = 2.0 * mu * c
-    if not c < 1.0 / (2.0 * mu):
-        raise ValueError("need c < 1/(2*mu)")
-    if not a < xi_k1 < 1.0:
-        raise ValueError(f"xi={xi_k1!r} outside (2*mu*c, 1): degenerate schedule")
+    # the bracket implies 2*mu*c < 1, but not mu > 0
+    if not (mu > 0 and a < xi_k1 < 1.0):
+        raise ValueError(f"xi={xi_k1!r} outside (2*mu*c, 1) for mu={mu!r}: degenerate schedule")
     tau = (xi_k1 - a) / (1.0 - a)
     alpha = mu
     beta = (xi_k1 - a) / (2.0 * c)
@@ -403,11 +400,19 @@ def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
 
     record(None)
 
+    def advance(delta):
+        """The next schedule at distortion rate ``delta``, and its step and slack."""
+        if mode == GCONVEX:
+            params, new = schedule_gconvex(state.k, sched.A, sched.B, sched.delta, delta, c)
+        else:
+            xi = xi_solve(sched.xi, delta, mu, c)
+            params, new = schedule_strongly(xi, sched.A, mu, c, delta)
+        return (new, *accel_step(obj, state, params, step, c, tol))
+
     for _ in range(k_max):
         if delta_mode == ANALYTIC:
             delta = distortion_rate(m, state.x, state.z, mode=ANALYTIC, prev=run.energies[-1])
-            new_sched, new_state, slack = _scheduled_step(
-                obj, state, sched, delta, mode, step, mu, c, tol)
+            new_sched, new_state, slack = advance(delta)
             star_log = None
         else:
             # self-consistent realized distortion rate: stop once the gap
@@ -417,7 +422,7 @@ def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
             # energy record
             delta, kept = max(1.0, sched.delta), None
             for _ in range(60):
-                candidate = _scheduled_step(obj, state, sched, delta, mode, step, mu, c, tol)
+                candidate = advance(delta)
                 x_new = candidate[1].x
                 star_log = m._log(x_new.coords, x_star.coords)
                 realized = distortion_rate(m, state.x, state.z, x_new, mode=ORACLE,
@@ -447,17 +452,6 @@ def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
     return run
 
 
-def _scheduled_step(obj, state, sched, delta, mode, step, mu, c, tol):
-    """Compute the schedule after ``sched`` for distortion rate ``delta`` and
-    take one accelerated step from ``state``."""
-    if mode == GCONVEX:
-        params, new = schedule_gconvex(state.k, sched.A, sched.B, sched.delta, delta, c)
-    else:
-        params, new = schedule_strongly(xi_solve(sched.xi, delta, mu, c), sched.A, mu, c, delta)
-    new_state, slack = accel_step(obj, state, params, step, c, tol)
-    return new, new_state, slack
-
-
 def accel_gconvex_bound(E0: float, c: float, diam: float, delta_max: float, k: int) -> float:
     """g-convex accelerated envelope:
     E0/k^2 + (4/c) * diam^2 * (1 - 1/delta_max) / k."""
@@ -480,10 +474,10 @@ class ShrinkReport:
     envelope_z_proj: np.ndarray    # * sqrt(1/(mu^2 c))
     ratio: np.ndarray              # d(x_k, z_k) / envelope
 
-    def ratio_slope(self, floor: float = ENVELOPE_FLOOR) -> float:
+    def ratio_slope(self) -> float:
         """Least-squares slope of the ratio against k, over iterations where
-        the envelope is still numerically meaningful."""
-        mask = self.envelope > floor
+        the envelope is still numerically meaningful (above ``ENVELOPE_FLOOR``)."""
+        mask = self.envelope > ENVELOPE_FLOOR
         if mask.sum() < 2:
             return 0.0
         return float(np.polyfit(self.k[mask], self.ratio[mask], 1)[0])
@@ -545,12 +539,13 @@ def xi_convergence_levels(xi_seq, mu: float, c: float,
     return firsts, slope
 
 
-def conjugate_bound_check(s, u, alpha: float, q: float, slack: float = 1e-12) -> bool:
-    """Check ``<s, alpha*u> - ||s||^q / q <= (q-1)/q * |alpha|^(q/(q-1)) * ||u||^(q/(q-1))``."""
+def conjugate_bound_check(s, u, alpha: float, q: float) -> bool:
+    """Check ``<s, alpha*u> - ||s||^q / q <= (q-1)/q * |alpha|^(q/(q-1)) * ||u||^(q/(q-1))``
+    up to a slack of 1e-12."""
     if not q > 1:
         raise ValueError("need q > 1")
     s = np.asarray(s, dtype=float)
     u = np.asarray(u, dtype=float)
     lhs = float(np.dot(s, alpha * u)) - np.linalg.norm(s) ** q / q
     rhs = (q - 1.0) / q * abs(alpha) ** (q / (q - 1.0)) * np.linalg.norm(u) ** (q / (q - 1.0))
-    return lhs <= rhs + slack
+    return lhs <= rhs + 1e-12

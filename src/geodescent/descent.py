@@ -158,11 +158,9 @@ def rgd_step(obj: Objective, x: ManifoldPoint, eta: float,
     certificate is (2, eta*(1 - L*eta/2), backward).
     """
     L = obj.metadata.L
-    # L = 0 (a constant objective) bounds no step
-    if L is not None and not 0.0 < eta < (2.0 / L if L > 0 else np.inf):
-        raise ValueError(f"eta={eta:g} outside (0, 2/L) for L={L:g}")
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    # an undeclared L, or L = 0 (a constant objective), bounds no step
+    if not 0.0 < eta < (2.0 / L if L else np.inf):
+        raise ValueError(f"eta={eta:g} outside (0, 2/L) for L={L}")
     if grad is None:
         obj.manifold._own(x)
         grad = obj.gradient(x)
@@ -183,7 +181,9 @@ def proximal_step(obj: Objective, x: ManifoldPoint, eta: float,
     keeps it if it lowers the residual.  Otherwise, and where the Hessian of
     F is not positive definite (f need not be convex) or the objective has
     no ``hessian_matrix``, it takes the gradient step 1/(L_f + L_prox/eta)
-    from y.  Certificate: (2, eta/2, forward).
+    from y.  A kept trial whose residual is not finite (eta * grad f can
+    overflow) ends the solve with ``ProximalSolverError``.  Certificate:
+    (2, eta/2, forward).
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
@@ -210,7 +210,7 @@ def proximal_step(obj: Objective, x: ManifoldPoint, eta: float,
         return y, g_f, (d, back), m._norm(y.coords, back - eta * g_f)
 
     y, g_f, dist_log, residual = at(x, None if grad is None else grad.coords)
-    for _ in range(max_inner):
+    for i in range(max_inner):
         if residual < tol_prox:
             return y
         tested, grad_F = residual, g_f - dist_log[1] / eta
@@ -219,6 +219,9 @@ def proximal_step(obj: Objective, x: ManifoldPoint, eta: float,
         if trial is None or not trial[3] < residual:
             trial = at(m._move(y.coords, -step * grad_F))
         y, g_f, dist_log, residual = trial
+        if not math.isfinite(residual):
+            raise ProximalSolverError(
+                f"optimality residual {residual} is not finite at inner iteration {i + 1}")
     raise ProximalSolverError(
         f"optimality residual {tested:.3e} > {tol_prox:g} after {max_inner} inner iterations"
     )
@@ -341,14 +344,14 @@ def cubic_newton_step(obj: Objective, x: ManifoldPoint, M: float, theta: float,
 
 
 # ---------------------------------------------------------------------------
-# algorithms (step + certificate)
+# algorithms: frozen records of a run's constants, with step and certificate
 
 
+@dataclass(frozen=True)
 class GradientDescent:
     """Riemannian gradient descent; 2-backward descent for L-g-smooth f."""
 
-    def __init__(self, eta: float):
-        self.eta = float(eta)
+    eta: float
 
     def step(self, obj, x, grad=None):
         return rgd_step(obj, x, self.eta, grad)
@@ -361,21 +364,17 @@ class GradientDescent:
             raise ValueError("gradient descent is certified backward only")
         return DescentCertificate(2.0, self.eta * (1.0 - L * self.eta / 2.0), BACKWARD)
 
-    def __repr__(self):
-        return f"GradientDescent(eta={self.eta:g})"
 
-
+@dataclass(frozen=True)
 class ProximalPoint:
     """Proximal point method; 2-forward descent for any eta > 0, and
     2-backward descent for L-g-smooth f."""
 
-    def __init__(self, eta: float, tol_prox: float = 1e-9, max_inner: int = 50_000):
-        self.eta = float(eta)
-        self.tol_prox = tol_prox
-        self.max_inner = max_inner
+    eta: float
+    tol_prox: float = 1e-9
 
     def step(self, obj, x, grad=None):
-        return proximal_step(obj, x, self.eta, self.tol_prox, self.max_inner, grad)
+        return proximal_step(obj, x, self.eta, self.tol_prox, grad=grad)
 
     def certificate(self, obj, direction: str = FORWARD) -> DescentCertificate:
         """Forward: c = eta/2.  Backward (the decrease measured at the input
@@ -388,10 +387,8 @@ class ProximalPoint:
             raise ValueError("backward proximal certificate needs a declared L")
         return DescentCertificate(2.0, self.eta / (2.0 * (1.0 + L * self.eta)), direction)
 
-    def __repr__(self):
-        return f"ProximalPoint(eta={self.eta:g})"
 
-
+@dataclass(frozen=True)
 class CubicNewton:
     """Cubic-regularized Newton; 3-forward descent for rho-Hessian-Lipschitz f.
 
@@ -400,11 +397,9 @@ class CubicNewton:
     of the objective's declared one.
     """
 
-    def __init__(self, M: float | None = None, theta: float | None = None,
-                 rho: float | None = None):
-        self.M = M
-        self.theta = theta
-        self.rho = rho
+    M: float | None = None
+    theta: float | None = None
+    rho: float | None = None
 
     def _params(self, obj):
         rho = self.rho if self.rho is not None else obj.metadata.rho
@@ -424,9 +419,6 @@ class CubicNewton:
         M, theta, rho = self._params(obj)
         c = (M / 3.0 - rho / 6.0) * (theta + rho / 2.0 + M) ** (-1.5)
         return DescentCertificate(3.0, c, FORWARD)
-
-    def __repr__(self):
-        return f"CubicNewton(M={self.M}, theta={self.theta}, rho={self.rho})"
 
 
 # ---------------------------------------------------------------------------

@@ -208,16 +208,16 @@ class Manifold:
 
     # -- validation --------------------------------------------------------
 
-    def check_point(self, x: ManifoldPoint, tol: float = POINT_TOL):
+    def check_point(self, x: ManifoldPoint):
         err = self._point_defect(x.coords)
-        if err > tol:
+        if err > POINT_TOL:
             raise GeometryError(f"point violates {self.key} constraint by {err:.3e}")
 
-    def check_tangent(self, v: TangentVector, tol: float = POINT_TOL):
+    def check_tangent(self, v: TangentVector):
         err = self._tangent_defect(v.base.coords, v.coords)
         # absolute at unit scale, relative for large vectors / far points
         scale = 1.0 + _norm2(v.base.coords) * _norm2(v.coords)
-        if err > tol * scale:
+        if err > POINT_TOL * scale:
             raise GeometryError(f"tangent violates {self.key} constraint by {err:.3e}")
 
     def _own(self, x: ManifoldPoint):
@@ -728,8 +728,8 @@ class Hyperboloid(Manifold):
         return abs(_minkowski(x, v)) * self._sk
 
 
-def in_domain(dom: DomainSpec, x: ManifoldPoint, tol: float = DOMAIN_TOL) -> bool:
-    """Whether ``x`` lies in the closed geodesic ball ``dom`` (boundary inclusive)."""
+def in_domain(dom: DomainSpec, x: ManifoldPoint) -> bool:
+    """Whether ``x`` lies in the closed geodesic ball ``dom``, widened by ``DOMAIN_TOL``."""
     m = dom.center.manifold
-    return m.distance(dom.center, x) <= dom.radius + tol
+    return m.distance(dom.center, x) <= dom.radius + DOMAIN_TOL
 

@@ -60,6 +60,8 @@ __all__ = [
 
 REPORT_SCHEMA = 1
 OUTPUT_ROOT_ENV = "GEODESCENT_OUTPUT_ROOT"
+# the bands |xi_k - sqrt(2*mu*c)| <= eps of the report's xi convergence table
+XI_LEVELS = (1e-1, 1e-2, 1e-3, 1e-6)
 
 # libyaml's loader where PyYAML was built with it: the same constructor and
 # resolver as yaml.SafeLoader, so the same mapping
@@ -388,11 +390,11 @@ def _check_product_rate(run, tol):
     return _verdict(slacks, tol, f"horizon k<={len(bounds)}")
 
 
-def _xi_table(run, eps_levels=(1e-1, 1e-2, 1e-3, 1e-6)):
+def _xi_table(run):
     """Convergence table of the contraction factor toward sqrt(2*mu*c)."""
     xi = run.xi_seq
-    firsts, slope = accel.xi_convergence_levels(xi, run.mu, run.c, eps_levels)
-    table = {f"first_k_within_{eps:g}": k for eps, k in zip(eps_levels, firsts)}
+    firsts, slope = accel.xi_convergence_levels(xi, run.mu, run.c, XI_LEVELS)
+    table = {f"first_k_within_{eps:g}": k for eps, k in zip(XI_LEVELS, firsts)}
     table.update({"target": math.sqrt(2.0 * run.mu * run.c), "final": xi[-1],
                   "log_deviation_slope": None if math.isnan(slope) else slope})
     return table
@@ -546,12 +548,11 @@ def run_experiment(cfg: ExperimentConfig, out_root: str | None = None) -> Experi
     return ExperimentResult(exit_code, report, trace_path, report_path)
 
 
-def _maybe_fit(values, f_star, k_lo=None, k_hi=None):
+def _maybe_fit(values, f_star):
     gaps = np.asarray(values) - f_star
-    k_hi = k_hi if k_hi is not None else len(gaps) - 1
-    k_lo = k_lo if k_lo is not None else max(1, k_hi // 10)
+    k_hi = len(gaps) - 1
     try:
-        fit = fit_power_law(gaps, k_lo, k_hi)
+        fit = fit_power_law(gaps, max(1, k_hi // 10), k_hi)
     except ValueError as e:
         return {"error": str(e)}
     return {"slope": fit.slope, "intercept": fit.intercept, "r2": fit.r2,

@@ -98,10 +98,10 @@ class Objective:
     def known_solution(self) -> KnownSolution | None:
         return getattr(self, "_known_solution", None)
 
-    def _set_solution(self, x_star: ManifoldPoint, f_star: float | None = None, tol: float = 1e-10):
+    def _set_solution(self, x_star: ManifoldPoint, f_star: float | None = None):
         gn = self.manifold.norm(x_star, self.gradient(x_star))
-        if gn >= tol:
-            raise ValueError(f"claimed minimizer has gradient norm {gn:.3e} >= {tol:g}")
+        if gn >= 1e-10:
+            raise ValueError(f"claimed minimizer has gradient norm {gn:.3e} >= 1e-10")
         if f_star is None:
             f_star = self.value(x_star)
         self._known_solution = KnownSolution(x_star, float(f_star))

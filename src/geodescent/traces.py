@@ -155,9 +155,10 @@ class TraceData:
     def ks(self):
         return np.array([r["k"] for r in self.records])
 
-    def column(self, name, default=np.nan):
+    def column(self, name):
+        """The field ``name`` of every record as floats, NaN where it is None."""
         try:
-            return np.array([default if (v := r.get(name)) is None else v
+            return np.array([np.nan if (v := r.get(name)) is None else v
                              for r in self.records], dtype=float)
         except _NOT_A_FLOAT as e:
             raise self._not_a_number((name,), e) from None

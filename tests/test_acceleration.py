@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -262,6 +263,22 @@ def test_schedule_strongly_degenerate_endpoint():
         acc.schedule_strongly(2 * mu * c, 1.0, mu, c)  # beta would be 0
     with pytest.raises(ValueError):
         acc.schedule_strongly(0.4, 1.0, 1.0, 0.6)  # c >= 1/(2 mu)
+
+
+@pytest.mark.parametrize("mu", [0.0, -1.0])
+def test_schedule_strongly_rejects_a_nonpositive_mu(mu):
+    with pytest.raises(ValueError, match="degenerate schedule"):
+        acc.schedule_strongly(0.5, 1.0, mu, 0.1)
+
+
+def test_strongly_run_rejects_c_at_the_bound_before_recording():
+    # L = mu = 1, so the oracle eta = 1/L gives c = 1/(2L) = 1/(2*mu)
+    obj, calls = Quadratic([0.0, 0.0]), []
+    writer = SimpleNamespace(record=lambda *args: calls.append(args))
+    x0 = obj.manifold.point([1.0, 0.5])
+    with pytest.raises(ValueError, match=r"strongly mode needs c < 1/\(2\*mu\)"):
+        acc.run_accelerated(obj, x0, 5, acc.STRONGLY, acc.gradient_oracle(obj), writer=writer)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,17 @@ def test_rgd_eta_range():
         rgd_step(obj, obj.manifold.point([1.0, 0.0]), 2.5)
     with pytest.raises(ValueError):
         rgd_step(obj, obj.manifold.point([1.0, 0.0]), -0.1)
+
+
+def test_rgd_eta_range_without_a_declared_L():
+    # an undeclared L bounds no step, but eta must still be positive
+    obj = make_sqdist_h2()
+    obj.metadata = dataclasses.replace(obj.metadata, L=None)
+    x = point_at(obj.manifold, np.random.default_rng(4), obj.target, 0.5)
+    for eta in (0.0, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="outside"):
+            rgd_step(obj, x, eta)
+    assert obj.value(rgd_step(obj, x, 0.1)) < obj.value(x)
 
 
 def test_rgd_step_on_a_constant_objective():
@@ -407,6 +420,15 @@ def test_cubic_theta_fallback_meets_the_theta_condition():
     sc = basis_coords(S, x.coords, basis, s.coords)
     assert np.linalg.norm(model_grad(sc)) <= theta * np.dot(sc, sc) + atol
     assert g @ sc + 0.5 * sc @ H @ sc + M / 3.0 * np.linalg.norm(sc) ** 3 <= 0.0
+
+
+@pytest.mark.parametrize("alg, field", [(GradientDescent(0.5), "eta"),
+                                        (ProximalPoint(0.5), "tol_prox"),
+                                        (CubicNewton(), "rho")],
+                         ids=["rgd", "proximal", "cubic"])
+def test_an_algorithm_holds_its_constants_fixed(alg, field):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(alg, field, 1.0)
 
 
 def test_cubic_parameter_validation():

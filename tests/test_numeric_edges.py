@@ -40,6 +40,16 @@ def test_proximal_step_with_one_inner_iteration():
     assert proximal_step(obj, obj.target, 1.0, max_inner=1) is obj.target
 
 
+def test_proximal_step_stops_at_a_non_finite_residual():
+    # eta * grad f reaches ~1e300 and the residual's Minkowski norm overflows
+    # to inf - inf; the first kept trial ends the solve
+    obj = make_sqdist_h2()
+    x = point_at(obj.manifold, np.random.default_rng(0), obj.domain.center, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ProximalSolverError, match=r"not finite at inner iteration 1$"):
+        proximal_step(obj, x, 1e300)
+
+
 # ---------------------------------------------------------------------------
 # raw kernels
 
