@@ -22,18 +22,18 @@ config, the sha256 of its trace, its report and its trace's metadata line
 of iteration records, its ``f``, ``grad_norm`` and ``delta`` columns and the
 rho it estimated (null where it estimated none), under ``src_lines`` and
 ``src_module_lines`` the line count of that package's ``.py`` files, in
-total and per module, and under ``src_options`` its count of options: the
-parameter defaults of every function, method and lambda, plus the defaulted
-fields of every ``@dataclass``.  It then runs each config a second time in the same
-output root, where the f* and rho cache entries of the first run are warm,
-and exits 1 if any trace or report differs from the cold run's.
-``--compare`` prints both line counts, the modules whose counts differ and
-both option counts (``n/a`` for a file written before they were recorded)
-and lists the
-configs whose digests differ, with the largest absolute difference in each
-column, whether the metadata line is identical,
-both estimated rho and both record counts (``n/a`` for a file written before
-the metadata line, rho or the count was recorded) and whether any verdict or
+total and per module, and under ``src_options`` and ``src_module_options``
+its count of options, in total and per module: the parameter defaults of
+every function, method and lambda, plus the defaulted fields of every
+``@dataclass``.  It then runs each config a second time in the same output
+root, where the f* and rho cache entries of the first run are warm, and
+exits 1 if any trace or report differs from the cold run's.  ``--compare``
+prints both line counts and both option counts, each with the modules whose
+counts differ (``n/a`` for a file written before they were recorded), and
+lists the configs whose digests differ, with the largest absolute
+difference in each column, whether the metadata line is identical, both
+estimated rho and both record counts (``n/a`` for a file written before the
+metadata line, rho or the count was recorded) and whether any verdict or
 exit code changed; it exits 1 if a verdict or exit code changed or a config
 is missing.
 """
@@ -55,6 +55,7 @@ COLUMNS = ("f", "grad_norm", "delta")
 SRC_LINES = "src_lines"
 SRC_MODULE_LINES = "src_module_lines"
 SRC_OPTIONS = "src_options"
+SRC_MODULE_OPTIONS = "src_module_options"
 
 _H2 = {"kind": "hyperboloid", "n": 2, "kappa": 1.0}
 _S2R15 = {"kind": "sphere", "n": 2, "radius": 1.5}
@@ -169,18 +170,20 @@ def _src_lines(package_dir: str) -> dict[str, int]:
     return counts
 
 
-def _src_options(package_dir: str) -> int:
-    """Parameter defaults of the package's functions, methods and lambdas, plus
-    the defaulted fields of its ``@dataclass`` classes."""
+def _src_options(package_dir: str) -> dict[str, int]:
+    """Parameter defaults of the functions, methods and lambdas in each of the
+    package's ``.py`` files, plus the defaulted fields of its ``@dataclass``
+    classes."""
     def is_dataclass(decorator):
         target = decorator.func if isinstance(decorator, ast.Call) else decorator
         return (target.attr if isinstance(target, ast.Attribute)
                 else getattr(target, "id", None)) == "dataclass"
 
-    count = 0
+    counts = {}
     for path in sorted(glob.glob(os.path.join(package_dir, "*.py"))):
         with open(path) as fh:
             tree = ast.parse(fh.read())
+        count = 0
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 count += len(node.args.defaults)
@@ -188,7 +191,8 @@ def _src_options(package_dir: str) -> int:
             elif isinstance(node, ast.ClassDef) and any(map(is_dataclass, node.decorator_list)):
                 count += sum(isinstance(f, ast.AnnAssign) and f.value is not None
                              for f in node.body)
-    return count
+        counts[os.path.basename(path)] = count
+    return counts
 
 
 def _rho(root: str) -> float | None:
@@ -206,9 +210,9 @@ def digest(out_path: str) -> int:
 
     package_dir = os.path.dirname(harness.__file__)
     print(f"geodescent from {package_dir}", file=sys.stderr)
-    modules = _src_lines(package_dir)
+    modules, options = _src_lines(package_dir), _src_options(package_dir)
     digests = {SRC_LINES: sum(modules.values()), SRC_MODULE_LINES: modules,
-               SRC_OPTIONS: _src_options(package_dir)}
+               SRC_OPTIONS: sum(options.values()), SRC_MODULE_OPTIONS: options}
     status = 0
     with tempfile.TemporaryDirectory() as tmp:
         for path in _write_configs(os.path.join(tmp, "configs")):
@@ -263,18 +267,18 @@ def compare(a_path: str, b_path: str) -> int:
         a = json.load(fh)
     with open(b_path) as fh:
         b = json.load(fh)
-    lines = [d.pop(SRC_LINES, None) for d in (a, b)]
-    print("src lines " + " → ".join("n/a" if n is None else f"{n:,}" for n in lines))
-    modules = [d.pop(SRC_MODULE_LINES, None) for d in (a, b)]
-    if None in modules:
-        print("  per module n/a")
-    else:
+    for label, total, per_module in (("lines", SRC_LINES, SRC_MODULE_LINES),
+                                     ("options", SRC_OPTIONS, SRC_MODULE_OPTIONS)):
+        totals = [d.pop(total, None) for d in (a, b)]
+        print(f"src {label} " + " → ".join("n/a" if n is None else f"{n:,}" for n in totals))
+        modules = [d.pop(per_module, None) for d in (a, b)]
+        if None in modules:
+            print("  per module n/a")
+            continue
         for module in sorted(set(modules[0]) | set(modules[1])):
             counts = [m.get(module) for m in modules]
             if counts[0] != counts[1]:
                 print(f"  {module} " + " → ".join("-" if n is None else f"{n:,}" for n in counts))
-    options = [d.pop(SRC_OPTIONS, None) for d in (a, b)]
-    print("src options " + " → ".join("n/a" if n is None else str(n) for n in options))
     status = identical = 0
     for name in sorted(set(a) | set(b)):
         if name not in a or name not in b:

@@ -125,7 +125,7 @@ class EnergyRecord:
     dist_term: float
     d_xy: float
     d_xz: float
-    envelope: float | None = None
+    envelope: float | None
 
 
 def gradient_oracle(obj: Objective, eta: float | None = None) -> GradientDescent:
@@ -309,7 +309,7 @@ class AccelRun:
     xi0: float | None
     D0: float | None
     diam: float
-    x_star: ManifoldPoint | None = None
+    x_star: ManifoldPoint
     # oracle delta: fixed points stopped at the cap or by a stalled gap, and
     # the worst relative mismatch of a kept step
     delta_capped: int = 0
@@ -489,8 +489,6 @@ def shrink_diagnostics(run: AccelRun) -> ShrinkReport:
     analysis' implicit constant."""
     if run.mode != STRONGLY:
         raise ValueError("diagnostics apply to strongly convex runs")
-    if run.D0 is None or run.x_star is None:
-        raise ValueError("diagnostics need the minimizer")
     mu = run.mu
     m = run.x_star.manifold
     n = len(run.trace)

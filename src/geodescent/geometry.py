@@ -98,10 +98,6 @@ class TangentVector:
         object.__setattr__(self, "coords", np.asarray(self.coords, dtype=float))
         self.coords.setflags(write=False)
 
-    @property
-    def manifold(self) -> "Manifold":
-        return self.base.manifold
-
     def __repr__(self):
         return f"TangentVector(base={np.array2string(self.base.coords, precision=6)}, coords={np.array2string(self.coords, precision=6)})"
 
@@ -178,28 +174,25 @@ class Manifold:
 
     # -- construction -----------------------------------------------------
 
-    def point(self, coords) -> ManifoldPoint:
+    def _coords(self, coords, what: str) -> np.ndarray:
+        """``coords`` as a float array, checked to be one finite ambient vector."""
         coords = np.asarray(coords, dtype=float)
         if coords.shape != (self.ambient_dim,):
             raise GeometryError(
                 f"expected {self.ambient_dim} ambient coordinates, got shape {coords.shape}"
             )
         if not _finite(coords):
-            raise GeometryError("non-finite point coordinates")
-        p = ManifoldPoint(self, coords)
+            raise GeometryError(f"non-finite {what} coordinates")
+        return coords
+
+    def point(self, coords) -> ManifoldPoint:
+        p = ManifoldPoint(self, self._coords(coords, "point"))
         self.check_point(p)
         return p
 
     def tangent(self, base: ManifoldPoint, coords) -> TangentVector:
         self._own(base)
-        coords = np.asarray(coords, dtype=float)
-        if coords.shape != (self.ambient_dim,):
-            raise GeometryError(
-                f"expected {self.ambient_dim} ambient coordinates, got shape {coords.shape}"
-            )
-        if not _finite(coords):
-            raise GeometryError("non-finite tangent coordinates")
-        v = TangentVector(base, coords)
+        v = TangentVector(base, self._coords(coords, "tangent"))
         self.check_tangent(v)
         return v
 
@@ -286,14 +279,14 @@ class Manifold:
         basis.setflags(write=False)
         return basis
 
-    def random_point(self, rng: np.random.Generator, scale: float = 1.0) -> ManifoldPoint:
+    def random_point(self, rng: np.random.Generator, scale: float) -> ManifoldPoint:
         """Point at exp of a Gaussian tangent vector from the origin (scale =
         std dev of the tangent coordinates)."""
         o = self.origin()
         v = self.random_tangent(rng, o, scale)
         return self.exp(o, v)
 
-    def random_tangent(self, rng: np.random.Generator, x: ManifoldPoint, scale: float = 1.0) -> TangentVector:
+    def random_tangent(self, rng: np.random.Generator, x: ManifoldPoint, scale: float) -> TangentVector:
         return self._random_tangent(rng, x, scale, self.orthonormal_basis(x))
 
     def _random_tangent(self, rng, x, scale, basis):

@@ -31,6 +31,8 @@ from geodescent import descent as desc
 from geodescent.config import ORACLE_KINDS, SECTIONS, finite, value
 from geodescent.geometry import DomainSpec, Manifold, TangentVector
 from geodescent.objectives import (
+    RHO_FLOOR,
+    RHO_STEP_SCALE,
     FrechetMean,
     Objective,
     Quadratic,
@@ -261,7 +263,7 @@ def _attach_reference_solution(obj: Objective, spec: dict, cache_dir):
 
 
 # arguments of the Hessian-Lipschitz estimate, part of its cache key
-_RHO_ESTIMATOR = {"n_samples": 200, "step_scale": 0.5, "floor": 1e-6}
+_RHO_ESTIMATOR = {"n_samples": 200, "step_scale": RHO_STEP_SCALE, "floor": RHO_FLOOR}
 
 
 def _hessian_lipschitz(obj: Objective, objective_spec: dict, seed: int, cache_dir) -> float:
@@ -269,7 +271,7 @@ def _hessian_lipschitz(obj: Objective, objective_spec: dict, seed: int, cache_di
     objective spec, manifold, ``rho_seed`` and the estimator's arguments."""
     def estimate():
         rng = np.random.default_rng(seed)
-        return {"rho": estimate_hessian_lipschitz(obj, rng, **_RHO_ESTIMATOR)}
+        return {"rho": estimate_hessian_lipschitz(obj, rng, _RHO_ESTIMATOR["n_samples"])}
 
     def read(entry):
         if not (finite(entry["rho"]) and entry["rho"] > 0):
@@ -332,11 +334,6 @@ def _above_floor(bounds, scale):
     return list(takewhile(lambda bound: not bound < floor, bounds))
 
 
-def _check_certificate(trace, cert, tol):
-    detail = f"p={cert.p:g}, c={cert.c:g}, {cert.direction}"
-    return _verdict(trace.per_step_violation, tol, detail)
-
-
 def _check_gconvex_envelope(trace, cert, f_star, diam, tol):
     if trace.domain_exit is not None:
         return _verdict(None, tol, f"voided: domain exit at k={trace.domain_exit}")
@@ -362,10 +359,6 @@ def _check_graddom_envelope(trace, cert, tau, f_star, tol):
                            for k in range(1, len(trace))), gap0)
     slacks = [trace.values[k] - f_star - bound for k, bound in enumerate(bounds, 1)]
     return _verdict(slacks, tol, f"tau={tau:g}, horizon k<={len(bounds)}")
-
-
-def _check_oracle_contract(run, tol):
-    return _verdict(run.trace.per_step_violation, tol, f"c={run.c:g}")
 
 
 def _check_accel_gconvex(run, tol):
@@ -412,12 +405,6 @@ class ExperimentResult:
     report_path: str
 
 
-def _resolve(path, out_root):
-    if os.path.isabs(path):
-        return path
-    return os.path.join(out_root, path)
-
-
 def _build_experiment(cfg: ExperimentConfig, cache_dir=None):
     """Build a config's manifold, objective, algorithm, domain and x0 for
     ``validate`` and ``run_experiment``; a ValueError, TypeError (such as a
@@ -448,11 +435,10 @@ def _build_experiment(cfg: ExperimentConfig, cache_dir=None):
     return manifold, obj, alg, dom, x0
 
 
-def run_experiment(cfg: ExperimentConfig, out_root: str | None = None) -> ExperimentResult:
-    """Execute one experiment: run, stream the trace, check every activated
-    guarantee and write the report.  Exit code 0 = all guarantees pass,
-    1 = some guarantee failed."""
-    out_root = out_root or os.environ.get(OUTPUT_ROOT_ENV) or "."
+def run_experiment(cfg: ExperimentConfig, out_root: str) -> ExperimentResult:
+    """Execute one experiment, with relative output paths under ``out_root``:
+    run, stream the trace, check every activated guarantee and write the
+    report.  Exit code 0 = all guarantees pass, 1 = some guarantee failed."""
     os.makedirs(out_root, exist_ok=True)
     manifold, obj, alg, dom, x0 = _build_experiment(cfg, os.path.join(out_root, "cache"))
     k_max = int(value("run", cfg.run, "k_max"))
@@ -460,8 +446,8 @@ def run_experiment(cfg: ExperimentConfig, out_root: str | None = None) -> Experi
     f_star = sol.f_star if sol else None
     accelerated = cfg.algorithm["kind"] == "accelerated"
 
-    trace_path = _resolve(cfg.output["trace"], out_root)
-    report_path = _resolve(cfg.output["report"], out_root)
+    trace_path = os.path.join(out_root, cfg.output["trace"])
+    report_path = os.path.join(out_root, cfg.output["report"])
     for p in (trace_path, report_path):
         d = os.path.dirname(p)
         if d:
@@ -481,7 +467,8 @@ def run_experiment(cfg: ExperimentConfig, out_root: str | None = None) -> Experi
     errors = []
     extra_report = {}
 
-    with TraceWriter(trace_path, meta) as writer:
+    # a value that overflows ends the run with a checked error, not a warning
+    with TraceWriter(trace_path, meta) as writer, np.errstate(over="ignore", invalid="ignore"):
         try:
             if accelerated:
                 get = partial(value, "algorithm", cfg.algorithm)
@@ -490,7 +477,8 @@ def run_experiment(cfg: ExperimentConfig, out_root: str | None = None) -> Experi
                                             writer=writer)
                 trace = run.trace
                 tol = desc.default_tolerance(trace.values[0])
-                guarantees["oracle_contract"] = _check_oracle_contract(run, tol)
+                guarantees["oracle_contract"] = _verdict(trace.per_step_violation, tol,
+                                                         f"c={run.c:g}")
                 if run.mode == accel.GCONVEX:
                     guarantees["accel_gconvex_bound"] = _check_accel_gconvex(run, tol)
                     guarantees["energy_step_bound"] = _check_energy_step(run, tol)
@@ -506,7 +494,8 @@ def run_experiment(cfg: ExperimentConfig, out_root: str | None = None) -> Experi
                 trace = desc.run_descent(alg, obj, x0, k_max, dom, writer)
                 tol = desc.default_tolerance(trace.values[0])
                 cert = alg.certificate(obj)
-                guarantees["certificate"] = _check_certificate(trace, cert, tol)
+                guarantees["certificate"] = _verdict(
+                    trace.per_step_violation, tol, f"p={cert.p:g}, c={cert.c:g}, {cert.direction}")
                 if f_star is not None:
                     guarantees["min_grad_envelope"] = _check_min_grad_envelope(trace, cert, f_star, tol)
                     if obj.metadata.convexity_class != "nonconvex":

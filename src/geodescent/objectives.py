@@ -82,6 +82,7 @@ class Objective:
     domain: DomainSpec
     metadata: ObjectiveMetadata
     name: str = "objective"
+    known_solution: KnownSolution | None = None
 
     def value(self, x: ManifoldPoint) -> float:
         raise NotImplementedError
@@ -94,17 +95,13 @@ class Objective:
         tangent basis at ``x``: ``orthonormal_basis(x)`` if None."""
         raise NotImplementedError
 
-    @property
-    def known_solution(self) -> KnownSolution | None:
-        return getattr(self, "_known_solution", None)
-
     def _set_solution(self, x_star: ManifoldPoint, f_star: float | None = None):
         gn = self.manifold.norm(x_star, self.gradient(x_star))
         if gn >= 1e-10:
             raise ValueError(f"claimed minimizer has gradient norm {gn:.3e} >= 1e-10")
         if f_star is None:
             f_star = self.value(x_star)
-        self._known_solution = KnownSolution(x_star, float(f_star))
+        self.known_solution = KnownSolution(x_star, float(f_star))
 
     def with_rho(self, rho: float) -> "Objective":
         """Same objective with a declared Hessian-Lipschitz constant."""
@@ -331,15 +328,19 @@ class SphereRayleigh(Objective):
         return 0.5 * (H + H.T)
 
 
-def estimate_hessian_lipschitz(obj: Objective, rng: np.random.Generator,
-                               n_samples: int = 200, step_scale: float = 0.5,
-                               floor: float = 1e-6) -> float:
-    """Numerical Hessian-Lipschitz constant: max third-order defect of the
-    second-order model over sampled (x, s), doubled for safety.
+# the rho estimate's step scale (std dev of the sampled steps' tangent
+# coordinates) and floor, which keeps exactly-quadratic objectives usable by
+# the cubic step (M > rho/2 > 0); the reference minimizer's gradient tolerance
+RHO_STEP_SCALE = 0.5
+RHO_FLOOR = 1e-6
+REFERENCE_GRAD_TOL = 1e-12
 
-    The floor keeps exactly-quadratic objectives usable by the cubic step
-    (which requires M > rho/2 > 0).
-    """
+
+def estimate_hessian_lipschitz(obj: Objective, rng: np.random.Generator,
+                               n_samples: int = 200) -> float:
+    """Numerical Hessian-Lipschitz constant: max third-order defect of the
+    second-order model over sampled (x, s), doubled for safety, and at least
+    ``RHO_FLOOR``."""
     m = obj.manifold
     center = obj.domain.center
     center_basis = m.orthonormal_basis(center)
@@ -347,7 +348,7 @@ def estimate_hessian_lipschitz(obj: Objective, rng: np.random.Generator,
     for _ in range(n_samples):
         x = m.exp(center, m._random_tangent(rng, center, 0.4 * obj.domain.radius, center_basis))
         basis = m.orthonormal_basis(x)
-        s = m._random_tangent(rng, x, step_scale, basis)
+        s = m._random_tangent(rng, x, RHO_STEP_SCALE, basis)
         ns = m.norm(x, s)
         if ns < 1e-8:
             continue
@@ -357,13 +358,12 @@ def estimate_hessian_lipschitz(obj: Objective, rng: np.random.Generator,
         model = obj.value(x) + m.inner(x, g, s) + 0.5 * float(sc @ H @ sc)
         defect = abs(obj.value(m.exp(x, s)) - model)
         worst = max(worst, 6.0 * defect / ns**3)
-    return max(2.0 * worst, floor)
+    return max(2.0 * worst, RHO_FLOOR)
 
 
-def reference_minimize(obj: Objective, x0: ManifoldPoint, grad_tol: float = 1e-12,
-                       max_iter: int = 200_000) -> ManifoldPoint:
-    """Plain gradient descent run to a tiny gradient norm; the reference
-    oracle for minimizers without a closed form.  Raises
+def reference_minimize(obj: Objective, x0: ManifoldPoint, max_iter: int = 200_000) -> ManifoldPoint:
+    """Plain gradient descent run to gradient norm ``REFERENCE_GRAD_TOL``;
+    the reference oracle for minimizers without a closed form.  Raises
     ReferenceMinimizationError if ``max_iter`` steps do not reach it."""
     m = obj.manifold
     L = obj.metadata.L
@@ -374,8 +374,8 @@ def reference_minimize(obj: Objective, x0: ManifoldPoint, grad_tol: float = 1e-1
     x = x0
     for _ in range(max_iter):
         g = obj.gradient(x).coords
-        if m._norm(x.coords, g) < grad_tol:
+        if m._norm(x.coords, g) < REFERENCE_GRAD_TOL:
             return x
         x = m._move(x.coords, -eta * g)
     raise ReferenceMinimizationError(
-        f"reference minimization did not reach grad norm {grad_tol:g} in {max_iter} steps")
+        f"reference minimization did not reach grad norm {REFERENCE_GRAD_TOL:g} in {max_iter} steps")

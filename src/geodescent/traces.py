@@ -70,16 +70,12 @@ def _jsonify(v):
 
 
 def _number(key: str, v):
-    """An extra trace field as JSON: a number, or a numpy number or numeric
-    array as Python numbers.  Anything else could hold the text that
-    separates two records of a block, so it raises ``TypeError``."""
-    if isinstance(v, np.ndarray):
-        numeric = v.dtype.kind in "iuf"
-    else:
-        numeric = isinstance(v, (int, float, np.integer, np.floating)) and type(v) is not bool
-    if numeric:
+    """An extra trace field that is not None as JSON: a number, or a numpy
+    number as a Python number.  Anything else raises ``TypeError``: text could
+    hold what separates two records of a block, and ``export`` converts no list."""
+    if isinstance(v, (int, float, np.integer, np.floating)) and type(v) is not bool:
         return _jsonify(v)
-    raise TypeError(f"trace field {key!r} must be None, a number or a numeric array, "
+    raise TypeError(f"trace field {key!r} must be None, a number or a numpy number, "
                     f"not {type(v).__name__}")
 
 
@@ -90,7 +86,6 @@ class TraceWriter:
     the metadata line plus whole records at every moment."""
 
     def __init__(self, path, meta: dict):
-        self.path = path
         self._fh = open(path, "w")
         self._block = []
         rec = {"type": "meta", "schema": TRACE_SCHEMA}
@@ -107,9 +102,9 @@ class TraceWriter:
         self._fh.write(text[1:-1].replace("}, {", "}\n{") + "\n")
         self._fh.flush()
 
-    def record(self, k: int, coords, f: float, grad_norm: float, slack=None, extra=None):
-        """Add the record of iteration ``k``; ``extra`` maps further field
-        names to None, numbers or numeric arrays."""
+    def record(self, k: int, coords, f: float, grad_norm: float, slack, extra=None):
+        """Add the record of iteration ``k``; ``slack`` is None or a number,
+        and ``extra`` maps further field names to None or numbers."""
         rec = {
             "type": "iter",
             "k": int(k),
@@ -149,7 +144,7 @@ class TraceData:
 
     meta: dict
     records: list[dict]
-    path: str | None = None
+    path: str
 
     @property
     def ks(self):

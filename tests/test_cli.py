@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -285,6 +286,58 @@ def test_a_manifold_that_cannot_be_built_is_a_config_error(tmp_path, capsys, ove
     # load_config builds the manifold for the vector lengths; it leaves these
     # to the experiment's builder, which reports them as it does a null eta
     _assert_config_error(tmp_path, capsys, over, message)
+
+
+def test_quadratic_scales_that_are_not_positive_are_a_config_error(tmp_path, capsys):
+    # the config table takes any finite numbers; the objective refuses them
+    _assert_config_error(tmp_path, capsys,
+                         {"manifold": {"kind": "euclidean", "n": 2},
+                          "objective": {"kind": "quadratic", "scales": [1.0, -1.0]}},
+                         "cannot build the experiment: ValueError: "
+                         "quadratic scales must be positive")
+
+
+def test_a_missing_k_max_is_a_warning_of_run_and_validate(tmp_path, capsys):
+    cfg = _write(tmp_path / "a.yaml", run={"x0_seed": 5, "x0_distance": 1.0})
+    warning = "warning: run.k_max missing, defaulting to 1000\n"
+    assert cli.main(["validate", cfg]) == 0
+    assert capsys.readouterr().out == warning + "ok\n"
+    root = tmp_path / "out"
+    assert cli.main(["--out-root", str(root), "run", cfg]) == 0
+    assert capsys.readouterr().err == warning
+    assert json.loads((root / "a.json").read_text())["k_max"] == 1000
+
+
+def test_an_absolute_output_path_is_written_where_it_points(tmp_path):
+    trace = tmp_path / "elsewhere" / "t.jsonl"
+    cfg = _write(tmp_path / "a.yaml", output={"trace": str(trace), "report": "a.json"})
+    root = tmp_path / "out"
+    assert cli.main(["--out-root", str(root), "run", cfg]) == 0
+    assert sorted(os.listdir(root)) == ["a.json"]
+    assert len(cli.load_trace(trace).records) == 21
+
+
+def test_compare_of_traces_from_different_x0_exits_2(tmp_path, capsys):
+    root = tmp_path / "out"
+    for name, seed in [("a", 5), ("b", 6)]:
+        cfg = _write(tmp_path / f"{name}.yaml", run={**_RUN, "x0_seed": seed})
+        assert cli.main(["--out-root", str(root), "run", cfg]) == 0
+    capsys.readouterr()
+    argv = ["--out-root", str(root), "compare", str(root / "a.jsonl"), str(root / "b.jsonl")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: traces start from different x0\n"
+
+
+def test_an_overflow_in_a_run_ends_in_its_error_without_a_numpy_warning(tmp_path, capsys):
+    # eta * grad f reaches ~1e300 and the proximal residual overflows to nan
+    cfg = _write(tmp_path / "a.yaml", objective={"kind": "squared_distance"},
+                 algorithm={"kind": "proximal", "eta": 1.0e300}, run={"k_max": 5})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["--out-root", str(tmp_path / "out"), "run", cfg]) == 1
+    assert "error: ProximalSolverError: optimality residual nan is not finite " \
+           "at inner iteration 1" in capsys.readouterr().err
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_a_certificate_constant_that_overflows_is_reported(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -274,6 +276,18 @@ def test_invalid_point_construction():
     E = Euclidean(2)
     with pytest.raises(GeometryError):
         E.tangent(E.origin(), [np.inf, 0.0])
+
+
+@pytest.mark.parametrize("m", MANIFOLDS, ids=lambda m: m.key)
+def test_coordinates_of_the_wrong_length_are_refused(m):
+    # point and tangent share one shape check and its message
+    n = m.ambient_dim
+    for coords in ([0.0] * (n + 1), [0.0] * (n - 1)):
+        message = re.escape(f"expected {n} ambient coordinates, got shape ({len(coords)},)")
+        with pytest.raises(GeometryError, match=f"^{message}$"):
+            m.point(coords)
+        with pytest.raises(GeometryError, match=f"^{message}$"):
+            m.tangent(m.origin(), coords)
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,16 @@ def test_an_extra_that_is_not_a_number_is_refused_and_not_written(tmp_path, bad)
     assert path.read_text() == META_LINE
 
 
+@pytest.mark.parametrize("bad", [np.array([1.0, 2.0]), np.array(1.0)], ids=["vector", "0-d"])
+def test_an_array_extra_is_refused_and_not_written(tmp_path, bad):
+    # export converts no list, so the writer takes no array
+    path = tmp_path / "t.jsonl"
+    with TraceWriter(path, META) as writer:
+        with pytest.raises(TypeError, match="trace field 'xi' must be None, a number"):
+            writer.record(0, np.zeros(3), 1.0, 0.5, None, {"delta": 1.0, "xi": bad})
+    assert path.read_text() == META_LINE
+
+
 def test_the_benchmark_hooks_exist_and_record_runs_once_per_iterate(tmp_path, monkeypatch):
     # the benchmark's tracer wraps these three through vars(TraceWriter)
     assert {"__init__", "record", "close"} <= set(vars(TraceWriter))
