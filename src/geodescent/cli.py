@@ -23,14 +23,18 @@ def _out_root(args) -> str:
     return getattr(args, "out_root", None) or os.environ.get(harness.OUTPUT_ROOT_ENV) or "."
 
 
+def _load_config(path, stream):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", harness.ConfigWarning)
+        cfg = harness.load_config(path)
+    for w in caught:
+        print(f"warning: {w.message}", file=stream)
+    return cfg
+
+
 def _cmd_run(args) -> int:
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", harness.ConfigWarning)
-            cfg = harness.load_config(args.config)
-        for w in caught:
-            print(f"warning: {w.message}", file=sys.stderr)
-        result = harness.run_experiment(cfg, _out_root(args))
+        result = harness.run_experiment(_load_config(args.config, sys.stderr), _out_root(args))
     except harness.ConfigError as e:
         for v in e.violations:
             print(f"config error: {v}", file=sys.stderr)
@@ -72,12 +76,7 @@ def _cmd_batch(args) -> int:
 
 def _cmd_validate(args) -> int:
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", harness.ConfigWarning)
-            cfg = harness.load_config(args.config)
-        for w in caught:
-            print(f"warning: {w.message}")
-        harness._build_experiment(cfg)
+        harness._build_experiment(_load_config(args.config, sys.stdout))
     except harness.ConfigError as e:
         for v in e.violations:
             print(f"invalid: {v}")
@@ -96,6 +95,8 @@ def _cmd_fit(args) -> int:
 def _cmd_compare(args) -> int:
     traces = [load_trace(p) for p in args.traces]
     labels = [os.path.splitext(os.path.basename(p))[0] for p in args.traces]
+    while len(set(labels)) < len(labels):  # traces that share a stem get their positions
+        labels = [f"{s}-{i}" if labels.count(s) > 1 else s for i, s in enumerate(labels, 1)]
     cmp = harness.compare_report(traces, labels)
     root = _out_root(args)
     os.makedirs(root, exist_ok=True)

@@ -21,7 +21,7 @@ def finite(v) -> bool:
 class Type(NamedTuple):
     words: str   # "<section>.<key> must be <words>"; {0} is n, {1} the ambient dimension
     ok: Callable   # ok(value, dims), dims = (n, ambient dimension), None if not known
-    options: tuple | None = None   # a choice's values; its message shows the value given
+    options: tuple | None = None   # a choice's values
 
 
 def _int(v) -> bool:
@@ -123,6 +123,5 @@ def violations(section: str, spec: dict, dims: tuple | None) -> list[str]:
         if entry is None or kinds and entry.kinds and not kinds.intersection(entry.kinds):
             found.append(f"unknown key {section}.{key}{where}")
         elif not entry.type.ok(v, dims):
-            found.append(f"{section}.{key} must be {entry.type.words.format(*dims or ())}"
-                         + (f", got {v!r}" if entry.type.options else ""))
+            found.append(f"{section}.{key} must be {entry.type.words.format(*dims or ())}, got {v!r}")
     return found

@@ -94,9 +94,7 @@ class TangentVector:
     base: ManifoldPoint
     coords: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", np.asarray(self.coords, dtype=float))
-        self.coords.setflags(write=False)
+    __post_init__ = ManifoldPoint.__post_init__
 
     def __repr__(self):
         return f"TangentVector(base={np.array2string(self.base.coords, precision=6)}, coords={np.array2string(self.coords, precision=6)})"
@@ -152,14 +150,14 @@ class DomainSpec:
 class Manifold:
     """Interface shared by the concrete geometries.
 
-    Subclasses provide ``_inner``, ``_exp``, ``_transport``, ``_distance``,
-    ``_dist_log`` (distance and log from one pass), ``_project_tangent`` and
-    validity checks on raw coordinate arrays; ``_norm``, ``_move`` and
-    ``_log`` build on them.  ``_exp`` returns the point projected back onto
-    the manifold.  The public methods check that their operands belong here
-    and share a base point, then call these kernels; the descent loops check
-    their inputs once and call the kernels directly, stepping through
-    ``_move``, which keeps the finiteness check.
+    Subclasses provide ``_inner``, ``_exp``, ``_dist_log`` (distance and log
+    from one pass), ``_end_direction`` (a geodesic's unit velocity at its
+    end), ``_project_tangent`` and validity checks on raw coordinate arrays;
+    ``_norm``, ``_move``, ``_log``, ``_distance`` and ``_transport`` build on
+    them.  ``_exp`` returns the point projected back onto the manifold.  The
+    public methods check that their operands belong here and share a base
+    point, then call these kernels; the descent loops check their inputs once
+    and call the kernels and ``_move``, which keeps the finiteness check.
 
     The row kernels ``_inner_rows``, ``_dist_log_rows`` and ``_exp_rows``
     apply the same formulas to every row of an ``(N, ambient_dim)`` array at
@@ -321,7 +319,7 @@ class Manifold:
         return self._defined(self._dist_log(x, y)[1])
 
     def _distance(self, x, y) -> float:
-        raise NotImplementedError
+        return self._dist_log(x, y)[0]
 
     def _dist_log(self, x, y):
         """``(_distance(x, y), log_x y)`` from one pass, the same floats as
@@ -337,6 +335,16 @@ class Manifold:
         return lg
 
     def _transport(self, x, y, v):
+        lg = self._log(x, y)
+        d = self._norm(x, lg)
+        if d < 1e-300:
+            return self._project_tangent(y, v)
+        u = lg / d
+        a = self._inner(x, v, u)
+        out = (v - a * u) + a * self._end_direction(x, u, d)
+        return self._project_tangent(y, out)
+
+    def _end_direction(self, x, u, d):
         raise NotImplementedError
 
     def _inner_rows(self, x, V, w):
@@ -425,9 +433,6 @@ class Euclidean(Manifold):
     def _log(self, x, y):
         # the log alone skips _dist_log's norm
         return y - x
-
-    def _distance(self, x, y):
-        return self._dist_log(x, y)[0]
 
     def _dist_log(self, x, y):
         w = self._log(x, y)
@@ -518,17 +523,9 @@ class Sphere(Manifold):
         out = np.cos(t)[:, None] * x + (np.sin(t) * _ratio(R, nv))[:, None] * V
         return R * out / np.sqrt(self._inner_rows(x, out, out))[:, None]
 
-    def _transport(self, x, y, v):
-        lg = self._log(x, y)
-        d = _norm2(lg)
-        if d < 1e-300:
-            return self._project_tangent(y, v)
-        u = lg / d
+    def _end_direction(self, x, u, d):
         theta = d / self.radius
-        a = float(v.dot(u))
-        u_y = np.cos(theta) * u - np.sin(theta) * x / self.radius
-        out = (v - a * u) + a * u_y
-        return self._project_tangent(y, out)
+        return np.cos(theta) * u - np.sin(theta) * x / self.radius
 
     def _frame(self, x):
         # the Householder reflection taking the pole s*o nearer x (s = sign x_n) to
@@ -689,18 +686,9 @@ class Hyperboloid(Manifold):
         out[:, 0] = np.sqrt(1.0 / self.kappa + (out[:, 1:] * out[:, 1:]).sum(axis=1))
         return out
 
-    def _transport(self, x, y, v):
-        lg = self._log(x, y)
-        d = self._norm(x, lg)
-        if d < 1e-300:
-            return self._project_tangent(y, v)
-        u = lg / d
-        sk = self._sk
-        t = sk * d
-        a = _minkowski(v, u)
-        u_y = sk * np.sinh(t) * x + np.cosh(t) * u
-        out = (v - a * u) + a * u_y
-        return self._project_tangent(y, out)
+    def _end_direction(self, x, u, d):
+        t = self._sk * d
+        return self._sk * np.sinh(t) * x + np.cosh(t) * u
 
     def _frame(self, x):
         # the origin's basis transported to x: rows e_i + kappa x_i (o + x) / (1 + sqrt(kappa) x_0)

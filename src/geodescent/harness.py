@@ -29,7 +29,7 @@ from geodescent import acceleration as accel
 from geodescent import config
 from geodescent import descent as desc
 from geodescent.config import ORACLE_KINDS, SECTIONS, finite, value
-from geodescent.geometry import DomainSpec, Manifold, TangentVector
+from geodescent.geometry import DomainSpec, Manifold, TangentVector, in_domain
 from geodescent.objectives import (
     RHO_FLOOR,
     RHO_STEP_SCALE,
@@ -283,13 +283,12 @@ def _hessian_lipschitz(obj: Objective, objective_spec: dict, seed: int, cache_di
     return _cached(cache_dir, "rho", key, estimate, read)
 
 
-def build_algorithm(spec: dict, obj: Objective, objective_spec: dict | None = None,
-                    cache_dir=None):
+def build_algorithm(spec: dict, obj: Objective, objective_spec: dict, cache_dir):
     """Instantiate the configured descent algorithm; for the accelerated
     scheme, its oracle (``algorithm.oracle``, default rgd).  Cubic Newton
     without ``rho`` on an objective that declares none estimates it, read
-    from or stored in ``cache_dir`` under ``objective_spec`` (the config's
-    objective section) when both are given.  The objective is not changed."""
+    from or stored in ``cache_dir`` (None: neither) under ``objective_spec``
+    (the config's objective section).  The objective is not changed."""
     kind, get = spec["kind"], partial(value, "algorithm", spec)
     if kind == "rgd":
         L = obj.metadata.L
@@ -299,14 +298,13 @@ def build_algorithm(spec: dict, obj: Objective, objective_spec: dict | None = No
     if kind == "cubic_newton":
         rho = get("rho")
         if rho is None and obj.metadata.rho in (None, 0.0):
-            rho = _hessian_lipschitz(obj, objective_spec, get("rho_seed"),
-                                     cache_dir if objective_spec is not None else None)
+            rho = _hessian_lipschitz(obj, objective_spec, get("rho_seed"), cache_dir)
         return desc.CubicNewton(get("M"), get("theta"), None if rho is None else float(rho))
     if kind == "accelerated":
         oracle = get("oracle")
         if oracle not in ORACLE_KINDS:
             raise ConfigError([f"unknown oracle kind {oracle!r}"])
-        return build_algorithm({**spec, "kind": oracle}, obj)
+        return build_algorithm({**spec, "kind": oracle}, obj, objective_spec, cache_dir)
     raise ConfigError([f"unknown algorithm kind {kind!r}"])
 
 
@@ -428,6 +426,8 @@ def _build_experiment(cfg: ExperimentConfig, cache_dir=None):
         else:
             dist = float(run["x0_distance"]) if "x0_distance" in run else 0.5 * dom.radius
             x0 = _point_at(manifold, rng_x0, dom.center, dist)
+        if not in_domain(dom, x0):
+            raise ValueError("the start point (run.x0 or run.x0_distance) must lie inside the domain")
     except ConfigError:
         raise
     except (TypeError, ValueError, ArithmeticError) as e:
@@ -590,7 +590,14 @@ def fit_power_law(gaps, k_lo: int, k_hi: int) -> RateFit:
 
 def fit_rate(trace: TraceData, k_lo: int, k_hi: int) -> RateFit:
     """Power-law fit of a loaded trace's optimality gap."""
-    return fit_power_law(trace.gaps, k_lo, k_hi)
+    return fit_power_law(_iterated(trace).gaps, k_lo, k_hi)
+
+
+def _iterated(trace: TraceData) -> TraceData:
+    """``trace``, or a ValueError naming it if it holds no iteration record."""
+    if not trace.records:
+        raise ValueError(f"{trace.path}: no iteration records")
+    return trace
 
 
 # ---------------------------------------------------------------------------
@@ -625,8 +632,8 @@ def compare_report(traces: list[TraceData], labels: list[str] | None = None) -> 
     crossover iteration after which each trace stays below the first."""
     if len(traces) < 2:
         raise ValueError("need at least two traces to compare")
-    base = traces[0]
-    for t in traces[1:]:
+    base, *rest = map(_iterated, traces)
+    for t in rest:
         if t.meta.get("objective") != base.meta.get("objective") or \
            t.meta.get("manifold") != base.meta.get("manifold"):
             raise ValueError("traces were produced on different objectives")

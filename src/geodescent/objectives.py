@@ -182,7 +182,8 @@ class Quadratic(Objective):
         return TangentVector(x, self.scales * (x.coords - self.b))
 
     def hessian_matrix(self, x, basis=None):
-        return np.diag(self.scales)
+        B = self.manifold.orthonormal_basis(x) if basis is None else basis
+        return (B * self.scales) @ B.T
 
 
 class SquaredDistance(Objective):

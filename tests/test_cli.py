@@ -481,3 +481,64 @@ def test_fit_and_compare_read_only_k_and_f(tmp_path, capsys, command):
     assert capsys.readouterr().err == ""
     with pytest.raises(ValueError, match=r"a\.jsonl: iter record k=0: grad_norm is neither"):
         cli.load_trace(trace).column("grad_norm")
+
+
+def test_compare_of_two_traces_with_one_file_name_keeps_both(tmp_path, capsys):
+    # two runs with the default output names, in two roots
+    traces = []
+    for name, algorithm in [("a", {"kind": "rgd"}), ("b", {"kind": "proximal", "eta": 0.5})]:
+        root = tmp_path / name
+        assert cli.main(["--out-root", str(root), "run",
+                         _write(tmp_path / f"{name}.yaml", algorithm=algorithm, output={})]) == 0
+        traces.append(str(root / "trace.jsonl"))
+    capsys.readouterr()
+    out = tmp_path / "cmp"
+    assert cli.main(["--out-root", str(out), "compare", *traces]) == 0
+    assert sorted(os.listdir(out)) == ["comparison.csv", "trace-1.dat", "trace-2.dat"]
+    csv = (out / "comparison.csv").read_text().splitlines()
+    assert csv[0] == "k,gap_trace-1,gap_trace-2"
+    gaps = np.array([row.split(",")[1:] for row in csv[1:]], dtype=float)
+    assert np.any(gaps[:, 0] != gaps[:, 1])
+    for j, name in enumerate(["trace-1.dat", "trace-2.dat"]):
+        dat = np.loadtxt(out / name)
+        np.testing.assert_array_equal(dat[: len(gaps), 1], gaps[:, j])
+
+
+@pytest.mark.parametrize("command", ["fit", "compare"])
+def test_fit_and_compare_of_a_trace_with_no_iteration_records_exit_2(tmp_path, capsys,
+                                                                      command):
+    # what a run killed before its first block of records leaves
+    trace = tmp_path / "a.jsonl"
+    trace.write_text(json.dumps(_META) + "\n")
+    argv = {"fit": ["fit", str(trace), "--from", "1", "--to", "3"],
+            "compare": ["compare", str(trace), str(trace)]}[command]
+    assert cli.main(["--out-root", str(tmp_path / "out")] + argv) == 2
+    assert capsys.readouterr().err == f"error: {trace}: no iteration records\n"
+    # export still writes the header
+    assert cli.main(["export", str(trace), str(tmp_path / "a.csv")]) == 0
+    assert (tmp_path / "a.csv").read_text() == "k,f,grad_norm,slack\n"
+
+
+@pytest.mark.parametrize("run", [
+    {"k_max": 5, "x0_distance": 50.0},
+    {"k_max": 5, "x0": [float(np.cosh(3.0)), float(np.sinh(3.0)), 0.0]},
+], ids=["x0_distance", "x0"])
+def test_a_start_point_outside_the_domain_is_a_config_error(tmp_path, capsys, run):
+    # the squared distance's domain has radius 2
+    _assert_config_error(tmp_path, capsys, {"run": run},
+                         "cannot build the experiment: ValueError: the start point")
+
+
+@pytest.mark.parametrize("eta, kappa, message", [
+    ("1e-3", "1.0", "algorithm.eta must be a positive number, got '1e-3'"),
+    ("1.0e-3", "1.0e200", "manifold.kappa must be a positive number, got '1.0e200'"),
+    ("1.0e-3", "1.0e+2", None),
+], ids=["eta", "kappa", "dot-and-sign"])
+def test_every_config_type_error_shows_the_value_it_got(tmp_path, capsys, eta, kappa, message):
+    # YAML 1.1 reads an exponent without a dot and a sign as a string
+    path = tmp_path / "a.yaml"
+    path.write_text(f"manifold: {{kind: hyperboloid, n: 2, kappa: {kappa}}}\n"
+                    "objective: {kind: squared_distance, seed: 3}\n"
+                    f"algorithm: {{kind: rgd, eta: {eta}}}\nrun: {{k_max: 5}}\n")
+    assert cli.main(["validate", str(path)]) == (2 if message else 0)
+    assert capsys.readouterr().out == (f"invalid: {message}\n" if message else "ok\n")

@@ -316,3 +316,15 @@ def test_reference_minimize_needs_L():
     obj = make_sqdist_h2()
     x = reference_minimize(obj, obj.domain.center)
     assert obj.manifold.distance(x, obj.target) < 1e-10
+
+
+def test_a_quadratic_hessian_is_written_in_the_basis_it_is_given():
+    obj = Quadratic([0.0, 0.0], scales=[1.0, 4.0])
+    x = obj.manifold.point([0.5, -1.0])
+    c, s = np.cos(0.3), np.sin(0.3)
+    B = np.array([[c, s], [-s, c]])
+    np.testing.assert_allclose(obj.hessian_matrix(x, basis=B),
+                               B @ np.diag([1.0, 4.0]) @ B.T, rtol=0, atol=1e-15)
+    # in the identity basis, the one every step passes on flat space, bit for bit
+    for H in (obj.hessian_matrix(x), obj.hessian_matrix(x, basis=np.eye(2))):
+        assert H.tobytes() == np.diag([1.0, 4.0]).tobytes()
