@@ -7,8 +7,9 @@ proximal and cubic-Newton runs, accelerated runs with ``oracle: proximal``,
 oracle-delta runs on the g-convex schedule, with the proximal oracle and on
 a Fréchet mean off one geodesic, Fréchet means on a sphere cap, problems on
 a sphere of radius 1.5, two runs whose reports hold a void check, an
-accelerated run that leaves its domain and a proximal run whose inner solve
-fails.
+accelerated run that leaves its domain, a proximal run whose inner solve
+fails and a squared distance whose target overflows the hyperboloid's
+coordinates, which fails to build.
 
 Usage::
 
@@ -20,7 +21,8 @@ The first form runs each config with the ``geodescent`` found on the path
 config, the sha256 of its trace, its report and its trace's metadata line
 (x0, f* and the config), its exit code, its guarantee verdicts, its count
 of iteration records, its ``f``, ``grad_norm`` and ``delta`` columns and the
-rho it estimated (null where it estimated none), under ``src_lines`` and
+rho it estimated (null where it estimated none), or for a config that fails
+to build, exit code 2 and its violations, with no trace; under ``src_lines`` and
 ``src_module_lines`` the line count of that package's ``.py`` files, in
 total and per module, and under ``src_options`` and ``src_module_options``
 its count of options, in total and per module: the parameter defaults of
@@ -33,9 +35,9 @@ counts differ (``n/a`` for a file written before they were recorded), and
 lists the configs whose digests differ, with the largest absolute
 difference in each column, whether the metadata line is identical, both
 estimated rho and both record counts (``n/a`` for a file written before the
-metadata line, rho or the count was recorded) and whether any verdict or
-exit code changed; it exits 1 if a verdict or exit code changed or a config
-is missing.
+metadata line, rho or the count was recorded, or with no trace) and
+whether any verdict, exit code or violation changed; it exits 1 if one did
+or a config is missing.
 """
 
 from __future__ import annotations
@@ -129,6 +131,10 @@ EXTRA = {
     "h2-sqdist.proximal-eta1e300": (
         {"kind": "hyperboloid", "n": 2}, {"kind": "squared_distance"},
         {"kind": "proximal", "eta": 1.0e300}, {"k_max": 5}),
+    # exp to a target at distance 1e3 overflows cosh: a config error, exit 2
+    "h2-sqdist.far-target": (
+        {"kind": "hyperboloid", "n": 2}, {"kind": "squared_distance", "target_distance": 1.0e3},
+        {"kind": "rgd"}, {"k_max": 5}),
 }
 
 
@@ -220,7 +226,12 @@ def digest(out_path: str) -> int:
             # each config gets its own output root, so no cache entry is shared
             # between configs; the second run reads the first run's entries
             root = os.path.join(tmp, "out", name)
-            result = harness.run_experiment(harness.load_config(path), root)
+            try:
+                result = harness.run_experiment(harness.load_config(path), root)
+            except harness.ConfigError as e:
+                digests[name] = {"exit_code": 2, "violations": e.violations}
+                print(f"{name}: exit 2", file=sys.stderr)
+                continue
             columns = {c: [] for c in COLUMNS}
             with open(result.trace_path, "rb") as fh:
                 meta, *records = fh.readlines()
@@ -240,7 +251,8 @@ def digest(out_path: str) -> int:
                 **columns,
             }
             warm = harness.run_experiment(harness.load_config(path), root)
-            same = _files(digests[name]) == (_sha256(warm.trace_path), _sha256(warm.report_path))
+            same = _files(digests[name]) == (_sha256(warm.trace_path), _sha256(warm.report_path),
+                                             None)
             if not same:
                 status = 1
             print(f"{name}: exit {result.exit_code}"
@@ -258,8 +270,10 @@ def _max_abs_diff(a, b) -> float | None:
     return max((abs(x - y) for x, y in pairs), default=None)
 
 
-def _files(d: dict) -> tuple[str, str]:
-    return d["trace_sha256"], d["report_sha256"]
+def _files(d: dict) -> tuple:
+    """What an entry's identity rests on: its trace and report, or the
+    violations of a config that failed to build."""
+    return d.get("trace_sha256"), d.get("report_sha256"), d.get("violations")
 
 
 def compare(a_path: str, b_path: str) -> int:
@@ -289,22 +303,25 @@ def compare(a_path: str, b_path: str) -> int:
         if _files(da) == _files(db):
             identical += 1
             continue
-        diffs = {c: _max_abs_diff(da[c], db[c]) for c in COLUMNS}
-        same = (da["verdicts"], da["exit_code"], da["errors"]) == \
-               (db["verdicts"], db["exit_code"], db["errors"])
+        diffs = {c: _max_abs_diff(da.get(c, []), db.get(c, [])) for c in COLUMNS}
+        keys = ("verdicts", "exit_code", "errors", "violations")
+        same = [da.get(k) for k in keys] == [db.get(k) for k in keys]
         if not same:
             status = 1
-        changed = ("trace and report differ" if da["trace_sha256"] != db["trace_sha256"]
+        traces = da.get("trace_sha256"), db.get("trace_sha256")
+        changed = ("trace " + " → ".join("none" if t is None else "written" for t in traces)
+                   if None in traces else "trace and report differ" if traces[0] != traces[1]
                    else "report differs")
         metas = da.get("metadata_sha256"), db.get("metadata_sha256")
         meta = ("n/a" if None in metas else "identical" if metas[0] == metas[1]
                 else "DIFFERS")
-        rho, records = (" → ".join("n/a" if key not in d else repr(d[key]) for d in (da, db))
-                        for key in ("rho", "records"))
-        print(f"{name}: {changed}; max |diff| "
-              + ", ".join(f"{c} {v:.3g}" for c, v in diffs.items() if v is not None)
-              + f"; metadata {meta}; rho {rho}; iter records {records}"
-              + f"; verdicts and exit code {'unchanged' if same else 'CHANGED'}")
+        exit_code, rho, records = (
+            " → ".join("n/a" if key not in d else repr(d[key]) for d in (da, db))
+            for key in ("exit_code", "rho", "records"))
+        diff = ", ".join(f"{c} {v:.3g}" for c, v in diffs.items() if v is not None)
+        print(f"{name}: {changed}" + (f"; max |diff| {diff}" if diff else "")
+              + f"; metadata {meta}; exit {exit_code}; rho {rho}; iter records {records}"
+              + f"; verdicts, exit code and violations {'unchanged' if same else 'CHANGED'}")
     print(f"{identical} of {len(set(a) | set(b))} configs byte-identical")
     return status
 

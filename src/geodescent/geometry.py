@@ -150,9 +150,9 @@ class DomainSpec:
 class Manifold:
     """Interface shared by the concrete geometries.
 
-    Subclasses provide ``_inner``, ``_exp``, ``_dist_log`` (distance and log
-    from one pass), ``_end_direction`` (a geodesic's unit velocity at its
-    end), ``_project_tangent`` and validity checks on raw coordinate arrays;
+    The hooks on raw coordinate arrays (``_inner``, ``_exp``, ``_dist_log``,
+    ``_end_direction``, ``_project_tangent``, the defects and the row kernels)
+    default to flat space; a subclass overrides those that curvature changes.
     ``_norm``, ``_move``, ``_log``, ``_distance`` and ``_transport`` build on
     them.  ``_exp`` returns the point projected back onto the manifold.  The
     public methods check that their operands belong here and share a base
@@ -172,25 +172,23 @@ class Manifold:
 
     # -- construction -----------------------------------------------------
 
-    def _coords(self, coords, what: str) -> np.ndarray:
-        """``coords`` as a float array, checked to be one finite ambient vector."""
+    def _coords(self, coords) -> np.ndarray:
+        """``coords`` as a float array, checked to be one ambient vector."""
         coords = np.asarray(coords, dtype=float)
         if coords.shape != (self.ambient_dim,):
             raise GeometryError(
                 f"expected {self.ambient_dim} ambient coordinates, got shape {coords.shape}"
             )
-        if not _finite(coords):
-            raise GeometryError(f"non-finite {what} coordinates")
         return coords
 
     def point(self, coords) -> ManifoldPoint:
-        p = ManifoldPoint(self, self._coords(coords, "point"))
+        p = ManifoldPoint(self, self._coords(coords))
         self.check_point(p)
         return p
 
     def tangent(self, base: ManifoldPoint, coords) -> TangentVector:
         self._own(base)
-        v = TangentVector(base, self._coords(coords, "tangent"))
+        v = TangentVector(base, self._coords(coords))
         self.check_tangent(v)
         return v
 
@@ -200,15 +198,20 @@ class Manifold:
     # -- validation --------------------------------------------------------
 
     def check_point(self, x: ManifoldPoint):
+        if not _finite(x.coords):
+            raise GeometryError("non-finite point coordinates")
         err = self._point_defect(x.coords)
-        if err > POINT_TOL:
+        # a NaN defect (an overflow in the constraint) fails "err > tol"
+        if math.isnan(err) or err > POINT_TOL:
             raise GeometryError(f"point violates {self.key} constraint by {err:.3e}")
 
     def check_tangent(self, v: TangentVector):
+        if not _finite(v.coords):
+            raise GeometryError("non-finite tangent coordinates")
         err = self._tangent_defect(v.base.coords, v.coords)
         # absolute at unit scale, relative for large vectors / far points
         scale = 1.0 + _norm2(v.base.coords) * _norm2(v.coords)
-        if err > POINT_TOL * scale:
+        if math.isnan(err) or err > POINT_TOL * scale:
             raise GeometryError(f"tangent violates {self.key} constraint by {err:.3e}")
 
     def _own(self, x: ManifoldPoint):
@@ -296,12 +299,12 @@ class Manifold:
         return TangentVector(x, self._project_tangent(x.coords, coords))
 
     def origin(self) -> ManifoldPoint:
-        raise NotImplementedError
+        return ManifoldPoint(self, np.zeros(self.ambient_dim))
 
-    # -- hooks ---------------------------------------------------------------
+    # -- hooks: flat space unless a subclass overrides them ------------------
 
     def _inner(self, x, v, w) -> float:
-        raise NotImplementedError
+        return float(v.dot(w))
 
     def _norm(self, x, v) -> float:
         return math.sqrt(max(self._inner(x, v, v), 0.0))
@@ -313,7 +316,7 @@ class Manifold:
         return ManifoldPoint(self, self._exp(x, v))
 
     def _exp(self, x, v):
-        raise NotImplementedError
+        return x + v
 
     def _log(self, x, y):
         return self._defined(self._dist_log(x, y)[1])
@@ -325,7 +328,8 @@ class Manifold:
         """``(_distance(x, y), log_x y)`` from one pass, the same floats as
         the two kernels; the log is None where it is undefined (within
         ANTIPODAL_TOL of a sphere point's antipode), and ``_log`` raises."""
-        raise NotImplementedError
+        w = y - x
+        return _norm2(w), w
 
     @staticmethod
     def _defined(lg):
@@ -345,7 +349,8 @@ class Manifold:
         return self._project_tangent(y, out)
 
     def _end_direction(self, x, u, d):
-        raise NotImplementedError
+        """The velocity at ``exp(x, d*u)`` of the geodesic leaving ``x`` along ``u``."""
+        return u
 
     def _inner_rows(self, x, V, w):
         """Metric inner product at ``x`` of each row of ``V`` with ``w``
@@ -364,20 +369,21 @@ class Manifold:
     def _dist_log_rows(self, x, Y):
         """``_dist_log`` for each row of ``Y``: the distances, and the logs or
         None if any is undefined."""
-        raise NotImplementedError
+        D = Y - x
+        return np.sqrt(self._inner_rows(x, D, D)), D
 
     def _exp_rows(self, x, V):
         """``_exp(x, v)`` for each row ``v`` of ``V``."""
-        raise NotImplementedError
+        return x + V
 
     def _project_tangent(self, x, v):
-        raise NotImplementedError
+        return v
 
     def _point_defect(self, x) -> float:
-        raise NotImplementedError
+        return 0.0
 
     def _tangent_defect(self, x, v) -> float:
-        raise NotImplementedError
+        return 0.0
 
     def __repr__(self):
         return self.key
@@ -413,7 +419,8 @@ def _dimension(n: int) -> int:
 
 
 class Euclidean(Manifold):
-    """Flat space; exp/log/transport are +, - and the identity."""
+    """Flat space, the hooks' default.  Its log skips ``_dist_log``'s norm, and its
+    transport returns v exactly, where the shared ``(v - a*u) + a*u`` can differ in the last bit."""
 
     def __init__(self, n: int):
         self.dim = _dimension(n)
@@ -421,41 +428,11 @@ class Euclidean(Manifold):
         self.key = f"euclidean(n={n})"
         self.curvature = 0.0
 
-    def origin(self):
-        return ManifoldPoint(self, np.zeros(self.dim))
-
-    def _inner(self, x, v, w):
-        return float(v.dot(w))
-
-    def _exp(self, x, v):
-        return x + v
-
     def _log(self, x, y):
-        # the log alone skips _dist_log's norm
         return y - x
-
-    def _dist_log(self, x, y):
-        w = self._log(x, y)
-        return _norm2(w), w
 
     def _transport(self, x, y, v):
         return v.copy()
-
-    def _dist_log_rows(self, x, Y):
-        D = Y - x
-        return np.sqrt(self._inner_rows(x, D, D)), D
-
-    def _exp_rows(self, x, V):
-        return x + V
-
-    def _project_tangent(self, x, v):
-        return v
-
-    def _point_defect(self, x):
-        return 0.0
-
-    def _tangent_defect(self, x, v):
-        return 0.0
 
 
 class Sphere(Manifold):
@@ -474,9 +451,6 @@ class Sphere(Manifold):
         c = np.zeros(self.ambient_dim)
         c[-1] = self.radius
         return ManifoldPoint(self, c)
-
-    def _inner(self, x, v, w):
-        return float(v.dot(w))
 
     def _exp(self, x, v):
         R = self.radius

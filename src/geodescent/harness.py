@@ -177,7 +177,10 @@ def _point_at(m: Manifold, rng, center, dist: float):
     v = m.random_tangent(rng, center, 1.0)
     n = m.norm(center, v)
     u = m.orthonormal_basis(center)[0] if n < 1e-12 else v.coords / n
-    return m.exp(center, TangentVector(center, dist * u))
+    p = m.exp(center, TangentVector(center, dist * u))
+    if not np.isfinite(p.coords).all():
+        raise ValueError(f"a point at distance {dist:g} overflows the coordinates of {m.key}")
+    return p
 
 
 def build_objective(spec: dict, manifold: Manifold, cache_dir=None) -> Objective:
@@ -407,27 +410,28 @@ def _build_experiment(cfg: ExperimentConfig, cache_dir=None):
     """Build a config's manifold, objective, algorithm, domain and x0 for
     ``validate`` and ``run_experiment``; a ValueError, TypeError (such as a
     null where a number belongs) or ArithmeticError (such as a radius whose
-    curvature overflows) becomes a ConfigError."""
+    curvature overflows) becomes a ConfigError, with no numpy warning."""
     try:
-        manifold = build_manifold(cfg.manifold)
-        obj = build_objective(cfg.objective, manifold, cache_dir)
-        alg = build_algorithm(cfg.algorithm, obj, cfg.objective, cache_dir)
+        with np.errstate(over="ignore", invalid="ignore"):
+            manifold = build_manifold(cfg.manifold)
+            obj = build_objective(cfg.objective, manifold, cache_dir)
+            alg = build_algorithm(cfg.algorithm, obj, cfg.objective, cache_dir)
 
-        run = cfg.run
-        radius = float(run["domain_radius"]) if "domain_radius" in run else obj.domain.radius
-        if radius > obj.domain.radius + 1e-12:
-            raise ConfigError(["run.domain_radius exceeds the objective's ball: "
-                               "declared constants would not apply"])
-        dom = DomainSpec(obj.domain.center, radius)
+            run = cfg.run
+            radius = float(run["domain_radius"]) if "domain_radius" in run else obj.domain.radius
+            if radius > obj.domain.radius + 1e-12:
+                raise ConfigError(["run.domain_radius exceeds the objective's ball: "
+                                   "declared constants would not apply"])
+            dom = DomainSpec(obj.domain.center, radius)
 
-        rng_x0 = np.random.default_rng(value("run", run, "x0_seed"))
-        if "x0" in run:
-            x0 = manifold.point(run["x0"])
-        else:
-            dist = float(run["x0_distance"]) if "x0_distance" in run else 0.5 * dom.radius
-            x0 = _point_at(manifold, rng_x0, dom.center, dist)
-        if not in_domain(dom, x0):
-            raise ValueError("the start point (run.x0 or run.x0_distance) must lie inside the domain")
+            rng_x0 = np.random.default_rng(value("run", run, "x0_seed"))
+            if "x0" in run:
+                x0 = manifold.point(run["x0"])
+            else:
+                dist = float(run["x0_distance"]) if "x0_distance" in run else 0.5 * dom.radius
+                x0 = _point_at(manifold, rng_x0, dom.center, dist)
+            if not in_domain(dom, x0):
+                raise ValueError("the start point (run.x0 or run.x0_distance) must lie inside the domain")
     except ConfigError:
         raise
     except (TypeError, ValueError, ArithmeticError) as e:

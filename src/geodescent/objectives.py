@@ -196,12 +196,11 @@ class SquaredDistance(Objective):
 
     name = "squared_distance"
 
-    def __init__(self, manifold: Manifold, target: ManifoldPoint, domain: DomainSpec | None = None,
-                 domain_radius: float = 2.0):
+    def __init__(self, manifold: Manifold, target: ManifoldPoint, domain: DomainSpec):
         manifold._own(target)
         self.manifold = manifold
         self.target = target
-        self.domain = domain if domain is not None else DomainSpec(target, domain_radius)
+        self.domain = domain
         d_max = self.domain.radius + manifold.distance(self.domain.center, target)
         self.metadata = _dist_sq_metadata(manifold, d_max)
         self._set_solution(target, 0.0)
@@ -231,8 +230,7 @@ class FrechetMean(Objective):
 
     name = "frechet_mean"
 
-    def __init__(self, manifold: Manifold, samples: np.ndarray,
-                 domain: DomainSpec | None = None, domain_radius: float = 2.0,
+    def __init__(self, manifold: Manifold, samples: np.ndarray, domain: DomainSpec,
                  solve_reference: bool = True):
         samples = np.asarray(samples)
         if samples.ndim != 2 or samples.shape[0] < 1 or samples.shape[1] != manifold.ambient_dim:
@@ -244,8 +242,7 @@ class FrechetMean(Objective):
         samples.setflags(write=False)
         self.manifold = manifold
         self.samples = samples
-        self.domain = domain if domain is not None else DomainSpec(
-            ManifoldPoint(manifold, samples[0]), domain_radius)
+        self.domain = domain
         d_max = self.domain.radius + float(
             manifold._dist_log_rows(self.domain.center.coords, self.samples)[0].max()
         )

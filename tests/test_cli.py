@@ -340,6 +340,27 @@ def test_an_overflow_in_a_run_ends_in_its_error_without_a_numpy_warning(tmp_path
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("far", ["target_distance", "x0_distance"])
+@pytest.mark.parametrize("kappa", [1.0, 4.0])
+def test_a_drawn_point_that_overflows_is_a_config_error_without_a_numpy_warning(
+        tmp_path, capsys, command, far, kappa):
+    # exp of a tangent vector of length 1e3 overflows cosh and sinh to a NaN point
+    objective = {"kind": "squared_distance", "seed": 3, "target_distance": 0.8,
+                 "domain_radius": 2.0e3}
+    run = {"k_max": 5, "x0_seed": 5, "x0_distance": 1.0}
+    (objective if far == "target_distance" else run)[far] = 1.0e3
+    cfg = _write(tmp_path / "a.yaml", manifold={"kind": "hyperboloid", "n": 2, "kappa": kappa},
+                 objective=objective, run=run)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["--out-root", str(tmp_path / "out"), command, cfg]) == 2
+    out, err = capsys.readouterr()
+    assert (f"cannot build the experiment: ValueError: a point at distance 1000 overflows "
+            f"the coordinates of hyperboloid(n=2,kappa={kappa:g})\n") in out + err
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
 def test_a_certificate_constant_that_overflows_is_reported(tmp_path, capsys):
     # validate accepts rho = 1e-300; the cubic certificate's
     # (theta + rho/2 + M)^(-3/2) overflows once the run starts

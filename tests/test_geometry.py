@@ -13,6 +13,7 @@ from geodescent.geometry import (
     GeometryError,
     Hyperboloid,
     ManifoldMismatchError,
+    ManifoldPoint,
     Sphere,
     TangentVector,
     comparison,
@@ -288,6 +289,24 @@ def test_coordinates_of_the_wrong_length_are_refused(m):
             m.point(coords)
         with pytest.raises(GeometryError, match=f"^{message}$"):
             m.tangent(m.origin(), coords)
+
+
+@pytest.mark.parametrize("m", [Euclidean(3), Sphere(2, 2.0), Hyperboloid(2, 1.0)],
+                         ids=lambda m: m.key)
+def test_check_point_and_check_tangent_refuse_nan_coordinates(m):
+    # built without the constructors' checks, as a point whose exp overflowed;
+    # a NaN defect fails "err > tol", and flat space's defect is always 0
+    o = m.origin()
+    nan = np.full(m.ambient_dim, np.nan)
+    with pytest.raises(GeometryError, match="^non-finite point coordinates$"):
+        m.check_point(ManifoldPoint(m, nan))
+    with pytest.raises(GeometryError, match="^non-finite tangent coordinates$"):
+        m.check_tangent(TangentVector(o, nan))
+    if isinstance(m, Hyperboloid):
+        with np.errstate(over="ignore", invalid="ignore"):
+            far = m.exp(o, m.tangent(o, [0.0, 1e3, 0.0]))
+        with pytest.raises(GeometryError, match="^non-finite point coordinates$"):
+            m.check_point(far)
 
 
 # ---------------------------------------------------------------------------

@@ -102,24 +102,25 @@ def test_squared_distance_at_the_antipode_has_a_value_and_no_gradient(value_firs
     (np.array([[0.0, 0.1, np.inf]]), "non-finite"),
 ], ids=["wrong-width", "one-dimensional", "empty", "nan", "inf"])
 def test_frechet_mean_rejects_a_bad_sample_array(samples, match):
+    E = Euclidean(3)
     with pytest.raises(GeometryError, match=match):
-        FrechetMean(Euclidean(3), samples, solve_reference=False)
+        FrechetMean(E, samples, domain=DomainSpec(E.origin(), 1.0), solve_reference=False)
 
 
 def test_frechet_mean_takes_no_list_of_points():
     H = Hyperboloid(2, 1.0)
     with pytest.raises(GeometryError, match="shape"):
-        FrechetMean(H, [H.origin(), H.origin()], solve_reference=False)
+        FrechetMean(H, [H.origin(), H.origin()], domain=DomainSpec(H.origin(), 1.0),
+                    solve_reference=False)
 
 
 def test_frechet_mean_holds_a_read_only_copy_of_its_samples():
     obj = make_frechet_h2(solve_reference=False)
     samples = np.array(obj.samples)
-    copy = FrechetMean(obj.manifold, samples, solve_reference=False)
+    copy = FrechetMean(obj.manifold, samples, domain=obj.domain, solve_reference=False)
     samples[0, 1] += 1.0
     assert not copy.samples.flags.writeable
     assert copy.samples[0, 1] == obj.samples[0, 1]
-    assert np.array_equal(copy.domain.center.coords, obj.samples[0])
     assert not hasattr(copy, "points")
 
 

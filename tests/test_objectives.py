@@ -122,7 +122,7 @@ def test_known_solution_rejects_non_stationary_point():
     H = Hyperboloid(2, 1.0)
     o = H.origin()
     target = H.exp(o, H.tangent(o, [0.0, 0.5, 0.0]))
-    obj = SquaredDistance(H, target)
+    obj = SquaredDistance(H, target, domain=DomainSpec(target, 2.0))
     with pytest.raises(ValueError):
         obj._set_solution(o, 0.0)
 
