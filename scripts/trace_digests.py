@@ -14,6 +14,7 @@ coordinates, which fails to build.
 Usage::
 
     PYTHONPATH=src python3 scripts/trace_digests.py digests.json
+    PYTHONPATH=src python3 scripts/trace_digests.py --no-counts tests/goldens.json
     python3 scripts/trace_digests.py --compare before.json after.json
 
 The first form runs each config with the ``geodescent`` found on the path
@@ -29,7 +30,10 @@ its count of options, in total and per module: the parameter defaults of
 every function, method and lambda, plus the defaulted fields of every
 ``@dataclass``.  It then runs each config a second time in the same output
 root, where the f* and rho cache entries of the first run are warm, and
-exits 1 if any trace or report differs from the cold run's.  ``--compare``
+exits 1 if any trace or report differs from the cold run's.  The file holds
+one entry per line, so a diff of two digest files shows which configs moved.
+The second form leaves the counts out; it writes ``tests/goldens.json``,
+which ``tests/test_goldens.py`` checks the tree against.  ``--compare``
 prints both line counts and both option counts, each with the modules whose
 counts differ (``n/a`` for a file written before they were recorded), and
 lists the configs whose digests differ, with the largest absolute
@@ -211,14 +215,16 @@ def _rho(root: str) -> float | None:
         return json.load(fh)["rho"]
 
 
-def digest(out_path: str) -> int:
+def digest(out_path: str, counts: bool = True) -> int:
     from geodescent import harness
 
     package_dir = os.path.dirname(harness.__file__)
     print(f"geodescent from {package_dir}", file=sys.stderr)
-    modules, options = _src_lines(package_dir), _src_options(package_dir)
-    digests = {SRC_LINES: sum(modules.values()), SRC_MODULE_LINES: modules,
-               SRC_OPTIONS: sum(options.values()), SRC_MODULE_OPTIONS: options}
+    digests = {}
+    if counts:
+        modules, options = _src_lines(package_dir), _src_options(package_dir)
+        digests = {SRC_LINES: sum(modules.values()), SRC_MODULE_LINES: modules,
+                   SRC_OPTIONS: sum(options.values()), SRC_MODULE_OPTIONS: options}
     status = 0
     with tempfile.TemporaryDirectory() as tmp:
         for path in _write_configs(os.path.join(tmp, "configs")):
@@ -258,8 +264,8 @@ def digest(out_path: str) -> int:
             print(f"{name}: exit {result.exit_code}"
                   + ("" if same else "; warm-cache rerun DIFFERS"), file=sys.stderr)
     with open(out_path, "w") as fh:
-        json.dump(digests, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write("{\n" + ",\n".join(f"{json.dumps(key)}: {json.dumps(digests[key], sort_keys=True)}"
+                                    for key in sorted(digests)) + "\n}\n")
     return status
 
 
@@ -332,6 +338,8 @@ def main(argv=None) -> int:
                     help="the digest file to write, or with --compare the two to compare")
     ap.add_argument("--compare", action="store_true",
                     help="compare two digest files instead of running the golden set")
+    ap.add_argument("--no-counts", action="store_true",
+                    help="leave out the line and option counts, as tests/goldens.json does")
     args = ap.parse_args(argv)
     if args.compare:
         if len(args.paths) != 2:
@@ -339,7 +347,7 @@ def main(argv=None) -> int:
         return compare(*args.paths)
     if len(args.paths) != 1:
         ap.error("give one output path")
-    return digest(args.paths[0])
+    return digest(args.paths[0], counts=not args.no_counts)
 
 
 if __name__ == "__main__":

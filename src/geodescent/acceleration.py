@@ -31,6 +31,7 @@ from geodescent.geometry import (
     GeometryError,
     Manifold,
     ManifoldPoint,
+    TangentVector,
     comparison,
 )
 from geodescent.objectives import Objective
@@ -88,14 +89,15 @@ class AccelParams:
 
 @dataclass
 class AccelState:
-    """The (x, y, z) triple after iteration k, with f(y) once evaluated and,
-    after a step, its drift log_x(z_{k-1}) as a coordinate array."""
+    """The (x, y, z) triple after iteration k, with f(y) and grad f(y) once
+    evaluated and, after a step, the drift log_x(z_{k-1}), as coordinate arrays."""
 
     x: ManifoldPoint
     y: ManifoldPoint
     z: ManifoldPoint
     k: int = 0
     f_y: float | None = None
+    grad_y: np.ndarray | None = None
     drift: np.ndarray | None = None
 
 
@@ -141,20 +143,20 @@ def gradient_oracle(obj: Objective, eta: float | None = None) -> GradientDescent
 def accel_step(obj: Objective, state: AccelState, params: AccelParams,
                step, c: float, tol: float = 0.0) -> tuple[AccelState, float]:
     """One accelerated update with y+ = step(obj, x+, grad f(x+)), a step
-    G_c that claims ``f(G(x)) - f(x) <= -c * ||grad f(x)||^2``.  Returns the
-    new state, which carries f(y+) and the drift log_{x+}(z), and the oracle
-    slack (decrease contract residual, <= tol when honoured)."""
+    G_c that claims ``f(G(x)) - f(x) <= -c * ||grad f(x)||^2``; f and grad f
+    come from one ``obj._evaluate`` at x+ and one at y+.  Returns the new
+    state, which carries f(y+), grad f(y+) and the drift log_{x+}(z), and the
+    oracle slack (decrease contract residual, <= tol when honoured)."""
     m = obj.manifold
     m._own(state.y)
     m._own(state.z)
     y, z = state.y.coords, state.z.coords
     x_new = m._move(y, params.tau * m._log(y, z))
-    f_x = obj.value(x_new)
-    g_x = obj.gradient(x_new)
-    gn2 = m._norm(x_new.coords, g_x.coords) ** 2
+    f_x, g_x = obj._evaluate(x_new)
+    gn2 = m._norm(x_new.coords, g_x) ** 2
 
-    y_new = step(obj, x_new, g_x)
-    f_y = obj.value(y_new)
+    y_new = step(obj, x_new, TangentVector(x_new, g_x))
+    f_y, g_y = obj._evaluate(y_new)
     slack = f_y - f_x + c * gn2
     if slack > tol:
         raise OracleViolationError(
@@ -162,8 +164,8 @@ def accel_step(obj: Objective, state: AccelState, params: AccelParams,
         )
 
     drift = m._log(x_new.coords, z)
-    z_new = m._move(x_new.coords, (params.beta * drift - g_x.coords) / (params.alpha + params.beta))
-    return AccelState(x_new, y_new, z_new, state.k + 1, f_y, drift), float(slack)
+    z_new = m._move(x_new.coords, (params.beta * drift - g_x) / (params.alpha + params.beta))
+    return AccelState(x_new, y_new, z_new, state.k + 1, f_y, g_y, drift), float(slack)
 
 
 def schedule_gconvex(k: int, A_k: float, B_k: float, delta_k: float,
@@ -272,8 +274,9 @@ def energy(A: float, B: float, obj: Objective, state: AccelState,
            star_log: np.ndarray | None = None) -> EnergyRecord:
     """Evaluate the energy and its components at the current state; f(y) is
     taken from the state when it carries it, and log_x(x*) from ``star_log``
-    when the caller holds it.  d(x, z) and log_x(z) come from one pass."""
+    when the caller holds it.  d(x, z) and log_x(z) come from one raw pass, d(x, y) another."""
     m = obj.manifold
+    m._own(state.y)
     m._own(state.z)
     f_gap = (obj.value(state.y) if state.f_y is None else state.f_y) - f_star
     if star_log is None:
@@ -287,7 +290,7 @@ def energy(A: float, B: float, obj: Objective, state: AccelState,
         E=A * f_gap + B * dist_term,
         f_gap=f_gap,
         dist_term=dist_term,
-        d_xy=m.distance(state.x, state.y),
+        d_xy=m._distance(x, state.y.coords),
         d_xz=d_xz,
         envelope=envelope,
     )
@@ -366,7 +369,8 @@ def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
         raise ValueError(f"the oracle needs a 2-backward certificate, got {cert}")
     step, c = oracle.step, cert.c
     mu = obj.metadata.mu
-    state = AccelState(x=y0, y=y0, z=y0, k=0, f_y=obj.value(y0))
+    f_y, grad_y = obj._evaluate(y0)
+    state = AccelState(y0, y0, y0, 0, f_y, grad_y)
     tol = default_tolerance(state.f_y)
 
     D0 = env = None
@@ -394,7 +398,7 @@ def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
         run.energies.append(e)
         run.xs.append(state.x)
         run.zs.append(state.z)
-        trace.record(state.y, state.f_y, m.norm(state.y, obj.gradient(state.y)), slack,
+        trace.record(state.y, state.f_y, m._norm(state.y.coords, state.grad_y), slack,
                      {"delta": sched.delta, "xi": sched.xi, "A": sched.A, "B": sched.B,
                       "E": e.E, "d_xy": e.d_xy, "d_xz": e.d_xz, "envelope": e.envelope})
 

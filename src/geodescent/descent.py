@@ -431,18 +431,20 @@ def run_descent(alg, obj: Objective, x0: ManifoldPoint, k_max: int,
     and the per-step certificate slack in an ``IterateTrace`` on ``dom``
     (default: the objective's), which monitors the domain and hands every
     record to ``writer`` if one is given (slack None at k=0, no extra).
-    Each step reuses the gradient recorded at its input."""
+    Each iterate is evaluated once, by ``obj._evaluate``, and each step
+    reuses the gradient recorded at its input."""
     m = obj.manifold
     cert = alg.certificate(obj)
     trace = IterateTrace(dom if dom is not None else obj.domain, x0, writer)
-    x, g = x0, obj.gradient(x0)
-    f, gn = obj.value(x0), m.norm(x0, g)
-    trace.record(x0, f, gn)
+    x = x0
+    f, g = obj._evaluate(x)
+    gn = m._norm(x.coords, g)
+    trace.record(x, f, gn)
     for _ in range(k_max):
-        x = alg.step(obj, x, g)
-        g = obj.gradient(x)
-        f_prev, f = f, obj.value(x)
-        gn_prev, gn = gn, m.norm(x, g)
+        x = alg.step(obj, x, TangentVector(x, g))
+        f_prev, gn_prev = f, gn
+        f, g = obj._evaluate(x)
+        gn = m._norm(x.coords, g)
         trace.record(x, f, gn, cert.slack(f_prev, f, gn_prev, gn))
     return trace.close()
 

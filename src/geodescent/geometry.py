@@ -208,11 +208,13 @@ class Manifold:
     def check_tangent(self, v: TangentVector):
         if not _finite(v.coords):
             raise GeometryError("non-finite tangent coordinates")
-        err = self._tangent_defect(v.base.coords, v.coords)
-        # absolute at unit scale, relative for large vectors / far points
-        scale = 1.0 + _norm2(v.base.coords) * _norm2(v.coords)
-        if math.isnan(err) or err > POINT_TOL * scale:
-            raise GeometryError(f"tangent violates {self.key} constraint by {err:.3e}")
+        # on v over its largest absolute coordinate, where no product overflows:
+        # absolute at unit scale, relative for far points
+        top = max(map(abs, v.coords.tolist()))
+        u = v.coords / top if top > 0 else v.coords
+        err = self._tangent_defect(v.base.coords, u)
+        if math.isnan(err) or err > POINT_TOL * (1.0 + _norm2(v.base.coords) * _norm2(u)):
+            raise GeometryError(f"tangent violates {self.key} constraint by {err * top:.3e}")
 
     def _own(self, x: ManifoldPoint):
         if x.manifold is not self and x.manifold.key != self.key:

@@ -76,7 +76,10 @@ class KnownSolution:
 
 
 class Objective:
-    """Value / gradient / Hessian interface over one manifold."""
+    """Value / gradient / Hessian interface over one manifold.  The drivers take f
+    and grad f's coordinates from ``_evaluate``; ``SquaredDistance`` overrides it to
+    get both from one kernel pass, with the floats ``value`` and ``gradient`` give.
+    The others keep the default, whose public calls ``bench/tracer.py`` counts."""
 
     manifold: Manifold
     domain: DomainSpec
@@ -89,6 +92,9 @@ class Objective:
 
     def gradient(self, x: ManifoldPoint) -> TangentVector:
         raise NotImplementedError
+
+    def _evaluate(self, x: ManifoldPoint) -> tuple[float, np.ndarray]:
+        return self.value(x), self.gradient(x).coords
 
     def hessian_matrix(self, x: ManifoldPoint, basis: np.ndarray | None = None) -> np.ndarray:
         """Symmetric Hessian in the coordinates of the rows of ``basis``, an orthonormal
@@ -211,6 +217,11 @@ class SquaredDistance(Objective):
     def gradient(self, x):
         lg = self.manifold.log(x, self.target)
         return TangentVector(x, -lg.coords)
+
+    def _evaluate(self, x):
+        self.manifold._own(x)
+        d, lg = self.manifold._dist_log(x.coords, self.target.coords)
+        return 0.5 * d**2, -self.manifold._defined(lg)
 
     def hessian_matrix(self, x, basis=None):
         basis = self.manifold.orthonormal_basis(x) if basis is None else basis

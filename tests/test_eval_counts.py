@@ -2,11 +2,15 @@
 geometry calls that one Frechet-mean evaluation and each step make: none,
 since the steps check their points once and then run on the raw kernels.
 
-Each recorded point is evaluated once: the descent steps reuse the gradient
-recorded at their input, the accelerated step hands its oracle the gradient
-at x+ and returns the f(y+) it computed for the oracle contract, which the
-driver records and uses for the energy, and the oracle-delta fixed point
-keeps the last step it took.
+The drivers evaluate through the objective's ``_evaluate`` hook, which the
+squared distance takes from one ``_dist_log`` pass; they call the public
+``value`` and ``gradient`` only through the hook's default, which the
+Frechet mean keeps (its two share one row pass).  Each recorded point is
+evaluated once: the descent steps reuse the gradient recorded at their
+input, the accelerated step evaluates once at x+, hands its oracle that
+gradient, and once at y+, whose f and grad f it returns for the driver's
+record and energy, and the oracle-delta fixed point keeps the last step it
+took.
 """
 
 import numpy as np
@@ -24,8 +28,8 @@ K = 12
 
 
 def _counting(obj):
-    """Count value and gradient calls on this objective instance."""
-    counts = {"value": 0, "gradient": 0}
+    """Count value, gradient and _evaluate calls on this objective instance."""
+    counts = {"value": 0, "gradient": 0, "_evaluate": 0}
     for name in counts:
         method = getattr(obj, name)
 
@@ -55,7 +59,7 @@ def test_rgd_evaluates_value_and_gradient_once_per_iterate():
     obj, x0 = _problem()
     counts = _counting(obj)
     run_descent(GradientDescent(1.0 / obj.metadata.L), obj, x0, K)
-    assert counts == {"value": K + 1, "gradient": K + 1}
+    assert counts == {"value": 0, "gradient": 0, "_evaluate": K + 1}
 
 
 @pytest.mark.parametrize("make_alg", [lambda: ProximalPoint(1.0), lambda: CubicNewton()],
@@ -67,13 +71,15 @@ def test_step_reuses_the_recorded_gradient(make_alg):
     counts = _counting(obj)
     trace = run_descent(alg, obj, x0, K)
     in_run = dict(counts)
-    # the same steps taken on their own, each evaluating grad f(x_k) itself
+    # the same steps taken on their own, each evaluating grad f(x_k) itself;
+    # in the run, the only gradient calls are the steps' inner ones
     counts.update(value=0, gradient=0)
     for x in trace.iterates[:-1]:
         alg.step(obj, x)
     standalone = counts["gradient"]
-    assert in_run["value"] == K + 1
-    assert in_run["gradient"] == (K + 1) + standalone - K
+    assert in_run["value"] == 0
+    assert in_run["_evaluate"] == K + 1
+    assert in_run["gradient"] == standalone - K
 
 
 def _accel_run(delta_mode, k_max, eta, problem=_problem):
@@ -97,10 +103,9 @@ def test_proximal_step_on_squared_distance_takes_one_newton_step(eta):
 
 def test_accelerated_analytic_delta_counts():
     counts = _accel_run(acc.ANALYTIC, K, 0.005)
-    # per iteration: f and grad at x+ and f(y+) inside accel_step (the
-    # oracle reuses grad f(x+)), and grad at y+ for the record
-    assert counts["value"] == 2 * K + 1
-    assert counts["gradient"] == 2 * K + 1
+    # per iteration: f and grad f at x+ and at y+ inside accel_step (the
+    # oracle reuses grad f(x+), the record grad f(y+)), plus f and grad f at y0
+    assert counts == {"value": 0, "gradient": 0, "_evaluate": 2 * K + 1}
 
 
 def test_accel_step_hands_the_oracle_its_gradient():
@@ -110,12 +115,14 @@ def test_accel_step_hands_the_oracle_its_gradient():
     state = acc.AccelState(x0, x0, point_at(obj.manifold, np.random.default_rng(6), x0, 0.5))
     counts = _counting(obj)
     new_state, _ = acc.accel_step(obj, state, acc.AccelParams(0.5, 0.1, 1.0), oracle.step, c)
-    in_step = counts["gradient"]
+    in_step = dict(counts)
     counts.update(gradient=0)
     oracle.step(obj, new_state.x)
-    # grad f(x+) once for the z-update and the oracle; the rest is the
-    # oracle's inner loop
-    assert in_step == counts["gradient"]
+    # grad f(x+) once, by _evaluate, for the z-update and the oracle, which
+    # on its own takes it with one gradient call; the rest is the oracle's
+    # inner loop
+    assert in_step["_evaluate"] == 2
+    assert in_step["gradient"] == counts["gradient"] - 1
 
 
 def test_oracle_delta_takes_one_step_per_fixed_point_iteration(monkeypatch):
@@ -136,18 +143,19 @@ def test_oracle_delta_takes_one_step_per_fixed_point_iteration(monkeypatch):
     counts = _accel_run(acc.ORACLE, k_max, 0.05, _off_geodesic)
     n = steps["accel_step"]
     assert n == steps["fixed_point"] > k_max
-    # two values and one gradient per step, one gradient per recorded iterate
-    # and f(y0)
-    assert counts == {"value": 2 * n + 1, "gradient": n + k_max + 1}
+    # two evaluations per step, at x+ and y+, and one at y0.  A Frechet mean
+    # keeps the default hook, one value and one gradient call sharing one
+    # row pass, and the driver makes no other
+    assert counts == dict.fromkeys(("value", "gradient", "_evaluate"), 2 * n + 1)
 
 
 def test_oracle_delta_on_one_geodesic_takes_one_step_and_six_logs_per_iteration(monkeypatch):
     # the squared distance's iterates stay on the geodesic through x0 and x*,
     # where the realized rate is 1 and the fixed point's first step matches.
-    # Logs per iteration: log_y(z), grad f(x+) and the drift log_{x+}(z) in
-    # the step; log_{x+}(x*) for the rate's numerator, which the record's
-    # energy reuses with log_{x+}(z+); and grad f(y+).  The first record
-    # takes three
+    # Logs per iteration: log_y(z), f and grad f at x+, the drift log_{x+}(z)
+    # and f and grad f at y+ in the step; log_{x+}(x*) for the rate's
+    # numerator, which the record's energy reuses with log_{x+}(z+).  The
+    # first record takes three
     steps = {"accel_step": 0}
     accel_step = acc.accel_step
 
@@ -186,22 +194,19 @@ def _public_geometry_calls(monkeypatch, names):
     return calls
 
 
-@pytest.mark.parametrize("delta_mode, eta, problem, public", [
-    (acc.ANALYTIC, 0.005, _problem, 1), (acc.ORACLE, 0.05, _off_geodesic, 0)],
+@pytest.mark.parametrize("delta_mode, eta, problem", [
+    (acc.ANALYTIC, 0.005, _problem), (acc.ORACLE, 0.05, _off_geodesic)],
     ids=["analytic", "oracle"])
-def test_accelerated_public_log_and_distance_counts(monkeypatch, delta_mode, eta, problem,
-                                                    public):
+def test_accelerated_public_log_and_distance_counts(monkeypatch, delta_mode, eta, problem):
     # the distortion rate reads d(x, z) and the oracle ratio's denominator
     # from the energy recorded at (x, z), and its numerator's logs from the
-    # step and the driver; the energy takes d_xz and log_x(z) from the raw
-    # kernels, and log_x(x*) from the public log unless the oracle-delta
-    # driver holds it (every record but the first).  The rest: each value
-    # and gradient makes ``public`` calls (squared distance's value is a
-    # distance and its gradient a log, the Frechet mean's row passes none);
-    # each step takes f(x+), f(y+) and grad f(x+); each record takes d_xy and
-    # grad f(y); f(y0) comes once, and D0 and the start point's domain check
-    # are distances.  The domain monitor checks x, y and z with the row
-    # kernel once the run ends, with no public call
+    # step and the driver; the energy takes d_xz, log_x(z) and d_xy from the
+    # raw kernels, and log_x(x*) from the public log unless the oracle-delta
+    # driver holds it (every record but the first).  The evaluations run on
+    # the raw kernels (a squared distance's one _dist_log pass, a Frechet
+    # mean's row pass), so D0 and the start point's domain check are the only
+    # distances.  The domain monitor checks x, y and z with the row kernel
+    # once the run ends, with no public call
     obj, x0 = problem()
     oracle = acc.gradient_oracle(obj, eta)
     steps = {"accel_step": 0}
@@ -217,21 +222,20 @@ def test_accelerated_public_log_and_distance_counts(monkeypatch, delta_mode, eta
     acc.run_accelerated(obj, x0, k_max, acc.STRONGLY, oracle, delta_mode=delta_mode)
     n = steps["accel_step"]
     star_logs = k_max + 1 if delta_mode == acc.ANALYTIC else 1
-    assert calls == {"log": public * (n + k_max + 1) + star_logs,
-                     "distance": public * (2 * n + 1) + (k_max + 1) + 2}
+    assert calls == {"log": star_logs, "distance": 2}
     assert n > k_max if delta_mode == acc.ORACLE else n == k_max
 
 
-@pytest.mark.parametrize("problem, public", [(_problem, 1), (_off_geodesic, 0)],
-                         ids=["sqdist", "frechet"])
-def test_descent_public_distance_counts(monkeypatch, problem, public):
-    # each iterate's value makes ``public`` distances (a Frechet mean's row
-    # pass none); the domain monitor makes one, the start point's check, and
-    # checks the later iterates with the row kernel once the run ends
+@pytest.mark.parametrize("problem", [_problem, _off_geodesic], ids=["sqdist", "frechet"])
+def test_descent_public_distance_counts(monkeypatch, problem):
+    # each iterate's evaluation runs on the raw kernels (a squared distance's
+    # one _dist_log pass, a Frechet mean's row pass); the domain monitor makes
+    # one, the start point's check, and checks the later iterates with the
+    # row kernel once the run ends
     obj, x0 = problem()
     calls = _public_geometry_calls(monkeypatch, ("distance",))
     run_descent(GradientDescent(1.0 / obj.metadata.L), obj, x0, K)
-    assert calls == {"distance": public * (K + 1) + 1}
+    assert calls == {"distance": 1}
 
 
 def _counted_hessians(monkeypatch, obj):

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -307,6 +308,23 @@ def test_check_point_and_check_tangent_refuse_nan_coordinates(m):
             far = m.exp(o, m.tangent(o, [0.0, 1e3, 0.0]))
         with pytest.raises(GeometryError, match="^non-finite point coordinates$"):
             m.check_point(far)
+
+
+@pytest.mark.parametrize("m, coords, tangent", [
+    (Hyperboloid(2), [1e300, 1e300, 0.0], False),
+    (Sphere(2), [0.0, 1e300, 1e300], False),
+    (Hyperboloid(2), [0.0, 1e300, 0.0], True)], ids=["h2", "s2", "h2-tangent"])
+def test_check_tangent_judges_a_vector_whose_norm_overflows(m, coords, tangent):
+    # |x| * |v| overflows, which made the relative tolerance inf: the check
+    # scales v by its largest absolute coordinate first, with no numpy warning
+    o = m.origin()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if tangent:
+            assert np.array_equal(m.tangent(o, coords).coords, coords)
+        else:
+            with pytest.raises(GeometryError, match="^tangent violates .* by 1.000e[+]300$"):
+                m.tangent(o, coords)
 
 
 # ---------------------------------------------------------------------------

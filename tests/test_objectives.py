@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from geodescent.geometry import (DomainSpec, Euclidean, Hyperboloid, ManifoldPoint, Sphere,
-                                 TangentVector, comparison)
+from geodescent.geometry import (AntipodalPointsError, DomainSpec, Euclidean, Hyperboloid,
+                                 ManifoldPoint, Sphere, TangentVector, comparison)
 from geodescent.objectives import (
     FrechetMean,
     ObjectiveMetadata,
@@ -21,6 +21,8 @@ from helpers import (
     make_quadratic,
     make_rayleigh,
     make_sqdist_h2,
+    point_at,
+    unit_tangent,
 )
 from kernel_reference import basis_coords
 
@@ -328,3 +330,72 @@ def test_a_quadratic_hessian_is_written_in_the_basis_it_is_given():
     # in the identity basis, the one every step passes on flat space, bit for bit
     for H in (obj.hessian_matrix(x), obj.hessian_matrix(x, basis=np.eye(2))):
         assert H.tobytes() == np.diag([1.0, 4.0]).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the drivers' evaluation hook
+
+
+def _sqdist(m):
+    target = point_at(m, np.random.default_rng(3), m.origin(), 0.8)
+    return SquaredDistance(m, target, DomainSpec(m.origin(), 1.0))
+
+
+HOOKED = {
+    "quadratic": lambda: make_quadratic(scales=[1.0, 0.01]),
+    "sqdist-r3": lambda: _sqdist(Euclidean(3)),
+    "sqdist-s2": lambda: _sqdist(Sphere(2)),
+    "sqdist-h2": lambda: _sqdist(Hyperboloid(2, 1.0)),
+    "sqdist-h2-kappa4": lambda: _sqdist(Hyperboloid(2, 4.0)),
+    "frechet-h2": lambda: make_frechet_h2(num=50, solve_reference=False),
+    "frechet-sphere-cap": make_frechet_sphere,
+    "rayleigh": make_rayleigh,
+}
+
+
+def _bits(f, g):
+    return np.array([f]).tobytes(), g.dtype, g.tobytes()
+
+
+@pytest.mark.parametrize("make", HOOKED.values(), ids=HOOKED.keys())
+def test_evaluate_gives_value_and_gradient_bit_for_bit(make):
+    obj = make()
+    m = obj.manifold
+    rng = np.random.default_rng(4)
+    points = [obj.domain.center] + [point_at(m, rng, obj.domain.center, r)
+                                    for r in (1e-9, 0.3, 0.9, 1.5)]
+    if obj.known_solution is not None:
+        points.append(obj.known_solution.x_star)
+    for x in points:
+        f, g = obj._evaluate(x)
+        assert isinstance(f, float)
+        assert _bits(f, g) == _bits(obj.value(x), obj.gradient(x).coords)
+
+
+def _sphere_objectives(t):
+    """A squared distance to ``t`` and a Frechet mean with a sample at ``t``."""
+    m = t.manifold
+    other = point_at(m, np.random.default_rng(1), t, 0.5)
+    dom = DomainSpec(t, 1.0)
+    return (SquaredDistance(m, t, dom),
+            FrechetMean(m, np.array([other.coords, t.coords]), dom, solve_reference=False))
+
+
+@pytest.mark.parametrize("angle", [np.pi, np.pi - 1e-5, np.pi - 1e-3, np.pi - 0.1])
+def test_evaluate_raises_near_the_antipode_where_gradient_does(angle):
+    # within ANTIPODAL_TOL of the antipode of the target or of a sample, the
+    # log is undefined: the gradient raises, the value does not
+    m = Sphere(2, 1.5)
+    t = point_at(m, np.random.default_rng(2), m.origin(), 0.4)
+    u = unit_tangent(m, np.random.default_rng(3), t).coords
+    x = m.exp(t, TangentVector(t, angle * m.radius * u))
+    for obj in _sphere_objectives(t):
+        try:
+            grad = obj.gradient(x).coords
+        except AntipodalPointsError:
+            with pytest.raises(AntipodalPointsError):
+                obj._evaluate(x)
+            assert angle > np.pi - 1e-4
+        else:
+            assert _bits(*obj._evaluate(x)) == _bits(obj.value(x), grad)
+            assert angle < np.pi - 1e-4

@@ -1,13 +1,16 @@
 """The benchmark's per-layer metrics are spans of named library functions,
 which ``bench/tracer.py`` wraps from outside.  A refactor that routes the
-CLI around one of those names makes the benchmark stop reporting it; this
-catches that in the test suite."""
+CLI around one of those names makes the benchmark stop reporting it, and
+``bench/run.py --trace 1`` exit 1; this catches that in the test suite, on
+each workload's seed-0 configs."""
 
+import contextlib
 import importlib.util
+import io
 import json
 from pathlib import Path
 
-import yaml
+import pytest
 
 from geodescent import cli
 
@@ -21,34 +24,44 @@ def _tracer():
     return module.Tracer()
 
 
+def _benchmark() -> dict:
+    with open(ROOT / "BENCHMARK.json") as fh:
+        return json.load(fh)
+
+
 def _required_spans() -> set[str]:
     """``layer.function`` of every per-layer metric ``layer.function.quantity``."""
-    with open(ROOT / "BENCHMARK.json") as fh:
-        names = [m["name"] for m in json.load(fh)["per_layer"]]
+    names = [m["name"] for m in _benchmark()["per_layer"]]
     return {name.rsplit(".", 1)[0] for name in names if name.count(".") == 2}
 
 
-def test_the_cli_calls_every_span_the_benchmark_reads(tmp_path):
+@pytest.mark.parametrize("workload", [w["name"] for w in _benchmark()["workloads"]])
+def test_the_cli_calls_every_span_the_benchmark_reads(tmp_path, monkeypatch, workload):
+    # the workload's seed-0 configs, then compare, fit and export on its
+    # first group, as one benchmark pass runs them.  An untraced pass first
+    # fills the output root's f* and rho cache, as the benchmark's warm-up
+    # pass does, so a span called only on a cache miss does not count
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import workloads
+
     required = _required_spans()
     assert "descent.rgd_step" in required
-    objective = {"kind": "frechet_mean", "seed": 1, "num_points": 20, "spread": 0.7,
-                 "domain_radius": 2.0}
-    traces = []
-    for name, algorithm in (("rgd", {"kind": "rgd"}),
-                            ("accel", {"kind": "accelerated", "mode": "strongly"})):
-        config = tmp_path / f"{name}.yaml"
-        config.write_text(yaml.safe_dump({
-            "manifold": {"kind": "hyperboloid", "n": 2}, "objective": objective,
-            "algorithm": algorithm, "run": {"k_max": 20, "x0_seed": 2},
-            "output": {"trace": f"{name}.jsonl", "report": f"{name}.json"}}))
-        traces.append(str(tmp_path / "out" / f"{name}.jsonl"))
-    commands = [["--out-root", str(tmp_path / "out"), "run", str(tmp_path / "rgd.yaml")],
-                ["--out-root", str(tmp_path / "out"), "run", str(tmp_path / "accel.yaml")],
-                ["--out-root", str(tmp_path / "compare"), "compare", *traces],
-                ["fit", traces[0], "--from", "2", "--to", "20"],
-                ["export", traces[1], str(tmp_path / "accel.csv")]]
-    with _tracer() as tracer:
-        codes = [cli.main(argv) for argv in commands]
+    groups = workloads.generate(workload, 0)
+    paths = workloads.write_configs(groups, str(tmp_path / "configs"))
+    out = str(tmp_path / "out")
+    runs = [["--out-root", out, "run", path] for path in paths.values()]
+    group = groups[0]
+    traces = [str(tmp_path / "out" / e.config["output"]["trace"]) for e in group.experiments]
+    name, k_from, k_to = group.fit
+    commands = runs + [
+        ["--out-root", str(tmp_path / "compare"), "compare", *traces],
+        ["fit", str(tmp_path / "out" / "traces" / f"{name}.jsonl"),
+         "--from", str(k_from), "--to", str(k_to)],
+        ["export", traces[0], str(tmp_path / "export.csv")]]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert [cli.main(argv) for argv in runs] == [0] * len(runs)
+        with _tracer() as tracer:
+            codes = [cli.main(argv) for argv in commands]
     assert codes == [0] * len(commands)
     called = set(tracer.stats())
     assert required <= called, f"never called: {sorted(required - called)}"
