@@ -28,20 +28,23 @@ to build, exit code 2 and its violations, with no trace; under ``src_lines`` and
 total and per module, and under ``src_options`` and ``src_module_options``
 its count of options, in total and per module: the parameter defaults of
 every function, method and lambda, plus the defaulted fields of every
-``@dataclass``.  It then runs each config a second time in the same output
-root, where the f* and rho cache entries of the first run are warm, and
-exits 1 if any trace or report differs from the cold run's.  The file holds
-one entry per line, so a diff of two digest files shows which configs moved.
+``@dataclass``; and under ``src_option_names`` each option's name, such as
+``descent.py:IterateTrace.record.slack`` or
+``acceleration.py:AccelState.drift``.  It then runs each config a second
+time in the same output root, where the f* and rho cache entries of the
+first run are warm, and exits 1 if any trace or report differs from the
+cold run's.  The file holds one entry per line, so a diff of two digest
+files shows which configs moved.
 The second form leaves the counts out; it writes ``tests/goldens.json``,
 which ``tests/test_goldens.py`` checks the tree against.  ``--compare``
 prints both line counts and both option counts, each with the modules whose
-counts differ (``n/a`` for a file written before they were recorded), and
-lists the configs whose digests differ, with the largest absolute
-difference in each column, whether the metadata line is identical, both
-estimated rho and both record counts (``n/a`` for a file written before the
-metadata line, rho or the count was recorded, or with no trace) and
-whether any verdict, exit code or violation changed; it exits 1 if one did
-or a config is missing.
+counts differ (``n/a`` for a file written before they were recorded), the
+option names removed and added, and lists the configs whose digests differ,
+with the largest absolute difference in each column, whether the metadata
+line is identical, both estimated rho and both record counts (``n/a`` for a
+file written before the metadata line, rho or the count was recorded, or
+with no trace) and whether any verdict, exit code or violation changed; it
+exits 1 if one did or a config is missing.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ import json
 import os
 import sys
 import tempfile
+from collections import Counter
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COLUMNS = ("f", "grad_norm", "delta")
@@ -62,6 +66,7 @@ SRC_LINES = "src_lines"
 SRC_MODULE_LINES = "src_module_lines"
 SRC_OPTIONS = "src_options"
 SRC_MODULE_OPTIONS = "src_module_options"
+SRC_OPTION_NAMES = "src_option_names"
 
 _H2 = {"kind": "hyperboloid", "n": 2, "kappa": 1.0}
 _S2R15 = {"kind": "sphere", "n": 2, "radius": 1.5}
@@ -180,29 +185,39 @@ def _src_lines(package_dir: str) -> dict[str, int]:
     return counts
 
 
-def _src_options(package_dir: str) -> dict[str, int]:
-    """Parameter defaults of the functions, methods and lambdas in each of the
-    package's ``.py`` files, plus the defaulted fields of its ``@dataclass``
-    classes."""
+def _src_options(package_dir: str) -> dict[str, list[str]]:
+    """Names of the options in each of the package's ``.py`` files: the
+    parameter defaults of its functions, methods and lambdas, and the
+    defaulted fields of its ``@dataclass`` classes, each as the qualified
+    name of its function or class, a dot and its own name."""
     def is_dataclass(decorator):
         target = decorator.func if isinstance(decorator, ast.Call) else decorator
         return (target.attr if isinstance(target, ast.Attribute)
                 else getattr(target, "id", None)) == "dataclass"
 
-    counts = {}
+    def options(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            scope += getattr(node, "name", "<lambda>") + "."
+            a = node.args
+            positional = a.posonlyargs + a.args
+            yield from (scope + p.arg for p in positional[len(positional) - len(a.defaults):])
+            yield from (scope + p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                        if d is not None)
+        elif isinstance(node, ast.ClassDef):
+            scope += node.name + "."
+            if any(map(is_dataclass, node.decorator_list)):
+                yield from (scope + f.target.id for f in node.body
+                            if isinstance(f, ast.AnnAssign) and f.value is not None)
+        for child in ast.iter_child_nodes(node):
+            yield from options(child, scope)
+
+    names = {}
     for path in sorted(glob.glob(os.path.join(package_dir, "*.py"))):
         with open(path) as fh:
             tree = ast.parse(fh.read())
-        count = 0
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                count += len(node.args.defaults)
-                count += sum(d is not None for d in node.args.kw_defaults)
-            elif isinstance(node, ast.ClassDef) and any(map(is_dataclass, node.decorator_list)):
-                count += sum(isinstance(f, ast.AnnAssign) and f.value is not None
-                             for f in node.body)
-        counts[os.path.basename(path)] = count
-    return counts
+        module = os.path.basename(path)
+        names[module] = [f"{module}:{name}" for name in options(tree, "")]
+    return names
 
 
 def _rho(root: str) -> float | None:
@@ -224,7 +239,9 @@ def digest(out_path: str, counts: bool = True) -> int:
     if counts:
         modules, options = _src_lines(package_dir), _src_options(package_dir)
         digests = {SRC_LINES: sum(modules.values()), SRC_MODULE_LINES: modules,
-                   SRC_OPTIONS: sum(options.values()), SRC_MODULE_OPTIONS: options}
+                   SRC_OPTIONS: sum(map(len, options.values())),
+                   SRC_MODULE_OPTIONS: {k: len(v) for k, v in options.items()},
+                   SRC_OPTION_NAMES: sorted(n for v in options.values() for n in v)}
     status = 0
     with tempfile.TemporaryDirectory() as tmp:
         for path in _write_configs(os.path.join(tmp, "configs")):
@@ -299,6 +316,13 @@ def compare(a_path: str, b_path: str) -> int:
             counts = [m.get(module) for m in modules]
             if counts[0] != counts[1]:
                 print(f"  {module} " + " → ".join("-" if n is None else f"{n:,}" for n in counts))
+    names = [d.pop(SRC_OPTION_NAMES, None) for d in (a, b)]
+    if None in names:
+        print("option names n/a")
+    else:
+        before, after = map(Counter, names)
+        for label, diff in (("removed", before - after), ("added", after - before)):
+            print(f"options {label}: " + (", ".join(sorted(diff.elements())) or "none"))
     status = identical = 0
     for name in sorted(set(a) | set(b)):
         if name not in a or name not in b:

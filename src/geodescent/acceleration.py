@@ -89,15 +89,15 @@ class AccelParams:
 
 @dataclass
 class AccelState:
-    """The (x, y, z) triple after iteration k, with f(y) and grad f(y) once
-    evaluated and, after a step, the drift log_x(z_{k-1}), as coordinate arrays."""
+    """The (x, y, z) triple after iteration k, with f(y), the coordinates of
+    grad f(y) and, after a step, those of the drift log_x(z_{k-1})."""
 
     x: ManifoldPoint
     y: ManifoldPoint
     z: ManifoldPoint
-    k: int = 0
-    f_y: float | None = None
-    grad_y: np.ndarray | None = None
+    k: int
+    f_y: float
+    grad_y: np.ndarray
     drift: np.ndarray | None = None
 
 
@@ -141,7 +141,7 @@ def gradient_oracle(obj: Objective, eta: float | None = None) -> GradientDescent
 
 
 def accel_step(obj: Objective, state: AccelState, params: AccelParams,
-               step, c: float, tol: float = 0.0) -> tuple[AccelState, float]:
+               step, c: float, tol: float) -> tuple[AccelState, float]:
     """One accelerated update with y+ = step(obj, x+, grad f(x+)), a step
     G_c that claims ``f(G(x)) - f(x) <= -c * ||grad f(x)||^2``; f and grad f
     come from one ``obj._evaluate`` at x+ and one at y+.  Returns the new
@@ -211,7 +211,7 @@ def xi_solve(xi_k: float, delta_k1: float, mu: float, c: float) -> float:
 
 
 def schedule_strongly(xi_k1: float, A_k: float, mu: float, c: float,
-                      delta_k1: float = 1.0) -> tuple[AccelParams, ScheduleState]:
+                      delta_k1: float) -> tuple[AccelParams, ScheduleState]:
     """Coefficients for the strongly g-convex schedule at contraction xi_{k+1}.
 
     tau = (xi - 2*mu*c)/(1 - 2*mu*c), alpha = mu, beta = (xi - 2*mu*c)/(2c);
@@ -273,12 +273,12 @@ def energy(A: float, B: float, obj: Objective, state: AccelState,
            x_star: ManifoldPoint, f_star: float, envelope: float | None = None,
            star_log: np.ndarray | None = None) -> EnergyRecord:
     """Evaluate the energy and its components at the current state; f(y) is
-    taken from the state when it carries it, and log_x(x*) from ``star_log``
-    when the caller holds it.  d(x, z) and log_x(z) come from one raw pass, d(x, y) another."""
+    the state's, and log_x(x*) is taken from ``star_log`` when the caller
+    holds it.  d(x, z) and log_x(z) come from one raw pass, d(x, y) another."""
     m = obj.manifold
     m._own(state.y)
     m._own(state.z)
-    f_gap = (obj.value(state.y) if state.f_y is None else state.f_y) - f_star
+    f_gap = state.f_y - f_star
     if star_log is None:
         # the public call checks x*; on a Frechet mean, whose row passes make
         # no public call, it is the one log that bench/tracer.py sees

@@ -44,6 +44,8 @@ BACKWARD = "backward"
 
 # floor below which rate envelopes are no longer numerically meaningful
 ENVELOPE_FLOOR = 1e-13
+# the proximal step's budget of inner iterations
+PROX_MAX_INNER = 50_000
 
 
 class ProximalSolverError(RuntimeError):
@@ -135,7 +137,7 @@ class IterateTrace:
         """End the run and return the trace; ``columns`` are further point lists,
         one entry per recorded iterate, that the domain monitor also watches."""
         self.domain_exit = self._first_exit(columns)
-        if not all(np.isfinite(v) for v in self.values):
+        if not all(map(math.isfinite, self.values)):
             raise ValueError("non-finite objective values in trace")
         return self
 
@@ -150,9 +152,8 @@ def default_tolerance(f0: float) -> float:
 
 
 def rgd_step(obj: Objective, x: ManifoldPoint, eta: float,
-             grad: TangentVector | None = None) -> ManifoldPoint:
-    """One gradient step ``exp(x, -eta * grad f(x))``; pass ``grad`` when the
-    caller already holds grad f(x).
+             grad: TangentVector) -> ManifoldPoint:
+    """One gradient step ``exp(x, -eta * grad f(x))``, with ``grad`` = grad f(x).
 
     Requires 0 < eta < 2/L for the declared L; the corresponding
     certificate is (2, eta*(1 - L*eta/2), backward).
@@ -161,41 +162,31 @@ def rgd_step(obj: Objective, x: ManifoldPoint, eta: float,
     # an undeclared L, or L = 0 (a constant objective), bounds no step
     if not 0.0 < eta < (2.0 / L if L else np.inf):
         raise ValueError(f"eta={eta:g} outside (0, 2/L) for L={L}")
-    if grad is None:
-        obj.manifold._own(x)
-        grad = obj.gradient(x)
-    else:
-        obj.manifold._same_base(x, grad)
+    obj.manifold._same_base(x, grad)
     return obj.manifold._move(x.coords, -eta * grad.coords)
 
 
-def proximal_step(obj: Objective, x: ManifoldPoint, eta: float,
-                  tol_prox: float = 1e-9, max_inner: int = 50_000,
-                  grad: TangentVector | None = None) -> ManifoldPoint:
+def proximal_step(obj: Objective, x: ManifoldPoint, eta: float, tol_prox: float,
+                  grad: TangentVector) -> ManifoldPoint:
     """Approximate proximal point: minimize ``F(y) = f(y) + d(y, x)^2 / (2 eta)``.
 
-    The inner problem is solved from y = x, with ``grad`` = grad f(x) if
-    given, until the first-order residual ``||log(y, x) - eta * grad f(y)||``
-    (eta * ||grad F(y)||) drops below ``tol_prox``.  Each inner iteration
-    takes the Riemannian Newton step on F in the frame ``_frame(y)`` and
-    keeps it if it lowers the residual.  Otherwise, and where the Hessian of
-    F is not positive definite (f need not be convex) or the objective has
-    no ``hessian_matrix``, it takes the gradient step 1/(L_f + L_prox/eta)
-    from y.  A kept trial whose residual is not finite (eta * grad f can
-    overflow) ends the solve with ``ProximalSolverError``.  Certificate:
-    (2, eta/2, forward).
+    The inner problem is solved from y = x, with ``grad`` = grad f(x), until
+    the first-order residual ``||log(y, x) - eta * grad f(y)||`` (eta *
+    ||grad F(y)||) drops below ``tol_prox``, in at most ``PROX_MAX_INNER``
+    inner iterations.  Each takes the Riemannian Newton step on F in the
+    frame ``_frame(y)`` and keeps it if it lowers the residual.  Otherwise,
+    and where the Hessian of F is not positive definite (f need not be
+    convex) or the objective has no ``hessian_matrix``, it takes the
+    gradient step 1/(L_f + L_prox/eta) from y.  A kept trial whose residual
+    is not finite (eta * grad f can overflow) ends the solve with
+    ``ProximalSolverError``.  Certificate: (2, eta/2, forward).
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    if max_inner < 1:
-        raise ValueError("max_inner must be at least 1")
     if not tol_prox > 0:
         raise ValueError("tol_prox must be positive")
     m = obj.manifold
-    if grad is None:
-        m._own(x)
-    else:
-        m._same_base(x, grad)
+    m._same_base(x, grad)
     L_f = obj.metadata.L if obj.metadata.L is not None else 1.0
     # curvature bound for the proximal quadratic on the relevant region
     L_prox = _dist_sq_L(m, 2.0 * obj.domain.radius
@@ -209,8 +200,8 @@ def proximal_step(obj: Objective, x: ManifoldPoint, eta: float,
         back = m._defined(back)
         return y, g_f, (d, back), m._norm(y.coords, back - eta * g_f)
 
-    y, g_f, dist_log, residual = at(x, None if grad is None else grad.coords)
-    for i in range(max_inner):
+    y, g_f, dist_log, residual = at(x, grad.coords)
+    for i in range(PROX_MAX_INNER):
         if residual < tol_prox:
             return y
         tested, grad_F = residual, g_f - dist_log[1] / eta
@@ -223,7 +214,7 @@ def proximal_step(obj: Objective, x: ManifoldPoint, eta: float,
             raise ProximalSolverError(
                 f"optimality residual {residual} is not finite at inner iteration {i + 1}")
     raise ProximalSolverError(
-        f"optimality residual {tested:.3e} > {tol_prox:g} after {max_inner} inner iterations"
+        f"optimality residual {tested:.3e} > {tol_prox:g} after {PROX_MAX_INNER} inner iterations"
     )
 
 
@@ -285,10 +276,9 @@ def _solve_cubic_model(g: np.ndarray, evals: np.ndarray, evecs: np.ndarray,
     raise SubsolverError("secular equation: Newton did not converge in 100 steps")
 
 
-def cubic_newton_step(obj: Objective, x: ManifoldPoint, M: float, theta: float,
-                      rho: float | None = None,
-                      grad: TangentVector | None = None) -> tuple[ManifoldPoint, TangentVector]:
-    """One cubic-regularized Newton step; ``grad`` is grad f(x) if known.
+def cubic_newton_step(obj: Objective, x: ManifoldPoint, M: float, theta: float, rho: float,
+                      grad: TangentVector) -> tuple[ManifoldPoint, TangentVector]:
+    """One cubic-regularized Newton step from ``grad`` = grad f(x).
 
     Returns ``(exp(x, s), s)`` where s minimizes the cubic model
     ``m(s) = f(x) + <g,s> + s'Hs/2 + M||s||^3/3`` and satisfies the
@@ -296,7 +286,6 @@ def cubic_newton_step(obj: Objective, x: ManifoldPoint, M: float, theta: float,
     (re-verified here, up to float-level slack).  Certificate:
     (3, (M/3 - rho/6) * (theta + rho/2 + M)^(-3/2), forward).
     """
-    rho = obj.metadata.rho if rho is None else rho
     if rho is None:
         raise ValueError("cubic Newton needs a Hessian-Lipschitz constant rho")
     if not M > rho / 2.0:
@@ -304,10 +293,9 @@ def cubic_newton_step(obj: Objective, x: ManifoldPoint, M: float, theta: float,
     if theta <= 0:
         raise ValueError("theta must be positive")
     m = obj.manifold
-    g_vec = obj.gradient(x) if grad is None else grad
-    m._same_base(x, g_vec)
+    m._same_base(x, grad)
     B = m._frame(x.coords)
-    g = m._inner_rows(x.coords, B, g_vec.coords)
+    g = m._inner_rows(x.coords, B, grad.coords)
     H = obj.hessian_matrix(x, basis=B)
     gn = _norm2(g)
     evals, evecs = np.linalg.eigh(H)
@@ -353,7 +341,7 @@ class GradientDescent:
 
     eta: float
 
-    def step(self, obj, x, grad=None):
+    def step(self, obj, x, grad):
         return rgd_step(obj, x, self.eta, grad)
 
     def certificate(self, obj, direction: str = BACKWARD) -> DescentCertificate:
@@ -373,8 +361,8 @@ class ProximalPoint:
     eta: float
     tol_prox: float = 1e-9
 
-    def step(self, obj, x, grad=None):
-        return proximal_step(obj, x, self.eta, self.tol_prox, grad=grad)
+    def step(self, obj, x, grad):
+        return proximal_step(obj, x, self.eta, self.tol_prox, grad)
 
     def certificate(self, obj, direction: str = FORWARD) -> DescentCertificate:
         """Forward: c = eta/2.  Backward (the decrease measured at the input
@@ -409,7 +397,7 @@ class CubicNewton:
         theta = self.theta if self.theta is not None else rho / 2.0
         return M, theta, rho
 
-    def step(self, obj, x, grad=None):
+    def step(self, obj, x, grad):
         M, theta, rho = self._params(obj)
         return cubic_newton_step(obj, x, M, theta, rho, grad)[0]
 

@@ -516,7 +516,7 @@ def run_experiment(cfg: ExperimentConfig, out_root: str) -> ExperimentResult:
     report = {
         "schema": REPORT_SCHEMA,
         "config": cfg.as_dict(),
-        "config_hash": cfg.config_hash,
+        "config_hash": meta["config_hash"],
         "errors": errors,
         "guarantees": guarantees,
         "f_star": f_star,
@@ -536,8 +536,7 @@ def run_experiment(cfg: ExperimentConfig, out_root: str) -> ExperimentResult:
     exit_code = 1 if failed else 0
     report["exit_code"] = exit_code
     with open(report_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return ExperimentResult(exit_code, report, trace_path, report_path)
 
 
@@ -631,9 +630,10 @@ class Comparison:
         return "\n".join(lines)
 
 
-def compare_report(traces: list[TraceData], labels: list[str] | None = None) -> Comparison:
+def compare_report(traces: list[TraceData], labels: list[str]) -> Comparison:
     """Align traces on a shared objective and x0, tabulate per-k gaps and the
-    crossover iteration after which each trace stays below the first."""
+    crossover iteration after which each trace stays below the first;
+    ``labels`` names the traces in order."""
     if len(traces) < 2:
         raise ValueError("need at least two traces to compare")
     base, *rest = map(_iterated, traces)
@@ -646,7 +646,6 @@ def compare_report(traces: list[TraceData], labels: list[str] | None = None) -> 
     n = min(len(t.records) for t in traces)
     ks = base.ks[:n]
     gaps = np.vstack([t.gaps[:n] for t in traces])
-    labels = labels or [f"t{j}" for j in range(len(traces))]
     crossovers: list[int | None] = [None]
     for j in range(1, len(traces)):
         k = accel.settles_from(gaps[j] < gaps[0])

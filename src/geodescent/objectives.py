@@ -96,9 +96,9 @@ class Objective:
     def _evaluate(self, x: ManifoldPoint) -> tuple[float, np.ndarray]:
         return self.value(x), self.gradient(x).coords
 
-    def hessian_matrix(self, x: ManifoldPoint, basis: np.ndarray | None = None) -> np.ndarray:
+    def hessian_matrix(self, x: ManifoldPoint, basis: np.ndarray) -> np.ndarray:
         """Symmetric Hessian in the coordinates of the rows of ``basis``, an orthonormal
-        tangent basis at ``x``: ``orthonormal_basis(x)`` if None."""
+        tangent basis at ``x`` such as ``orthonormal_basis(x)``."""
         raise NotImplementedError
 
     def _set_solution(self, x_star: ManifoldPoint, f_star: float | None = None):
@@ -187,9 +187,8 @@ class Quadratic(Objective):
     def gradient(self, x):
         return TangentVector(x, self.scales * (x.coords - self.b))
 
-    def hessian_matrix(self, x, basis=None):
-        B = self.manifold.orthonormal_basis(x) if basis is None else basis
-        return (B * self.scales) @ B.T
+    def hessian_matrix(self, x, basis):
+        return (basis * self.scales) @ basis.T
 
 
 class SquaredDistance(Objective):
@@ -223,8 +222,7 @@ class SquaredDistance(Objective):
         d, lg = self.manifold._dist_log(x.coords, self.target.coords)
         return 0.5 * d**2, -self.manifold._defined(lg)
 
-    def hessian_matrix(self, x, basis=None):
-        basis = self.manifold.orthonormal_basis(x) if basis is None else basis
+    def hessian_matrix(self, x, basis):
         return _dist_sq_hessian(self.manifold, x, self.target, basis)
 
 
@@ -281,12 +279,11 @@ class FrechetMean(Objective):
         g = -_sum_rows(self.manifold._defined(self._pass_at(x)[1]))
         return TangentVector(x, g / len(self.samples))
 
-    def hessian_matrix(self, x, basis=None):
+    def hessian_matrix(self, x, basis):
         """mean(trans) * I + U^T diag((1 - trans) / N) U, where row i of U
         holds the basis coordinates of the unit direction to sample i and
         trans its transverse eigenvalue; a sample at x contributes I."""
         m = self.manifold
-        basis = m.orthonormal_basis(x) if basis is None else basis
         n = len(self.samples)
         d, lg = self._pass_at(x)
         trans = comparison(m.curvature, d)  # 1 for a sample at x
@@ -330,10 +327,9 @@ class SphereRayleigh(Objective):
         g = self.manifold._project_tangent(x.coords, -self.Q @ x.coords)
         return TangentVector(x, g)
 
-    def hessian_matrix(self, x, basis=None):
-        B = self.manifold.orthonormal_basis(x) if basis is None else basis
+    def hessian_matrix(self, x, basis):
         shift = float(x.coords @ self.Q @ x.coords) / self.manifold.radius**2
-        H = B @ -self.Q @ B.T + shift * np.eye(len(B))
+        H = basis @ -self.Q @ basis.T + shift * np.eye(len(basis))
         return 0.5 * (H + H.T)
 
 

@@ -4,6 +4,7 @@ reference solvers and checks used across the test modules."""
 import numpy as np
 from hypothesis import assume
 
+from geodescent.acceleration import AccelState
 from geodescent.geometry import DomainSpec, Euclidean, Hyperboloid, Sphere, TangentVector
 from geodescent.objectives import FrechetMean, Quadratic, SphereRayleigh, SquaredDistance
 
@@ -34,6 +35,11 @@ def point_at(m, rng, center, dist):
 def tangent_of_norm(m, rng, x, norm):
     u = unit_tangent(m, rng, x)
     return TangentVector(x, norm * u.coords)
+
+
+def accel_state(obj, x, y, z):
+    """The accelerated state (x, y, z) at k = 0, with f(y) and grad f(y)."""
+    return AccelState(x, y, z, 0, obj.value(y), obj.gradient(y).coords)
 
 
 def make_quadratic(scales=None):

@@ -10,7 +10,7 @@ from geodescent import acceleration as acc
 from geodescent.descent import BACKWARD, FORWARD, CubicNewton, ProximalPoint, default_tolerance
 from geodescent.geometry import DomainSpec, Euclidean, Sphere, TangentVector
 from geodescent.objectives import Quadratic
-from helpers import make_frechet_h2, make_sqdist_h2, point_at, xi_solve_bisect
+from helpers import accel_state, make_frechet_h2, make_sqdist_h2, point_at, xi_solve_bisect
 
 
 def _strongly_run(c_target=0.005, k_max=150, x0_dist=0.9, seed=0, **kw):
@@ -52,7 +52,7 @@ def test_accel_step_tau_one_moves_to_z():
     rng = np.random.default_rng(1)
     y = point_at(m, rng, obj.target, 0.8)
     z = point_at(m, rng, obj.target, 0.6)
-    state = acc.AccelState(x=y, y=y, z=z)
+    state = accel_state(obj, y, y, z)
     new, _ = acc.accel_step(obj, state, acc.AccelParams(1.0, 0.0, 1.0), *_rgd(obj), 1e-9)
     assert m.distance(new.x, z) < 1e-9
 
@@ -63,7 +63,7 @@ def test_accel_step_small_tau_stays_at_y():
     rng = np.random.default_rng(2)
     y = point_at(m, rng, obj.target, 0.8)
     z = point_at(m, rng, obj.target, 0.6)
-    state = acc.AccelState(x=y, y=y, z=z)
+    state = accel_state(obj, y, y, z)
     new, _ = acc.accel_step(obj, state, acc.AccelParams(1e-12, 0.0, 1.0), *_rgd(obj), 1e-9)
     assert m.distance(new.x, y) < 1e-10
 
@@ -73,7 +73,7 @@ def test_accel_step_euclidean_alpha_zero_is_nesterov_dual():
     E = obj.manifold
     y = E.point([1.0, -2.0])
     z = E.point([0.4, 0.3])
-    state = acc.AccelState(x=y, y=y, z=z)
+    state = accel_state(obj, y, y, z)
     tau, beta = 0.3, 2.0
     new, _ = acc.accel_step(obj, state, acc.AccelParams(tau, 0.0, beta), *_rgd(obj), 1e-9)
     x_new = (1 - tau) * y.coords + tau * z.coords
@@ -92,7 +92,7 @@ def test_update_exactness_invariant():
         z = point_at(m, rng, obj.target, rng.uniform(0.2, 1.0))
         params = acc.AccelParams(rng.uniform(0.05, 0.95), rng.uniform(0.0, 2.0),
                                  rng.uniform(0.5, 3.0))
-        state = acc.AccelState(x=y, y=y, z=z)
+        state = accel_state(obj, y, y, z)
         new, _ = acc.accel_step(obj, state, params, step, c, 1e-9)
         resid = (params.alpha + params.beta) * m.log(new.x, new.z).coords \
             + obj.gradient(new.x).coords - params.beta * m.log(new.x, state.z).coords
@@ -101,11 +101,11 @@ def test_update_exactness_invariant():
 
 def test_oracle_violation_is_fatal():
     obj = make_sqdist_h2()
-    def identity(o, x, grad=None):
+    def identity(o, x, grad):
         return x
 
     y = point_at(obj.manifold, np.random.default_rng(4), obj.target, 0.9)
-    state = acc.AccelState(x=y, y=y, z=y)
+    state = accel_state(obj, y, y, y)
     with pytest.raises(acc.OracleViolationError):
         acc.accel_step(obj, state, acc.AccelParams(0.5, 0.0, 1.0), identity, 0.5, 1e-9)
 
@@ -118,7 +118,7 @@ def test_proximal_oracle_contract():
     rng = np.random.default_rng(5)
     for _ in range(10):
         x = point_at(m, rng, obj.target, rng.uniform(0.2, 1.2))
-        y = oracle.step(obj, x)
+        y = oracle.step(obj, x, obj.gradient(x))
         drop = obj.value(y) - obj.value(x)
         assert drop <= -c * m.norm(x, obj.gradient(x)) ** 2 + 1e-10
 
@@ -222,7 +222,7 @@ def test_xi_bracket_preservation_hypothesis(data):
 
 def test_schedule_strongly_example():
     mu, c = 1.0, 0.08
-    params, sched = acc.schedule_strongly(0.4, 1.0, mu, c)
+    params, sched = acc.schedule_strongly(0.4, 1.0, mu, c, 1.0)
     assert params.tau == pytest.approx((0.4 - 0.16) / (1 - 0.16))
     assert params.tau == pytest.approx(0.285714, abs=1e-6)
     assert params.alpha == mu
@@ -235,7 +235,7 @@ def test_schedule_strongly_example():
 def test_schedule_strongly_stores_the_distortion_rate():
     # the delta that produced xi is stored; the coefficients depend on xi alone
     mu, c = 1.0, 0.08
-    params, sched = acc.schedule_strongly(0.4, 1.0, mu, c)
+    params, sched = acc.schedule_strongly(0.4, 1.0, mu, c, 1.0)
     params_d, sched_d = acc.schedule_strongly(0.4, 1.0, mu, c, 1.7)
     assert params_d == params
     assert sched_d.delta == 1.7
@@ -260,15 +260,15 @@ def test_strongly_run_records_the_rate_behind_each_xi(delta_mode):
 def test_schedule_strongly_degenerate_endpoint():
     mu, c = 1.0, 0.08
     with pytest.raises(ValueError):
-        acc.schedule_strongly(2 * mu * c, 1.0, mu, c)  # beta would be 0
+        acc.schedule_strongly(2 * mu * c, 1.0, mu, c, 1.0)  # beta would be 0
     with pytest.raises(ValueError):
-        acc.schedule_strongly(0.4, 1.0, 1.0, 0.6)  # c >= 1/(2 mu)
+        acc.schedule_strongly(0.4, 1.0, 1.0, 0.6, 1.0)  # c >= 1/(2 mu)
 
 
 @pytest.mark.parametrize("mu", [0.0, -1.0])
 def test_schedule_strongly_rejects_a_nonpositive_mu(mu):
     with pytest.raises(ValueError, match="degenerate schedule"):
-        acc.schedule_strongly(0.5, 1.0, mu, 0.1)
+        acc.schedule_strongly(0.5, 1.0, mu, 0.1, 1.0)
 
 
 def test_strongly_run_rejects_c_at_the_bound_before_recording():
@@ -327,7 +327,7 @@ def test_distortion_oracle_mode_is_definitional():
 def test_energy_zero_at_solution():
     obj = make_sqdist_h2()
     t = obj.target
-    state = acc.AccelState(x=t, y=t, z=t)
+    state = accel_state(obj, t, t, t)
     rec = acc.energy(1.0, 1.0, obj, state, t, 0.0)
     assert rec.E == 0.0 and rec.f_gap == 0.0 and rec.dist_term == 0.0
     assert rec.d_xy == 0.0 and rec.d_xz == 0.0
@@ -339,7 +339,7 @@ def test_energy_euclidean_dist_term_ignores_base():
     z = E.point([1.0, 2.0])
     xstar = E.point([0.0, 0.0])
     for xc in ([0.0, 0.0], [5.0, -3.0]):
-        state = acc.AccelState(x=E.point(xc), y=z, z=z)
+        state = accel_state(obj, E.point(xc), z, z)
         rec = acc.energy(0.0, 1.0, obj, state, xstar, 0.0)
         assert rec.dist_term == pytest.approx(5.0)
 
@@ -349,7 +349,7 @@ def test_energy_arithmetic():
     E = obj.manifold
     y = E.point([1.0])       # f = 0.5, gap = 0.5
     z = E.point([-np.sqrt(2.0)])
-    state = acc.AccelState(x=E.point([0.0]), y=y, z=z)
+    state = accel_state(obj, E.point([0.0]), y, z)
     rec = acc.energy(1.0, 1.0, obj, state, E.point([0.0]), 0.0)
     assert rec.f_gap == pytest.approx(0.5)
     assert rec.dist_term == pytest.approx(2.0)

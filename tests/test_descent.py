@@ -83,6 +83,19 @@ def test_trace_validation():
         _recorded([0.0, np.inf], [0.0, 0.0], [0.0])
 
 
+@pytest.mark.parametrize("f", [np.nan, -np.inf, np.float64(np.inf), np.float64(np.nan)],
+                         ids=["nan", "minus-inf", "float64-inf", "float64-nan"])
+def test_trace_close_rejects_each_non_finite_value(f):
+    with pytest.raises(ValueError, match="non-finite objective values"):
+        _recorded([0.0, 1.0, f], [0.0, 0.0, 0.0], [0.0, 0.0])
+
+
+def test_trace_close_accepts_extreme_finite_values():
+    values = [np.finfo(float).max, -np.finfo(float).max, np.float64(5e-324), -0.0]
+    tr = _recorded(values, [0.0] * 4, [0.0] * 3)
+    assert tr.values == values and tr.domain_exit is None
+
+
 # ---------------------------------------------------------------------------
 # gradient descent
 
@@ -90,22 +103,24 @@ def test_trace_validation():
 def test_rgd_one_step_exact_on_quadratic():
     obj = Quadratic([0.0, 0.0])
     x = obj.manifold.point([3.0, 4.0])
-    np.testing.assert_allclose(rgd_step(obj, x, 1.0).coords, [0.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(rgd_step(obj, x, 1.0, obj.gradient(x)).coords, [0.0, 0.0],
+                               atol=1e-15)
 
 
 def test_rgd_fixed_point_at_zero_gradient():
     obj = make_sqdist_h2()
     t = obj.target
-    out = rgd_step(obj, t, 0.3)
+    out = rgd_step(obj, t, 0.3, obj.gradient(t))
     assert obj.manifold.distance(out, t) < 1e-12
 
 
 def test_rgd_eta_range():
     obj = Quadratic([0.0, 0.0])
+    x = obj.manifold.point([1.0, 0.0])
     with pytest.raises(ValueError):
-        rgd_step(obj, obj.manifold.point([1.0, 0.0]), 2.5)
+        rgd_step(obj, x, 2.5, obj.gradient(x))
     with pytest.raises(ValueError):
-        rgd_step(obj, obj.manifold.point([1.0, 0.0]), -0.1)
+        rgd_step(obj, x, -0.1, obj.gradient(x))
 
 
 def test_rgd_eta_range_without_a_declared_L():
@@ -115,8 +130,8 @@ def test_rgd_eta_range_without_a_declared_L():
     x = point_at(obj.manifold, np.random.default_rng(4), obj.target, 0.5)
     for eta in (0.0, -0.1, float("nan")):
         with pytest.raises(ValueError, match="outside"):
-            rgd_step(obj, x, eta)
-    assert obj.value(rgd_step(obj, x, 0.1)) < obj.value(x)
+            rgd_step(obj, x, eta, obj.gradient(x))
+    assert obj.value(rgd_step(obj, x, 0.1, obj.gradient(x))) < obj.value(x)
 
 
 def test_rgd_step_on_a_constant_objective():
@@ -124,9 +139,9 @@ def test_rgd_step_on_a_constant_objective():
     obj = SphereRayleigh(Sphere(2), np.zeros((3, 3)))
     assert obj.metadata.L == 0.0
     x = obj.manifold.origin()
-    assert np.array_equal(rgd_step(obj, x, 1.0).coords, x.coords)
+    assert np.array_equal(rgd_step(obj, x, 1.0, obj.gradient(x)).coords, x.coords)
     with pytest.raises(ValueError):
-        rgd_step(obj, x, 0.0)
+        rgd_step(obj, x, 0.0, obj.gradient(x))
 
 
 def test_rgd_descent_inequality_on_h2():
@@ -139,7 +154,7 @@ def test_rgd_descent_inequality_on_h2():
     for _ in range(20):
         x = point_at(m, rng, obj.domain.center, rng.uniform(0.2, 1.2))
         g2 = m.norm(x, obj.gradient(x)) ** 2
-        assert obj.value(rgd_step(obj, x, eta)) <= obj.value(x) - c * g2 + 1e-12
+        assert obj.value(rgd_step(obj, x, eta, obj.gradient(x))) <= obj.value(x) - c * g2 + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -149,18 +164,18 @@ def test_rgd_descent_inequality_on_h2():
 def test_proximal_closed_form_euclidean():
     obj = Quadratic([0.0, 0.0])
     x = obj.manifold.point([2.0, 0.0])
-    out = proximal_step(obj, x, 1.0)
+    out = proximal_step(obj, x, 1.0, 1e-9, obj.gradient(x))
     np.testing.assert_allclose(out.coords, [1.0, 0.0], atol=1e-8)
     # general closed form (x + eta*b) / (1 + eta)
     obj2 = Quadratic([1.0, -2.0])
     x2 = obj2.manifold.point([0.5, 0.5])
-    out2 = proximal_step(obj2, x2, 0.7)
+    out2 = proximal_step(obj2, x2, 0.7, 1e-9, obj2.gradient(x2))
     np.testing.assert_allclose(out2.coords, (x2.coords + 0.7 * obj2.b) / 1.7, atol=1e-8)
 
 
 def test_proximal_fixed_point_at_minimizer():
     obj = make_sqdist_h2()
-    out = proximal_step(obj, obj.target, 1.0)
+    out = proximal_step(obj, obj.target, 1.0, 1e-9, obj.gradient(obj.target))
     assert obj.manifold.distance(out, obj.target) < 1e-9
 
 
@@ -170,7 +185,7 @@ def test_proximal_geodesic_contraction_on_h2():
     rng = np.random.default_rng(1)
     for eta in (0.5, 1.0, 2.0):
         x = point_at(m, rng, obj.target, 1.1)
-        out = proximal_step(obj, x, eta)
+        out = proximal_step(obj, x, eta, 1e-9, obj.gradient(x))
         d = m.distance(x, obj.target)
         assert m.distance(out, obj.target) == pytest.approx(d / (1 + eta), abs=1e-6)
         # optimality residual
@@ -178,18 +193,20 @@ def test_proximal_geodesic_contraction_on_h2():
         assert np.sqrt(max(m._inner(out.coords, res, res), 0.0)) < 1e-9
 
 
-def test_proximal_inner_budget_error():
+def test_proximal_inner_budget_error(monkeypatch):
     # Newton solves the squared distance in one step, a Frechet mean in four
     obj = make_frechet_h2()
     x = point_at(obj.manifold, np.random.default_rng(2), obj.domain.center, 1.0)
-    with pytest.raises(ProximalSolverError):
-        proximal_step(obj, x, 1.0, max_inner=2)
+    monkeypatch.setattr(descent, "PROX_MAX_INNER", 2)
+    with pytest.raises(ProximalSolverError, match="after 2 inner iterations"):
+        proximal_step(obj, x, 1.0, 1e-9, obj.gradient(x))
 
 
 def _prox_hessian_min(obj, y, x, eta):
     """Smallest Hessian eigenvalue at y of f + d(., x)^2 / (2 eta)."""
     m = obj.manifold
-    H = obj.hessian_matrix(y) + _dist_sq_hessian(m, y, x, m.orthonormal_basis(y)) / eta
+    B = m.orthonormal_basis(y)
+    H = obj.hessian_matrix(y, B) + _dist_sq_hessian(m, y, x, B) / eta
     return float(np.linalg.eigvalsh(H).min())
 
 
@@ -197,7 +214,7 @@ def _assert_matches_gradient_reference(obj, x, eta, tol_prox=1e-9):
     # a residual eta*||grad F(y)|| below tol_prox puts y within
     # tol_prox / (eta * mu_F) of the exact proximal point, mu_F the smallest
     # Hessian eigenvalue of F there; so the two answers lie within twice that
-    y = proximal_step(obj, x, eta, tol_prox)
+    y = proximal_step(obj, x, eta, tol_prox, obj.gradient(x))
     ref, _ = proximal_gradient_reference(obj, x, eta, tol_prox)
     bound = 2.0 * tol_prox / (eta * _prox_hessian_min(obj, y, x, eta))
     assert obj.manifold.distance(y, ref) < bound
@@ -253,11 +270,12 @@ def test_proximal_without_a_hessian_is_the_gradient_reference(monkeypatch):
     # which are the reference's own, kernel for kernel
     obj = make_sqdist_h2()
     monkeypatch.setattr(obj, "hessian_matrix",
-                        lambda y, basis=None: Objective.hessian_matrix(obj, y, basis))
+                        lambda y, basis: Objective.hessian_matrix(obj, y, basis))
     x = point_at(obj.manifold, np.random.default_rng(2), obj.target, 1.0)
     ref, steps = proximal_gradient_reference(obj, x, 1.0)
     assert steps > 2
-    np.testing.assert_array_equal(proximal_step(obj, x, 1.0).coords, ref.coords)
+    np.testing.assert_array_equal(proximal_step(obj, x, 1.0, 1e-9, obj.gradient(x)).coords,
+                                  ref.coords)
 
 
 @pytest.mark.parametrize("tol_prox", [0.0, -1e-9])
@@ -265,7 +283,7 @@ def test_proximal_rejects_a_nonpositive_tolerance(tol_prox):
     obj = make_sqdist_h2()
     x = point_at(obj.manifold, np.random.default_rng(2), obj.target, 1.0)
     with pytest.raises(ValueError, match="tol_prox must be positive"):
-        proximal_step(obj, x, 1.0, tol_prox=tol_prox)
+        proximal_step(obj, x, 1.0, tol_prox, obj.gradient(x))
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +294,7 @@ def test_cubic_zero_gradient_psd_returns_zero_step():
     obj = make_sqdist_h2()
     rho = estimate_hessian_lipschitz(obj, np.random.default_rng(3))
     obj.with_rho(rho)
-    out, s = cubic_newton_step(obj, obj.target, M=rho, theta=rho / 2)
+    out, s = cubic_newton_step(obj, obj.target, rho, rho / 2, rho, obj.gradient(obj.target))
     assert obj.manifold.norm(obj.target, s) == 0.0
     assert obj.manifold.distance(out, obj.target) == 0.0
 
@@ -291,7 +309,7 @@ def test_cubic_secular_equation_against_1d_oracle():
     gn = np.linalg.norm(g)
     t = (-1.0 + np.sqrt(1.0 + 4.0 * M * gn)) / (2.0 * M * gn)
     assert t * (1.0 + M * gn * t) == pytest.approx(1.0, abs=1e-14)
-    out, s = cubic_newton_step(obj, x, M=M, theta=0.5)
+    out, s = cubic_newton_step(obj, x, M, 0.5, 1.0, obj.gradient(x))
     np.testing.assert_allclose(s.coords, -t * g, atol=1e-10)
     np.testing.assert_allclose(out.coords, x.coords - t * g, atol=1e-10)
 
@@ -361,11 +379,11 @@ def test_cubic_acceptance_conditions_reverified():
     rng = np.random.default_rng(5)
     for _ in range(10):
         x = point_at(m, rng, obj.target, rng.uniform(0.3, 1.2))
-        out, s = cubic_newton_step(obj, x, M=rho, theta=rho / 2)
+        out, s = cubic_newton_step(obj, x, rho, rho / 2, rho, obj.gradient(x))
         basis = m.orthonormal_basis(x)
         sc = basis_coords(m, x.coords, basis, s.coords)
         g = basis_coords(m, x.coords, basis, obj.gradient(x).coords)
-        H = obj.hessian_matrix(x)
+        H = obj.hessian_matrix(x, basis)
         drop = g @ sc + 0.5 * sc @ H @ sc + rho / 3.0 * np.linalg.norm(sc) ** 3
         assert drop <= 1e-10
         grad_model = g + H @ sc + rho * np.linalg.norm(sc) * sc
@@ -379,7 +397,7 @@ def test_cubic_descent_inequality_p3_on_h2():
     m = obj.manifold
     c = 1.0 / (12.0 * np.sqrt(2.0) * np.sqrt(rho))
     x = point_at(m, np.random.default_rng(7), obj.target, 1.0)
-    out, _ = cubic_newton_step(obj, x, M=rho, theta=rho / 2)
+    out, _ = cubic_newton_step(obj, x, rho, rho / 2, rho, obj.gradient(x))
     gn_new = m.norm(out, obj.gradient(out))
     assert obj.value(out) <= obj.value(x) - c * gn_new**1.5 + 1e-12
 
@@ -391,7 +409,7 @@ def test_cubic_escapes_rayleigh_saddle():
     S = obj.manifold
     saddle = S.point([0.0, 0.0, 1.0])  # eigenvector of the smallest eigenvalue
     assert S.norm(saddle, obj.gradient(saddle)) < 1e-12
-    out, s = cubic_newton_step(obj, saddle, M=rho, theta=rho / 2)
+    out, s = cubic_newton_step(obj, saddle, rho, rho / 2, rho, obj.gradient(saddle))
     assert S.norm(saddle, s) > 1e-3
     assert obj.value(out) < obj.value(saddle)
 
@@ -416,7 +434,7 @@ def test_cubic_theta_fallback_meets_the_theta_condition():
     s0 = descent._solve_cubic_model(g, evals, evecs, M)
     assert np.linalg.norm(model_grad(s0)) > theta * np.dot(s0, s0) + atol
 
-    _, s = cubic_newton_step(obj, x, M, theta, rho=4.0)
+    _, s = cubic_newton_step(obj, x, M, theta, 4.0, obj.gradient(x))
     sc = basis_coords(S, x.coords, basis, s.coords)
     assert np.linalg.norm(model_grad(sc)) <= theta * np.dot(sc, sc) + atol
     assert g @ sc + 0.5 * sc @ H @ sc + M / 3.0 * np.linalg.norm(sc) ** 3 <= 0.0
@@ -435,9 +453,9 @@ def test_cubic_parameter_validation():
     obj = Quadratic([0.0, 0.0]).with_rho(1.0)
     x = obj.manifold.point([1.0, 0.0])
     with pytest.raises(ValueError):
-        cubic_newton_step(obj, x, M=0.4, theta=0.5)  # M <= rho/2
+        cubic_newton_step(obj, x, 0.4, 0.5, 1.0, obj.gradient(x))  # M <= rho/2
     with pytest.raises(ValueError):
-        cubic_newton_step(obj, x, M=1.0, theta=0.0)
+        cubic_newton_step(obj, x, 1.0, 0.0, 1.0, obj.gradient(x))
 
 
 def test_cubic_newton_without_rho_raises_at_both_entry_points():
@@ -449,10 +467,10 @@ def test_cubic_newton_without_rho_raises_at_both_entry_points():
     with pytest.raises(ValueError, match="needs a Hessian-Lipschitz constant rho"):
         alg.certificate(obj)
     with pytest.raises(ValueError, match="needs a Hessian-Lipschitz constant rho"):
-        alg.step(obj, x)
+        alg.step(obj, x, obj.gradient(x))
     obj.with_rho(1.0)
     assert alg.certificate(obj).c > 0.0
-    assert obj.value(alg.step(obj, x)) < obj.value(x)
+    assert obj.value(alg.step(obj, x, obj.gradient(x))) < obj.value(x)
 
 
 # ---------------------------------------------------------------------------

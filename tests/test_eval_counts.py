@@ -22,7 +22,7 @@ from geodescent.descent import (BACKWARD, CubicNewton, GradientDescent, Proximal
 from geodescent.geometry import (BaseMismatchError, GeometryError, Hyperboloid, Manifold,
                                  ManifoldMismatchError, TangentVector)
 from geodescent.objectives import estimate_hessian_lipschitz, reference_minimize
-from helpers import make_frechet_h2, make_sqdist_h2, point_at
+from helpers import accel_state, make_frechet_h2, make_sqdist_h2, point_at
 
 K = 12
 
@@ -71,11 +71,11 @@ def test_step_reuses_the_recorded_gradient(make_alg):
     counts = _counting(obj)
     trace = run_descent(alg, obj, x0, K)
     in_run = dict(counts)
-    # the same steps taken on their own, each evaluating grad f(x_k) itself;
-    # in the run, the only gradient calls are the steps' inner ones
+    # the same steps taken on their own, each handed grad f(x_k) from one
+    # gradient call; in the run, the only gradient calls are the steps' inner ones
     counts.update(value=0, gradient=0)
     for x in trace.iterates[:-1]:
-        alg.step(obj, x)
+        alg.step(obj, x, obj.gradient(x))
     standalone = counts["gradient"]
     assert in_run["value"] == 0
     assert in_run["_evaluate"] == K + 1
@@ -97,7 +97,7 @@ def test_proximal_step_on_squared_distance_takes_one_newton_step(eta):
     # the exact proximal point, whose residual test ends the inner loop
     obj, x0 = _problem()
     counts = _counting(obj)
-    proximal_step(obj, x0, eta)
+    proximal_step(obj, x0, eta, 1e-9, obj.gradient(x0))
     assert counts["gradient"] <= 2
 
 
@@ -112,15 +112,16 @@ def test_accel_step_hands_the_oracle_its_gradient():
     obj, x0 = _problem()
     oracle = ProximalPoint(1.0)
     c = oracle.certificate(obj, BACKWARD).c
-    state = acc.AccelState(x0, x0, point_at(obj.manifold, np.random.default_rng(6), x0, 0.5))
+    state = accel_state(obj, x0, x0, point_at(obj.manifold, np.random.default_rng(6), x0, 0.5))
     counts = _counting(obj)
-    new_state, _ = acc.accel_step(obj, state, acc.AccelParams(0.5, 0.1, 1.0), oracle.step, c)
+    new_state, _ = acc.accel_step(obj, state, acc.AccelParams(0.5, 0.1, 1.0), oracle.step, c,
+                                  0.0)
     in_step = dict(counts)
     counts.update(gradient=0)
-    oracle.step(obj, new_state.x)
+    oracle.step(obj, new_state.x, obj.gradient(new_state.x))
     # grad f(x+) once, by _evaluate, for the z-update and the oracle, which
-    # on its own takes it with one gradient call; the rest is the oracle's
-    # inner loop
+    # on its own is handed it from one gradient call; the rest is the
+    # oracle's inner loop
     assert in_step["_evaluate"] == 2
     assert in_step["gradient"] == counts["gradient"] - 1
 
@@ -267,11 +268,11 @@ def test_newton_steps_build_one_basis_per_iteration(monkeypatch):
 
     monkeypatch.setattr(Hyperboloid, "_frame", counted_frame)
     calls = _public_geometry_calls(monkeypatch, ("orthonormal_basis",))
-    proximal_step(obj, x, 1.0)
+    proximal_step(obj, x, 1.0, 1e-9, obj.gradient(x))
     assert frames["calls"] == hessians["calls"] > 1
     assert calls["orthonormal_basis"] == 0
     frames["calls"] = hessians["calls"] = 0
-    cubic_newton_step(obj, x, 1.0, 0.5, rho=1.0)
+    cubic_newton_step(obj, x, 1.0, 0.5, 1.0, obj.gradient(x))
     assert frames["calls"] == hessians["calls"] == 1
     assert calls["orthonormal_basis"] == 0
 
@@ -291,7 +292,7 @@ def test_proximal_newton_iteration_takes_one_pass_to_the_prox_centre(monkeypatch
         return dist_log(*args)
 
     monkeypatch.setattr(Hyperboloid, "_dist_log", counted_pass)
-    proximal_step(obj, x, 1.0)
+    proximal_step(obj, x, 1.0, 1e-9, obj.gradient(x))
     # one at the start, one per accepted Newton point
     assert passes["calls"] == hessians["calls"] + 1 > 2
 
@@ -311,7 +312,7 @@ def test_frechet_mean_value_gradient_and_hessian_share_one_kernel_pass(monkeypat
     for p in (x, x, y, x):
         obj.value(p)
         obj.gradient(p)
-        obj.hessian_matrix(p)
+        obj.hessian_matrix(p, m.orthonormal_basis(p))
     assert calls["passes"] == 3
 
 
@@ -329,10 +330,11 @@ def test_frechet_mean_makes_no_public_geometry_calls(monkeypatch):
     # over the sample array, never a per-sample public call
     obj = make_frechet_h2(num=50, solve_reference=False)
     x = point_at(obj.manifold, np.random.default_rng(5), obj.domain.center, 0.5)
+    basis = obj.manifold.orthonormal_basis(x)
     calls = _public_geometry_calls(monkeypatch, ("log", "distance", "exp"))
     obj.value(x)
     obj.gradient(x)
-    obj.hessian_matrix(x)
+    obj.hessian_matrix(x, basis)
     assert calls == {"log": 0, "distance": 0, "exp": 0}
 
 
@@ -345,23 +347,25 @@ def test_the_steps_make_no_public_geometry_calls(monkeypatch):
     z = point_at(m, np.random.default_rng(6), obj.domain.center, 0.8)
     oracle = GradientDescent(1.0 / obj.metadata.L)
     c = oracle.certificate(obj, BACKWARD).c
+    g, state = obj.gradient(x), accel_state(obj, x, x, z)
     names = ("exp", "log", "norm", "inner", "distance")
     calls = _public_geometry_calls(monkeypatch, names)
-    rgd_step(obj, x, oracle.eta)
-    proximal_step(obj, x, 1.0)
-    cubic_newton_step(obj, x, 1.0, 0.5, rho=1.0)
-    acc.accel_step(obj, acc.AccelState(x, x, z), acc.AccelParams(0.5, 0.1, 1.0), oracle.step, c)
+    rgd_step(obj, x, oracle.eta, g)
+    proximal_step(obj, x, 1.0, 1e-9, g)
+    cubic_newton_step(obj, x, 1.0, 0.5, 1.0, g)
+    acc.accel_step(obj, state, acc.AccelParams(0.5, 0.1, 1.0), oracle.step, c, 0.0)
     reference_minimize(obj, x)
     assert calls == dict.fromkeys(names, 0)
 
 
 STEPS = {
     "rgd": lambda obj, x, g: rgd_step(obj, x, 0.1, g),
-    "proximal": lambda obj, x, g: proximal_step(obj, x, 1.0, grad=g),
-    "cubic": lambda obj, x, g: cubic_newton_step(obj, x, 1.0, 0.5, rho=1.0, grad=g),
-    "accel": lambda obj, x, g: acc.accel_step(obj, acc.AccelState(x, x, x),
+    "proximal": lambda obj, x, g: proximal_step(obj, x, 1.0, 1e-9, g),
+    "cubic": lambda obj, x, g: cubic_newton_step(obj, x, 1.0, 0.5, 1.0, g),
+    # accel_step reads neither f(y) nor grad f(y) of the state it is handed
+    "accel": lambda obj, x, g: acc.accel_step(obj, acc.AccelState(x, x, x, 0, 0.0, g.coords),
                                               acc.AccelParams(0.5, 0.1, 1.0),
-                                              GradientDescent(0.1).step, 0.05),
+                                              GradientDescent(0.1).step, 0.05, 0.0),
     "reference": lambda obj, x, g: reference_minimize(obj, x),
 }
 

@@ -182,7 +182,7 @@ def test_steps_in_the_frame_match_the_steps_in_gram_schmidt(monkeypatch, name):
                 dist_log = m._dist_log(y.coords, x.coords)
                 grad_F = obj.gradient(y).coords - dist_log[1] / eta
                 out.append(_prox_newton_step(obj, y, x, eta, grad_F, dist_log))
-            out.append(cubic_newton_step(obj, y, 2.0, 0.5, rho=1.0)[1].coords)
+            out.append(cubic_newton_step(obj, y, 2.0, 0.5, 1.0, obj.gradient(y))[1].coords)
         return out
 
     in_frame = steps()

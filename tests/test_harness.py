@@ -440,6 +440,13 @@ def test_determinism_bit_identical(tmp_path):
     assert (d1 / "r.json").read_bytes() == (d2 / "r.json").read_bytes()
 
 
+def test_report_file_is_its_sorted_indented_json(tmp_path):
+    p = _write_cfg(tmp_path / "a.yaml")
+    run_experiment(load_config(p), str(tmp_path))
+    text = (tmp_path / "r.json").read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
 def test_domain_radius_above_objective_ball_rejected(tmp_path):
     p = _write_cfg(tmp_path / "a.yaml",
                    run={"k_max": 10, "domain_radius": 99.0})
@@ -564,7 +571,7 @@ def test_compare_identical_traces(tmp_path):
     p = _write_cfg(tmp_path / "a.yaml", run={"k_max": 15, "x0_seed": 5})
     r1 = run_experiment(load_config(p), str(tmp_path / "d1"))
     r2 = run_experiment(load_config(p), str(tmp_path / "d2"))
-    cmp = compare_report([load_trace(r1.trace_path), load_trace(r2.trace_path)])
+    cmp = compare_report([load_trace(r1.trace_path), load_trace(r2.trace_path)], ["t0", "t1"])
     assert cmp.max_abs_diff == 0.0
     assert "gap_t1" in cmp.csv_text().splitlines()[0]
 
@@ -601,9 +608,9 @@ def test_compare_rejects_mismatched_objectives(tmp_path):
     r1 = run_experiment(load_config(p1), str(tmp_path / "d1"))
     r2 = run_experiment(load_config(p2), str(tmp_path / "d2"))
     with pytest.raises(ValueError):
-        compare_report([load_trace(r1.trace_path), load_trace(r2.trace_path)])
+        compare_report([load_trace(r1.trace_path), load_trace(r2.trace_path)], ["a", "b"])
     with pytest.raises(ValueError):
-        compare_report([load_trace(r1.trace_path)])
+        compare_report([load_trace(r1.trace_path)], ["a"])
 
 
 # ---------------------------------------------------------------------------

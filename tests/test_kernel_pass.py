@@ -41,6 +41,13 @@ def _factories(m):
                                                 solve_reference=False)}, a, b
 
 
+def _evaluated(obj, name, x):
+    """``obj.<name>`` at x, the Hessian in the orthonormal basis at x."""
+    if name == "hessian_matrix":
+        return obj.hessian_matrix(x, x.manifold.orthonormal_basis(x))
+    return getattr(obj, name)(x)
+
+
 def _bits(result):
     if isinstance(result, TangentVector):
         return result.base, result.coords.tobytes()
@@ -57,7 +64,7 @@ def test_kept_pass_gives_a_fresh_objectives_bits(m, kind, order):
     # a, b, a again, then a new point object with a's coordinates
     for x in (a, b, a, ManifoldPoint(m, a.coords.copy())):
         for name in order:
-            assert _bits(getattr(obj, name)(x)) == _bits(getattr(make(), name)(x)), (x, name)
+            assert _bits(_evaluated(obj, name, x)) == _bits(_evaluated(make(), name, x)), (x, name)
 
 
 @pytest.mark.parametrize("m", [Euclidean(3), Sphere(2, 1.5), Hyperboloid(8, 4.0)], ids=repr)
@@ -91,7 +98,7 @@ def test_squared_distance_at_the_antipode_has_a_value_and_no_gradient(value_firs
         obj.gradient(x)
     assert np.isfinite(obj.value(x))
     with pytest.raises(AntipodalPointsError):
-        obj.hessian_matrix(x)
+        obj.hessian_matrix(x, S.orthonormal_basis(x))
 
 
 @pytest.mark.parametrize("samples, match", [

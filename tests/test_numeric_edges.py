@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from geodescent import descent
 from geodescent.descent import ProximalSolverError, proximal_step
 from geodescent.geometry import ANTIPODAL_TOL, AntipodalPointsError, Hyperboloid, Sphere, comparison
 from helpers import drawn_unit, make_sqdist_h2, point_at
@@ -24,20 +25,14 @@ def test_comparison_never_rounds_below_one():
     assert comparison(-1.0, ds).min() >= 1.0
 
 
-@pytest.mark.parametrize("max_inner", [0, -3])
-def test_proximal_step_rejects_an_empty_inner_budget(max_inner):
+def test_proximal_step_with_one_inner_iteration(monkeypatch):
     obj = make_sqdist_h2()
     x = point_at(obj.manifold, np.random.default_rng(0), obj.domain.center, 1.0)
-    with pytest.raises(ValueError, match="max_inner"):
-        proximal_step(obj, x, 1.0, max_inner=max_inner)
-
-
-def test_proximal_step_with_one_inner_iteration():
-    obj = make_sqdist_h2()
-    x = point_at(obj.manifold, np.random.default_rng(0), obj.domain.center, 1.0)
-    with pytest.raises(ProximalSolverError):
-        proximal_step(obj, x, 1.0, max_inner=1)
-    assert proximal_step(obj, obj.target, 1.0, max_inner=1) is obj.target
+    monkeypatch.setattr(descent, "PROX_MAX_INNER", 1)
+    with pytest.raises(ProximalSolverError, match="after 1 inner iterations"):
+        proximal_step(obj, x, 1.0, 1e-9, obj.gradient(x))
+    t = obj.target
+    assert proximal_step(obj, t, 1.0, 1e-9, obj.gradient(t)) is t
 
 
 def test_proximal_step_stops_at_a_non_finite_residual():
@@ -47,7 +42,7 @@ def test_proximal_step_stops_at_a_non_finite_residual():
     x = point_at(obj.manifold, np.random.default_rng(0), obj.domain.center, 1.0)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(ProximalSolverError, match=r"not finite at inner iteration 1$"):
-        proximal_step(obj, x, 1e300)
+        proximal_step(obj, x, 1e300, 1e-9, obj.gradient(x))
 
 
 # ---------------------------------------------------------------------------

@@ -126,7 +126,7 @@ def test_frechet_mean_agrees_with_looped_sums(m):
         np.testing.assert_allclose(obj.gradient(x).coords, grad, **TOL)
         basis = m.orthonormal_basis(x)
         hess = sum(_dist_sq_hessian(m, x, p, basis) for p in points) / n
-        np.testing.assert_allclose(obj.hessian_matrix(x), hess, **TOL)
+        np.testing.assert_allclose(obj.hessian_matrix(x, basis), hess, **TOL)
 
 
 @pytest.mark.parametrize("manifold, spec", [
