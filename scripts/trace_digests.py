@@ -30,9 +30,9 @@ its count of options, in total and per module: the parameter defaults of
 every function, method and lambda, plus the defaulted fields of every
 ``@dataclass``; and under ``src_option_names`` each option's name, such as
 ``descent.py:IterateTrace.record.slack`` or
-``acceleration.py:AccelState.drift``.  It then runs each config a second
-time in the same output root, where the f* and rho cache entries of the
-first run are warm, and exits 1 if any trace or report differs from the
+``acceleration.py:run_accelerated.delta_mode``.  It then runs each config a
+second time in the same output root, where the f* and rho cache entries of
+the first run are warm, and exits 1 if any trace or report differs from the
 cold run's.  The file holds one entry per line, so a diff of two digest
 files shows which configs moved.
 The second form leaves the counts out; it writes ``tests/goldens.json``,

@@ -63,6 +63,7 @@ GCONVEX = "gconvex"
 STRONGLY = "strongly"
 ANALYTIC = "analytic"
 ORACLE = "oracle"
+HADAMARD_ONLY = "analytic distortion rates need a Hadamard manifold"
 
 
 class OracleViolationError(RuntimeError):
@@ -89,8 +90,8 @@ class AccelParams:
 
 @dataclass
 class AccelState:
-    """The (x, y, z) triple after iteration k, with f(y), the coordinates of
-    grad f(y) and, after a step, those of the drift log_x(z_{k-1})."""
+    """The (x, y, z) triple after iteration k, with f(y) and the coordinates
+    of grad f(y)."""
 
     x: ManifoldPoint
     y: ManifoldPoint
@@ -98,7 +99,6 @@ class AccelState:
     k: int
     f_y: float
     grad_y: np.ndarray
-    drift: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -140,18 +140,21 @@ def gradient_oracle(obj: Objective, eta: float | None = None) -> GradientDescent
     return GradientDescent(eta)
 
 
-def accel_step(obj: Objective, state: AccelState, params: AccelParams,
-               step, c: float, tol: float) -> tuple[AccelState, float]:
-    """One accelerated update with y+ = step(obj, x+, grad f(x+)), a step
-    G_c that claims ``f(G(x)) - f(x) <= -c * ||grad f(x)||^2``; f and grad f
-    come from one ``obj._evaluate`` at x+ and one at y+.  Returns the new
-    state, which carries f(y+), grad f(y+) and the drift log_{x+}(z), and the
-    oracle slack (decrease contract residual, <= tol when honoured)."""
-    m = obj.manifold
+def _look_ahead(m: Manifold, state: AccelState, tau: float) -> tuple[ManifoldPoint, np.ndarray]:
+    """x+ = exp_y(tau * log_y(z)) and the coordinates of the drift log_{x+}(z)."""
     m._own(state.y)
     m._own(state.z)
     y, z = state.y.coords, state.z.coords
-    x_new = m._move(y, params.tau * m._log(y, z))
+    x_new = m._move(y, tau * m._log(y, z))
+    return x_new, m._log(x_new.coords, z)
+
+
+def _descend(obj: Objective, state: AccelState, params: AccelParams, x_new: ManifoldPoint,
+             drift: np.ndarray, step, c: float, tol: float) -> tuple[AccelState, float]:
+    """The rest of the update from the look-ahead x+ and its drift
+    log_{x+}(z): f and grad f at x+, y+ = step(obj, x+, grad f(x+)), f and
+    grad f at y+, the decrease contract, and z+."""
+    m = obj.manifold
     f_x, g_x = obj._evaluate(x_new)
     gn2 = m._norm(x_new.coords, g_x) ** 2
 
@@ -163,9 +166,19 @@ def accel_step(obj: Objective, state: AccelState, params: AccelParams,
             f"oracle decrease violated by {slack:.3e} (tol {tol:.3e}) at k={state.k}"
         )
 
-    drift = m._log(x_new.coords, z)
     z_new = m._move(x_new.coords, (params.beta * drift - g_x) / (params.alpha + params.beta))
-    return AccelState(x_new, y_new, z_new, state.k + 1, f_y, g_y, drift), float(slack)
+    return AccelState(x_new, y_new, z_new, state.k + 1, f_y, g_y), float(slack)
+
+
+def accel_step(obj: Objective, state: AccelState, params: AccelParams,
+               step, c: float, tol: float) -> tuple[AccelState, float]:
+    """One accelerated update with y+ = step(obj, x+, grad f(x+)), a step
+    G_c that claims ``f(G(x)) - f(x) <= -c * ||grad f(x)||^2``; f and grad f
+    come from one ``obj._evaluate`` at x+ and one at y+.  Returns the new
+    state, which carries f(y+) and grad f(y+), and the oracle slack
+    (decrease contract residual, <= tol when honoured)."""
+    x_new, drift = _look_ahead(obj.manifold, state, params.tau)
+    return _descend(obj, state, params, x_new, drift, step, c, tol)
 
 
 def schedule_gconvex(k: int, A_k: float, B_k: float, delta_k: float,
@@ -232,41 +245,24 @@ def schedule_strongly(xi_k1: float, A_k: float, mu: float, c: float,
     return AccelParams(tau, alpha, beta), ScheduleState(A_k1, B_k1, A_k1 - A_k, delta_k1, xi_k1)
 
 
-def distortion_rate(manifold: Manifold, x_prev: ManifoldPoint, z_prev: ManifoldPoint,
-                    x_new: ManifoldPoint | None = None, mode: str = ANALYTIC,
-                    x_star: ManifoldPoint | None = None, *,
-                    prev: EnergyRecord | None = None,
-                    logs: tuple[np.ndarray, np.ndarray] | None = None) -> float:
-    """Distortion rate bounding the base-point change of the energy's
-    squared projected distance.
+def distortion_rate(manifold: Manifold, x_prev: ManifoldPoint, z_prev: ManifoldPoint) -> float:
+    """Analytic distortion rate bounding the base-point change of the
+    energy's squared projected distance: the curvature comparison function
+    at d(x_prev, z_prev), on a Hadamard manifold."""
+    if manifold.curvature > 0:
+        raise GeometryError(HADAMARD_ONLY)
+    return comparison(manifold.curvature, manifold.distance(x_prev, z_prev))
 
-    ``analytic`` evaluates the curvature comparison function at
-    d(x_prev, z_prev) and needs a Hadamard manifold; ``oracle`` returns the
-    realized (definitional) ratio, needs the minimizer, and is a diagnostic.
-    ``prev``, the energy recorded at (x_prev, z_prev), supplies d(x_prev,
-    z_prev) as its ``d_xz`` and the oracle ratio's denominator as its
-    ``dist_term``, so neither is computed again; ``logs``, the coordinate
-    arrays log_{x_new}(z_prev) and log_{x_new}(x_star), supplies its
-    numerator's.
-    """
-    if mode == ANALYTIC:
-        if manifold.curvature > 0:
-            raise GeometryError("analytic distortion rates need a Hadamard manifold")
-        d = manifold.distance(x_prev, z_prev) if prev is None else prev.d_xz
-        return comparison(manifold.curvature, d)
-    if mode == ORACLE:
-        if x_new is None or x_star is None:
-            raise ValueError("oracle mode needs x_new and x_star")
-        denom = (manifold.projected_distance(x_prev, z_prev, x_star) ** 2
-                 if prev is None else prev.dist_term)
-        if denom < 1e-30:
-            return 1.0
-        if logs is None:
-            num = manifold.projected_distance(x_new, z_prev, x_star) ** 2
-        else:
-            num = manifold._norm(x_new.coords, logs[0] - logs[1]) ** 2
-        return max(1.0, num / denom)
-    raise ValueError(f"unknown distortion mode {mode!r}")
+
+def _realized_rate(m: Manifold, x_new: ManifoldPoint, drift: np.ndarray,
+                   star_log: np.ndarray, prev: EnergyRecord) -> float:
+    """The realized distortion rate of a step to x+: the squared projected
+    distance ||log_{x+}(z) - log_{x+}(x*)||^2, from the drift and star_log
+    coordinates, over the one ``prev`` recorded at the step's start, and at
+    least 1."""
+    if prev.dist_term < 1e-30:
+        return 1.0
+    return max(1.0, m._norm(x_new.coords, drift - star_log) ** 2 / prev.dist_term)
 
 
 def energy(A: float, B: float, obj: Objective, state: AccelState,
@@ -342,13 +338,16 @@ def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
     ``oracle`` is a descent algorithm with a 2-backward certificate
     (``GradientDescent`` or ``ProximalPoint``): its ``step`` is G_c and its
     ``certificate(obj, BACKWARD)`` gives c.
-    ``mode`` selects the g-convex or strongly g-convex schedule.  In
-    ``oracle`` delta mode the distortion rate of each step is made
-    self-consistent by a small fixed-point iteration: the step is recomputed
+    ``mode`` selects the g-convex or strongly g-convex schedule.  Analytic
+    delta needs a Hadamard manifold and is refused before the first record.
+    In ``oracle`` delta mode the distortion rate of each step is made
+    self-consistent by a small fixed-point iteration on the look-ahead x+,
+    the one part of the step that the realized ratio reads: x+ is recomputed
     until the rate used by the schedule matches the realized ratio to 1e-12
     relative, until that relative gap fails to shrink (``delta_stalled``
-    counts these iterations) or for at most 60 steps (``delta_capped``), and
-    the step with the smallest gap is kept.  The run's ``IterateTrace``
+    counts these iterations) or for at most 60 candidates
+    (``delta_capped``), and the step goes on, with one oracle call, from the
+    candidate with the smallest gap.  The run's ``IterateTrace``
     records the y iterates, hands each record to ``writer`` if one is given,
     with the schedule and energy fields in ``extra``, and monitors the domain
     at x, y and z (its ``close`` watches the run's ``xs`` and ``zs`` too).
@@ -358,6 +357,8 @@ def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
     if delta_mode not in (ANALYTIC, ORACLE):
         raise ValueError(f"unknown delta mode {delta_mode!r}")
     m = obj.manifold
+    if delta_mode == ANALYTIC and m.curvature > 0:
+        raise GeometryError(HADAMARD_ONLY)
     dom = dom if dom is not None else obj.domain
     trace = IterateTrace(dom, y0, writer)
     sol = obj.known_solution
@@ -405,47 +406,44 @@ def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
     record(None)
 
     def advance(delta):
-        """The next schedule at distortion rate ``delta``, and its step and slack."""
+        """The step coefficients and next schedule at distortion rate
+        ``delta``, and the look-ahead they give."""
         if mode == GCONVEX:
             params, new = schedule_gconvex(state.k, sched.A, sched.B, sched.delta, delta, c)
         else:
             xi = xi_solve(sched.xi, delta, mu, c)
             params, new = schedule_strongly(xi, sched.A, mu, c, delta)
-        return (new, *accel_step(obj, state, params, step, c, tol))
+        return params, new, _look_ahead(m, state, params.tau)
 
     for _ in range(k_max):
         if delta_mode == ANALYTIC:
-            delta = distortion_rate(m, state.x, state.z, mode=ANALYTIC, prev=run.energies[-1])
-            new_sched, new_state, slack = advance(delta)
+            params, new_sched, look = advance(comparison(m.curvature, run.energies[-1].d_xz))
             star_log = None
         else:
-            # self-consistent realized distortion rate: stop once the gap
-            # fails to shrink, as round-off near x* can make it, and keep the
-            # step with the smallest gap.  The rate's numerator takes the
-            # step's drift, and its log_{x+}(x*) goes to the kept step's
-            # energy record
-            delta, kept = max(1.0, sched.delta), None
+            # self-consistent realized distortion rate, which reads only the
+            # look-ahead: stop once the gap fails to shrink, as round-off
+            # near x* can make it, and keep the candidate with the smallest
+            # gap.  Its log_{x+}(x*) goes to the step's energy record
+            delta, best = max(1.0, sched.delta), None
             for _ in range(60):
                 candidate = advance(delta)
-                x_new = candidate[1].x
-                star_log = m._log(x_new.coords, x_star.coords)
-                realized = distortion_rate(m, state.x, state.z, x_new, mode=ORACLE,
-                                           x_star=x_star, prev=run.energies[-1],
-                                           logs=(candidate[1].drift, star_log))
+                x_new, drift = candidate[2]
+                candidate_log = m._log(x_new.coords, x_star.coords)
+                realized = _realized_rate(m, x_new, drift, candidate_log, run.energies[-1])
                 gap = abs(realized - delta) / max(1.0, delta)
-                if kept is not None and gap >= kept_gap:
+                if best is not None and gap >= best:
                     run.delta_stalled += 1
                     break
-                kept, kept_gap = (*candidate, star_log), gap
+                (params, new_sched, look), star_log, best = candidate, candidate_log, gap
                 if gap <= 1e-12:
                     break
                 delta = realized
             else:
                 run.delta_capped += 1
-            new_sched, new_state, slack, star_log = kept
-            run.delta_mismatch = max(run.delta_mismatch, kept_gap)
+            run.delta_mismatch = max(run.delta_mismatch, best)
 
-        state, sched = new_state, new_sched
+        state, slack = _descend(obj, state, params, *look, step, c, tol)
+        sched = new_sched
         if mode == STRONGLY:
             prod *= 1.0 - sched.xi
             env = math.sqrt(max(prod * D0, 0.0))

@@ -31,6 +31,7 @@ from geodescent import descent as desc
 from geodescent.config import ORACLE_KINDS, SECTIONS, finite, value
 from geodescent.geometry import DomainSpec, Manifold, TangentVector, in_domain
 from geodescent.objectives import (
+    NONCONVEX,
     RHO_FLOOR,
     RHO_STEP_SCALE,
     FrechetMean,
@@ -502,7 +503,7 @@ def run_experiment(cfg: ExperimentConfig, out_root: str) -> ExperimentResult:
                     trace.per_step_violation, tol, f"p={cert.p:g}, c={cert.c:g}, {cert.direction}")
                 if f_star is not None:
                     guarantees["min_grad_envelope"] = _check_min_grad_envelope(trace, cert, f_star, tol)
-                    if obj.metadata.convexity_class != "nonconvex":
+                    if obj.metadata.convexity_class != NONCONVEX:
                         guarantees["gconvex_envelope"] = _check_gconvex_envelope(
                             trace, cert, f_star, dom.diameter, tol)
                     if obj.metadata.grad_dom is not None:

@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geodescent import acceleration as acc
-from geodescent.descent import BACKWARD, FORWARD, CubicNewton, ProximalPoint, default_tolerance
-from geodescent.geometry import DomainSpec, Euclidean, Sphere, TangentVector
+from geodescent.descent import (BACKWARD, FORWARD, CubicNewton, GradientDescent, ProximalPoint,
+                                default_tolerance)
+from geodescent.geometry import DomainSpec, Euclidean, GeometryError, Sphere, TangentVector
 from geodescent.objectives import Quadratic
-from helpers import accel_state, make_frechet_h2, make_sqdist_h2, point_at, xi_solve_bisect
+from helpers import (accel_state, make_frechet_h2, make_frechet_sphere, make_sqdist_h2, point_at,
+                     xi_solve_bisect)
 
 
 def _strongly_run(c_target=0.005, k_max=150, x0_dist=0.9, seed=0, **kw):
@@ -281,6 +283,15 @@ def test_strongly_run_rejects_c_at_the_bound_before_recording():
     assert calls == []
 
 
+def test_analytic_delta_on_a_sphere_is_refused_before_recording():
+    obj, calls = make_frechet_sphere(), []
+    writer = SimpleNamespace(record=lambda *args: calls.append(args))
+    with pytest.raises(GeometryError, match="Hadamard manifold"):
+        acc.run_accelerated(obj, obj.domain.center, 5, acc.GCONVEX, acc.gradient_oracle(obj),
+                            writer=writer)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # distortion rates
 
@@ -302,22 +313,26 @@ def test_distortion_analytic_rejects_sphere():
         acc.distortion_rate(S, S.origin(), S.origin())
 
 
-def test_distortion_oracle_mode_is_definitional():
+def test_realized_distortion_rate_is_definitional():
+    # the oracle-delta driver's realized rate: the squared projected distance
+    # at the look-ahead x+ over the one recorded at the step's start (x, z)
     obj = make_sqdist_h2()
     m = obj.manifold
+    xs = obj.target
     rng = np.random.default_rng(7)
     for _ in range(20):
         xp = point_at(m, rng, obj.target, rng.uniform(0.1, 1.0))
         zp = point_at(m, rng, obj.target, rng.uniform(0.1, 1.0))
         xn = point_at(m, rng, obj.target, rng.uniform(0.1, 1.0))
-        xs = obj.target
-        d = acc.distortion_rate(m, xp, zp, xn, mode=acc.ORACLE, x_star=xs)
+        prev = acc.energy(0.0, 1.0, obj, accel_state(obj, xp, xp, zp), xs, 0.0)
+        d = acc._realized_rate(m, xn, m.log(xn, zp).coords, m.log(xn, xs).coords, prev)
         num = m.projected_distance(xn, zp, xs) ** 2
         den = m.projected_distance(xp, zp, xs) ** 2
         assert d == pytest.approx(max(1.0, num / den))
         assert d >= 1.0
-    with pytest.raises(ValueError):
-        acc.distortion_rate(m, xp, zp, mode=acc.ORACLE)
+    # z = x* at the start: the ratio's denominator is below its floor
+    prev = acc.energy(0.0, 1.0, obj, accel_state(obj, xp, xp, xs), xs, 0.0)
+    assert acc._realized_rate(m, xn, m.log(xn, zp).coords, m.log(xn, xs).coords, prev) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -424,24 +439,36 @@ def test_oracle_delta_mode_self_consistency():
     m = obj.manifold
     xstar = obj.known_solution.x_star
     for k in range(60):
-        realized = acc.distortion_rate(m, run.xs[k], run.zs[k], run.xs[k + 1],
-                                       mode=acc.ORACLE, x_star=xstar)
+        num = m.projected_distance(run.xs[k + 1], run.zs[k], xstar) ** 2
+        den = m.projected_distance(run.xs[k], run.zs[k], xstar) ** 2
+        realized = 1.0 if den < 1e-30 else max(1.0, num / den)
         assert run.schedules[k].delta == pytest.approx(realized, rel=1e-9)
 
 
 def _scripted_rates(monkeypatch, rates):
-    """Make the oracle-mode distortion rate return ``rates`` in turn; returns
+    """Make the realized distortion rate return ``rates`` in turn; returns
     the list of candidate x+ it was asked about."""
     candidates = []
 
-    def scripted(m, x_prev, z_prev, x_new=None, mode=acc.ANALYTIC, x_star=None, prev=None,
-                 logs=None):
-        assert mode == acc.ORACLE
+    def scripted(m, x_new, drift, star_log, prev):
         candidates.append(x_new)
         return rates[len(candidates) - 1]
 
-    monkeypatch.setattr(acc, "distortion_rate", scripted)
+    monkeypatch.setattr(acc, "_realized_rate", scripted)
     return candidates
+
+
+def _counted_oracle_steps(monkeypatch):
+    """Make the gradient oracle list the points it steps from."""
+    calls = []
+    step = GradientDescent.step
+
+    def counted(self, obj, x, grad):
+        calls.append(x)
+        return step(self, obj, x, grad)
+
+    monkeypatch.setattr(GradientDescent, "step", counted)
+    return calls
 
 
 def test_oracle_delta_fixed_point_keeps_the_smallest_gap_when_the_gap_stalls(monkeypatch):
@@ -469,8 +496,11 @@ def test_oracle_delta_fixed_point_counts_the_cap(monkeypatch):
     # gaps 0.1 * 0.9^i / r_{i-1} keep shrinking and stay far above 1e-12
     rates = [2.0 - 0.9 ** (i + 1) for i in range(70)]
     candidates = _scripted_rates(monkeypatch, rates)
+    steps = _counted_oracle_steps(monkeypatch)
     _, run = _strongly_run(k_max=1, delta_mode=acc.ORACLE)
     assert len(candidates) == 60
+    # the oracle steps once, from the kept candidate
+    assert len(steps) == 1 and steps[0] is candidates[59]
     assert (run.delta_stalled, run.delta_capped) == (0, 1)
     assert run.schedules[0].delta == rates[58]
     assert run.xs[1] is candidates[59]

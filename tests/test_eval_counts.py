@@ -9,8 +9,9 @@ Frechet mean keeps (its two share one row pass).  Each recorded point is
 evaluated once: the descent steps reuse the gradient recorded at their
 input, the accelerated step evaluates once at x+, hands its oracle that
 gradient, and once at y+, whose f and grad f it returns for the driver's
-record and energy, and the oracle-delta fixed point keeps the last step it
-took.
+record and energy.  The oracle-delta fixed point iterates on the look-ahead
+x+ alone, so the step from the kept candidate evaluates and calls its oracle
+once.
 """
 
 import numpy as np
@@ -103,7 +104,7 @@ def test_proximal_step_on_squared_distance_takes_one_newton_step(eta):
 
 def test_accelerated_analytic_delta_counts():
     counts = _accel_run(acc.ANALYTIC, K, 0.005)
-    # per iteration: f and grad f at x+ and at y+ inside accel_step (the
+    # per iteration: f and grad f at x+ and at y+ in the step (the
     # oracle reuses grad f(x+), the record grad f(y+)), plus f and grad f at y0
     assert counts == {"value": 0, "gradient": 0, "_evaluate": 2 * K + 1}
 
@@ -126,44 +127,42 @@ def test_accel_step_hands_the_oracle_its_gradient():
     assert in_step["gradient"] == counts["gradient"] - 1
 
 
-def test_oracle_delta_takes_one_step_per_fixed_point_iteration(monkeypatch):
-    steps = {"accel_step": 0, "fixed_point": 0}
-    accel_step, distortion_rate = acc.accel_step, acc.distortion_rate
+def _counted(monkeypatch, owner, name):
+    """Count the calls of ``owner.name``."""
+    calls = {"n": 0}
+    fn = getattr(owner, name)
 
-    def counted_step(*args, **kwargs):
-        steps["accel_step"] += 1
-        return accel_step(*args, **kwargs)
+    def counted(*args):
+        calls["n"] += 1
+        return fn(*args)
 
-    def counted_rate(*args, **kwargs):
-        steps["fixed_point"] += kwargs.get("mode") == acc.ORACLE
-        return distortion_rate(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
-    monkeypatch.setattr(acc, "accel_step", counted_step)
-    monkeypatch.setattr(acc, "distortion_rate", counted_rate)
+
+def test_oracle_delta_steps_and_evaluates_once_per_iteration(monkeypatch):
+    candidates = _counted(monkeypatch, acc, "_look_ahead")
+    rates = _counted(monkeypatch, acc, "_realized_rate")
+    steps = _counted(monkeypatch, GradientDescent, "step")
     k_max = 40
     counts = _accel_run(acc.ORACLE, k_max, 0.05, _off_geodesic)
-    n = steps["accel_step"]
-    assert n == steps["fixed_point"] > k_max
-    # two evaluations per step, at x+ and y+, and one at y0.  A Frechet mean
-    # keeps the default hook, one value and one gradient call sharing one
-    # row pass, and the driver makes no other
-    assert counts == dict.fromkeys(("value", "gradient", "_evaluate"), 2 * n + 1)
+    assert candidates["n"] == rates["n"] > k_max
+    # the fixed point reads only the look-ahead; the kept candidate's step
+    # makes one oracle call and two evaluations, at x+ and y+, and y0 takes
+    # one.  A Frechet mean keeps the default hook, one value and one
+    # gradient call sharing one row pass, and the driver makes no other
+    assert steps["n"] == k_max
+    assert counts == dict.fromkeys(("value", "gradient", "_evaluate"), 2 * k_max + 1)
 
 
 def test_oracle_delta_on_one_geodesic_takes_one_step_and_six_logs_per_iteration(monkeypatch):
     # the squared distance's iterates stay on the geodesic through x0 and x*,
-    # where the realized rate is 1 and the fixed point's first step matches.
-    # Logs per iteration: log_y(z), f and grad f at x+, the drift log_{x+}(z)
-    # and f and grad f at y+ in the step; log_{x+}(x*) for the rate's
-    # numerator, which the record's energy reuses with log_{x+}(z+).  The
-    # first record takes three
-    steps = {"accel_step": 0}
-    accel_step = acc.accel_step
-
-    def counted_step(*args, **kwargs):
-        steps["accel_step"] += 1
-        return accel_step(*args, **kwargs)
-
+    # where the realized rate is 1 and the fixed point's first candidate
+    # matches.  Logs per iteration: log_y(z) and the drift log_{x+}(z) in the
+    # look-ahead; log_{x+}(x*) for the rate's numerator, which the record's
+    # energy reuses with log_{x+}(z+); f and grad f at x+ and at y+ in the
+    # step.  The first record takes three
+    candidates = _counted(monkeypatch, acc, "_look_ahead")
     logs = {"passes": 0}
     dist_log = Hyperboloid._dist_log
 
@@ -172,12 +171,11 @@ def test_oracle_delta_on_one_geodesic_takes_one_step_and_six_logs_per_iteration(
         return dist_log(*args)
 
     obj, x0 = _problem()
-    monkeypatch.setattr(acc, "accel_step", counted_step)
     monkeypatch.setattr(Hyperboloid, "_dist_log", counted_log)
     k_max = 40
     acc.run_accelerated(obj, x0, k_max, acc.STRONGLY, acc.gradient_oracle(obj, 0.05),
                         delta_mode=acc.ORACLE)
-    assert steps["accel_step"] == k_max
+    assert candidates["n"] == k_max
     assert logs["passes"] == 6 * k_max + 3
 
 
@@ -199,29 +197,22 @@ def _public_geometry_calls(monkeypatch, names):
     (acc.ANALYTIC, 0.005, _problem), (acc.ORACLE, 0.05, _off_geodesic)],
     ids=["analytic", "oracle"])
 def test_accelerated_public_log_and_distance_counts(monkeypatch, delta_mode, eta, problem):
-    # the distortion rate reads d(x, z) and the oracle ratio's denominator
+    # the distortion rate reads d(x, z) and the realized ratio's denominator
     # from the energy recorded at (x, z), and its numerator's logs from the
-    # step and the driver; the energy takes d_xz, log_x(z) and d_xy from the
-    # raw kernels, and log_x(x*) from the public log unless the oracle-delta
-    # driver holds it (every record but the first).  The evaluations run on
-    # the raw kernels (a squared distance's one _dist_log pass, a Frechet
-    # mean's row pass), so D0 and the start point's domain check are the only
-    # distances.  The domain monitor checks x, y and z with the row kernel
-    # once the run ends, with no public call
+    # look-ahead and the driver; the energy takes d_xz, log_x(z) and d_xy from
+    # the raw kernels, and log_x(x*) from the public log unless the
+    # oracle-delta driver holds it (every record but the first).  The
+    # evaluations run on the raw kernels (a squared distance's one _dist_log
+    # pass, a Frechet mean's row pass), so D0 and the start point's domain
+    # check are the only distances.  The domain monitor checks x, y and z with
+    # the row kernel once the run ends, with no public call
     obj, x0 = problem()
     oracle = acc.gradient_oracle(obj, eta)
-    steps = {"accel_step": 0}
-    accel_step = acc.accel_step
-
-    def counted_step(*args, **kwargs):
-        steps["accel_step"] += 1
-        return accel_step(*args, **kwargs)
-
-    monkeypatch.setattr(acc, "accel_step", counted_step)
+    candidates = _counted(monkeypatch, acc, "_look_ahead")
     calls = _public_geometry_calls(monkeypatch, ("log", "distance"))
     k_max = 40
     acc.run_accelerated(obj, x0, k_max, acc.STRONGLY, oracle, delta_mode=delta_mode)
-    n = steps["accel_step"]
+    n = candidates["n"]
     star_logs = k_max + 1 if delta_mode == acc.ANALYTIC else 1
     assert calls == {"log": star_logs, "distance": 2}
     assert n > k_max if delta_mode == acc.ORACLE else n == k_max

@@ -169,16 +169,15 @@ def test_run_experiment_accelerated_proximal_oracle(tmp_path):
 def test_report_counts_delta_fixed_points_stopped_at_the_cap(tmp_path, monkeypatch):
     from geodescent import acceleration as acc
 
-    calls = []  # (x_prev, realized rate) of every oracle-mode call
-    rate = acc.distortion_rate
+    calls = []  # (energy at the step's start, realized rate) of every candidate
+    rate = acc._realized_rate
 
-    def observed(m, x_prev, *args, **kwargs):
-        r = rate(m, x_prev, *args, **kwargs)
-        if kwargs.get("mode") == acc.ORACLE:
-            calls.append((x_prev, r))
+    def observed(m, x_new, drift, star_log, prev):
+        r = rate(m, x_new, drift, star_log, prev)
+        calls.append((prev, r))
         return r
 
-    monkeypatch.setattr(acc, "distortion_rate", observed)
+    monkeypatch.setattr(acc, "_realized_rate", observed)
     # a Frechet mean: its iterates leave the geodesic through x0 and x*, so
     # the realized distortion rate moves between iterations and the fixed
     # point takes more than one step
@@ -191,8 +190,9 @@ def test_report_counts_delta_fixed_points_stopped_at_the_cap(tmp_path, monkeypat
     )
     res = run_experiment(load_config(p), str(tmp_path))
     deltas = [r["delta"] for r in load_trace(res.trace_path).records]
-    # one iteration's fixed point shares x_prev; its first step uses the last
-    # recorded delta and each later one the previous realized rate
+    # one iteration's fixed point shares the energy at its start; its first
+    # candidate uses the last recorded delta and each later one the previous
+    # realized rate
     counts = {"converged": 0, "stalled": 0, "capped": 0}
     worst = 0.0
     groups = itertools.groupby(calls, key=lambda call: id(call[0]))
@@ -227,16 +227,12 @@ def test_report_counts_a_stalled_and_a_capped_fixed_point(tmp_path, monkeypatch)
     # iteration 1 starts at delta = 1 and stalls on its fourth rate (relative
     # gaps 0.5, 0.1/1.5, 0.01/1.6, then 0.09/1.61), keeping delta = 1.6;
     # iteration 2 starts there, and its gaps, about 0.025 * 0.9^i, shrink
-    # through all 60 steps
+    # through all 60 candidates
     stall = [1.5, 1.6, 1.61, 1.7]
     cap = [2.0 - 0.4 * 0.9 ** (i + 1) for i in range(60)]
     rates = iter(stall + cap)
 
-    def scripted(*args, mode=acc.ANALYTIC, **kwargs):
-        assert mode == acc.ORACLE
-        return next(rates)
-
-    monkeypatch.setattr(acc, "distortion_rate", scripted)
+    monkeypatch.setattr(acc, "_realized_rate", lambda *args: next(rates))
     p = _write_cfg(
         tmp_path / "a.yaml",
         algorithm={"kind": "accelerated", "mode": "strongly", "oracle": "rgd",
