@@ -24,14 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from geodescent.descent import (BACKWARD, ENVELOPE_FLOOR, GradientDescent, IterateTrace,
-                                 default_tolerance, rgd_step)  # noqa: F401  (rgd_step re-exported)
+from geodescent.descent import (BACKWARD, ENVELOPE_FLOOR, DescentCertificate, GradientDescent,
+                                 IterateTrace, _certified_step, default_tolerance,
+                                 rgd_step)  # noqa: F401  (rgd_step re-exported)
 from geodescent.geometry import (
     DomainSpec,
     GeometryError,
     Manifold,
     ManifoldPoint,
-    TangentVector,
     comparison,
 )
 from geodescent.objectives import Objective
@@ -43,7 +43,6 @@ __all__ = [
     "EnergyRecord",
     "OracleViolationError",
     "gradient_oracle",
-    "accel_step",
     "schedule_gconvex",
     "xi_solve",
     "schedule_strongly",
@@ -90,15 +89,15 @@ class AccelParams:
 
 @dataclass
 class AccelState:
-    """The (x, y, z) triple after iteration k, with f(y) and the coordinates
-    of grad f(y)."""
+    """The (x, y, z) triple after iteration k, with f(y) and the norm
+    ||grad f(y)|| that the step to y measured."""
 
     x: ManifoldPoint
     y: ManifoldPoint
     z: ManifoldPoint
     k: int
     f_y: float
-    grad_y: np.ndarray
+    gn_y: float
 
 
 @dataclass(frozen=True)
@@ -107,7 +106,6 @@ class ScheduleState:
 
     A: float
     B: float
-    A_bar: float
     delta: float
     xi: float | None = None
 
@@ -142,43 +140,27 @@ def gradient_oracle(obj: Objective, eta: float | None = None) -> GradientDescent
 
 def _look_ahead(m: Manifold, state: AccelState, tau: float) -> tuple[ManifoldPoint, np.ndarray]:
     """x+ = exp_y(tau * log_y(z)) and the coordinates of the drift log_{x+}(z)."""
-    m._own(state.y)
-    m._own(state.z)
     y, z = state.y.coords, state.z.coords
     x_new = m._move(y, tau * m._log(y, z))
     return x_new, m._log(x_new.coords, z)
 
 
 def _descend(obj: Objective, state: AccelState, params: AccelParams, x_new: ManifoldPoint,
-             drift: np.ndarray, step, c: float, tol: float) -> tuple[AccelState, float]:
-    """The rest of the update from the look-ahead x+ and its drift
-    log_{x+}(z): f and grad f at x+, y+ = step(obj, x+, grad f(x+)), f and
-    grad f at y+, the decrease contract, and z+."""
+             drift: np.ndarray, oracle, cert: DescentCertificate, tol: float):
+    """The rest of the update from the look-ahead x+ and its drift log_{x+}(z):
+    f and grad f at x+, y+ = G_c(x+) by one ``_certified_step`` of ``oracle``
+    under its 2-backward ``cert``, and z+.  Returns the new state and the
+    step's slack; one above ``tol`` is an ``OracleViolationError``."""
     m = obj.manifold
     f_x, g_x = obj._evaluate(x_new)
-    gn2 = m._norm(x_new.coords, g_x) ** 2
-
-    y_new = step(obj, x_new, TangentVector(x_new, g_x))
-    f_y, g_y = obj._evaluate(y_new)
-    slack = f_y - f_x + c * gn2
+    gn_x = m._norm(x_new.coords, g_x)
+    y_new, f_y, _, gn_y, slack = _certified_step(oracle, cert, obj, x_new, f_x, g_x, gn_x)
     if slack > tol:
         raise OracleViolationError(
             f"oracle decrease violated by {slack:.3e} (tol {tol:.3e}) at k={state.k}"
         )
-
     z_new = m._move(x_new.coords, (params.beta * drift - g_x) / (params.alpha + params.beta))
-    return AccelState(x_new, y_new, z_new, state.k + 1, f_y, g_y), float(slack)
-
-
-def accel_step(obj: Objective, state: AccelState, params: AccelParams,
-               step, c: float, tol: float) -> tuple[AccelState, float]:
-    """One accelerated update with y+ = step(obj, x+, grad f(x+)), a step
-    G_c that claims ``f(G(x)) - f(x) <= -c * ||grad f(x)||^2``; f and grad f
-    come from one ``obj._evaluate`` at x+ and one at y+.  Returns the new
-    state, which carries f(y+) and grad f(y+), and the oracle slack
-    (decrease contract residual, <= tol when honoured)."""
-    x_new, drift = _look_ahead(obj.manifold, state, params.tau)
-    return _descend(obj, state, params, x_new, drift, step, c, tol)
+    return AccelState(x_new, y_new, z_new, state.k + 1, f_y, gn_y), float(slack)
 
 
 def schedule_gconvex(k: int, A_k: float, B_k: float, delta_k: float,
@@ -200,7 +182,7 @@ def schedule_gconvex(k: int, A_k: float, B_k: float, delta_k: float,
     tau = 2.0 * A_bar * B_k / (A_k * delta_k1 * B_k1 + 2.0 * B_k * A_bar)
     alpha = (B_k1 - B_k / delta_k) / A_bar
     beta = (B_k / delta_k1) / A_bar
-    return AccelParams(tau, alpha, beta), ScheduleState(A_k1, B_k1, A_bar, delta_k1)
+    return AccelParams(tau, alpha, beta), ScheduleState(A_k1, B_k1, delta_k1)
 
 
 def xi_solve(xi_k: float, delta_k1: float, mu: float, c: float) -> float:
@@ -242,7 +224,7 @@ def schedule_strongly(xi_k1: float, A_k: float, mu: float, c: float,
     beta = (xi_k1 - a) / (2.0 * c)
     A_k1 = A_k / (1.0 - xi_k1)
     B_k1 = xi_k1**2 / (1.0 - xi_k1) * A_k / (4.0 * c)
-    return AccelParams(tau, alpha, beta), ScheduleState(A_k1, B_k1, A_k1 - A_k, delta_k1, xi_k1)
+    return AccelParams(tau, alpha, beta), ScheduleState(A_k1, B_k1, delta_k1, xi_k1)
 
 
 def distortion_rate(manifold: Manifold, x_prev: ManifoldPoint, z_prev: ManifoldPoint) -> float:
@@ -335,9 +317,10 @@ def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
                     writer=None) -> AccelRun:
     """Drive the accelerated scheme from y0 = z0 for ``k_max`` iterations.
 
-    ``oracle`` is a descent algorithm with a 2-backward certificate
-    (``GradientDescent`` or ``ProximalPoint``): its ``step`` is G_c and its
-    ``certificate(obj, BACKWARD)`` gives c.
+    ``oracle`` is a descent algorithm with a 2-backward certificate, which
+    gives c (``GradientDescent`` or ``ProximalPoint``).  y+ = G_c(x+) is one
+    ``_certified_step`` of it, as in ``run_descent``, whose slack and
+    ||grad f(y+)|| the record holds.
     ``mode`` selects the g-convex or strongly g-convex schedule.  Analytic
     delta needs a Hadamard manifold and is refused before the first record.
     In ``oracle`` delta mode the distortion rate of each step is made
@@ -368,10 +351,10 @@ def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
     cert = oracle.certificate(obj, BACKWARD)
     if (cert.p, cert.direction) != (2.0, BACKWARD):
         raise ValueError(f"the oracle needs a 2-backward certificate, got {cert}")
-    step, c = oracle.step, cert.c
+    c = cert.c
     mu = obj.metadata.mu
-    f_y, grad_y = obj._evaluate(y0)
-    state = AccelState(y0, y0, y0, 0, f_y, grad_y)
+    f_y, g_y = obj._evaluate(y0)
+    state = AccelState(y0, y0, y0, 0, f_y, m._norm(y0.coords, g_y))
     tol = default_tolerance(state.f_y)
 
     D0 = env = None
@@ -385,11 +368,11 @@ def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
             xi0 = math.sqrt(a)
         if not a < xi0 <= math.sqrt(a) + 1e-12:
             raise ValueError("xi0 must lie in (2*mu*c, sqrt(2*mu*c)]")
-        sched = ScheduleState(1.0, xi0**2 / (4.0 * c), 0.0, 1.0, xi0)
+        sched = ScheduleState(1.0, xi0**2 / (4.0 * c), 1.0, xi0)
         D0 = state.f_y - f_star + sched.B * m.distance(state.z, x_star) ** 2
         env = math.sqrt(max(D0, 0.0))
     else:
-        sched = ScheduleState(0.0, 4.0 / c, 0.0, 1.0, xi0)
+        sched = ScheduleState(0.0, 4.0 / c, 1.0, xi0)
     prod = 1.0
     run = AccelRun(trace, [], [], [], [], mode, delta_mode, c, mu, xi0, D0, dom.diameter, x_star)
 
@@ -399,7 +382,7 @@ def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
         run.energies.append(e)
         run.xs.append(state.x)
         run.zs.append(state.z)
-        trace.record(state.y, state.f_y, m._norm(state.y.coords, state.grad_y), slack,
+        trace.record(state.y, state.f_y, state.gn_y, slack,
                      {"delta": sched.delta, "xi": sched.xi, "A": sched.A, "B": sched.B,
                       "E": e.E, "d_xy": e.d_xy, "d_xz": e.d_xz, "envelope": e.envelope})
 
@@ -442,7 +425,7 @@ def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
                 run.delta_capped += 1
             run.delta_mismatch = max(run.delta_mismatch, best)
 
-        state, slack = _descend(obj, state, params, *look, step, c, tol)
+        state, slack = _descend(obj, state, params, *look, oracle, cert, tol)
         sched = new_sched
         if mode == STRONGLY:
             prod *= 1.0 - sched.xi

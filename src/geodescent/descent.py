@@ -413,27 +413,33 @@ class CubicNewton:
 # driver and checks
 
 
+def _certified_step(alg, cert: DescentCertificate, obj: Objective, x: ManifoldPoint, f, g, gn):
+    """One step of ``alg`` from x, where f, the gradient coordinates g and
+    their norm gn are already known: x+, f(x+), the coordinates of grad f(x+)
+    from one ``obj._evaluate``, their norm, and the step's ``cert.slack``."""
+    x_new = alg.step(obj, x, TangentVector(x, g))
+    f_new, g_new = obj._evaluate(x_new)
+    gn_new = obj.manifold._norm(x_new.coords, g_new)
+    return x_new, f_new, g_new, gn_new, cert.slack(f, f_new, gn, gn_new)
+
+
 def run_descent(alg, obj: Objective, x0: ManifoldPoint, k_max: int,
                 dom: DomainSpec | None = None, writer=None) -> IterateTrace:
     """Run ``alg`` for up to ``k_max`` steps, recording values, gradient norms
     and the per-step certificate slack in an ``IterateTrace`` on ``dom``
     (default: the objective's), which monitors the domain and hands every
     record to ``writer`` if one is given (slack None at k=0, no extra).
-    Each iterate is evaluated once, by ``obj._evaluate``, and each step
-    reuses the gradient recorded at its input."""
-    m = obj.manifold
+    x0 is evaluated once, by ``obj._evaluate``, and every step is one
+    ``_certified_step``, which reuses the gradient recorded at its input."""
     cert = alg.certificate(obj)
     trace = IterateTrace(dom if dom is not None else obj.domain, x0, writer)
     x = x0
     f, g = obj._evaluate(x)
-    gn = m._norm(x.coords, g)
+    gn = obj.manifold._norm(x.coords, g)
     trace.record(x, f, gn)
     for _ in range(k_max):
-        x = alg.step(obj, x, TangentVector(x, g))
-        f_prev, gn_prev = f, gn
-        f, g = obj._evaluate(x)
-        gn = m._norm(x.coords, g)
-        trace.record(x, f, gn, cert.slack(f_prev, f, gn_prev, gn))
+        x, f, g, gn, slack = _certified_step(alg, cert, obj, x, f, g, gn)
+        trace.record(x, f, gn, slack)
     return trace.close()
 
 

@@ -334,11 +334,12 @@ class SphereRayleigh(Objective):
 
 
 # the rho estimate's step scale (std dev of the sampled steps' tangent
-# coordinates) and floor, which keeps exactly-quadratic objectives usable by
-# the cubic step (M > rho/2 > 0); the reference minimizer's gradient tolerance
+# coordinates) and floor, which keeps exactly-quadratic objectives usable by the
+# cubic step (M > rho/2 > 0); the reference minimizer's gradient tolerance and budget
 RHO_STEP_SCALE = 0.5
 RHO_FLOOR = 1e-6
 REFERENCE_GRAD_TOL = 1e-12
+REFERENCE_MAX_ITER = 200_000
 
 
 def estimate_hessian_lipschitz(obj: Objective, rng: np.random.Generator,
@@ -366,10 +367,10 @@ def estimate_hessian_lipschitz(obj: Objective, rng: np.random.Generator,
     return max(2.0 * worst, RHO_FLOOR)
 
 
-def reference_minimize(obj: Objective, x0: ManifoldPoint, max_iter: int = 200_000) -> ManifoldPoint:
+def reference_minimize(obj: Objective, x0: ManifoldPoint) -> ManifoldPoint:
     """Plain gradient descent run to gradient norm ``REFERENCE_GRAD_TOL``;
     the reference oracle for minimizers without a closed form.  Raises
-    ReferenceMinimizationError if ``max_iter`` steps do not reach it."""
+    ReferenceMinimizationError if ``REFERENCE_MAX_ITER`` steps do not reach it."""
     m = obj.manifold
     L = obj.metadata.L
     if L is None or L <= 0:
@@ -377,10 +378,11 @@ def reference_minimize(obj: Objective, x0: ManifoldPoint, max_iter: int = 200_00
     m._own(x0)
     eta = 1.0 / L
     x = x0
-    for _ in range(max_iter):
+    for _ in range(REFERENCE_MAX_ITER):
         g = obj.gradient(x).coords
         if m._norm(x.coords, g) < REFERENCE_GRAD_TOL:
             return x
         x = m._move(x.coords, -eta * g)
     raise ReferenceMinimizationError(
-        f"reference minimization did not reach grad norm {REFERENCE_GRAD_TOL:g} in {max_iter} steps")
+        f"reference minimization did not reach grad norm {REFERENCE_GRAD_TOL:g} "
+        f"in {REFERENCE_MAX_ITER} steps")

@@ -4,7 +4,8 @@ reference solvers and checks used across the test modules."""
 import numpy as np
 from hypothesis import assume
 
-from geodescent.acceleration import AccelState
+from geodescent import acceleration as acc
+from geodescent.descent import BACKWARD
 from geodescent.geometry import DomainSpec, Euclidean, Hyperboloid, Sphere, TangentVector
 from geodescent.objectives import FrechetMean, Quadratic, SphereRayleigh, SquaredDistance
 
@@ -38,8 +39,17 @@ def tangent_of_norm(m, rng, x, norm):
 
 
 def accel_state(obj, x, y, z):
-    """The accelerated state (x, y, z) at k = 0, with f(y) and grad f(y)."""
-    return AccelState(x, y, z, 0, obj.value(y), obj.gradient(y).coords)
+    """The accelerated state (x, y, z) at k = 0, with f(y) and ||grad f(y)||."""
+    return acc.AccelState(x, y, z, 0, obj.value(y), obj.manifold.norm(y, obj.gradient(y)))
+
+
+def accel_update(obj, state, params, oracle, tol=1e-9):
+    """One accelerated update as the driver takes it: the look-ahead, then the
+    certified step of ``oracle`` under ``certificate(obj, BACKWARD)``.
+    Returns the new state and the oracle slack."""
+    x_new, drift = acc._look_ahead(obj.manifold, state, params.tau)
+    return acc._descend(obj, state, params, x_new, drift, oracle,
+                        oracle.certificate(obj, BACKWARD), tol)
 
 
 def make_quadratic(scales=None):

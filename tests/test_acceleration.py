@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geodescent import acceleration as acc
-from geodescent.descent import (BACKWARD, FORWARD, CubicNewton, GradientDescent, ProximalPoint,
-                                default_tolerance)
-from geodescent.geometry import DomainSpec, Euclidean, GeometryError, Sphere, TangentVector
+from geodescent.descent import (BACKWARD, FORWARD, CubicNewton, DescentCertificate,
+                                GradientDescent, ProximalPoint, default_tolerance)
+from geodescent.geometry import (DomainSpec, Euclidean, GeometryError, Hyperboloid,
+                                 ManifoldMismatchError, Sphere, TangentVector)
 from geodescent.objectives import Quadratic
-from helpers import (accel_state, make_frechet_h2, make_frechet_sphere, make_sqdist_h2, point_at,
-                     xi_solve_bisect)
+from helpers import (accel_state, accel_update, make_frechet_h2, make_frechet_sphere,
+                     make_sqdist_h2, point_at, xi_solve_bisect)
 
 
 def _strongly_run(c_target=0.005, k_max=150, x0_dist=0.9, seed=0, **kw):
@@ -24,12 +25,6 @@ def _strongly_run(c_target=0.005, k_max=150, x0_dist=0.9, seed=0, **kw):
     x0 = point_at(m, np.random.default_rng(seed), obj.target, x0_dist)
     run = acc.run_accelerated(obj, x0, k_max, acc.STRONGLY, oracle, **kw)
     return obj, run
-
-
-def _rgd(obj, eta=None):
-    """The gradient oracle's step and constant, as accel_step takes them."""
-    alg = acc.gradient_oracle(obj, eta)
-    return alg.step, alg.certificate(obj, BACKWARD).c
 
 
 # ---------------------------------------------------------------------------
@@ -48,36 +43,36 @@ def test_params_validation():
     acc.AccelParams(1.0, 0.0, 1.0)  # tau = 1 and alpha = 0 are permitted
 
 
-def test_accel_step_tau_one_moves_to_z():
+def test_accel_update_tau_one_moves_to_z():
     obj = make_sqdist_h2()
     m = obj.manifold
     rng = np.random.default_rng(1)
     y = point_at(m, rng, obj.target, 0.8)
     z = point_at(m, rng, obj.target, 0.6)
     state = accel_state(obj, y, y, z)
-    new, _ = acc.accel_step(obj, state, acc.AccelParams(1.0, 0.0, 1.0), *_rgd(obj), 1e-9)
+    new, _ = accel_update(obj, state, acc.AccelParams(1.0, 0.0, 1.0), acc.gradient_oracle(obj))
     assert m.distance(new.x, z) < 1e-9
 
 
-def test_accel_step_small_tau_stays_at_y():
+def test_accel_update_small_tau_stays_at_y():
     obj = make_sqdist_h2()
     m = obj.manifold
     rng = np.random.default_rng(2)
     y = point_at(m, rng, obj.target, 0.8)
     z = point_at(m, rng, obj.target, 0.6)
     state = accel_state(obj, y, y, z)
-    new, _ = acc.accel_step(obj, state, acc.AccelParams(1e-12, 0.0, 1.0), *_rgd(obj), 1e-9)
+    new, _ = accel_update(obj, state, acc.AccelParams(1e-12, 0.0, 1.0), acc.gradient_oracle(obj))
     assert m.distance(new.x, y) < 1e-10
 
 
-def test_accel_step_euclidean_alpha_zero_is_nesterov_dual():
+def test_accel_update_euclidean_alpha_zero_is_nesterov_dual():
     obj = Quadratic([0.0, 0.0], scales=[1.0, 0.5])
     E = obj.manifold
     y = E.point([1.0, -2.0])
     z = E.point([0.4, 0.3])
     state = accel_state(obj, y, y, z)
     tau, beta = 0.3, 2.0
-    new, _ = acc.accel_step(obj, state, acc.AccelParams(tau, 0.0, beta), *_rgd(obj), 1e-9)
+    new, _ = accel_update(obj, state, acc.AccelParams(tau, 0.0, beta), acc.gradient_oracle(obj))
     x_new = (1 - tau) * y.coords + tau * z.coords
     np.testing.assert_allclose(new.x.coords, x_new, atol=1e-14)
     g = obj.gradient(E.point(x_new)).coords
@@ -88,28 +83,28 @@ def test_update_exactness_invariant():
     obj = make_sqdist_h2()
     m = obj.manifold
     rng = np.random.default_rng(3)
-    step, c = _rgd(obj)
+    oracle = acc.gradient_oracle(obj)
     for _ in range(30):
         y = point_at(m, rng, obj.target, rng.uniform(0.2, 1.0))
         z = point_at(m, rng, obj.target, rng.uniform(0.2, 1.0))
         params = acc.AccelParams(rng.uniform(0.05, 0.95), rng.uniform(0.0, 2.0),
                                  rng.uniform(0.5, 3.0))
         state = accel_state(obj, y, y, z)
-        new, _ = acc.accel_step(obj, state, params, step, c, 1e-9)
+        new, _ = accel_update(obj, state, params, oracle)
         resid = (params.alpha + params.beta) * m.log(new.x, new.z).coords \
             + obj.gradient(new.x).coords - params.beta * m.log(new.x, state.z).coords
         assert np.sqrt(max(m._inner(new.x.coords, resid, resid), 0.0)) < 1e-9
 
 
 def test_oracle_violation_is_fatal():
+    # a step that stays put, under a certificate that claims a decrease
     obj = make_sqdist_h2()
-    def identity(o, x, grad):
-        return x
-
+    identity = SimpleNamespace(step=lambda o, x, grad: x,
+                               certificate=lambda o, d: DescentCertificate(2.0, 0.5, d))
     y = point_at(obj.manifold, np.random.default_rng(4), obj.target, 0.9)
     state = accel_state(obj, y, y, y)
     with pytest.raises(acc.OracleViolationError):
-        acc.accel_step(obj, state, acc.AccelParams(0.5, 0.0, 1.0), identity, 0.5, 1e-9)
+        accel_update(obj, state, acc.AccelParams(0.5, 0.0, 1.0), identity)
 
 
 def test_proximal_oracle_contract():
@@ -155,7 +150,6 @@ def test_schedule_gconvex_example_k1():
     params, sched = acc.schedule_gconvex(1, 1.0, 4.0 / c, 1.0, 1.0, c)
     assert params.tau == pytest.approx(0.8)
     assert sched.A == pytest.approx(3.0)
-    assert sched.A_bar == pytest.approx(2.0)
     assert sched.B == pytest.approx(4.0 / c)
     assert params.alpha == 0.0  # constant B, delta == 1
 
@@ -241,8 +235,7 @@ def test_schedule_strongly_stores_the_distortion_rate():
     params_d, sched_d = acc.schedule_strongly(0.4, 1.0, mu, c, 1.7)
     assert params_d == params
     assert sched_d.delta == 1.7
-    assert (sched_d.A, sched_d.B, sched_d.A_bar, sched_d.xi) == (
-        sched.A, sched.B, sched.A_bar, sched.xi)
+    assert (sched_d.A, sched_d.B, sched_d.xi) == (sched.A, sched.B, sched.xi)
     with pytest.raises(ValueError):
         acc.schedule_strongly(0.4, 1.0, mu, c, 0.9)
 
@@ -290,6 +283,42 @@ def test_analytic_delta_on_a_sphere_is_refused_before_recording():
         acc.run_accelerated(obj, obj.domain.center, 5, acc.GCONVEX, acc.gradient_oracle(obj),
                             writer=writer)
     assert calls == []
+
+
+def test_a_y0_on_another_manifold_is_refused_before_recording():
+    # a point of H^2 with kappa = 4 has the shape of one with kappa = 1
+    obj, calls = make_sqdist_h2(), []
+    writer = SimpleNamespace(record=lambda *args: calls.append(args))
+    y0 = Hyperboloid(2, 4.0).origin()
+    with pytest.raises(ManifoldMismatchError, match="kappa=4"):
+        acc.run_accelerated(obj, y0, 5, acc.STRONGLY, acc.gradient_oracle(obj), writer=writer)
+    assert calls == []
+
+
+@pytest.mark.parametrize("make_oracle", [lambda obj: acc.gradient_oracle(obj, 0.05),
+                                         lambda obj: ProximalPoint(0.5)], ids=["rgd", "proximal"])
+def test_recorded_oracle_slacks_are_the_certificate_slacks(make_oracle):
+    # step k goes from x_k to y_k: its recorded slack is the oracle
+    # certificate's slack between the two evaluations, bit for bit, and the
+    # recorded gradient norm is that of y_k
+    obj = make_frechet_h2(seed=0, num=20, spread=1.0)
+    m = obj.manifold
+    x0 = point_at(m, np.random.default_rng(5), obj.domain.center, 1.0)
+    oracle = make_oracle(obj)
+    run = acc.run_accelerated(obj, x0, 15, acc.STRONGLY, oracle, delta_mode=acc.ORACLE)
+    cert = oracle.certificate(obj, BACKWARD)
+
+    def f_gn(p):
+        f, g = obj._evaluate(p)
+        return f, m._norm(p.coords, g)
+
+    at_y = [f_gn(y) for y in run.trace.iterates]
+    assert [gn for _, gn in at_y] == run.trace.grad_norms
+    slacks = []
+    for x, (f_y, gn_y) in zip(run.xs[1:], at_y[1:]):
+        f_x, gn_x = f_gn(x)
+        slacks.append(cert.slack(f_x, f_y, gn_x, gn_y))
+    assert slacks == run.trace.per_step_violation
 
 
 # ---------------------------------------------------------------------------

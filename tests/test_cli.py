@@ -132,9 +132,7 @@ def test_a_reference_minimizer_that_does_not_converge_is_a_config_error(
         tmp_path, monkeypatch, capsys):
     # the real solver takes 200,000 steps on this config before it gives up;
     # cut to one step, it gives up at once, through the same error
-    solve = objectives.reference_minimize
-    monkeypatch.setattr(objectives, "reference_minimize",
-                        lambda obj, x0: solve(obj, x0, max_iter=1))
+    monkeypatch.setattr(objectives, "REFERENCE_MAX_ITER", 1)
     configs = tmp_path / "configs"
     configs.mkdir()
     cfg = _write(configs / "a_far.yaml",

@@ -18,12 +18,12 @@ import numpy as np
 import pytest
 
 from geodescent import acceleration as acc
-from geodescent.descent import (BACKWARD, CubicNewton, GradientDescent, ProximalPoint,
-                                cubic_newton_step, proximal_step, rgd_step, run_descent)
+from geodescent.descent import (CubicNewton, GradientDescent, ProximalPoint, cubic_newton_step,
+                                proximal_step, rgd_step, run_descent)
 from geodescent.geometry import (BaseMismatchError, GeometryError, Hyperboloid, Manifold,
                                  ManifoldMismatchError, TangentVector)
 from geodescent.objectives import estimate_hessian_lipschitz, reference_minimize
-from helpers import accel_state, make_frechet_h2, make_sqdist_h2, point_at
+from helpers import accel_state, accel_update, make_frechet_h2, make_sqdist_h2, point_at
 
 K = 12
 
@@ -109,14 +109,12 @@ def test_accelerated_analytic_delta_counts():
     assert counts == {"value": 0, "gradient": 0, "_evaluate": 2 * K + 1}
 
 
-def test_accel_step_hands_the_oracle_its_gradient():
+def test_accel_update_hands_the_oracle_its_gradient():
     obj, x0 = _problem()
     oracle = ProximalPoint(1.0)
-    c = oracle.certificate(obj, BACKWARD).c
     state = accel_state(obj, x0, x0, point_at(obj.manifold, np.random.default_rng(6), x0, 0.5))
     counts = _counting(obj)
-    new_state, _ = acc.accel_step(obj, state, acc.AccelParams(0.5, 0.1, 1.0), oracle.step, c,
-                                  0.0)
+    new_state, _ = accel_update(obj, state, acc.AccelParams(0.5, 0.1, 1.0), oracle, 0.0)
     in_step = dict(counts)
     counts.update(gradient=0)
     oracle.step(obj, new_state.x, obj.gradient(new_state.x))
@@ -337,14 +335,13 @@ def test_the_steps_make_no_public_geometry_calls(monkeypatch):
     x = point_at(m, np.random.default_rng(5), obj.domain.center, 0.5)
     z = point_at(m, np.random.default_rng(6), obj.domain.center, 0.8)
     oracle = GradientDescent(1.0 / obj.metadata.L)
-    c = oracle.certificate(obj, BACKWARD).c
     g, state = obj.gradient(x), accel_state(obj, x, x, z)
     names = ("exp", "log", "norm", "inner", "distance")
     calls = _public_geometry_calls(monkeypatch, names)
     rgd_step(obj, x, oracle.eta, g)
     proximal_step(obj, x, 1.0, 1e-9, g)
     cubic_newton_step(obj, x, 1.0, 0.5, 1.0, g)
-    acc.accel_step(obj, state, acc.AccelParams(0.5, 0.1, 1.0), oracle.step, c, 0.0)
+    accel_update(obj, state, acc.AccelParams(0.5, 0.1, 1.0), oracle, 0.0)
     reference_minimize(obj, x)
     assert calls == dict.fromkeys(names, 0)
 
@@ -353,10 +350,6 @@ STEPS = {
     "rgd": lambda obj, x, g: rgd_step(obj, x, 0.1, g),
     "proximal": lambda obj, x, g: proximal_step(obj, x, 1.0, 1e-9, g),
     "cubic": lambda obj, x, g: cubic_newton_step(obj, x, 1.0, 0.5, 1.0, g),
-    # accel_step reads neither f(y) nor grad f(y) of the state it is handed
-    "accel": lambda obj, x, g: acc.accel_step(obj, acc.AccelState(x, x, x, 0, 0.0, g.coords),
-                                              acc.AccelParams(0.5, 0.1, 1.0),
-                                              GradientDescent(0.1).step, 0.05, 0.0),
     "reference": lambda obj, x, g: reference_minimize(obj, x),
 }
 
