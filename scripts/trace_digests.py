@@ -8,8 +8,12 @@ oracle-delta runs on the g-convex schedule, with the proximal oracle and on
 a Fréchet mean off one geodesic, Fréchet means on a sphere cap, problems on
 a sphere of radius 1.5, two runs whose reports hold a void check, an
 accelerated run that leaves its domain, a proximal run whose inner solve
-fails and a squared distance whose target overflows the hyperboloid's
-coordinates, which fails to build.
+fails, a squared distance whose target overflows the hyperboloid's
+coordinates, which fails to build, and five configs whose run constants
+cannot hold (c >= 1/(2*mu), an objective that is not strongly g-convex in
+strongly mode, an rgd eta above 2/L, a xi0 above sqrt(2*mu*c) and an
+accelerated run on a nonconvex objective), which the start checks refuse
+when they are built.
 
 Usage::
 
@@ -144,6 +148,23 @@ EXTRA = {
     "h2-sqdist.far-target": (
         {"kind": "hyperboloid", "n": 2}, {"kind": "squared_distance", "target_distance": 1.0e3},
         {"kind": "rgd"}, {"k_max": 5}),
+    # run constants that cannot hold, which the start checks refuse when the
+    # config is built: config errors, exit 2
+    "e2-sqdist.accel-strongly-c-too-large": (
+        {"kind": "euclidean", "n": 2}, {"kind": "squared_distance"},
+        {"kind": "accelerated", "mode": "strongly"}, {"k_max": 5}),
+    "s2-sqdist.accel-strongly-not-strongly": (
+        {"kind": "sphere", "n": 2}, {"kind": "squared_distance", "domain_radius": 1.2},
+        {"kind": "accelerated", "mode": "strongly", "delta_mode": "oracle"}, {"k_max": 5}),
+    "h2-sqdist.rgd-eta2": (
+        {"kind": "hyperboloid", "n": 2}, {"kind": "squared_distance"},
+        {"kind": "rgd", "eta": 2.0}, {"k_max": 5}),
+    "h2-sqdist.accel-strongly-xi0-0.99": (
+        {"kind": "hyperboloid", "n": 2}, {"kind": "squared_distance"},
+        {"kind": "accelerated", "mode": "strongly", "xi0": 0.99}, {"k_max": 5}),
+    "s2-rayleigh.accel-oracle-delta": (
+        {"kind": "sphere", "n": 2}, {"kind": "sphere_rayleigh"},
+        {"kind": "accelerated", "delta_mode": "oracle"}, {"k_max": 3, "x0_seed": 4}),
 }
 
 

@@ -34,7 +34,7 @@ from geodescent.geometry import (
     ManifoldPoint,
     comparison,
 )
-from geodescent.objectives import Objective
+from geodescent.objectives import NONCONVEX, Objective
 
 __all__ = [
     "AccelParams",
@@ -48,6 +48,7 @@ __all__ = [
     "schedule_strongly",
     "distortion_rate",
     "energy",
+    "check_start",
     "run_accelerated",
     "AccelRun",
     "accel_gconvex_bound",
@@ -311,6 +312,36 @@ class AccelRun:
         return [s.delta for s in self.schedules]
 
 
+def check_start(obj: Objective, mode: str, oracle, delta_mode: str, xi0: float | None) -> tuple:
+    """The checks a run makes before its first step, which the harness also
+    makes when it builds a config.  Returns the oracle's 2-backward
+    certificate and xi0, which strongly mode defaults to sqrt(2*mu*c)."""
+    if mode not in (GCONVEX, STRONGLY):
+        raise ValueError(f"unknown mode {mode!r}")
+    if delta_mode not in (ANALYTIC, ORACLE):
+        raise ValueError(f"unknown delta mode {delta_mode!r}")
+    if delta_mode == ANALYTIC and obj.manifold.curvature > 0:
+        raise GeometryError(HADAMARD_ONLY)
+    if obj.metadata.convexity_class == NONCONVEX:
+        raise ValueError("accelerated runs need a g-convex objective")
+    if obj.known_solution is None:
+        raise ValueError("accelerated runs need a known or precomputed minimizer")
+    cert = oracle.certificate(obj, BACKWARD)
+    if (cert.p, cert.direction) != (2.0, BACKWARD):
+        raise ValueError(f"the oracle needs a 2-backward certificate, got {cert}")
+    if mode == STRONGLY:
+        mu = obj.metadata.mu
+        if mu is None or mu <= 0:
+            raise ValueError("strongly mode needs a strongly g-convex objective")
+        if not cert.c < 1.0 / (2.0 * mu):
+            raise ValueError("strongly mode needs c < 1/(2*mu)")
+        a = 2.0 * mu * cert.c
+        xi0 = math.sqrt(a) if xi0 is None else xi0
+        if not a < xi0 <= math.sqrt(a) + 1e-12:
+            raise ValueError("xi0 must lie in (2*mu*c, sqrt(2*mu*c)]")
+    return cert, xi0
+
+
 def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
                     oracle, dom: DomainSpec | None = None,
                     delta_mode: str = ANALYTIC, xi0: float | None = None,
@@ -321,8 +352,8 @@ def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
     gives c (``GradientDescent`` or ``ProximalPoint``).  y+ = G_c(x+) is one
     ``_certified_step`` of it, as in ``run_descent``, whose slack and
     ||grad f(y+)|| the record holds.
-    ``mode`` selects the g-convex or strongly g-convex schedule.  Analytic
-    delta needs a Hadamard manifold and is refused before the first record.
+    ``mode`` selects the g-convex or strongly g-convex schedule.  The checks
+    of ``check_start`` refuse a run before its first record.
     In ``oracle`` delta mode the distortion rate of each step is made
     self-consistent by a small fixed-point iteration on the look-ahead x+,
     the one part of the step that the realized ratio reads: x+ is recomputed
@@ -335,22 +366,11 @@ def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
     with the schedule and energy fields in ``extra``, and monitors the domain
     at x, y and z (its ``close`` watches the run's ``xs`` and ``zs`` too).
     """
-    if mode not in (GCONVEX, STRONGLY):
-        raise ValueError(f"unknown mode {mode!r}")
-    if delta_mode not in (ANALYTIC, ORACLE):
-        raise ValueError(f"unknown delta mode {delta_mode!r}")
+    cert, xi0 = check_start(obj, mode, oracle, delta_mode, xi0)
     m = obj.manifold
-    if delta_mode == ANALYTIC and m.curvature > 0:
-        raise GeometryError(HADAMARD_ONLY)
     dom = dom if dom is not None else obj.domain
     trace = IterateTrace(dom, y0, writer)
-    sol = obj.known_solution
-    if sol is None:
-        raise ValueError("accelerated runs need a known or precomputed minimizer")
-    x_star, f_star = sol.x_star, sol.f_star
-    cert = oracle.certificate(obj, BACKWARD)
-    if (cert.p, cert.direction) != (2.0, BACKWARD):
-        raise ValueError(f"the oracle needs a 2-backward certificate, got {cert}")
+    x_star, f_star = obj.known_solution.x_star, obj.known_solution.f_star
     c = cert.c
     mu = obj.metadata.mu
     f_y, g_y = obj._evaluate(y0)
@@ -359,15 +379,6 @@ def run_accelerated(obj: Objective, y0: ManifoldPoint, k_max: int, mode: str,
 
     D0 = env = None
     if mode == STRONGLY:
-        if mu is None or mu <= 0:
-            raise ValueError("strongly mode needs a strongly g-convex objective")
-        if not c < 1.0 / (2.0 * mu):
-            raise ValueError("strongly mode needs c < 1/(2*mu)")
-        a = 2.0 * mu * c
-        if xi0 is None:
-            xi0 = math.sqrt(a)
-        if not a < xi0 <= math.sqrt(a) + 1e-12:
-            raise ValueError("xi0 must lie in (2*mu*c, sqrt(2*mu*c)]")
         sched = ScheduleState(1.0, xi0**2 / (4.0 * c), 1.0, xi0)
         D0 = state.f_y - f_star + sched.B * m.distance(state.z, x_star) ** 2
         env = math.sqrt(max(D0, 0.0))

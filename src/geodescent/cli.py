@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Subcommands: ``run`` one config, ``batch`` a directory of configs,
-``validate`` a config, ``fit`` a power law to a trace, ``compare`` traces.
-Exit codes: 0 ok, 1 guarantee violation, 2 usage/config error.  Relative
-output paths resolve under --out-root (or $GEODESCENT_OUTPUT_ROOT).
+``validate`` a config (build it and run its start checks), ``fit`` a power
+law to a trace, ``compare`` traces.  Exit codes: 0 ok, 1 a guarantee
+failed or a solver stopped mid-run, 2 usage/config error.  Relative output
+paths resolve under --out-root (or $GEODESCENT_OUTPUT_ROOT).
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("directory")
     p.set_defaults(func=_cmd_batch)
 
-    p = sub.add_parser("validate", parents=[common], help="build a config without running it")
+    p = sub.add_parser("validate", parents=[common], help="build a config and run its start checks")
     p.add_argument("config")
     p.set_defaults(func=_cmd_validate)
 

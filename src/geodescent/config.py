@@ -75,11 +75,9 @@ SCHEMA = {
     ("objective", "diag"): Key(_vector(1), None, ("sphere_rayleigh",)),  # 2, 1, 0.5, ...
     ("algorithm", "kind"): Key(_choice(("rgd", "proximal", "cubic_newton", "accelerated"))),
     ("algorithm", "eta"): Key(POSITIVE, 1.0, ORACLE_KINDS),  # rgd: 1/L where L > 0
-    ("algorithm", "tol_prox"): Key(POSITIVE, 1e-9, ("proximal",)),
     ("algorithm", "M"): Key(POSITIVE, None, ("cubic_newton",)),  # from rho
     ("algorithm", "theta"): Key(POSITIVE, None, ("cubic_newton",)),  # from rho
     ("algorithm", "rho"): Key(POSITIVE, None, ("cubic_newton",)),  # declared or estimated
-    ("algorithm", "rho_seed"): Key(SEED, 0, ("cubic_newton",)),
     ("algorithm", "mode"): Key(_choice(("gconvex", "strongly"), "gconvex or strongly"),
                                "gconvex", ("accelerated",)),
     ("algorithm", "delta_mode"): Key(_choice(("analytic", "oracle"), "analytic or oracle"),

@@ -44,7 +44,8 @@ BACKWARD = "backward"
 
 # floor below which rate envelopes are no longer numerically meaningful
 ENVELOPE_FLOOR = 1e-13
-# the proximal step's budget of inner iterations
+# the proximal step's optimality residual and its budget of inner iterations
+PROX_TOL = 1e-9
 PROX_MAX_INNER = 50_000
 
 
@@ -166,13 +167,12 @@ def rgd_step(obj: Objective, x: ManifoldPoint, eta: float,
     return obj.manifold._move(x.coords, -eta * grad.coords)
 
 
-def proximal_step(obj: Objective, x: ManifoldPoint, eta: float, tol_prox: float,
-                  grad: TangentVector) -> ManifoldPoint:
+def proximal_step(obj: Objective, x: ManifoldPoint, eta: float, grad: TangentVector) -> ManifoldPoint:
     """Approximate proximal point: minimize ``F(y) = f(y) + d(y, x)^2 / (2 eta)``.
 
     The inner problem is solved from y = x, with ``grad`` = grad f(x), until
     the first-order residual ``||log(y, x) - eta * grad f(y)||`` (eta *
-    ||grad F(y)||) drops below ``tol_prox``, in at most ``PROX_MAX_INNER``
+    ||grad F(y)||) drops below ``PROX_TOL``, in at most ``PROX_MAX_INNER``
     inner iterations.  Each takes the Riemannian Newton step on F in the
     frame ``_frame(y)`` and keeps it if it lowers the residual.  Otherwise,
     and where the Hessian of F is not positive definite (f need not be
@@ -183,8 +183,6 @@ def proximal_step(obj: Objective, x: ManifoldPoint, eta: float, tol_prox: float,
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    if not tol_prox > 0:
-        raise ValueError("tol_prox must be positive")
     m = obj.manifold
     m._same_base(x, grad)
     L_f = obj.metadata.L if obj.metadata.L is not None else 1.0
@@ -202,7 +200,7 @@ def proximal_step(obj: Objective, x: ManifoldPoint, eta: float, tol_prox: float,
 
     y, g_f, dist_log, residual = at(x, grad.coords)
     for i in range(PROX_MAX_INNER):
-        if residual < tol_prox:
+        if residual < PROX_TOL:
             return y
         tested, grad_F = residual, g_f - dist_log[1] / eta
         s = _prox_newton_step(obj, y, x, eta, grad_F, dist_log)
@@ -214,7 +212,7 @@ def proximal_step(obj: Objective, x: ManifoldPoint, eta: float, tol_prox: float,
             raise ProximalSolverError(
                 f"optimality residual {residual} is not finite at inner iteration {i + 1}")
     raise ProximalSolverError(
-        f"optimality residual {tested:.3e} > {tol_prox:g} after {PROX_MAX_INNER} inner iterations"
+        f"optimality residual {tested:.3e} > {PROX_TOL:g} after {PROX_MAX_INNER} inner iterations"
     )
 
 
@@ -359,10 +357,9 @@ class ProximalPoint:
     2-backward descent for L-g-smooth f."""
 
     eta: float
-    tol_prox: float = 1e-9
 
     def step(self, obj, x, grad):
-        return proximal_step(obj, x, self.eta, self.tol_prox, grad)
+        return proximal_step(obj, x, self.eta, grad)
 
     def certificate(self, obj, direction: str = FORWARD) -> DescentCertificate:
         """Forward: c = eta/2.  Backward (the decrease measured at the input
@@ -405,7 +402,10 @@ class CubicNewton:
         if direction != FORWARD:
             raise ValueError("cubic Newton is certified forward only")
         M, theta, rho = self._params(obj)
-        c = (M / 3.0 - rho / 6.0) * (theta + rho / 2.0 + M) ** (-1.5)
+        try:
+            c = (M / 3.0 - rho / 6.0) * (theta + rho / 2.0 + M) ** (-1.5)
+        except OverflowError:  # a tiny rho: c exceeds every float, and the check refuses it
+            c = math.inf
         return DescentCertificate(3.0, c, FORWARD)
 
 

@@ -153,18 +153,13 @@ def _cross_section_violations(sections) -> list[str]:
     """The rules that tie keys together, which the table's per-key types
     cannot state."""
     mkind, okind = sections["manifold"].get("kind"), sections["objective"].get("kind")
-    alg, out = sections["algorithm"], sections["output"]
-    accelerated = alg.get("kind") == "accelerated"
+    out = sections["output"]
     rules = (
         (out.get("trace") == out.get("report"), "output.trace and output.report must differ"),
         (okind == "sphere_rayleigh" and mkind not in (None, "sphere"),
          "sphere_rayleigh requires manifold.kind = sphere"),
         (okind == "quadratic" and mkind not in (None, "euclidean"),
          "quadratic requires manifold.kind = euclidean"),
-        (accelerated and value("algorithm", alg, "mode") == accel.STRONGLY
-         and okind == "sphere_rayleigh", "strongly mode requires a strongly g-convex objective"),
-        (accelerated and value("algorithm", alg, "delta_mode") == accel.ANALYTIC
-         and mkind == "sphere", "analytic distortion rates need a Hadamard manifold"),
     )
     return [message for broken, message in rules if broken]
 
@@ -266,15 +261,15 @@ def _attach_reference_solution(obj: Objective, spec: dict, cache_dir):
             solve, attach)
 
 
-# arguments of the Hessian-Lipschitz estimate, part of its cache key
-_RHO_ESTIMATOR = {"n_samples": 200, "step_scale": RHO_STEP_SCALE, "floor": RHO_FLOOR}
+# the seed and arguments of the Hessian-Lipschitz estimate, part of its cache key
+_RHO_ESTIMATOR = {"rho_seed": 0, "n_samples": 200, "step_scale": RHO_STEP_SCALE, "floor": RHO_FLOOR}
 
 
-def _hessian_lipschitz(obj: Objective, objective_spec: dict, seed: int, cache_dir) -> float:
+def _hessian_lipschitz(obj: Objective, objective_spec: dict, cache_dir) -> float:
     """Estimated rho of the objective, cached on disk under the hash of the
-    objective spec, manifold, ``rho_seed`` and the estimator's arguments."""
+    objective spec, manifold and the estimator's seed and arguments."""
     def estimate():
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_RHO_ESTIMATOR["rho_seed"])
         return {"rho": estimate_hessian_lipschitz(obj, rng, _RHO_ESTIMATOR["n_samples"])}
 
     def read(entry):
@@ -282,8 +277,7 @@ def _hessian_lipschitz(obj: Objective, objective_spec: dict, seed: int, cache_di
             raise ValueError("rho must be a positive finite number")
         return float(entry["rho"])
 
-    key = {"objective": objective_spec, "manifold": obj.manifold.key, "rho_seed": seed,
-           **_RHO_ESTIMATOR}
+    key = {"objective": objective_spec, "manifold": obj.manifold.key, **_RHO_ESTIMATOR}
     return _cached(cache_dir, "rho", key, estimate, read)
 
 
@@ -298,11 +292,11 @@ def build_algorithm(spec: dict, obj: Objective, objective_spec: dict, cache_dir)
         L = obj.metadata.L
         return desc.GradientDescent(float(get("eta") if "eta" in spec or not L else 1.0 / L))
     if kind == "proximal":
-        return desc.ProximalPoint(float(get("eta")), tol_prox=float(get("tol_prox")))
+        return desc.ProximalPoint(float(get("eta")))
     if kind == "cubic_newton":
         rho = get("rho")
         if rho is None and obj.metadata.rho in (None, 0.0):
-            rho = _hessian_lipschitz(obj, objective_spec, get("rho_seed"), cache_dir)
+            rho = _hessian_lipschitz(obj, objective_spec, cache_dir)
         return desc.CubicNewton(get("M"), get("theta"), None if rho is None else float(rho))
     if kind == "accelerated":
         oracle = get("oracle")
@@ -408,15 +402,18 @@ class ExperimentResult:
 
 
 def _build_experiment(cfg: ExperimentConfig, cache_dir=None):
-    """Build a config's manifold, objective, algorithm, domain and x0 for
-    ``validate`` and ``run_experiment``; a ValueError, TypeError (such as a
-    null where a number belongs) or ArithmeticError (such as a radius whose
-    curvature overflows) becomes a ConfigError, with no numpy warning."""
+    """Build a config's manifold, objective, algorithm, its certificate from the
+    run's start checks (``accel.check_start`` when accelerated), domain and x0 for
+    ``validate`` and ``run_experiment``; a ValueError, TypeError (a null where a
+    number belongs) or ArithmeticError becomes a ConfigError, with no numpy warning."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             manifold = build_manifold(cfg.manifold)
             obj = build_objective(cfg.objective, manifold, cache_dir)
             alg = build_algorithm(cfg.algorithm, obj, cfg.objective, cache_dir)
+            get = partial(value, "algorithm", cfg.algorithm)
+            cert = (accel.check_start(obj, get("mode"), alg, get("delta_mode"), get("xi0"))[0]
+                    if cfg.algorithm["kind"] == "accelerated" else alg.certificate(obj))
 
             run = cfg.run
             radius = float(run["domain_radius"]) if "domain_radius" in run else obj.domain.radius
@@ -437,7 +434,7 @@ def _build_experiment(cfg: ExperimentConfig, cache_dir=None):
         raise
     except (TypeError, ValueError, ArithmeticError) as e:
         raise ConfigError([f"cannot build the experiment: {type(e).__name__}: {e}"]) from e
-    return manifold, obj, alg, dom, x0
+    return manifold, obj, alg, cert, dom, x0
 
 
 def run_experiment(cfg: ExperimentConfig, out_root: str) -> ExperimentResult:
@@ -445,7 +442,7 @@ def run_experiment(cfg: ExperimentConfig, out_root: str) -> ExperimentResult:
     run, stream the trace, check every activated guarantee and write the
     report.  Exit code 0 = all guarantees pass, 1 = some guarantee failed."""
     os.makedirs(out_root, exist_ok=True)
-    manifold, obj, alg, dom, x0 = _build_experiment(cfg, os.path.join(out_root, "cache"))
+    manifold, obj, alg, cert, dom, x0 = _build_experiment(cfg, os.path.join(out_root, "cache"))
     k_max = int(value("run", cfg.run, "k_max"))
     sol = obj.known_solution
     f_star = sol.f_star if sol else None
@@ -498,7 +495,6 @@ def run_experiment(cfg: ExperimentConfig, out_root: str) -> ExperimentResult:
             else:
                 trace = desc.run_descent(alg, obj, x0, k_max, dom, writer)
                 tol = desc.default_tolerance(trace.values[0])
-                cert = alg.certificate(obj)
                 guarantees["certificate"] = _verdict(
                     trace.per_step_violation, tol, f"p={cert.p:g}, c={cert.c:g}, {cert.direction}")
                 if f_star is not None:

@@ -175,19 +175,49 @@ _RUN = {"k_max": 20, "x0_seed": 5, "x0_distance": 1.0}
     ({"run": {**_RUN, "x0_seed": None}}, "run.x0_seed must be a nonnegative integer"),
     ({"run": {**_RUN, "x0_seed": True}}, "run.x0_seed must be a nonnegative integer"),
     ({"run": {**_RUN, "x0_seed": 1.5}}, "run.x0_seed must be a nonnegative integer"),
-    ({"algorithm": {"kind": "cubic_newton", "rho_seed": "7"}},
-     "algorithm.rho_seed must be a nonnegative integer"),
-    ({"algorithm": {"kind": "proximal", "tol_prox": 0}},
-     "algorithm.tol_prox must be a positive number"),
-    ({"algorithm": {"kind": "proximal", "tol_prox": -1e-9}},
-     "algorithm.tol_prox must be a positive number"),
-    ({"algorithm": {"kind": "proximal", "tol_prox": True}},
-     "algorithm.tol_prox must be a positive number"),
 ], ids=["eta-null", "x0_distance-null", "eta-true", "M-true", "k_max-true", "k_max-zero",
-        "seed-null", "x0_seed-null", "x0_seed-true", "x0_seed-float", "rho_seed-string",
-        "tol_prox-zero", "tol_prox-negative", "tol_prox-true"])
+        "seed-null", "x0_seed-null", "x0_seed-true", "x0_seed-float"])
 def test_null_and_boolean_numbers_are_config_errors(tmp_path, capsys, over, message):
     _assert_config_error(tmp_path, capsys, over, message)
+
+
+@pytest.mark.parametrize("algorithm", [{"kind": "proximal", "tol_prox": 1.0e-6},
+                                       {"kind": "cubic_newton", "rho_seed": 4}],
+                         ids=["tol_prox", "rho_seed"])
+def test_the_constant_proximal_tolerance_and_rho_seed_are_unknown_keys(tmp_path, capsys,
+                                                                       algorithm):
+    key = next(k for k in algorithm if k != "kind")
+    _assert_config_error(tmp_path, capsys, {"algorithm": algorithm},
+                         f"unknown key algorithm.{key} for algorithm.kind {algorithm['kind']!r}")
+
+
+_H2 = {"kind": "hyperboloid", "n": 2}
+_START = "cannot build the experiment: ValueError: "
+
+
+@pytest.mark.parametrize("over, message", [
+    ({"manifold": {"kind": "euclidean", "n": 2}, "objective": {"kind": "squared_distance"},
+      "algorithm": {"kind": "accelerated", "mode": "strongly"}},
+     "strongly mode needs c < 1/(2*mu)"),
+    ({"manifold": {"kind": "sphere", "n": 2},
+      "objective": {"kind": "squared_distance", "domain_radius": 1.2},
+      "algorithm": {"kind": "accelerated", "mode": "strongly", "delta_mode": "oracle"}},
+     "strongly mode needs a strongly g-convex objective"),
+    ({"manifold": _H2, "objective": {"kind": "squared_distance"},
+      "algorithm": {"kind": "rgd", "eta": 2.0}},
+     "descent constant c must be finite and positive"),
+    ({"manifold": _H2, "objective": {"kind": "squared_distance"},
+      "algorithm": {"kind": "accelerated", "mode": "strongly", "xi0": 0.99}},
+     "xi0 must lie in (2*mu*c, sqrt(2*mu*c)]"),
+    ({"manifold": {"kind": "sphere", "n": 2}, "objective": {"kind": "sphere_rayleigh"},
+      "algorithm": {"kind": "accelerated", "delta_mode": "oracle"},
+      "run": {"k_max": 3, "x0_seed": 4}},
+     "accelerated runs need a g-convex objective"),
+], ids=["c-too-large", "not-strongly", "rgd-eta2", "xi0", "rayleigh"])
+def test_a_run_constant_that_cannot_hold_is_a_config_error(tmp_path, capsys, over, message):
+    # the checks the drivers make before their first step run when the
+    # config is built, so no trace is written
+    _assert_config_error(tmp_path, capsys, over, _START + message)
 
 
 @pytest.mark.parametrize("over, message", [
@@ -360,18 +390,10 @@ def test_a_drawn_point_that_overflows_is_a_config_error_without_a_numpy_warning(
 
 
 def test_a_certificate_constant_that_overflows_is_reported(tmp_path, capsys):
-    # validate accepts rho = 1e-300; the cubic certificate's
-    # (theta + rho/2 + M)^(-3/2) overflows once the run starts
-    cfg = _write(tmp_path / "a.yaml", algorithm={"kind": "cubic_newton", "rho": 1e-300})
-    assert cli.main(["validate", cfg]) == 0
-    capsys.readouterr()
-    root = tmp_path / "out"
-    assert cli.main(["--out-root", str(root), "run", cfg]) == 1
-    out, err = capsys.readouterr()
-    assert "error: OverflowError" in err and "Traceback" not in out + err
-    report = json.loads((root / "a.json").read_text())
-    assert report["exit_code"] == 1
-    assert [e.split(":")[0] for e in report["errors"]] == ["OverflowError"]
+    # the cubic certificate's (theta + rho/2 + M)^(-3/2) overflows at
+    # rho = 1e-300, which the certificate's own check names
+    _assert_config_error(tmp_path, capsys, {"algorithm": {"kind": "cubic_newton", "rho": 1e-300}},
+                         _START + "descent constant c must be finite and positive")
 
 
 def _assert_config_error(tmp_path, capsys, over, message):
@@ -392,6 +414,7 @@ def _assert_config_error(tmp_path, capsys, over, message):
     out = capsys.readouterr().out
     assert "a_bad.yaml] exit 2" in out and "b_good.yaml] exit 0" in out
     assert (root / "b_good.json").exists() and not (root / "a_bad.json").exists()
+    assert not (root / "a_bad.jsonl").exists()
 
 
 def test_unwritable_output_and_missing_config_exit_2(tmp_path, capsys):

@@ -7,7 +7,7 @@ import tempfile
 
 import pytest
 import yaml
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from geodescent import cli, harness
@@ -204,6 +204,27 @@ def test_a_valid_draw_runs_to_a_report_or_a_builder_error(sections):
                                         for v in e.violations)
             return
         _assert_schema_valid_report(result, cfg)
+
+
+@_PROPERTY
+@given(_valid_configs())
+# an accelerated run on a nonconvex objective, which broke energy_step_bound
+@example({"manifold": {"kind": "sphere", "n": 2}, "objective": {"kind": "sphere_rayleigh"},
+          "algorithm": {"kind": "accelerated", "delta_mode": "oracle"},
+          "run": {"k_max": 3, "x0_seed": 4}, "output": {}})
+def test_a_valid_draw_that_builds_keeps_every_guarantee(sections):
+    # the start checks refuse a run whose constants cannot hold when the
+    # config is built, so a run that starts fails no verdict and stops only
+    # on a named solver error
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = harness.load_config(_write(tmp, sections))
+        try:
+            report = harness.run_experiment(cfg, os.path.join(tmp, "out")).report
+        except harness.ConfigError:
+            return
+    assert [name for name, g in report["guarantees"].items() if g["pass"] is False] == []
+    assert all(e.startswith(("ProximalSolverError: ", "SubsolverError: "))
+               for e in report["errors"]), report["errors"]
 
 
 @st.composite

@@ -164,18 +164,18 @@ def test_rgd_descent_inequality_on_h2():
 def test_proximal_closed_form_euclidean():
     obj = Quadratic([0.0, 0.0])
     x = obj.manifold.point([2.0, 0.0])
-    out = proximal_step(obj, x, 1.0, 1e-9, obj.gradient(x))
+    out = proximal_step(obj, x, 1.0, obj.gradient(x))
     np.testing.assert_allclose(out.coords, [1.0, 0.0], atol=1e-8)
     # general closed form (x + eta*b) / (1 + eta)
     obj2 = Quadratic([1.0, -2.0])
     x2 = obj2.manifold.point([0.5, 0.5])
-    out2 = proximal_step(obj2, x2, 0.7, 1e-9, obj2.gradient(x2))
+    out2 = proximal_step(obj2, x2, 0.7, obj2.gradient(x2))
     np.testing.assert_allclose(out2.coords, (x2.coords + 0.7 * obj2.b) / 1.7, atol=1e-8)
 
 
 def test_proximal_fixed_point_at_minimizer():
     obj = make_sqdist_h2()
-    out = proximal_step(obj, obj.target, 1.0, 1e-9, obj.gradient(obj.target))
+    out = proximal_step(obj, obj.target, 1.0, obj.gradient(obj.target))
     assert obj.manifold.distance(out, obj.target) < 1e-9
 
 
@@ -185,7 +185,7 @@ def test_proximal_geodesic_contraction_on_h2():
     rng = np.random.default_rng(1)
     for eta in (0.5, 1.0, 2.0):
         x = point_at(m, rng, obj.target, 1.1)
-        out = proximal_step(obj, x, eta, 1e-9, obj.gradient(x))
+        out = proximal_step(obj, x, eta, obj.gradient(x))
         d = m.distance(x, obj.target)
         assert m.distance(out, obj.target) == pytest.approx(d / (1 + eta), abs=1e-6)
         # optimality residual
@@ -199,7 +199,7 @@ def test_proximal_inner_budget_error(monkeypatch):
     x = point_at(obj.manifold, np.random.default_rng(2), obj.domain.center, 1.0)
     monkeypatch.setattr(descent, "PROX_MAX_INNER", 2)
     with pytest.raises(ProximalSolverError, match="after 2 inner iterations"):
-        proximal_step(obj, x, 1.0, 1e-9, obj.gradient(x))
+        proximal_step(obj, x, 1.0, obj.gradient(x))
 
 
 def _prox_hessian_min(obj, y, x, eta):
@@ -214,7 +214,7 @@ def _assert_matches_gradient_reference(obj, x, eta, tol_prox=1e-9):
     # a residual eta*||grad F(y)|| below tol_prox puts y within
     # tol_prox / (eta * mu_F) of the exact proximal point, mu_F the smallest
     # Hessian eigenvalue of F there; so the two answers lie within twice that
-    y = proximal_step(obj, x, eta, tol_prox, obj.gradient(x))
+    y = proximal_step(obj, x, eta, obj.gradient(x))
     ref, _ = proximal_gradient_reference(obj, x, eta, tol_prox)
     bound = 2.0 * tol_prox / (eta * _prox_hessian_min(obj, y, x, eta))
     assert obj.manifold.distance(y, ref) < bound
@@ -274,16 +274,8 @@ def test_proximal_without_a_hessian_is_the_gradient_reference(monkeypatch):
     x = point_at(obj.manifold, np.random.default_rng(2), obj.target, 1.0)
     ref, steps = proximal_gradient_reference(obj, x, 1.0)
     assert steps > 2
-    np.testing.assert_array_equal(proximal_step(obj, x, 1.0, 1e-9, obj.gradient(x)).coords,
+    np.testing.assert_array_equal(proximal_step(obj, x, 1.0, obj.gradient(x)).coords,
                                   ref.coords)
-
-
-@pytest.mark.parametrize("tol_prox", [0.0, -1e-9])
-def test_proximal_rejects_a_nonpositive_tolerance(tol_prox):
-    obj = make_sqdist_h2()
-    x = point_at(obj.manifold, np.random.default_rng(2), obj.target, 1.0)
-    with pytest.raises(ValueError, match="tol_prox must be positive"):
-        proximal_step(obj, x, 1.0, tol_prox, obj.gradient(x))
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +433,7 @@ def test_cubic_theta_fallback_meets_the_theta_condition():
 
 
 @pytest.mark.parametrize("alg, field", [(GradientDescent(0.5), "eta"),
-                                        (ProximalPoint(0.5), "tol_prox"),
+                                        (ProximalPoint(0.5), "eta"),
                                         (CubicNewton(), "rho")],
                          ids=["rgd", "proximal", "cubic"])
 def test_an_algorithm_holds_its_constants_fixed(alg, field):

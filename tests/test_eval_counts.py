@@ -98,7 +98,7 @@ def test_proximal_step_on_squared_distance_takes_one_newton_step(eta):
     # the exact proximal point, whose residual test ends the inner loop
     obj, x0 = _problem()
     counts = _counting(obj)
-    proximal_step(obj, x0, eta, 1e-9, obj.gradient(x0))
+    proximal_step(obj, x0, eta, obj.gradient(x0))
     assert counts["gradient"] <= 2
 
 
@@ -257,7 +257,7 @@ def test_newton_steps_build_one_basis_per_iteration(monkeypatch):
 
     monkeypatch.setattr(Hyperboloid, "_frame", counted_frame)
     calls = _public_geometry_calls(monkeypatch, ("orthonormal_basis",))
-    proximal_step(obj, x, 1.0, 1e-9, obj.gradient(x))
+    proximal_step(obj, x, 1.0, obj.gradient(x))
     assert frames["calls"] == hessians["calls"] > 1
     assert calls["orthonormal_basis"] == 0
     frames["calls"] = hessians["calls"] = 0
@@ -281,7 +281,7 @@ def test_proximal_newton_iteration_takes_one_pass_to_the_prox_centre(monkeypatch
         return dist_log(*args)
 
     monkeypatch.setattr(Hyperboloid, "_dist_log", counted_pass)
-    proximal_step(obj, x, 1.0, 1e-9, obj.gradient(x))
+    proximal_step(obj, x, 1.0, obj.gradient(x))
     # one at the start, one per accepted Newton point
     assert passes["calls"] == hessians["calls"] + 1 > 2
 
@@ -339,7 +339,7 @@ def test_the_steps_make_no_public_geometry_calls(monkeypatch):
     names = ("exp", "log", "norm", "inner", "distance")
     calls = _public_geometry_calls(monkeypatch, names)
     rgd_step(obj, x, oracle.eta, g)
-    proximal_step(obj, x, 1.0, 1e-9, g)
+    proximal_step(obj, x, 1.0, g)
     cubic_newton_step(obj, x, 1.0, 0.5, 1.0, g)
     accel_update(obj, state, acc.AccelParams(0.5, 0.1, 1.0), oracle, 0.0)
     reference_minimize(obj, x)
@@ -348,7 +348,7 @@ def test_the_steps_make_no_public_geometry_calls(monkeypatch):
 
 STEPS = {
     "rgd": lambda obj, x, g: rgd_step(obj, x, 0.1, g),
-    "proximal": lambda obj, x, g: proximal_step(obj, x, 1.0, 1e-9, g),
+    "proximal": lambda obj, x, g: proximal_step(obj, x, 1.0, g),
     "cubic": lambda obj, x, g: cubic_newton_step(obj, x, 1.0, 0.5, 1.0, g),
     "reference": lambda obj, x, g: reference_minimize(obj, x),
 }

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -69,15 +70,17 @@ def test_missing_k_max_defaults_with_warning(tmp_path):
 
 
 def test_strongly_mode_with_nonconvex_objective_rejected(tmp_path):
+    # the schema accepts it; the start checks refuse it when it is built
     p = _write_cfg(
         tmp_path / "a.yaml",
         manifold={"kind": "sphere", "n": 2, "radius": 1.0},
         objective={"kind": "sphere_rayleigh"},
-        algorithm={"kind": "accelerated", "mode": "strongly"},
+        algorithm={"kind": "accelerated", "mode": "strongly", "delta_mode": "oracle"},
     )
     with pytest.raises(ConfigError) as ei:
-        load_config(p)
-    assert any("strongly" in v for v in ei.value.violations)
+        harness._build_experiment(load_config(p))
+    assert ei.value.violations == [
+        "cannot build the experiment: ValueError: accelerated runs need a g-convex objective"]
 
 
 def test_all_violations_collected(tmp_path):
@@ -129,7 +132,7 @@ def test_the_certificate_verdict_is_certify_of_the_trace(tmp_path, algorithm):
     # the report reads the slacks run_descent recorded; certify recomputes them
     cfg = load_config(_write_cfg(tmp_path / "a.yaml", algorithm=algorithm))
     verdict = run_experiment(cfg, tmp_path / "out").report["guarantees"]["certificate"]
-    _, obj, alg, dom, x0 = harness._build_experiment(cfg)
+    _, obj, alg, _, dom, x0 = harness._build_experiment(cfg)
     trace = run_descent(alg, obj, x0, cfg.run["k_max"], dom)
     passed, worst = certify(trace, alg.certificate(obj), default_tolerance(trace.values[0]))
     assert (verdict["pass"], verdict["worst_slack"]) == (passed, worst)
@@ -299,11 +302,12 @@ def test_run_experiment_sphere_rayleigh(tmp_path):
 
 
 def test_run_experiment_bad_eta_nonzero_exit(tmp_path):
-    # eta > 2/L: the certified descent constant is nonpositive
+    # eta > 2/L: the certified descent constant is nonpositive, which the
+    # build refuses before any trace or report is written
     p = _write_cfg(tmp_path / "a.yaml", algorithm={"kind": "rgd", "eta": 50.0})
-    res = run_experiment(load_config(p), str(tmp_path))
-    assert res.exit_code == 1
-    assert any("descent constant" in e for e in res.report["errors"])
+    with pytest.raises(ConfigError, match="descent constant c must be finite and positive"):
+        run_experiment(load_config(p), str(tmp_path))
+    assert not (tmp_path / "t.jsonl").exists() and not (tmp_path / "r.json").exists()
 
 
 def test_run_experiment_frechet_reference_cache(tmp_path):
@@ -363,14 +367,19 @@ def test_cubic_rho_estimate_is_cached(tmp_path, monkeypatch):
 
 
 def test_rho_entries_are_keyed_by_objective_and_rho_seed(tmp_path, monkeypatch):
+    # the key holds the estimator's seed, 0, as it did when configs set it,
+    # so entries written then still hit
     calls = _count_estimates(monkeypatch)
-    variants = [{}, {"algorithm": {"kind": "cubic_newton", "rho_seed": 4}},
-                {"objective": {**_CUBIC_FRECHET["objective"], "seed": 8}}]
-    for i, over in enumerate(variants):
-        p = _write_cfg(tmp_path / f"{i}.yaml", **{**_CUBIC_FRECHET, **over})
+    objectives = [_CUBIC_FRECHET["objective"], {**_CUBIC_FRECHET["objective"], "seed": 8}]
+    for i, objective in enumerate(objectives):
+        p = _write_cfg(tmp_path / f"{i}.yaml", **{**_CUBIC_FRECHET, "objective": objective})
         run_experiment(load_config(p), str(tmp_path))
-    assert len(calls) == 3
-    assert len(_entries(tmp_path, "rho-")) == 3
+    assert len(calls) == 2
+    keys = [{"objective": objective, "manifold": "hyperboloid(n=2,kappa=1)", "rho_seed": 0,
+             "n_samples": 200, "step_scale": 0.5, "floor": 1e-6} for objective in objectives]
+    assert _entries(tmp_path, "rho-") == sorted(
+        f"rho-{hashlib.sha256(json.dumps(k, sort_keys=True).encode()).hexdigest()[:16]}.json"
+        for k in keys)
 
 
 def test_explicit_rho_writes_no_rho_entry(tmp_path, monkeypatch):
@@ -419,7 +428,7 @@ def test_bad_cache_entry_is_recomputed(tmp_path, prefix, damage):
 
 def test_building_a_cubic_config_leaves_the_objective_unchanged(tmp_path):
     p = _write_cfg(tmp_path / "a.yaml", **_CUBIC_FRECHET)
-    _, obj, alg, _, _ = harness._build_experiment(load_config(p))
+    _, obj, alg, _, _, _ = harness._build_experiment(load_config(p))
     assert obj.metadata.rho is None
     c = alg.certificate(obj).c
     # the same estimate declared on the objective instead

@@ -30,9 +30,9 @@ def test_proximal_step_with_one_inner_iteration(monkeypatch):
     x = point_at(obj.manifold, np.random.default_rng(0), obj.domain.center, 1.0)
     monkeypatch.setattr(descent, "PROX_MAX_INNER", 1)
     with pytest.raises(ProximalSolverError, match="after 1 inner iterations"):
-        proximal_step(obj, x, 1.0, 1e-9, obj.gradient(x))
+        proximal_step(obj, x, 1.0, obj.gradient(x))
     t = obj.target
-    assert proximal_step(obj, t, 1.0, 1e-9, obj.gradient(t)) is t
+    assert proximal_step(obj, t, 1.0, obj.gradient(t)) is t
 
 
 def test_proximal_step_stops_at_a_non_finite_residual():
@@ -42,7 +42,7 @@ def test_proximal_step_stops_at_a_non_finite_residual():
     x = point_at(obj.manifold, np.random.default_rng(0), obj.domain.center, 1.0)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(ProximalSolverError, match=r"not finite at inner iteration 1$"):
-        proximal_step(obj, x, 1e300, 1e-9, obj.gradient(x))
+        proximal_step(obj, x, 1e300, obj.gradient(x))
 
 
 # ---------------------------------------------------------------------------
